@@ -1,5 +1,6 @@
 """Scenario runner, report schema, reproducibility, CLI contract."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -195,6 +196,26 @@ def test_reports_are_reproducible_bit_for_bit():
         da, db = first.to_dict(), second.to_dict()
         da.pop("duration_seconds"), db.pop("duration_seconds")
         assert json.dumps(da) == json.dumps(db)
+
+
+# SHA-256 of each scenario's canonical per_trial JSON at a fixed
+# configuration. Any change to the seeded draw order or to a record's
+# contents moves these; such a change needs a version bump.
+GOLDEN_DIGESTS = {
+    "honest": "23cbd088b48090dc6640e539f29c6c8538a73b1cea9a822563632b2053a8d291",
+    "iqft-attack": "74b60b8c71c7d46b1e916d285921f645a6355c5587b5c3742d3573a9182fe5f1",
+    "modified-honest": "15e81155841ebd78c8ba4a2f0a0ff4ac29599a10c0b78d548ff6e5ea3fda80ac",
+    "modified-attack": "c0d1954ab408b4934205a43973993f88086e575e2f4b54abb4898b0ef20610fb",
+    "eve-decoy": "b89dbe20bf33a1155bb928b5ec3891bcf8ca7287907c57daae90db4d1a915b60",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_DIGESTS))
+def test_per_trial_golden_digest(scenario):
+    cfg = ScenarioConfig(scenario, ProtocolConfig(d=5, n=3, m=2, decoy_count=4),
+                         eta=4, trials=25, master_seed=2024)
+    text = json.dumps(run_scenario(cfg).per_trial, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[scenario]
 
 
 def test_different_seed_changes_records():
