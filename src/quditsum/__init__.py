@@ -3,45 +3,34 @@ protocol over d-level systems, the forged-state attack that breaks its
 privacy, and the randomized checking step that restores it."""
 
 from .adversary import (
-    FabricatedRound,
     IqftAttackPlan,
-    IqftAttackReport,
     eve_intercept_resend,
     fabricate_rounds,
     fake_particle,
     recover_secret_digit,
-    run_iqft_attack_original,
 )
 from .harness import (
-    SCENARIOS,
-    ReportDocument,
-    ScenarioConfig,
     TOOL_VERSION,
+    RunResult,
+    ScenarioConfig,
     derive_trial_stream,
+    run_protocol,
     run_scenario,
     wilson_interval,
     write_report,
 )
 from .protocol import (
-    AnnouncementLog,
-    DecoyRecord,
-    ProtocolAbort,
     ProtocolConfig,
-    RoundState,
     SecretString,
     check_decoys,
     compute_sum,
     encode_and_measure,
-    encode_rounds,
     insert_decoys,
     prepare_rounds,
-    run_original_honest,
     validate_secrets,
 )
 from .qudit import (
-    DIM_CAP,
     BasisKind,
-    MeasurementOutcome,
     QuditRegister,
     apply_iqft,
     apply_qft,
@@ -52,16 +41,6 @@ from .qudit import (
     omega_state,
     outcome_distribution,
 )
-from .verification import (
-    CheckAssignment,
-    CheckOutcome,
-    ModifiedRunReport,
-    P1Strategy,
-    execute_check,
-    run_modified,
-    select_checks,
-    v1_pass,
-    v2_pass,
-)
+from .verification import execute_check, select_checks, v1_pass, v2_pass
 
 __version__ = TOOL_VERSION

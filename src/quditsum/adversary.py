@@ -18,18 +18,11 @@ the decoy check is built to catch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .protocol import (
-    ProtocolConfig,
-    RoundState,
-    check_decoys,
-    compute_sum,
-    encode_and_measure,
-    insert_decoys,
-    validate_secrets,
-)
+from .protocol import ProtocolConfig, RoundState
 from .qudit import BasisKind, QuditRegister, apply_iqft, basis_state, measure
 
 
@@ -38,41 +31,14 @@ class IqftAttackPlan:
     """The dealer's fabrication choices.
 
     r_choices[j] is the value r used to fabricate every recipient's fake
-    particle in round j. announce_correct_sum picks what P1 publishes at
-    the end: True back-computes a first-party result that makes the
-    published sum come out right (the stealthy play), False publishes an
-    arbitrary draw.
+    particle in round j.
     """
 
     r_choices: tuple[int, ...]
-    announce_correct_sum: bool = True
 
     @classmethod
-    def uniform(cls, d: int, rounds: int, rng: np.random.Generator,
-                announce_correct_sum: bool = True) -> "IqftAttackPlan":
-        values = tuple(int(x) for x in rng.integers(0, d, size=rounds))
-        return cls(values, announce_correct_sum)
-
-
-@dataclass(frozen=True)
-class FabricatedRound:
-    """One round's worth of fake particles, keyed by recipient (2..n)."""
-
-    index: int
-    r: int
-    particles: dict[int, RoundState]
-
-
-@dataclass(frozen=True)
-class IqftAttackReport:
-    """What the dealer saw, stole and published in one attack run."""
-
-    announced: dict[int, tuple[int, ...]]
-    recovered: dict[int, tuple[int, ...]]
-    success: bool
-    decoy_error_rates: dict[int, float]
-    announced_sum: tuple[int, ...]
-    sum_correct: bool
+    def uniform(cls, d: int, rounds: int, rng: np.random.Generator) -> "IqftAttackPlan":
+        return cls(tuple(int(x) for x in rng.integers(0, d, size=rounds)))
 
 
 def fake_particle(d: int, r: int) -> QuditRegister:
@@ -91,77 +57,18 @@ def recover_secret_digit(announced: int, r: int, d: int) -> int:
     return (announced - r) % d
 
 
-def fabricate_rounds(cfg: ProtocolConfig, plan: IqftAttackPlan) -> list[FabricatedRound]:
-    """Build the dealer's fake product states for every round of the plan."""
+def fabricate_rounds(cfg: ProtocolConfig, plan: IqftAttackPlan) -> list[RoundState]:
+    """Build the dealer's forged round for every entry of the plan.
+
+    Round j is the product of one fake particle per recipient (2..n), all
+    built from r_choices[j]; P1 keeps no qudit of it.
+    """
     rounds = []
     for j, r in enumerate(plan.r_choices):
-        if not 0 <= r < cfg.d:
-            raise ValueError(f"fabrication value {r} out of range for d={cfg.d}")
-        particles = {
-            i: RoundState(j, fake_particle(cfg.d, r), owners=(i,))
-            for i in range(2, cfg.n + 1)
-        }
-        rounds.append(FabricatedRound(j, r, particles))
+        particles = [fake_particle(cfg.d, r).amplitudes for _ in range(2, cfg.n + 1)]
+        register = QuditRegister(cfg.d, cfg.n - 1, reduce(np.kron, particles))
+        rounds.append(RoundState(j, register, owners=tuple(range(2, cfg.n + 1)), r=r))
     return rounds
-
-
-def run_iqft_attack_original(cfg: ProtocolConfig, secrets,
-                             plan: IqftAttackPlan | None = None,
-                             rng: np.random.Generator | None = None) -> IqftAttackReport:
-    """One run of the original protocol with the forging dealer in P1's seat.
-
-    The honest participants behave exactly as in the honest run: they
-    check genuine decoys (seeing a clean channel), encode their digits
-    with the usual operations and announce their results. P1 recovers
-    every digit by subtracting the fabrication values.
-
-    secrets[0] is P1's own string; it only matters for the published sum.
-    """
-    validate_secrets(cfg, secrets)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    if plan is None:
-        plan = IqftAttackPlan.uniform(cfg.d, cfg.m, rng)
-    if len(plan.r_choices) != cfg.m:
-        raise ValueError(f"plan covers {len(plan.r_choices)} rounds, need m={cfg.m}")
-    fabricated = fabricate_rounds(cfg, plan)
-
-    # decoys are genuine, so the transmission check sees nothing
-    decoy_regs, decoy_recs = insert_decoys(cfg, rng)
-    rates = {i: check_decoys(decoy_recs[i], decoy_regs[i], rng) for i in range(2, cfg.n + 1)}
-
-    announced: dict[int, tuple[int, ...]] = {}
-    for i in range(2, cfg.n + 1):
-        values = []
-        for j, fab in enumerate(fabricated):
-            value, _ = encode_and_measure(fab.particles[i], i, secrets[i - 1].digits[j], rng)
-            values.append(value)
-        announced[i] = tuple(values)
-    recovered = {
-        i: tuple(recover_secret_digit(v, plan.r_choices[j], cfg.d)
-                 for j, v in enumerate(announced[i]))
-        for i in range(2, cfg.n + 1)
-    }
-    success = all(recovered[i] == tuple(secrets[i - 1].digits) for i in range(2, cfg.n + 1))
-
-    true_sum = compute_sum([s.digits for s in secrets], cfg.d)
-    if plan.announce_correct_sum:
-        # R1 = k_1 - (n-1) r cancels the fabrication offsets in the total
-        p1_row = [
-            (secrets[0].digits[j] - (cfg.n - 1) * plan.r_choices[j]) % cfg.d
-            for j in range(cfg.m)
-        ]
-        announced_sum = tuple(compute_sum([p1_row] + [list(announced[i]) for i in range(2, cfg.n + 1)], cfg.d))
-    else:
-        announced_sum = tuple(int(x) for x in rng.integers(0, cfg.d, size=cfg.m))
-    return IqftAttackReport(
-        announced=announced,
-        recovered=recovered,
-        success=success,
-        decoy_error_rates=rates,
-        announced_sum=announced_sum,
-        sum_correct=announced_sum == tuple(true_sum),
-    )
 
 
 def eve_intercept_resend(particles, rng: np.random.Generator) -> list[QuditRegister]:

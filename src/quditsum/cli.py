@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .harness import SCENARIOS, ScenarioConfig, run_scenario, write_report
 from .protocol import ProtocolConfig, SecretString
@@ -93,6 +94,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # fail before the trials run, not after; write_report checks again
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        print(f"error: output directory {out_dir} does not exist", file=sys.stderr)
+        return 3
     report = run_scenario(cfg)
     try:
         write_report(report, args.out)

@@ -1,4 +1,8 @@
-"""Seeded Monte Carlo runner for the five standard scenarios.
+"""Protocol engine and seeded Monte Carlo runner for the five scenarios.
+
+run_protocol is the one protocol skeleton. A scenario picks its rounds
+(prepare_rounds or fabricate_rounds), eta (0 for the original protocol)
+and channel (clean, or intercept-resend on every particle).
 
 Each scenario executes a stack of independent trials and writes one JSON
 report holding the per-trial records, aggregate rates with Wilson 95%
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adversary import IqftAttackPlan, eve_intercept_resend, run_iqft_attack_original
+from .adversary import IqftAttackPlan, eve_intercept_resend, fabricate_rounds, recover_secret_digit
 from .protocol import (
     ProtocolConfig,
     SecretString,
@@ -31,10 +35,9 @@ from .protocol import (
     encode_rounds,
     insert_decoys,
     prepare_rounds,
-    run_original_honest,
     validate_secrets,
 )
-from .verification import P1Strategy, run_modified
+from .verification import CheckOutcome, execute_check, select_checks
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -138,6 +141,88 @@ def wilson_interval(successes: float, n: int, z: float = 1.959963984540054) -> t
 
 
 # ---------------------------------------------------------------------------
+# the protocol engine
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """Everything observable about one protocol run.
+
+    decoy_mismatches counts the failed decoys of each receiver (2..n).
+    aborted means the run stopped before encoding, on a decoy error rate
+    above the threshold or on a failed basis check; detected means the
+    latter. results holds every participant's result string, P1's
+    back-computed when the dealer forged the rounds, and recovered the
+    digits the forging dealer reads off them. Both are None after an
+    abort, recovered also on genuine rounds.
+    """
+
+    decoy_mismatches: dict[int, int]
+    aborted: bool = False
+    detected: bool = False
+    checks: tuple[CheckOutcome, ...] = ()
+    results: dict[int, tuple[int, ...]] | None = None
+    sum_digits: tuple[int, ...] | None = None
+    recovered: dict[int, tuple[int, ...]] | None = None
+
+
+def _decoy_rate(mismatches: int, decoy_count: int) -> float:
+    return mismatches / decoy_count if decoy_count else 0.0
+
+
+def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.Generator,
+                 eve: bool = False) -> RunResult:
+    """One run of the summation protocol, original (eta=0) or hardened.
+
+    rounds are the m+eta states the dealer hands out, genuine or forged.
+    With eve=True an intercept-resend eavesdropper measures every particle
+    on every channel, the payload before the decoys. Every receiver then
+    checks its decoys and the run aborts if any error rate exceeds the
+    threshold. Next eta positions are burnt on basis checks, aborting at
+    the first failure, and the m surviving rounds carry the secrets.
+    """
+    validate_secrets(cfg, secrets)
+    if eta < 0:
+        raise ValueError(f"eta must be >= 0, got {eta}")
+    total = cfg.m + eta
+    if len(rounds) != total:
+        raise ValueError(f"got {len(rounds)} rounds, need m+eta={total}")
+    receivers = range(2, cfg.n + 1)
+
+    decoy_regs, decoy_recs = insert_decoys(cfg, rng, payload_len=total)
+    if eve:
+        for i in receivers:
+            particles = [(state.register, state.owners.index(i)) for state in rounds]
+            resent = eve_intercept_resend(particles + [(reg, 0) for reg in decoy_regs[i]], rng)
+            rounds = [replace(state, register=reg) for state, reg in zip(rounds, resent)]
+            decoy_regs[i] = resent[total:]
+    mismatches = {i: check_decoys(decoy_recs[i], decoy_regs[i], rng) for i in receivers}
+    if any(_decoy_rate(c, cfg.decoy_count) > cfg.error_threshold for c in mismatches.values()):
+        return RunResult(mismatches, aborted=True)
+
+    checks: list[CheckOutcome] = []
+    for assignment in select_checks(cfg, eta, rng):
+        checks.append(execute_check(rounds[assignment.position], assignment, rng))
+        if not checks[-1].passed:
+            return RunResult(mismatches, aborted=True, detected=True, checks=tuple(checks))
+
+    checked = {c.assignment.position for c in checks}
+    surviving = [state for pos, state in enumerate(rounds) if pos not in checked]
+    results = encode_rounds(surviving, secrets, rng)
+    recovered = None
+    if 1 not in results:
+        # the forging dealer publishes R1 = k_1 - (n-1) r, which cancels
+        # the fabrication offsets in the sum, and subtracts r from the rest
+        r = [state.r for state in surviving]
+        results[1] = [(k - (cfg.n - 1) * rj) % cfg.d for k, rj in zip(secrets[0].digits, r)]
+        recovered = {i: tuple(recover_secret_digit(v, rj, cfg.d) for v, rj in zip(results[i], r))
+                     for i in receivers}
+    rows = {i: tuple(results[i]) for i in range(1, cfg.n + 1)}
+    return RunResult(mismatches, checks=tuple(checks), results=rows,
+                     sum_digits=tuple(compute_sum(rows.values(), cfg.d)), recovered=recovered)
+
+
+# ---------------------------------------------------------------------------
 # exact oracle predictions
 
 
@@ -198,6 +283,28 @@ def _secrets_list(secrets) -> list[list[int]]:
     return [list(s.digits) for s in secrets]
 
 
+def _rows(by_participant, n: int) -> list[list[int]] | None:
+    if by_participant is None:
+        return None
+    return [list(by_participant[i]) for i in range(2, n + 1)]
+
+
+def _sum_correct(p: ProtocolConfig, secrets, result: RunResult) -> bool | None:
+    if result.sum_digits is None:
+        return None
+    return list(result.sum_digits) == compute_sum([s.digits for s in secrets], p.d)
+
+
+def _recovery_success(p: ProtocolConfig, secrets, result: RunResult) -> bool | None:
+    if result.recovered is None:
+        return None
+    return all(result.recovered[i] == tuple(secrets[i - 1].digits) for i in range(2, p.n + 1))
+
+
+def _decoy_rates(p: ProtocolConfig, result: RunResult) -> list[float]:
+    return [_decoy_rate(result.decoy_mismatches[i], p.decoy_count) for i in range(2, p.n + 1)]
+
+
 def _check_dict(outcome) -> dict:
     a = outcome.assignment
     return {
@@ -209,120 +316,86 @@ def _check_dict(outcome) -> dict:
     }
 
 
-def _honest_trial(cfg: ScenarioConfig, t: int, rng: np.random.Generator) -> dict:
-    secrets = _trial_secrets(cfg, rng)
-    log = run_original_honest(cfg.protocol, secrets, rng)
-    expected = compute_sum([s.digits for s in secrets], cfg.protocol.d)
+def _honest_record(p, t, secrets, plan, result) -> dict:
     return {
         "trial": t,
         "secrets": _secrets_list(secrets),
-        "sum": list(log.sum_digits),
-        "sum_correct": list(log.sum_digits) == expected,
+        "sum": list(result.sum_digits),
+        "sum_correct": _sum_correct(p, secrets, result),
     }
 
 
-def _iqft_attack_trial(cfg: ScenarioConfig, t: int, rng: np.random.Generator) -> dict:
-    p = cfg.protocol
-    secrets = _trial_secrets(cfg, rng)
-    plan = _trial_plan(cfg, p.m, rng)
-    report = run_iqft_attack_original(p, secrets, plan, rng)
+def _iqft_attack_record(p, t, secrets, plan, result) -> dict:
     return {
         "trial": t,
         "secrets": _secrets_list(secrets),
         "fake_r": list(plan.r_choices),
-        "announced": [list(report.announced[i]) for i in range(2, p.n + 1)],
-        "recovered": [list(report.recovered[i]) for i in range(2, p.n + 1)],
-        "recovery_success": report.success,
-        "decoy_error_rates": [report.decoy_error_rates[i] for i in range(2, p.n + 1)],
-        "announced_sum": list(report.announced_sum),
-        "sum_correct": report.sum_correct,
+        "announced": _rows(result.results, p.n),
+        "recovered": _rows(result.recovered, p.n),
+        "recovery_success": _recovery_success(p, secrets, result),
+        "decoy_error_rates": _decoy_rates(p, result),
+        "announced_sum": list(result.sum_digits),
+        "sum_correct": _sum_correct(p, secrets, result),
     }
 
 
-def _modified_honest_trial(cfg: ScenarioConfig, t: int, rng: np.random.Generator) -> dict:
-    p = cfg.protocol
-    secrets = _trial_secrets(cfg, rng)
-    report = run_modified(p, cfg.eta, secrets, P1Strategy.HONEST, rng)
-    expected = compute_sum([s.digits for s in secrets], p.d)
+def _modified_honest_record(p, t, secrets, plan, result) -> dict:
     return {
         "trial": t,
         "secrets": _secrets_list(secrets),
-        "checks": [_check_dict(oc) for oc in report.check_outcomes],
-        "checks_passed": all(oc.passed for oc in report.check_outcomes),
-        "sum": list(report.sum_digits),
-        "sum_correct": list(report.sum_digits) == expected,
+        "checks": [_check_dict(oc) for oc in result.checks],
+        "checks_passed": all(oc.passed for oc in result.checks),
+        "sum": list(result.sum_digits),
+        "sum_correct": _sum_correct(p, secrets, result),
     }
 
 
-def _modified_attack_trial(cfg: ScenarioConfig, t: int, rng: np.random.Generator) -> dict:
-    p = cfg.protocol
-    secrets = _trial_secrets(cfg, rng)
-    plan = _trial_plan(cfg, p.m + cfg.eta, rng)
-    report = run_modified(p, cfg.eta, secrets, P1Strategy.IQFT_ADAPTIVE, rng, plan=plan)
-    record = {
+def _modified_attack_record(p, t, secrets, plan, result) -> dict:
+    return {
         "trial": t,
         "secrets": _secrets_list(secrets),
         "fake_r": list(plan.r_choices),
-        "checks": [_check_dict(oc) for oc in report.check_outcomes],
-        "checks_executed": len(report.check_outcomes),
-        "detected": report.detected,
-        "recovered": None,
-        "recovery_success": None,
+        "checks": [_check_dict(oc) for oc in result.checks],
+        "checks_executed": len(result.checks),
+        "detected": result.detected,
+        "recovered": _rows(result.recovered, p.n),
+        "recovery_success": _recovery_success(p, secrets, result),
     }
-    if not report.detected:
-        record["recovered"] = [list(report.recovered[i]) for i in range(2, p.n + 1)]
-        record["recovery_success"] = report.recovery_success
-    return record
 
 
-def _eve_decoy_trial(cfg: ScenarioConfig, t: int, rng: np.random.Generator) -> dict:
-    p = cfg.protocol
-    secrets = _trial_secrets(cfg, rng)
-    rounds = prepare_rounds(p)
-    decoy_regs, decoy_recs = insert_decoys(p, rng)
-
-    # Eve hits every channel: the payload qudit bound for each receiver
-    # and the decoys interleaved with it.
-    disturbed: dict[int, list] = {}
-    for i in range(2, p.n + 1):
-        particles = [(rounds[j].register, i - 1) for j in range(p.m)]
-        particles += [(reg, 0) for reg in decoy_regs[i]]
-        resent = eve_intercept_resend(particles, rng)
-        for j in range(p.m):
-            rounds[j] = replace(rounds[j], register=resent[j])
-        disturbed[i] = resent[p.m:]
-
-    rates = {}
-    mismatches = 0
-    detected = False
-    for i in range(2, p.n + 1):
-        rates[i] = check_decoys(decoy_recs[i], disturbed[i], rng)
-        mismatches += round(rates[i] * p.decoy_count)
-        if rates[i] > p.error_threshold:
-            detected = True
-    sum_correct = None
-    if not detected:
-        results = encode_rounds(rounds, secrets, rng)
-        total = compute_sum([results[i] for i in range(1, p.n + 1)], p.d)
-        sum_correct = total == compute_sum([s.digits for s in secrets], p.d)
+def _eve_decoy_record(p, t, secrets, plan, result) -> dict:
     return {
         "trial": t,
         "secrets": _secrets_list(secrets),
-        "decoy_error_rates": [rates[i] for i in range(2, p.n + 1)],
-        "decoy_mismatches": int(mismatches),
+        "decoy_error_rates": _decoy_rates(p, result),
+        "decoy_mismatches": sum(result.decoy_mismatches.values()),
         "decoys_checked": (p.n - 1) * p.decoy_count,
-        "detected": detected,
-        "sum_correct": sum_correct,
+        "detected": result.aborted,
+        "sum_correct": _sum_correct(p, secrets, result),
     }
 
 
-_TRIAL_FUNCTIONS = {
-    "honest": _honest_trial,
-    "iqft-attack": _iqft_attack_trial,
-    "modified-honest": _modified_honest_trial,
-    "modified-attack": _modified_attack_trial,
-    "eve-decoy": _eve_decoy_trial,
+# scenario -> (forged rounds, hardened with eta basis checks, Eve on the
+# channel, record builder)
+_SCENARIO_RUNS = {
+    "honest": (False, False, False, _honest_record),
+    "iqft-attack": (True, False, False, _iqft_attack_record),
+    "modified-honest": (False, True, False, _modified_honest_record),
+    "modified-attack": (True, True, False, _modified_attack_record),
+    "eve-decoy": (False, False, True, _eve_decoy_record),
 }
+
+
+def _run_trial(cfg: ScenarioConfig, t: int, rng: np.random.Generator) -> tuple[dict, int]:
+    """Draw secrets, then any forging plan; return record and decoy mismatches."""
+    p = cfg.protocol
+    forged, hardened, eve, build = _SCENARIO_RUNS[cfg.scenario]
+    eta = cfg.eta if hardened else 0
+    secrets = _trial_secrets(cfg, rng)
+    plan = _trial_plan(cfg, p.m + eta, rng) if forged else None
+    rounds = fabricate_rounds(p, plan) if forged else prepare_rounds(p, count=p.m + eta)
+    result = run_protocol(p, eta, secrets, rounds, rng, eve=eve)
+    return build(p, t, secrets, plan, result), sum(result.decoy_mismatches.values())
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +419,10 @@ def _rate_entry(successes, n: int, oracle: float | None = None) -> dict:
     return entry
 
 
-def _aggregate(cfg: ScenarioConfig, per_trial: list) -> tuple[dict, dict]:
+def _aggregate(cfg: ScenarioConfig, per_trial: list, decoy_mismatches: int) -> tuple[dict, dict]:
     p = cfg.protocol
     trials = cfg.trials
+    decoys_checked = trials * (p.n - 1) * p.decoy_count
     aggregates: dict = {}
     predictions: dict = {}
     if cfg.scenario == "honest":
@@ -358,9 +432,7 @@ def _aggregate(cfg: ScenarioConfig, per_trial: list) -> tuple[dict, dict]:
     elif cfg.scenario == "iqft-attack":
         wins = sum(1 for r in per_trial if r["recovery_success"])
         aggregates["recovery_success_rate"] = _rate_entry(wins, trials, oracle=1.0)
-        checked = trials * (p.n - 1) * p.decoy_count
-        mism = sum(round(rate * p.decoy_count) for r in per_trial for rate in r["decoy_error_rates"])
-        aggregates["mean_decoy_error_rate"] = _rate_entry(mism, checked, oracle=0.0)
+        aggregates["mean_decoy_error_rate"] = _rate_entry(decoy_mismatches, decoys_checked, oracle=0.0)
         predictions["recovery_success_rate"] = 1.0
         predictions["mean_decoy_error_rate"] = 0.0
     elif cfg.scenario == "modified-honest":
@@ -385,10 +457,8 @@ def _aggregate(cfg: ScenarioConfig, per_trial: list) -> tuple[dict, dict]:
         det = sum(1 for r in per_trial if r["detected"])
         oracle_det = eve_detection_probability(p.d, p.n, p.decoy_count, p.error_threshold)
         aggregates["detection_rate"] = _rate_entry(det, trials, oracle=oracle_det)
-        mism = sum(r["decoy_mismatches"] for r in per_trial)
-        checked = sum(r["decoys_checked"] for r in per_trial)
         q = eve_per_decoy_error_rate(p.d)
-        aggregates["mean_decoy_error_rate"] = _rate_entry(mism, checked, oracle=q)
+        aggregates["mean_decoy_error_rate"] = _rate_entry(decoy_mismatches, decoys_checked, oracle=q)
         predictions["per_decoy_error_rate"] = q
         predictions["detection_rate"] = oracle_det
     flagged = [name for name, entry in aggregates.items()
@@ -421,10 +491,12 @@ def run_scenario(cfg: ScenarioConfig) -> ReportDocument:
     and the master seed, never on execution order or timing.
     """
     t0 = time.perf_counter()
-    trial_fn = _TRIAL_FUNCTIONS[cfg.scenario]
-    per_trial = [trial_fn(cfg, t, derive_trial_stream(cfg.master_seed, t))
-                 for t in range(cfg.trials)]
-    aggregates, predictions = _aggregate(cfg, per_trial)
+    per_trial, mismatches = [], 0
+    for t in range(cfg.trials):
+        record, count = _run_trial(cfg, t, derive_trial_stream(cfg.master_seed, t))
+        per_trial.append(record)
+        mismatches += count
+    aggregates, predictions = _aggregate(cfg, per_trial, mismatches)
     return ReportDocument(
         scenario=cfg.scenario,
         params=_params_dict(cfg),

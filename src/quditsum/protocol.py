@@ -33,10 +33,6 @@ from .qudit import (
 )
 
 
-class ProtocolAbort(RuntimeError):
-    """Raised when a decoy check exceeds the configured error threshold."""
-
-
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Sizes and tolerances of one protocol instance.
@@ -44,8 +40,8 @@ class ProtocolConfig:
     d: digit modulus (levels per qudit), n: participants, m: digits per
     secret. decoy_count decoys guard each transmitted sequence and the
     run aborts when a receiver sees a decoy error rate above
-    error_threshold. seed feeds the default random stream when a run
-    function is not handed one explicitly.
+    error_threshold. Nothing reads seed: every random stream is handed to
+    the run explicitly.
     """
 
     d: int
@@ -96,14 +92,16 @@ class RoundState:
     """One shared state plus bookkeeping of who already measured.
 
     owners[q] names the participant holding qudit q; the default wiring
-    is participant i on qudit i-1. The attack code reuses this type for
-    single-qudit fakes by passing owners=(recipient,).
+    is participant i on qudit i-1. A forged round holds the product of
+    the recipients' fake particles, owners=(2..n), and r is the
+    fabrication value it was built from (None on genuine rounds).
     """
 
     index: int
     register: QuditRegister
     owners: tuple[int, ...] = ()
     measured: frozenset[int] = frozenset()
+    r: int | None = None
 
     def __post_init__(self) -> None:
         if not self.owners:
@@ -112,16 +110,6 @@ class RoundState:
             raise ValueError(
                 f"owners names {len(self.owners)} participants for {self.register.k} qudits"
             )
-
-
-@dataclass(frozen=True)
-class AnnouncementLog:
-    """Classical transcript of one run: results flow to P1, the sum flows back."""
-
-    p1_results: tuple[int, ...]
-    announced: dict[int, tuple[int, ...]]
-    sum_digits: tuple[int, ...]
-    order: tuple[str, ...]
 
 
 def validate_secrets(cfg: ProtocolConfig, secrets) -> None:
@@ -175,25 +163,23 @@ def insert_decoys(cfg: ProtocolConfig, rng: np.random.Generator, payload_len: in
     return registers, records
 
 
-def check_decoys(records, received, rng: np.random.Generator) -> float:
+def check_decoys(records, received, rng: np.random.Generator) -> int:
     """Measure each received decoy in its preparation basis.
 
-    Returns the mismatch rate against the recorded values. 0.0 exactly
-    when the channel was untouched, since both |r> and QFT|r> are
-    eigenstates of their own measurement.
+    Returns the number of mismatches against the recorded values. 0
+    exactly when the channel was untouched, since both |r> and QFT|r>
+    are eigenstates of their own measurement.
     """
     if len(records) != len(received):
         raise ValueError(
             f"got {len(received)} decoy registers for {len(records)} records"
         )
-    if not records:
-        return 0.0
     mismatches = 0
     for rec, reg in zip(records, received):
         out = measure(reg, 0, rec.basis, rng)
         if out.value != rec.value:
             mismatches += 1
-    return mismatches / len(records)
+    return mismatches
 
 
 def encode_and_measure(state: RoundState, participant: int, digit: int, rng: np.random.Generator):
@@ -220,18 +206,18 @@ def encode_and_measure(state: RoundState, participant: int, digit: int, rng: np.
 
 
 def encode_rounds(rounds, secrets, rng: np.random.Generator) -> dict[int, list[int]]:
-    """Encoding step for every participant on every round, in round order.
+    """Encoding step for every owner of every round, in round order.
 
     secrets[i-1] belongs to participant i; digit j goes on the j-th round
     of the list (not on RoundState.index, which may name an original
-    position in a longer prepared sequence).
+    position in a longer prepared sequence). Only participants holding a
+    qudit get a result string.
     """
-    n = len(secrets)
-    results: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
+    results: dict[int, list[int]] = {}
     for j, state in enumerate(rounds):
-        for i in range(1, n + 1):
+        for i in sorted(state.owners):
             value, state = encode_and_measure(state, i, secrets[i - 1].digits[j], rng)
-            results[i].append(value)
+            results.setdefault(i, []).append(value)
     return results
 
 
@@ -248,29 +234,3 @@ def compute_sum(results, d: int) -> list[int]:
             if not 0 <= x < d:
                 raise ValueError(f"result digit {x} out of range for d={d}")
     return [sum(col) % d for col in zip(*rows)]
-
-
-def run_original_honest(cfg: ProtocolConfig, secrets, rng: np.random.Generator | None = None) -> AnnouncementLog:
-    """One full honest run of the original protocol.
-
-    Prepares the shared states and decoys, performs the decoy check
-    (which cannot fail without an adversary on the channel), encodes and
-    measures every digit, and assembles the announcement transcript:
-    P2..Pn report their result strings to P1, then P1 publishes the sum.
-
-    Raises ProtocolAbort if a decoy error rate exceeds the threshold.
-    """
-    validate_secrets(cfg, secrets)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    rounds = prepare_rounds(cfg)
-    decoy_regs, decoy_recs = insert_decoys(cfg, rng)
-    for i in range(2, cfg.n + 1):
-        rate = check_decoys(decoy_recs[i], decoy_regs[i], rng)
-        if rate > cfg.error_threshold:
-            raise ProtocolAbort(f"decoy error rate {rate:.4f} at P{i} above threshold")
-    results = encode_rounds(rounds, secrets, rng)
-    announced = {i: tuple(results[i]) for i in range(2, cfg.n + 1)}
-    sum_digits = tuple(compute_sum([results[i] for i in range(1, cfg.n + 1)], cfg.d))
-    order = tuple(f"R{i}" for i in range(2, cfg.n + 1)) + ("Sum",)
-    return AnnouncementLog(tuple(results[1]), announced, sum_digits, order)

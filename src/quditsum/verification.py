@@ -15,31 +15,11 @@ probability 1 - d^(1-n) no matter what he announces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .adversary import FabricatedRound, IqftAttackPlan, fabricate_rounds, recover_secret_digit
-from .protocol import (
-    ProtocolAbort,
-    ProtocolConfig,
-    RoundState,
-    check_decoys,
-    compute_sum,
-    encode_and_measure,
-    encode_rounds,
-    insert_decoys,
-    prepare_rounds,
-    validate_secrets,
-)
+from .protocol import ProtocolConfig, RoundState
 from .qudit import BasisKind, apply_qft, measure
-
-
-class P1Strategy(Enum):
-    """Who sits in the dealer's seat during a hardened run."""
-
-    HONEST = "honest"
-    IQFT_ADAPTIVE = "iqft_adaptive"
 
 
 @dataclass(frozen=True)
@@ -58,21 +38,6 @@ class CheckOutcome:
     assignment: CheckAssignment
     announced: tuple[int, ...]
     passed: bool
-
-
-@dataclass(frozen=True)
-class ModifiedRunReport:
-    """Everything observable about one hardened run."""
-
-    strategy: P1Strategy
-    check_outcomes: tuple[CheckOutcome, ...]
-    detected: bool
-    aborted: bool
-    decoy_error_rates: dict[int, float]
-    sum_digits: tuple[int, ...] | None = None
-    announced: dict[int, tuple[int, ...]] | None = None
-    recovered: dict[int, tuple[int, ...]] | None = None
-    recovery_success: bool | None = None
 
 
 def v1_pass(values, d: int) -> bool:
@@ -113,162 +78,32 @@ def select_checks(cfg: ProtocolConfig, eta: int, rng: np.random.Generator) -> li
     return assignments
 
 
-def execute_check(state, assignment: CheckAssignment, strategy: P1Strategy,
+def execute_check(state: RoundState, assignment: CheckAssignment,
                   rng: np.random.Generator) -> CheckOutcome:
     """Consume one check position and produce its announced transcript.
 
-    With an honest dealer the state is a genuine shared round: every
-    participant rotates its own qudit by the Fourier transform and
-    measures in the announced basis, P1 going first. With the forging
-    dealer the state is a FabricatedRound: the honest participants do the
-    same on their fake particles, while P1, holding nothing, announces
-    first whatever serves him best. His announcement never depends on the
-    honest results (he speaks before they do): -(n-1)*r mod d on a
-    computational check, which always passes, and a fixed value on a
-    Fourier-image check, where nothing beats blind luck.
+    Every owner rotates its own qudit by the Fourier transform and
+    measures in the announced basis, in participant order, so P1 goes
+    first on a genuine round. On a forged round P1 holds nothing and
+    announces first whatever serves him best. His announcement never
+    depends on the honest results (he speaks before they do):
+    -(n-1)*r mod d on a computational check, which always passes, and a
+    fixed value on a Fourier-image check, where nothing beats blind luck.
     """
+    if state.measured:
+        raise ValueError(f"check position {assignment.position} already consumed")
     basis = assignment.basis
-    if strategy is P1Strategy.HONEST:
-        if not isinstance(state, RoundState):
-            raise TypeError("honest checks operate on genuine shared rounds")
-        if state.measured:
-            raise ValueError(f"check position {assignment.position} already consumed")
-        d = state.register.d
-        reg = state.register
-        values = []
-        for participant in sorted(state.owners):
-            q = state.owners.index(participant)
-            reg = apply_qft(reg, q)
-            out = measure(reg, q, basis, rng)
-            values.append(out.value)
-            reg = out.posterior
-    elif strategy is P1Strategy.IQFT_ADAPTIVE:
-        if not isinstance(state, FabricatedRound):
-            raise TypeError("the forging dealer holds fabricated rounds")
-        d = next(iter(state.particles.values())).register.d
-        honest_values = []
-        for participant in sorted(state.particles):
-            p = state.particles[participant]
-            reg = apply_qft(p.register, 0)
-            honest_values.append(measure(reg, 0, basis, rng).value)
-        if basis is BasisKind.V1:
-            p1_value = (-len(state.particles) * state.r) % d
-        else:
-            p1_value = 0  # any fixed value does equally well here
-        values = [p1_value] + honest_values
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+    d = state.register.d
+    values = []
+    if 1 not in state.owners:
+        # any fixed value does equally well on a Fourier-image check
+        values.append((-len(state.owners) * state.r) % d if basis is BasisKind.V1 else 0)
+    reg = state.register
+    for participant in sorted(state.owners):
+        q = state.owners.index(participant)
+        reg = apply_qft(reg, q)
+        out = measure(reg, q, basis, rng)
+        values.append(out.value)
+        reg = out.posterior
     passed = v1_pass(values, d) if basis is BasisKind.V1 else v2_pass(values)
     return CheckOutcome(assignment, tuple(values), passed)
-
-
-def run_modified(cfg: ProtocolConfig, eta: int, secrets, strategy: P1Strategy,
-                 rng: np.random.Generator | None = None,
-                 plan: IqftAttackPlan | None = None) -> ModifiedRunReport:
-    """One run of the hardened protocol.
-
-    Prepares m+eta states (genuine or forged, depending on the dealer),
-    runs the decoy transmission check, then burns eta positions on basis
-    checks, aborting at the first failure. The m surviving positions go
-    through the usual encoding and announcement. Under the forging dealer
-    the survivors leak the secrets exactly as in the unhardened attack,
-    so the report carries the recovered strings whenever nothing was
-    detected.
-
-    Args:
-        cfg: protocol sizes; eta: number of check states; secrets: one
-        SecretString per participant; strategy: who deals; rng: random
-        stream (defaults to one seeded from cfg.seed); plan: fabrication
-        plan covering m+eta rounds, drawn uniformly when omitted.
-
-    Returns:
-        ModifiedRunReport. detected means some basis check failed;
-        aborted means the run stopped before announcing a sum.
-    """
-    validate_secrets(cfg, secrets)
-    if eta < 0:
-        raise ValueError(f"eta must be >= 0, got {eta}")
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    total = cfg.m + eta
-
-    if strategy is P1Strategy.HONEST:
-        if plan is not None:
-            raise ValueError("honest runs take no fabrication plan")
-        rounds = prepare_rounds(cfg, count=total)
-        fabricated = None
-    else:
-        if plan is None:
-            plan = IqftAttackPlan.uniform(cfg.d, total, rng)
-        if len(plan.r_choices) != total:
-            raise ValueError(f"plan covers {len(plan.r_choices)} rounds, need m+eta={total}")
-        fabricated = fabricate_rounds(cfg, plan)
-
-    decoy_regs, decoy_recs = insert_decoys(cfg, rng, payload_len=total)
-    rates = {}
-    for i in range(2, cfg.n + 1):
-        rates[i] = check_decoys(decoy_recs[i], decoy_regs[i], rng)
-        if rates[i] > cfg.error_threshold:
-            raise ProtocolAbort(f"decoy error rate {rates[i]:.4f} at P{i} above threshold")
-
-    checks = select_checks(cfg, eta, rng)
-    outcomes: list[CheckOutcome] = []
-    detected = False
-    for assignment in checks:
-        source = rounds[assignment.position] if fabricated is None else fabricated[assignment.position]
-        outcome = execute_check(source, assignment, strategy, rng)
-        outcomes.append(outcome)
-        if not outcome.passed:
-            detected = True
-            break
-    if detected:
-        return ModifiedRunReport(
-            strategy=strategy,
-            check_outcomes=tuple(outcomes),
-            detected=True,
-            aborted=True,
-            decoy_error_rates=rates,
-        )
-
-    checked = {a.position for a in checks}
-    surviving = [p for p in range(total) if p not in checked]
-
-    if strategy is P1Strategy.HONEST:
-        results = encode_rounds([rounds[p] for p in surviving], secrets, rng)
-        announced = {i: tuple(results[i]) for i in range(2, cfg.n + 1)}
-        sum_digits = tuple(compute_sum([results[i] for i in range(1, cfg.n + 1)], cfg.d))
-        return ModifiedRunReport(
-            strategy=strategy,
-            check_outcomes=tuple(outcomes),
-            detected=False,
-            aborted=False,
-            decoy_error_rates=rates,
-            sum_digits=sum_digits,
-            announced=announced,
-        )
-
-    announced = {}
-    for i in range(2, cfg.n + 1):
-        values = []
-        for jj, pos in enumerate(surviving):
-            value, _ = encode_and_measure(fabricated[pos].particles[i], i,
-                                          secrets[i - 1].digits[jj], rng)
-            values.append(value)
-        announced[i] = tuple(values)
-    recovered = {
-        i: tuple(recover_secret_digit(v, fabricated[pos].r, cfg.d)
-                 for v, pos in zip(announced[i], surviving))
-        for i in range(2, cfg.n + 1)
-    }
-    recovery_success = all(recovered[i] == tuple(secrets[i - 1].digits)
-                           for i in range(2, cfg.n + 1))
-    return ModifiedRunReport(
-        strategy=strategy,
-        check_outcomes=tuple(outcomes),
-        detected=False,
-        aborted=False,
-        decoy_error_rates=rates,
-        announced=announced,
-        recovered=recovered,
-        recovery_success=recovery_success,
-    )

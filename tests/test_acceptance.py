@@ -18,7 +18,6 @@ from conftest import assert_within_4sigma, random_register
 from quditsum import (
     BasisKind,
     IqftAttackPlan,
-    P1Strategy,
     ProtocolConfig,
     ScenarioConfig,
     SecretString,
@@ -34,9 +33,8 @@ from quditsum import (
     insert_decoys,
     omega_state,
     outcome_distribution,
-    run_iqft_attack_original,
-    run_modified,
-    run_original_honest,
+    prepare_rounds,
+    run_protocol,
     run_scenario,
 )
 from quditsum.cli import main
@@ -60,14 +58,14 @@ def test_c01_worked_example_exact():
         cfg = ProtocolConfig(d=10, n=3, m=1)
         secrets = (SecretString((4,)), SecretString((5,)), SecretString((6,)))
 
-        log = run_original_honest(cfg, secrets, np.random.default_rng(0))
-        assert log.sum_digits == (5,)
+        honest = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), np.random.default_rng(0))
+        assert honest.sum_digits == (5,)
 
-        report = run_iqft_attack_original(cfg, secrets, IqftAttackPlan((2,)),
-                                          np.random.default_rng(1))
-        assert report.announced == {2: (7,), 3: (8,)}
-        assert report.recovered == {2: (5,), 3: (6,)}
-        assert report.success
+        forged = fabricate_rounds(cfg, IqftAttackPlan((2,)))
+        attack = run_protocol(cfg, 0, secrets, forged, np.random.default_rng(1))
+        assert {i: attack.results[i] for i in (2, 3)} == {2: (7,), 3: (8,)}
+        assert attack.recovered == {2: (5,), 3: (6,)}
+        assert all(attack.recovered[i] == secrets[i - 1].digits for i in (2, 3))
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -111,9 +109,9 @@ def test_c04_honest_sum_always_correct():
                     for rep in range(6):
                         rng = np.random.default_rng((d, n, m, rep))
                         secrets = tuple(SecretString.random(d, m, rng) for _ in range(n))
-                        log = run_original_honest(cfg, secrets, rng)
+                        result = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), rng)
                         expected = compute_sum([s.digits for s in secrets], d)
-                        assert list(log.sum_digits) == expected
+                        assert list(result.sum_digits) == expected
                         trials += 1
         assert trials >= 200
 
@@ -126,9 +124,11 @@ def test_c05_attack_complete_and_stealthy():
             for rep in range(100):
                 rng = np.random.default_rng((5, d, n, m, rep))
                 secrets = tuple(SecretString.random(d, m, rng) for _ in range(n))
-                report = run_iqft_attack_original(cfg, secrets, rng=rng)
-                successes += report.success
-                assert all(rate == 0.0 for rate in report.decoy_error_rates.values())
+                forged = fabricate_rounds(cfg, IqftAttackPlan.uniform(d, m, rng))
+                result = run_protocol(cfg, 0, secrets, forged, rng)
+                successes += all(result.recovered[i] == secrets[i - 1].digits
+                                 for i in range(2, n + 1))
+                assert all(count == 0 for count in result.decoy_mismatches.values())
             assert successes == 100
 
 
@@ -159,12 +159,12 @@ def test_c06_modified_honest_completeness():
         for t in range(1000):
             rng = np.random.default_rng((6, t))
             secrets = tuple(SecretString.random(5, 1, rng) for _ in range(3))
-            report = run_modified(cfg, 10, secrets, P1Strategy.HONEST, rng)
-            assert not report.detected
-            assert all(oc.passed for oc in report.check_outcomes)
-            checks_seen += len(report.check_outcomes)
+            result = run_protocol(cfg, 10, secrets, prepare_rounds(cfg, count=11), rng)
+            assert not result.detected
+            assert all(oc.passed for oc in result.checks)
+            checks_seen += len(result.checks)
             expected = compute_sum([s.digits for s in secrets], 5)
-            assert list(report.sum_digits) == expected
+            assert list(result.sum_digits) == expected
         assert checks_seen >= 10_000
 
 
@@ -173,17 +173,18 @@ def test_c07_modified_soundness_against_adaptive_dealer():
         t0 = time.perf_counter()
         d, n, eta = 5, 3, 6
 
-        # exact per-check analysis from outcome distributions
+        # exact per-check analysis from per-qudit outcome distributions
+        # on the forged product register
         for r in range(d):
             fab_cfg = ProtocolConfig(d=d, n=n, m=1)
             fab = fabricate_rounds(fab_cfg, IqftAttackPlan((r,)))[0]
             v2_pass_prob = 1.0
-            for i, particle in fab.particles.items():
-                after = apply_qft(particle.register, 0)
-                v1_probs = outcome_distribution(after, 0, V1)
+            for q in range(len(fab.owners)):
+                after = apply_qft(fab.register, q)
+                v1_probs = outcome_distribution(after, q, V1)
                 # deterministic honest result r, announced sum cancels to 0
                 assert abs(v1_probs[r] - 1.0) < 1e-12
-                v2_probs = outcome_distribution(after, 0, V2)
+                v2_probs = outcome_distribution(after, q, V2)
                 assert np.allclose(v2_probs, 1 / d, atol=1e-12)
                 v2_pass_prob *= v2_probs[0]  # dealer announces 0
             assert abs(v2_pass_prob - d ** (1 - n)) < 1e-12
@@ -214,8 +215,7 @@ def test_c08_eve_disturbance_rate():
                 rng = np.random.default_rng((8, d, rep))
                 regs, recs = insert_decoys(cfg, rng)
                 resent = eve_intercept_resend([(reg, 0) for reg in regs[2]], rng)
-                rate = check_decoys(recs[2], resent, rng)
-                mismatches += round(rate * cfg.decoy_count)
+                mismatches += check_decoys(recs[2], resent, rng)
                 checked += cfg.decoy_count
             assert checked >= 10_000
             expected = 0.5 * (1.0 - 1.0 / d)

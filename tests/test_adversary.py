@@ -14,12 +14,14 @@ from quditsum import (
     approx_equal,
     basis_state,
     check_decoys,
+    compute_sum,
     eve_intercept_resend,
+    fabricate_rounds,
     fake_particle,
     insert_decoys,
     outcome_distribution,
     recover_secret_digit,
-    run_iqft_attack_original,
+    run_protocol,
 )
 
 V1, V2 = BasisKind.V1, BasisKind.V2
@@ -27,6 +29,16 @@ V1, V2 = BasisKind.V1, BasisKind.V2
 
 def _secrets(rows):
     return tuple(SecretString(tuple(r)) for r in rows)
+
+
+def _attack(cfg, secrets, plan, rng):
+    """The forging dealer against the original protocol."""
+    return run_protocol(cfg, 0, secrets, fabricate_rounds(cfg, plan), rng)
+
+
+def _stolen_all(result, secrets):
+    return all(result.recovered[i] == tuple(secrets[i - 1].digits)
+               for i in range(2, len(secrets) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -73,14 +85,13 @@ def test_recover_secret_digit_validation():
 def test_attack_worked_example():
     cfg = ProtocolConfig(d=10, n=3, m=1)
     secrets = _secrets([[4], [5], [6]])
-    report = run_iqft_attack_original(cfg, secrets, IqftAttackPlan((2,)),
-                                      np.random.default_rng(0))
-    assert report.announced == {2: (7,), 3: (8,)}
-    assert report.recovered == {2: (5,), 3: (6,)}
-    assert report.success
-    assert report.decoy_error_rates == {2: 0.0, 3: 0.0}
-    assert report.announced_sum == (5,)
-    assert report.sum_correct
+    result = _attack(cfg, secrets, IqftAttackPlan((2,)), np.random.default_rng(0))
+    assert {i: result.results[i] for i in (2, 3)} == {2: (7,), 3: (8,)}
+    assert result.recovered == {2: (5,), 3: (6,)}
+    assert _stolen_all(result, secrets)
+    assert result.decoy_mismatches == {2: 0, 3: 0}
+    assert result.sum_digits == (5,)
+    assert list(result.sum_digits) == compute_sum([s.digits for s in secrets], 10)
 
 
 def test_attack_steals_every_secret_and_stays_stealthy():
@@ -89,11 +100,11 @@ def test_attack_steals_every_secret_and_stays_stealthy():
         cfg = ProtocolConfig(d=d, n=n, m=m, decoy_count=8)
         for _ in range(25):
             secrets = tuple(SecretString.random(d, m, rng) for _ in range(n))
-            report = run_iqft_attack_original(cfg, secrets, rng=rng)
-            assert report.success
+            result = _attack(cfg, secrets, IqftAttackPlan.uniform(d, m, rng), rng)
+            assert _stolen_all(result, secrets)
             for i in range(2, n + 1):
-                assert report.recovered[i] == tuple(secrets[i - 1].digits)
-            assert all(rate == 0.0 for rate in report.decoy_error_rates.values())
+                assert result.recovered[i] == tuple(secrets[i - 1].digits)
+            assert all(count == 0 for count in result.decoy_mismatches.values())
 
 
 def test_attack_publishes_correct_sum_when_stealthy():
@@ -101,25 +112,14 @@ def test_attack_publishes_correct_sum_when_stealthy():
     rng = np.random.default_rng(5)
     for _ in range(10):
         secrets = tuple(SecretString.random(7, 4, rng) for _ in range(3))
-        report = run_iqft_attack_original(cfg, secrets, rng=rng)
-        assert report.sum_correct
-
-
-def test_attack_arbitrary_sum_mode_runs():
-    cfg = ProtocolConfig(d=5, n=3, m=2)
-    rng = np.random.default_rng(6)
-    secrets = _secrets([[1, 2], [3, 4], [0, 1]])
-    plan = IqftAttackPlan.uniform(5, 2, rng, announce_correct_sum=False)
-    report = run_iqft_attack_original(cfg, secrets, plan, rng)
-    assert report.success  # recovery is unaffected by what P1 publishes
-    assert len(report.announced_sum) == 2
+        result = _attack(cfg, secrets, IqftAttackPlan.uniform(7, 4, rng), rng)
+        assert list(result.sum_digits) == compute_sum([s.digits for s in secrets], 7)
 
 
 def test_attack_plan_must_cover_every_round():
     cfg = ProtocolConfig(d=5, n=3, m=3)
     with pytest.raises(ValueError):
-        run_iqft_attack_original(cfg, _secrets([[1] * 3] * 3), IqftAttackPlan((1,)),
-                                 np.random.default_rng(0))
+        _attack(cfg, _secrets([[1] * 3] * 3), IqftAttackPlan((1,)), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,6 @@ def test_eve_disturbance_matches_oracle(d):
     for _ in range(60):
         regs, recs = insert_decoys(cfg, rng)
         resent = eve_intercept_resend([(r, 0) for r in regs[2]], rng)
-        rate = check_decoys(recs[2], resent, rng)
-        mismatches += round(rate * cfg.decoy_count)
+        mismatches += check_decoys(recs[2], resent, rng)
         checked += cfg.decoy_count
     assert_within_4sigma(mismatches / checked, 0.5 * (1 - 1 / d), checked)

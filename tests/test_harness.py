@@ -284,6 +284,16 @@ def test_cli_missing_output_directory_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_checks_output_directory_before_running(tmp_path, monkeypatch, capsys):
+    def must_not_run(cfg):
+        raise AssertionError("run_scenario called despite a missing output directory")
+
+    monkeypatch.setattr("quditsum.cli.run_scenario", must_not_run)
+    target = tmp_path / "nowhere" / "r.json"
+    assert main(["run", "--scenario", "honest", "--out", str(target)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_without_command_exits_2(capsys):
     assert main([]) == 2
     assert "error" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from quditsum import (
     omega_state,
     outcome_distribution,
     prepare_rounds,
-    run_original_honest,
+    run_protocol,
     validate_secrets,
 )
 from quditsum.protocol import RoundState
@@ -107,7 +107,7 @@ def test_zero_decoys_allowed():
     cfg = ProtocolConfig(d=5, n=3, m=1, decoy_count=0)
     regs, recs = insert_decoys(cfg, np.random.default_rng(0))
     assert regs[2] == [] and recs[3] == []
-    assert check_decoys(recs[2], regs[2], np.random.default_rng(0)) == 0.0
+    assert check_decoys(recs[2], regs[2], np.random.default_rng(0)) == 0
 
 
 def test_check_decoys_clean_channel_is_exactly_zero():
@@ -116,7 +116,7 @@ def test_check_decoys_clean_channel_is_exactly_zero():
         rng = np.random.default_rng(seed)
         regs, recs = insert_decoys(cfg, rng)
         for i in (2, 3):
-            assert check_decoys(recs[i], regs[i], rng) == 0.0
+            assert check_decoys(recs[i], regs[i], rng) == 0
 
 
 def test_check_decoys_rejects_length_mismatch():
@@ -215,8 +215,8 @@ def test_worked_example_digits():
     cfg = ProtocolConfig(d=10, n=3, m=1)
     secrets = _secrets([[4], [5], [6]])
     for seed in range(50):
-        log = run_original_honest(cfg, secrets, np.random.default_rng(seed))
-        assert log.sum_digits == (5,)
+        result = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), np.random.default_rng(seed))
+        assert result.sum_digits == (5,)
 
 
 def test_honest_sum_correct_across_grid():
@@ -228,24 +228,24 @@ def test_honest_sum_correct_across_grid():
                 cfg = ProtocolConfig(d=d, n=n, m=m, decoy_count=4)
                 rng = np.random.default_rng(1000 + trial)
                 secrets = tuple(SecretString.random(d, m, rng) for _ in range(n))
-                log = run_original_honest(cfg, secrets, rng)
+                result = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), rng)
                 expected = compute_sum([s.digits for s in secrets], d)
-                assert list(log.sum_digits) == expected
+                assert list(result.sum_digits) == expected
                 trial += 1
 
 
 def test_announcements_state_results_then_sum():
     cfg = ProtocolConfig(d=5, n=4, m=2)
     secrets = _secrets([[1, 2], [3, 4], [0, 0], [2, 1]])
-    log = run_original_honest(cfg, secrets, np.random.default_rng(3))
-    assert log.order == ("R2", "R3", "R4", "Sum")
-    assert set(log.announced) == {2, 3, 4}
-    assert len(log.p1_results) == 2
-    rows = [log.p1_results] + [log.announced[i] for i in (2, 3, 4)]
-    assert list(log.sum_digits) == compute_sum(rows, 5)
+    result = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), np.random.default_rng(3))
+    assert list(result.results) == [1, 2, 3, 4]
+    assert all(len(row) == 2 for row in result.results.values())
+    rows = [result.results[i] for i in (1, 2, 3, 4)]
+    assert list(result.sum_digits) == compute_sum(rows, 5)
 
 
 def test_run_rejects_wrong_secrets():
     cfg = ProtocolConfig(d=5, n=3, m=2)
     with pytest.raises(ValueError):
-        run_original_honest(cfg, _secrets([[1, 2], [3, 4]]), np.random.default_rng(0))
+        run_protocol(cfg, 0, _secrets([[1, 2], [3, 4]]), prepare_rounds(cfg),
+                     np.random.default_rng(0))

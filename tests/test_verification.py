@@ -9,19 +9,17 @@ from conftest import assert_within_4sigma
 from quditsum import (
     BasisKind,
     IqftAttackPlan,
-    P1Strategy,
     ProtocolConfig,
     SecretString,
     compute_sum,
     execute_check,
     fabricate_rounds,
     prepare_rounds,
-    run_modified,
+    run_protocol,
     select_checks,
     v1_pass,
     v2_pass,
 )
-from quditsum.protocol import RoundState
 from quditsum.verification import CheckAssignment
 
 V1, V2 = BasisKind.V1, BasisKind.V2
@@ -29,6 +27,16 @@ V1, V2 = BasisKind.V1, BasisKind.V2
 
 def _secrets(rows):
     return tuple(SecretString(tuple(r)) for r in rows)
+
+
+def _hardened(cfg, eta, secrets, rng, forged=False):
+    """One hardened run, the dealer honest or forging every round."""
+    total = cfg.m + eta
+    if forged:
+        rounds = fabricate_rounds(cfg, IqftAttackPlan.uniform(cfg.d, total, rng))
+    else:
+        rounds = prepare_rounds(cfg, count=total)
+    return run_protocol(cfg, eta, secrets, rounds, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +106,7 @@ def test_honest_check_v1_sums_to_zero(d, n):
     rng = np.random.default_rng(10 * d + n)
     for _ in range(15):
         state = prepare_rounds(cfg, count=1)[0]
-        outcome = execute_check(state, CheckAssignment(2, 0, V1), P1Strategy.HONEST, rng)
+        outcome = execute_check(state, CheckAssignment(2, 0, V1), rng)
         assert outcome.passed
         assert sum(outcome.announced) % d == 0
         assert len(outcome.announced) == n
@@ -110,7 +118,7 @@ def test_honest_check_v2_all_agree(d, n):
     rng = np.random.default_rng(20 * d + n)
     for _ in range(15):
         state = prepare_rounds(cfg, count=1)[0]
-        outcome = execute_check(state, CheckAssignment(2, 0, V2), P1Strategy.HONEST, rng)
+        outcome = execute_check(state, CheckAssignment(2, 0, V2), rng)
         assert outcome.passed
         assert len(set(outcome.announced)) == 1
 
@@ -122,18 +130,7 @@ def test_consumed_check_state_rejected():
     from quditsum import encode_and_measure
     _, used = encode_and_measure(state, 1, 0, rng)
     with pytest.raises(ValueError):
-        execute_check(used, CheckAssignment(2, 0, V1), P1Strategy.HONEST, rng)
-
-
-def test_strategy_state_mismatch_rejected():
-    cfg = ProtocolConfig(d=5, n=3, m=1)
-    rng = np.random.default_rng(0)
-    state = prepare_rounds(cfg, count=1)[0]
-    with pytest.raises(TypeError):
-        execute_check(state, CheckAssignment(2, 0, V1), P1Strategy.IQFT_ADAPTIVE, rng)
-    fab = fabricate_rounds(cfg, IqftAttackPlan((3,)))[0]
-    with pytest.raises(TypeError):
-        execute_check(fab, CheckAssignment(2, 0, V1), P1Strategy.HONEST, rng)
+        execute_check(used, CheckAssignment(2, 0, V1), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +145,7 @@ def test_adaptive_dealer_always_passes_v1():
         cfg = ProtocolConfig(d=d, n=n, m=1)
         for r in range(d):
             fab = fabricate_rounds(cfg, IqftAttackPlan((r,)))[0]
-            outcome = execute_check(fab, CheckAssignment(2, 0, V1), P1Strategy.IQFT_ADAPTIVE, rng)
+            outcome = execute_check(fab, CheckAssignment(2, 0, V1), rng)
             assert outcome.passed
             assert outcome.announced[0] == (-(n - 1) * r) % d
             assert all(v == r for v in outcome.announced[1:])
@@ -163,7 +160,7 @@ def test_adaptive_dealer_v2_pass_rate_is_d_to_one_minus_n():
     passes = 0
     for _ in range(trials):
         fab = fabricate_rounds(cfg, IqftAttackPlan((int(rng.integers(d)),)))[0]
-        outcome = execute_check(fab, CheckAssignment(2, 0, V2), P1Strategy.IQFT_ADAPTIVE, rng)
+        outcome = execute_check(fab, CheckAssignment(2, 0, V2), rng)
         passes += outcome.passed
     assert_within_4sigma(passes / trials, d ** (1 - n), trials)
 
@@ -188,12 +185,12 @@ def test_modified_honest_never_detects_and_sums_correctly():
         cfg = ProtocolConfig(d=d, n=n, m=m, decoy_count=4)
         for _ in range(10):
             secrets = tuple(SecretString.random(d, m, rng) for _ in range(n))
-            report = run_modified(cfg, eta, secrets, P1Strategy.HONEST, rng)
-            assert not report.detected and not report.aborted
-            assert len(report.check_outcomes) == eta
-            assert all(oc.passed for oc in report.check_outcomes)
+            result = _hardened(cfg, eta, secrets, rng)
+            assert not result.detected and not result.aborted
+            assert len(result.checks) == eta
+            assert all(oc.passed for oc in result.checks)
             expected = compute_sum([s.digits for s in secrets], d)
-            assert list(report.sum_digits) == expected
+            assert list(result.sum_digits) == expected
 
 
 def test_modified_attack_with_no_checks_reduces_to_original():
@@ -201,9 +198,9 @@ def test_modified_attack_with_no_checks_reduces_to_original():
     rng = np.random.default_rng(32)
     for _ in range(10):
         secrets = tuple(SecretString.random(10, 2, rng) for _ in range(3))
-        report = run_modified(cfg, 0, secrets, P1Strategy.IQFT_ADAPTIVE, rng)
-        assert not report.detected
-        assert report.recovery_success
+        result = _hardened(cfg, 0, secrets, rng, forged=True)
+        assert not result.detected
+        assert all(result.recovered[i] == tuple(secrets[i - 1].digits) for i in (2, 3))
 
 
 def test_modified_attack_detection_rate():
@@ -215,8 +212,8 @@ def test_modified_attack_detection_rate():
     for t in range(trials):
         rng = np.random.default_rng((9, t))
         secrets = tuple(SecretString.random(d, 1, rng) for _ in range(n))
-        report = run_modified(cfg, eta, secrets, P1Strategy.IQFT_ADAPTIVE, rng)
-        detected += report.detected
+        result = _hardened(cfg, eta, secrets, rng, forged=True)
+        detected += result.detected
     assert_within_4sigma(detected / trials, expected, trials)
 
 
@@ -226,13 +223,13 @@ def test_modified_attack_abort_stops_at_first_failure():
     saw_abort = False
     for _ in range(50):
         secrets = tuple(SecretString.random(5, 1, rng) for _ in range(3))
-        report = run_modified(cfg, 6, secrets, P1Strategy.IQFT_ADAPTIVE, rng)
-        if report.detected:
+        result = _hardened(cfg, 6, secrets, rng, forged=True)
+        if result.detected:
             saw_abort = True
-            assert report.aborted
-            assert not report.check_outcomes[-1].passed
-            assert all(oc.passed for oc in report.check_outcomes[:-1])
-            assert report.recovered is None and report.sum_digits is None
+            assert result.aborted
+            assert not result.checks[-1].passed
+            assert all(oc.passed for oc in result.checks[:-1])
+            assert result.recovered is None and result.sum_digits is None
     assert saw_abort
 
 
@@ -242,19 +239,16 @@ def test_modified_attack_undetected_recovers_secrets():
     undetected = 0
     for _ in range(200):
         secrets = tuple(SecretString.random(2, 2, rng) for _ in range(2))
-        report = run_modified(cfg, 2, secrets, P1Strategy.IQFT_ADAPTIVE, rng)
-        if not report.detected:
+        result = _hardened(cfg, 2, secrets, rng, forged=True)
+        if not result.detected:
             undetected += 1
-            assert report.recovery_success
-            assert report.recovered[2] == tuple(secrets[1].digits)
+            assert result.recovered[2] == tuple(secrets[1].digits)
     assert undetected > 0
 
 
 def test_modified_plan_length_must_cover_checks():
+    # run_protocol rejects len(rounds) != m+eta
     cfg = ProtocolConfig(d=5, n=3, m=1)
     with pytest.raises(ValueError):
-        run_modified(cfg, 4, _secrets([[1], [2], [3]]), P1Strategy.IQFT_ADAPTIVE,
-                     np.random.default_rng(0), plan=IqftAttackPlan((1,)))
-    with pytest.raises(ValueError):
-        run_modified(cfg, 2, _secrets([[1], [2], [3]]), P1Strategy.HONEST,
-                     np.random.default_rng(0), plan=IqftAttackPlan((1, 2, 3)))
+        run_protocol(cfg, 4, _secrets([[1], [2], [3]]), fabricate_rounds(cfg, IqftAttackPlan((1,))),
+                     np.random.default_rng(0))
