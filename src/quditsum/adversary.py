@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .protocol import ProtocolConfig, RoundState
-from .qudit import BasisKind, QuditRegister, apply_iqft, basis_state, measure
+from .qudit import BasisKind, QuditRegister, apply_iqft, basis_state, measure, measure_rows
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,18 @@ def eve_intercept_resend(particles, rng: np.random.Generator) -> list[QuditRegis
     looks like to the receiver: the measured factor is the basis state
     Eve observed.
     """
-    out = []
+    out, lone = [], []
     for reg, q in particles:
-        basis = BasisKind.V1 if int(rng.integers(2)) == 0 else BasisKind.V2
-        out.append(measure(reg, q, basis, rng).posterior)
+        v2 = int(rng.integers(2)) == 1
+        if reg.k == 1 and q == 0:
+            # take the uniform measure would take here; measured together below
+            lone.append((len(out), v2, rng.random()))
+            out.append(reg)
+        else:
+            out.append(measure(reg, q, BasisKind.V2 if v2 else BasisKind.V1, rng).posterior)
+    if lone:
+        index, v2, u = (np.array(col) for col in zip(*lone))
+        _, rows = measure_rows(np.stack([out[j].amplitudes for j in index]), v2, u)
+        for j, row in zip(index, rows):
+            out[j] = QuditRegister._trusted(out[j].d, 1, row)
     return out

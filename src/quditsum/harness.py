@@ -7,8 +7,9 @@ and channel (clean, or intercept-resend on every particle).
 Each scenario executes a stack of independent trials and writes one JSON
 report holding the per-trial records, aggregate rates with Wilson 95%
 intervals, and exact oracle predictions where the model pins a rate
-down. Aggregates landing outside a 4 sigma binomial band of their oracle
-get flagged in the report.
+down. Aggregates landing outside the exact binomial band of their
+oracle (either tail below the one-sided mass of 4 sigma) get flagged in
+the report.
 
 Every trial draws its randomness from a stream derived from
 (master_seed, trial_index) alone, so a report is reproducible
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -247,11 +249,13 @@ def modified_detection_probability(d: int, n: int, eta: int) -> float:
 
 
 def _binom_cdf(k: int, n: int, q: float) -> float:
-    # exact tail sum, fine at decoy-count sizes
-    if k < 0:
-        return 0.0
-    k = min(k, n)
-    return sum(math.comb(n, j) * q**j * (1.0 - q) ** (n - j) for j in range(k + 1))
+    """Exact P(X <= k) for X ~ Binomial(n, q), 0 < q < 1, summed from log space.
+
+    Logs keep large n from overflowing; the cap at 1 absorbs rounding.
+    """
+    lq, lp, top = math.log(q), math.log1p(-q), math.lgamma(n + 1)
+    return min(1.0, sum(math.exp(top - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * lq + (n - j) * lp)
+                        for j in range(min(k, n) + 1)))
 
 
 def eve_detection_probability(d: int, n: int, decoy_count: int, threshold: float) -> float:
@@ -402,6 +406,18 @@ def _run_trial(cfg: ScenarioConfig, t: int, rng: np.random.Generator) -> tuple[d
 # aggregation and reporting
 
 
+# one-sided tail mass beyond 4 sigma of a normal, ~3.2e-5
+_TAIL_4_SIGMA = math.erfc(4 / math.sqrt(2)) / 2
+
+
+def _within_band(successes: int, n: int, oracle: float) -> bool:
+    """Both exact binomial tails of the count are >= _TAIL_4_SIGMA; 0 and 1 must match."""
+    if oracle in (0.0, 1.0):
+        return successes == oracle * n
+    return min(_binom_cdf(successes, n, oracle),
+               _binom_cdf(n - successes, n, 1.0 - oracle)) >= _TAIL_4_SIGMA
+
+
 def _rate_entry(successes, n: int, oracle: float | None = None) -> dict:
     if n == 0:
         entry: dict = {"value": None, "n": 0, "wilson_95": None}
@@ -413,9 +429,8 @@ def _rate_entry(successes, n: int, oracle: float | None = None) -> dict:
     lo, hi = wilson_interval(successes, n)
     entry = {"value": value, "n": n, "wilson_95": [lo, hi]}
     if oracle is not None:
-        sigma = math.sqrt(oracle * (1.0 - oracle) / n)
         entry["oracle"] = oracle
-        entry["within_4_sigma"] = bool(abs(value - oracle) <= 4.0 * sigma + 1e-12)
+        entry["within_4_sigma"] = _within_band(successes, n, oracle)
     return entry
 
 
@@ -508,8 +523,10 @@ def run_scenario(cfg: ScenarioConfig) -> ReportDocument:
 
 
 def write_report(doc: ReportDocument, path) -> None:
-    """Serialize one report as indented JSON.
+    """Serialize one report as indented JSON, atomically.
 
+    The text goes to a temporary file beside the target that then
+    replaces it, so a failed write leaves any earlier report untouched.
     Refuses to write into a missing directory so a typo cannot silently
     drop the report; nothing is created on failure.
     """
@@ -517,4 +534,10 @@ def write_report(doc: ReportDocument, path) -> None:
     if not path.parent.exists():
         raise FileNotFoundError(f"output directory {path.parent} does not exist")
     text = json.dumps(doc.to_dict(), indent=2)
-    path.write_text(text + "\n")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -25,10 +25,11 @@ from .qudit import (
     BasisKind,
     QuditRegister,
     _check_cap,
+    _qft_matrix,
     apply_qft,
     apply_shift,
-    basis_state,
     measure,
+    measure_rows,
     omega_state,
 )
 
@@ -145,21 +146,20 @@ def insert_decoys(cfg: ProtocolConfig, rng: np.random.Generator, payload_len: in
     """
     payload = cfg.m if payload_len is None else payload_len
     seq_len = payload + cfg.decoy_count
+    d, count = cfg.d, cfg.decoy_count
     registers: dict[int, list[QuditRegister]] = {}
     records: dict[int, list[DecoyRecord]] = {}
     for i in range(2, cfg.n + 1):
-        positions = sorted(int(x) for x in rng.choice(seq_len, size=cfg.decoy_count, replace=False))
-        regs, recs = [], []
-        for pos in positions:
-            value = int(rng.integers(cfg.d))
-            basis = BasisKind.V1 if int(rng.integers(2)) == 0 else BasisKind.V2
-            reg = basis_state(cfg.d, [value])
-            if basis is BasisKind.V2:
-                reg = apply_qft(reg, 0)
-            regs.append(reg)
-            recs.append(DecoyRecord(pos, basis, value))
-        registers[i] = regs
-        records[i] = recs
+        positions = sorted(int(x) for x in rng.choice(seq_len, size=count, replace=False))
+        # value and basis bit of each decoy in turn, one draw per entry
+        draws = rng.integers(0, np.tile([d, 2], count))
+        values, v2 = draws[0::2], draws[1::2] == 1
+        rows = np.zeros((count, d), dtype=np.complex128)
+        rows[np.arange(count), values] = 1.0
+        rows[v2] = _qft_matrix(d).T[values[v2]]
+        registers[i] = [QuditRegister._trusted(d, 1, row) for row in rows]
+        records[i] = [DecoyRecord(pos, BasisKind.V2 if b else BasisKind.V1, int(x))
+                      for pos, x, b in zip(positions, values, v2)]
     return registers, records
 
 
@@ -168,18 +168,21 @@ def check_decoys(records, received, rng: np.random.Generator) -> int:
 
     Returns the number of mismatches against the recorded values. 0
     exactly when the channel was untouched, since both |r> and QFT|r>
-    are eigenstates of their own measurement.
+    are eigenstates of their own measurement. All decoys are measured
+    as one array, against one uniform each in record order.
     """
     if len(records) != len(received):
         raise ValueError(
             f"got {len(received)} decoy registers for {len(records)} records"
         )
-    mismatches = 0
-    for rec, reg in zip(records, received):
-        out = measure(reg, 0, rec.basis, rng)
-        if out.value != rec.value:
-            mismatches += 1
-    return mismatches
+    if not records:
+        return 0
+    if any(reg.k != 1 for reg in received):
+        raise ValueError("every decoy is a single qudit")
+    u = rng.random(len(records))
+    v2 = np.array([rec.basis is BasisKind.V2 for rec in records])
+    values, _ = measure_rows(np.stack([reg.amplitudes for reg in received]), v2, u)
+    return int(np.count_nonzero(values != [rec.value for rec in records]))
 
 
 def encode_and_measure(state: RoundState, participant: int, digit: int, rng: np.random.Generator):

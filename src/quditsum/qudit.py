@@ -7,7 +7,9 @@ no sampling shortcuts), which is what makes the probability-1 claims of
 the protocol checkable rather than merely plausible.
 
 Operations never mutate their inputs. Each returns a fresh register, so
-states can be passed around and reused like values.
+states can be passed around and reused like values. Registers the
+simulator computes itself skip the constructor's copy and re-check;
+every measurement checks the norm instead.
 
 Two measurement bases appear throughout: V1 is the computational basis
 {|0>, ..., |d-1>} and V2 is its Fourier image {QFT|0>, ..., QFT|d-1>}.
@@ -72,6 +74,13 @@ class QuditRegister:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
         self.amplitudes = amp
 
+    @classmethod
+    def _trusted(cls, d: int, k: int, amplitudes: np.ndarray) -> "QuditRegister":
+        """Wrap a flat complex128 vector the package computed itself: no copy, no re-check."""
+        reg = object.__new__(cls)
+        reg.d, reg.k, reg.amplitudes = d, k, amplitudes
+        return reg
+
     @property
     def dim(self) -> int:
         return self.d**self.k
@@ -131,7 +140,7 @@ def _apply_single(reg: QuditRegister, mat: np.ndarray, target: int) -> QuditRegi
     _check_target(reg, target)
     psi = reg.amplitudes.reshape((reg.d,) * reg.k)
     psi = np.moveaxis(np.tensordot(mat, psi, axes=(1, target)), 0, target)
-    return QuditRegister(reg.d, reg.k, psi.reshape(-1))
+    return QuditRegister._trusted(reg.d, reg.k, psi.reshape(-1))
 
 
 def basis_state(d: int, digits) -> QuditRegister:
@@ -184,7 +193,7 @@ def apply_shift(reg: QuditRegister, target: int, s: int) -> QuditRegister:
     if not 0 <= s < reg.d:
         raise ValueError(f"shift amount {s} out of range for d={reg.d}")
     psi = reg.amplitudes.reshape((reg.d,) * reg.k)
-    return QuditRegister(reg.d, reg.k, np.roll(psi, s, axis=target).reshape(-1))
+    return QuditRegister._trusted(reg.d, reg.k, np.roll(psi, s, axis=target).reshape(-1))
 
 
 def outcome_distribution(reg: QuditRegister, target: int, basis: BasisKind) -> np.ndarray:
@@ -220,18 +229,48 @@ def measure(reg: QuditRegister, target: int, basis: BasisKind, rng: np.random.Ge
     return MeasurementOutcome(value, posterior)
 
 
+def _sample(probs: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF outcome of each distribution (last axis) against its uniform.
+
+    Same arithmetic as Generator.choice; also every measurement's norm check.
+    """
+    total = probs.sum(axis=-1, keepdims=True)
+    bad = total[~(np.abs(total - 1.0) <= NORM_TOL)]  # NaN counts as bad
+    if bad.size:
+        raise ValueError(f"state is not normalized: |psi|^2 = {float(bad[0])!r}")
+    cdf = (probs / total).cumsum(axis=-1)
+    cdf /= cdf[..., -1:]
+    # the count of cdf entries <= u is searchsorted(u, side="right")
+    return np.count_nonzero(cdf <= np.expand_dims(u, -1), axis=-1)
+
+
 def _measure_computational(reg: QuditRegister, target: int, rng: np.random.Generator):
     probs = outcome_distribution(reg, target, BasisKind.V1)
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    value = int(rng.choice(reg.d, p=probs))
+    value = int(_sample(probs, rng.random()))
     psi = reg.amplitudes.reshape((reg.d,) * reg.k)
     collapsed = np.zeros_like(psi)
     sel = (slice(None),) * target + (value,)
     collapsed[sel] = psi[sel]
     collapsed = collapsed.reshape(-1)
-    collapsed = collapsed / np.linalg.norm(collapsed)
-    return value, QuditRegister(reg.d, reg.k, collapsed)
+    collapsed /= np.linalg.norm(collapsed)
+    return value, QuditRegister._trusted(reg.d, reg.k, collapsed)
+
+
+def measure_rows(rows: np.ndarray, v2: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measure N lone qudits, one per row of an (N, d) array, in V2 where v2[i].
+
+    u[i] is the uniform measure would draw for row i. Returns the outcomes
+    and the posterior rows, each |value> or QFT|value> up to phase.
+    """
+    d = rows.shape[1]
+    rotated = np.array(rows, dtype=np.complex128)
+    rotated[v2] = rows[v2] @ _iqft_matrix(d).T
+    values = _sample(np.abs(rotated) ** 2, u)
+    picked = (np.arange(len(rows)), values)
+    posterior = np.zeros_like(rotated)
+    posterior[picked] = rotated[picked] / np.abs(rotated[picked])
+    posterior[v2] = posterior[v2] @ _qft_matrix(d).T
+    return values, posterior
 
 
 def approx_equal(a: QuditRegister, b: QuditRegister, tol: float = 1e-9) -> bool:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from quditsum import (
 from quditsum.cli import main
 from quditsum.harness import (
     SCENARIOS,
+    _rate_entry,
     eve_detection_probability,
     eve_per_decoy_error_rate,
     modified_detection_probability,
@@ -297,3 +299,45 @@ def test_cli_checks_output_directory_before_running(tmp_path, monkeypatch, capsy
 def test_cli_without_command_exits_2(capsys):
     assert main([]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# exact binomial flag band and atomic report writes
+
+
+def test_band_accepts_seed_209_small_mix_detection():
+    # 16 of 20 forgeries detected against an oracle of 0.9802: the lower
+    # tail is 5.8e-4, unusual but well inside the 4 sigma tail mass
+    cfg = ScenarioConfig("modified-attack", ProtocolConfig(d=5, n=3, m=4, decoy_count=16),
+                         eta=6, trials=20, master_seed=209)
+    aggregates = run_scenario(cfg).aggregates
+    assert aggregates["detection_rate"]["value"] == 0.8
+    assert aggregates["detection_rate"]["within_4_sigma"] is True
+    assert aggregates["flagged"] == []
+
+
+def test_band_flags_low_tail_and_missed_certainty():
+    assert _rate_entry(14, 20, 0.9802)["within_4_sigma"] is False
+    assert _rate_entry(19, 20, 1.0)["within_4_sigma"] is False
+    assert _rate_entry(0, 20, 0.0)["within_4_sigma"] is True
+
+
+def test_band_is_exact_at_large_counts():
+    # the terms come from log space: no overflow at n = 2 * 10^4
+    assert _rate_entry(10_000, 20_000, 0.5)["within_4_sigma"] is True
+    assert _rate_entry(9_500, 20_000, 0.5)["within_4_sigma"] is False
+
+
+def test_write_report_failure_keeps_previous_report(tmp_path, monkeypatch):
+    out = tmp_path / "report.json"
+    write_report(run_scenario(_cfg("honest", trials=2)), out)
+    before = out.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_report(run_scenario(_cfg("honest", trials=3)), out)
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
