@@ -220,6 +220,25 @@ def test_per_trial_golden_digest(scenario):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[scenario]
 
 
+# The same at d=10 on 4-qudit rounds: unitaries and measurements then hit
+# every split of the register around the target qudit, inner and last.
+GOLDEN_DIGESTS_WIDE = {
+    "honest": "03f9ba93b2320ea2bdbe6dc944b9540f2105ed890b4db90cd2f5f285b55c6b2c",
+    "iqft-attack": "68407d525fe6dc40d4f1a0c3b7550e2d00d6a7a0a700d7d2e35e57e3f790590e",
+    "modified-honest": "cfbf284c49eaa479b917e6f86d7d8ecc55b5f5e26db6e700e606a253c490454a",
+    "modified-attack": "a1eebbd7e9d1c8804d20bcc4be65e56fcb1a1bbc8daf999b7c3ccbd12551a90d",
+    "eve-decoy": "8cc523c76945449de7833402920bc1656f819de7ba094fdfa0c6bd6c02a7bbc8",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_DIGESTS_WIDE))
+def test_per_trial_golden_digest_wide(scenario):
+    cfg = ScenarioConfig(scenario, ProtocolConfig(d=10, n=4, m=2, decoy_count=4),
+                         eta=3, trials=8, master_seed=2024)
+    text = json.dumps(run_scenario(cfg).per_trial, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS_WIDE[scenario]
+
+
 def test_different_seed_changes_records():
     a = run_scenario(_cfg("honest", trials=10, seed=1))
     b = run_scenario(_cfg("honest", trials=10, seed=2))
