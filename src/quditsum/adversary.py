@@ -61,14 +61,16 @@ def fabricate_rounds(cfg: ProtocolConfig, plan: IqftAttackPlan) -> list[RoundSta
     """Build the dealer's forged round for every entry of the plan.
 
     Round j is the product of one fake particle per recipient (2..n), all
-    built from r_choices[j]; P1 keeps no qudit of it.
+    built from r_choices[j]; P1 keeps no qudit of it. Rounds with equal r
+    share one read-only register.
     """
-    rounds = []
-    for j, r in enumerate(plan.r_choices):
-        particles = [fake_particle(cfg.d, r).amplitudes for _ in range(2, cfg.n + 1)]
-        register = QuditRegister(cfg.d, cfg.n - 1, reduce(np.kron, particles))
-        rounds.append(RoundState(j, register, owners=tuple(range(2, cfg.n + 1)), r=r))
-    return rounds
+    owners = tuple(range(2, cfg.n + 1))
+    registers = {}
+    for r in dict.fromkeys(plan.r_choices):
+        particle = fake_particle(cfg.d, r).amplitudes
+        registers[r] = QuditRegister(cfg.d, len(owners), reduce(np.kron, [particle] * len(owners)))
+        registers[r].amplitudes.setflags(write=False)
+    return [RoundState(j, registers[r], owners=owners, r=r) for j, r in enumerate(plan.r_choices)]
 
 
 def eve_intercept_resend(particles, rng: np.random.Generator) -> list[QuditRegister]:

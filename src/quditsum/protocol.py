@@ -24,10 +24,10 @@ import numpy as np
 from .qudit import (
     BasisKind,
     QuditRegister,
+    _apply_single,
     _check_cap,
+    _encode_matrix,
     _qft_matrix,
-    apply_qft,
-    apply_shift,
     measure,
     measure_rows,
     omega_state,
@@ -128,9 +128,11 @@ def validate_secrets(cfg: ProtocolConfig, secrets) -> None:
 
 
 def prepare_rounds(cfg: ProtocolConfig, count: int | None = None) -> list[RoundState]:
-    """Fresh shared states, one per digit position (count overrides cfg.m)."""
+    """Shared states, one per digit position (count overrides cfg.m), all one read-only register."""
     rounds = cfg.m if count is None else count
-    return [RoundState(j, omega_state(cfg.d, cfg.n)) for j in range(rounds)]
+    register = omega_state(cfg.d, cfg.n)
+    register.amplitudes.setflags(write=False)
+    return [RoundState(j, register) for j in range(rounds)]
 
 
 def insert_decoys(cfg: ProtocolConfig, rng: np.random.Generator, payload_len: int | None = None):
@@ -188,8 +190,8 @@ def check_decoys(records, received, rng: np.random.Generator) -> int:
 def encode_and_measure(state: RoundState, participant: int, digit: int, rng: np.random.Generator):
     """Encode one digit on the participant's qudit and read it out.
 
-    The encoding is the Fourier rotation followed by the cyclic shift by
-    the digit; the readout is a computational measurement. Returns
+    The encoding (Fourier rotation, then the cyclic shift by the digit)
+    is one unitary; the readout is a computational measurement. Returns
     (measured value, collapsed round). A participant can touch a round
     only once.
     """
@@ -201,8 +203,7 @@ def encode_and_measure(state: RoundState, participant: int, digit: int, rng: np.
     if participant in state.measured:
         raise ValueError(f"participant {participant} already measured round {state.index}")
     q = state.owners.index(participant)
-    reg = apply_qft(state.register, q)
-    reg = apply_shift(reg, q, digit)
+    reg = _apply_single(state.register, _encode_matrix(d, digit), q)
     out = measure(reg, q, BasisKind.V1, rng)
     new_state = replace(state, register=out.posterior, measured=state.measured | {participant})
     return out.value, new_state

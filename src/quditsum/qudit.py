@@ -135,12 +135,28 @@ def _iqft_matrix(d: int) -> np.ndarray:
     return mat
 
 
-def _apply_single(reg: QuditRegister, mat: np.ndarray, target: int) -> QuditRegister:
-    """Apply a d x d unitary to one qudit of the register."""
+@lru_cache(maxsize=None)
+def _encode_matrix(d: int, s: int) -> np.ndarray:
+    # The QFT followed by the shift by s: row l of S·QFT is row l - s of the QFT.
+    mat = np.roll(_qft_matrix(d), s, axis=0)
+    mat.setflags(write=False)
+    return mat
+
+
+def _split(reg: QuditRegister, target: int) -> tuple[int, int]:
+    """(a, b) such that the amplitudes view as (a, d, b) around the target qudit."""
     _check_target(reg, target)
-    psi = reg.amplitudes.reshape((reg.d,) * reg.k)
-    psi = np.moveaxis(np.tensordot(mat, psi, axes=(1, target)), 0, target)
-    return QuditRegister._trusted(reg.d, reg.k, psi.reshape(-1))
+    return reg.d**target, reg.d ** (reg.k - target - 1)
+
+
+def _apply_single(reg: QuditRegister, mat: np.ndarray, target: int) -> QuditRegister:
+    """Apply a d x d unitary to one qudit of the register: one matmul, contiguous output."""
+    a, b = _split(reg, target)
+    if b == 1:
+        out = reg.amplitudes.reshape(a, reg.d) @ mat.T
+    else:
+        out = np.matmul(mat, reg.amplitudes.reshape(a, reg.d, b))
+    return QuditRegister._trusted(reg.d, reg.k, out.reshape(-1))
 
 
 def basis_state(d: int, digits) -> QuditRegister:
@@ -189,11 +205,11 @@ def apply_iqft(reg: QuditRegister, target: int) -> QuditRegister:
 
 def apply_shift(reg: QuditRegister, target: int, s: int) -> QuditRegister:
     """Cyclic shift on one qudit: |r> -> |(r + s) mod d>."""
-    _check_target(reg, target)
+    a, b = _split(reg, target)
     if not 0 <= s < reg.d:
         raise ValueError(f"shift amount {s} out of range for d={reg.d}")
-    psi = reg.amplitudes.reshape((reg.d,) * reg.k)
-    return QuditRegister._trusted(reg.d, reg.k, np.roll(psi, s, axis=target).reshape(-1))
+    psi = reg.amplitudes.reshape(a, reg.d, b)
+    return QuditRegister._trusted(reg.d, reg.k, np.roll(psi, s, axis=1).reshape(-1))
 
 
 def outcome_distribution(reg: QuditRegister, target: int, basis: BasisKind) -> np.ndarray:
@@ -203,15 +219,15 @@ def outcome_distribution(reg: QuditRegister, target: int, basis: BasisKind) -> n
     inverse-rotated state, which is the same thing as projecting onto the
     Fourier basis directly.
     """
-    _check_target(reg, target)
+    a, b = _split(reg, target)
     if basis is BasisKind.V2:
         reg = apply_iqft(reg, target)
-    psi = reg.amplitudes.reshape((reg.d,) * reg.k)
-    probs = np.abs(psi) ** 2
-    other_axes = tuple(ax for ax in range(reg.k) if ax != target)
-    if other_axes:
-        probs = probs.sum(axis=other_axes)
-    return probs
+    # |x|^2 off the float64 (re, im) view; einsum is slow on a length-2 inner axis
+    f = reg.amplitudes.view(np.float64).reshape(a, reg.d, 2 * b)
+    if b == 1:
+        g = f.reshape(a, 2 * reg.d)
+        return np.einsum("aj,aj->j", g, g).reshape(reg.d, 2).sum(axis=1)
+    return np.einsum("adb,adb->d", f, f)
 
 
 def measure(reg: QuditRegister, target: int, basis: BasisKind, rng: np.random.Generator) -> MeasurementOutcome:
@@ -245,15 +261,13 @@ def _sample(probs: np.ndarray, u) -> np.ndarray:
 
 
 def _measure_computational(reg: QuditRegister, target: int, rng: np.random.Generator):
-    probs = outcome_distribution(reg, target, BasisKind.V1)
-    value = int(_sample(probs, rng.random()))
-    psi = reg.amplitudes.reshape((reg.d,) * reg.k)
-    collapsed = np.zeros_like(psi)
-    sel = (slice(None),) * target + (value,)
-    collapsed[sel] = psi[sel]
-    collapsed = collapsed.reshape(-1)
-    collapsed /= np.linalg.norm(collapsed)
-    return value, QuditRegister._trusted(reg.d, reg.k, collapsed)
+    value = int(_sample(outcome_distribution(reg, target, BasisKind.V1), rng.random()))
+    a, b = _split(reg, target)
+    psi = reg.amplitudes.reshape(a, reg.d, b)
+    collapsed = np.zeros(psi.shape, dtype=np.complex128)
+    kept = psi[:, value, :]
+    collapsed[:, value, :] = kept / np.linalg.norm(kept)
+    return value, QuditRegister._trusted(reg.d, reg.k, collapsed.reshape(-1))
 
 
 def measure_rows(rows: np.ndarray, v2: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -84,11 +84,13 @@ def execute_check(state: RoundState, assignment: CheckAssignment,
 
     Every owner rotates its own qudit by the Fourier transform and
     measures in the announced basis, in participant order, so P1 goes
-    first on a genuine round. On a forged round P1 holds nothing and
-    announces first whatever serves him best. His announcement never
-    depends on the honest results (he speaks before they do):
-    -(n-1)*r mod d on a computational check, which always passes, and a
-    fixed value on a Fourier-image check, where nothing beats blind luck.
+    first on a genuine round. Projecting QFT(psi) onto QFT|r> is projecting
+    psi onto |r>, so a V2 check measures the unrotated qudit in V1. On a
+    forged round P1 holds nothing and announces first whatever serves
+    him best. His announcement never depends on the honest results (he
+    speaks before they do): -(n-1)*r mod d on a computational check,
+    which always passes, and a fixed value on a Fourier-image check,
+    where nothing beats blind luck.
     """
     if state.measured:
         raise ValueError(f"check position {assignment.position} already consumed")
@@ -101,8 +103,9 @@ def execute_check(state: RoundState, assignment: CheckAssignment,
     reg = state.register
     for participant in sorted(state.owners):
         q = state.owners.index(participant)
-        reg = apply_qft(reg, q)
-        out = measure(reg, q, basis, rng)
+        if basis is BasisKind.V1:
+            reg = apply_qft(reg, q)
+        out = measure(reg, q, BasisKind.V1, rng)
         values.append(out.value)
         reg = out.posterior
     passed = v1_pass(values, d) if basis is BasisKind.V1 else v2_pass(values)

@@ -1,5 +1,7 @@
 """Forging-dealer attack and intercept-resend eavesdropper."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from conftest import assert_within_4sigma
@@ -183,3 +185,19 @@ def test_eve_disturbance_matches_oracle(d):
         mismatches += check_decoys(recs[2], resent, rng)
         checked += cfg.decoy_count
     assert_within_4sigma(mismatches / checked, 0.5 * (1 - 1 / d), checked)
+
+
+@pytest.mark.parametrize("d", [2, 5, 10])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fabricate_rounds_share_one_register_per_fabrication_value(d, n):
+    cfg = ProtocolConfig(d=d, n=n, m=1)
+    r_choices = tuple(int(x) for x in np.random.default_rng(d * n).integers(0, d, size=3 * d))
+    rounds = fabricate_rounds(cfg, IqftAttackPlan(r_choices))
+    assert [state.r for state in rounds] == list(r_choices)
+    for j, (state, r) in enumerate(zip(rounds, r_choices)):
+        expected = reduce(np.kron, [fake_particle(d, r).amplitudes] * (n - 1))
+        assert state.index == j
+        assert state.owners == tuple(range(2, n + 1))
+        assert np.array_equal(state.register.amplitudes, expected)
+        assert not state.register.amplitudes.flags.writeable
+    assert len({id(state.register) for state in rounds}) == len(set(r_choices))

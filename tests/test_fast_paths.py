@@ -1,10 +1,13 @@
-"""The array paths for lone qudits against the per-particle reference loops.
+"""The fast paths against the reference computations they replace.
 
 Decoys and the particles Eve intercepts are measured as one array, with
 one uniform per particle drawn in the order the per-particle loop would
 draw it. These tests reproduce those loops and require identical
 outcomes, records and final generator state, and posteriors equal up to
-global phase.
+global phase. The dense kernels (one matmul per unitary, the marginal
+and the slice-only collapse of a measurement, the fused encoding
+unitary, checks without the cancelling rotation pair) are pinned to the
+axis-permuting references the same way.
 """
 
 import numpy as np
@@ -15,9 +18,13 @@ from hypothesis import strategies as st
 
 from quditsum import (
     BasisKind,
+    IqftAttackPlan,
     ProtocolConfig,
     QuditRegister,
+    SecretString,
+    apply_iqft,
     apply_qft,
+    apply_shift,
     approx_equal,
     basis_state,
     check_decoys,
@@ -26,9 +33,13 @@ from quditsum import (
     measure,
     omega_state,
     outcome_distribution,
+    prepare_rounds,
+    run_protocol,
 )
+from quditsum.adversary import fabricate_rounds
 from quditsum.protocol import DecoyRecord
-from quditsum.qudit import measure_rows
+from quditsum.qudit import _apply_single, _encode_matrix, _iqft_matrix, _measure_computational, measure_rows
+from quditsum.verification import CheckAssignment, execute_check, v1_pass, v2_pass
 
 V1, V2 = BasisKind.V1, BasisKind.V2
 
@@ -143,3 +154,123 @@ def test_measurement_checks_the_norm_of_trusted_registers():
     nan = QuditRegister._trusted(2, 1, np.array([np.nan, 0], dtype=np.complex128))
     with pytest.raises(ValueError, match="not normalized"):
         measure(nan, 0, V1, rng)
+
+
+# ---------------------------------------------------------------------------
+# dense kernels against the axis-permuting references
+
+
+def _reference_apply(reg, mat, target):
+    psi = reg.amplitudes.reshape((reg.d,) * reg.k)
+    return np.moveaxis(np.tensordot(mat, psi, axes=(1, target)), 0, target).reshape(-1)
+
+
+def _reference_distribution(reg, target, basis):
+    amps = _reference_apply(reg, _iqft_matrix(reg.d), target) if basis is V2 else reg.amplitudes
+    probs = np.abs(amps.reshape((reg.d,) * reg.k)) ** 2
+    return probs.sum(axis=tuple(ax for ax in range(reg.k) if ax != target))
+
+
+def _random_unitary(d, gen):
+    q, r = np.linalg.qr(gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 10]), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_apply_single_matches_tensordot_reference(d, k, seed):
+    gen = np.random.default_rng(seed)
+    reg, mat = random_register(d, k, gen), _random_unitary(d, gen)
+    for target in range(k):
+        out = _apply_single(reg, mat, target)
+        assert out.amplitudes.flags.c_contiguous
+        assert np.max(np.abs(out.amplitudes - _reference_apply(reg, mat, target))) <= 1e-13
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (2, 4), (3, 3), (5, 3), (10, 4)])
+def test_outcome_distribution_matches_abs_square_reference(d, k):
+    gen = np.random.default_rng(10 * d + k)
+    for _ in range(5):
+        reg = random_register(d, k, gen)
+        for target in range(k):
+            for basis in (V1, V2):
+                probs = outcome_distribution(reg, target, basis)
+                assert probs.shape == (d,)
+                assert np.max(np.abs(probs - _reference_distribution(reg, target, basis))) <= 1e-13
+
+
+@pytest.mark.parametrize("d,k", [(2, 3), (3, 2), (5, 3), (10, 3)])
+def test_measure_computational_matches_zero_fill_reference(d, k):
+    gen = np.random.default_rng(d + k)
+    for seed in range(40):
+        reg, target = random_register(d, k, gen), seed % k
+        ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+        probs = _reference_distribution(reg, target, V1)
+        expected = int(ref.choice(d, p=probs / probs.sum()))
+        psi = reg.amplitudes.reshape((d,) * k)
+        collapsed = np.zeros_like(psi)
+        sel = (slice(None),) * target + (expected,)
+        collapsed[sel] = psi[sel]
+        collapsed = collapsed.reshape(-1) / np.linalg.norm(collapsed)
+        value, posterior = _measure_computational(reg, target, fast)
+        assert value == expected
+        assert approx_equal(posterior, QuditRegister(d, k, collapsed))
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+
+def _reference_check(state, assignment, rng):
+    """Rotate each owner's qudit, then measure it in the announced basis."""
+    d, basis = state.register.d, assignment.basis
+    values = []
+    if 1 not in state.owners:
+        values.append((-len(state.owners) * state.r) % d if basis is V1 else 0)
+    reg = state.register
+    for participant in sorted(state.owners):
+        q = state.owners.index(participant)
+        out = measure(apply_qft(reg, q), q, basis, rng)
+        values.append(out.value)
+        reg = out.posterior
+    return tuple(values), v1_pass(values, d) if basis is V1 else v2_pass(values)
+
+
+@pytest.mark.parametrize("forged", [False, True])
+@pytest.mark.parametrize("basis", [V1, V2])
+def test_execute_check_matches_rotate_then_measure_reference(forged, basis):
+    cfg = ProtocolConfig(d=5, n=3, m=1)
+    genuine = prepare_rounds(cfg)[0]
+    for seed in range(200):
+        state = fabricate_rounds(cfg, IqftAttackPlan((seed % 5,)))[0] if forged else genuine
+        assignment = CheckAssignment(2, 0, basis)
+        ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+        outcome = execute_check(state, assignment, fast)
+        assert (outcome.announced, outcome.passed) == _reference_check(state, assignment, ref)
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10])
+def test_encode_matrix_is_shift_after_qft(d):
+    gen = np.random.default_rng(d)
+    reg = random_register(d, 2, gen)
+    for s in range(d):
+        assert not _encode_matrix(d, s).flags.writeable
+        for target in range(2):
+            expected = apply_shift(apply_qft(reg, target), target, s).amplitudes
+            got = _apply_single(reg, _encode_matrix(d, s), target).amplitudes
+            assert np.max(np.abs(got - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("eve", [False, True])
+def test_rounds_share_one_read_only_register_that_runs_leave_alone(eve):
+    cfg = ProtocolConfig(d=5, n=3, m=2, decoy_count=0)
+    secrets = tuple(SecretString((1, 4)) for _ in range(cfg.n))
+    for seed in range(10):
+        rounds = prepare_rounds(cfg, count=cfg.m + 2)
+        shared = rounds[0].register
+        before = shared.amplitudes.copy()
+        assert all(state.register is shared for state in rounds)
+        run_protocol(cfg, 2, secrets, rounds, np.random.default_rng(seed), eve=eve)
+        assert np.array_equal(shared.amplitudes, before)
+        assert not shared.amplitudes.flags.writeable
+        with pytest.raises(ValueError):
+            shared.amplitudes[0] = 0.0
+        assert approx_equal(apply_iqft(apply_qft(shared, 1), 1), shared)
