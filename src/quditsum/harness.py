@@ -252,15 +252,10 @@ def _binom_cdf(k: int, n: int, q: float) -> float:
     """Exact P(X <= k) for X ~ Binomial(n, q), 0 < q < 1, summed from log space.
 
     Logs keep large n from overflowing; the cap at 1 absorbs rounding.
-    Only terms within 40 sigma + 40 of the mode are summed; every term
-    further out is below 1e-100 of the sum. For n <= 40 that is every term.
     """
     lq, lp, top = math.log(q), math.log1p(-q), math.lgamma(n + 1)
-    mode = math.floor(n * q)
-    width = math.ceil(40 * math.sqrt(n * q * (1 - q))) + 40
-    lo, hi = max(0, min(k, mode) - width), min(k, n, mode + width)
     return min(1.0, sum(math.exp(top - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * lq + (n - j) * lp)
-                        for j in range(lo, hi + 1)))
+                        for j in range(min(k, n) + 1)))
 
 
 def eve_detection_probability(d: int, n: int, decoy_count: int, threshold: float) -> float:

@@ -24,10 +24,9 @@ import numpy as np
 from .qudit import (
     BasisKind,
     QuditRegister,
-    _apply_single,
     _check_cap,
-    _encode_matrix,
     _qft_matrix,
+    apply_encode,
     measure,
     measure_rows,
     omega_state,
@@ -203,7 +202,7 @@ def encode_and_measure(state: RoundState, participant: int, digit: int, rng: np.
     if participant in state.measured:
         raise ValueError(f"participant {participant} already measured round {state.index}")
     q = state.owners.index(participant)
-    reg = _apply_single(state.register, _encode_matrix(d, digit), q)
+    reg = apply_encode(state.register, q, digit)
     out = measure(reg, q, BasisKind.V1, rng)
     new_state = replace(state, register=out.posterior, measured=state.measured | {participant})
     return out.value, new_state

@@ -212,6 +212,13 @@ def apply_shift(reg: QuditRegister, target: int, s: int) -> QuditRegister:
     return QuditRegister._trusted(reg.d, reg.k, np.roll(psi, s, axis=1).reshape(-1))
 
 
+def apply_encode(reg: QuditRegister, target: int, s: int) -> QuditRegister:
+    """Fourier transform on one qudit, then the cyclic shift by s, as one unitary."""
+    if not 0 <= s < reg.d:
+        raise ValueError(f"shift amount {s} out of range for d={reg.d}")
+    return _apply_single(reg, _encode_matrix(reg.d, s), target)
+
+
 def outcome_distribution(reg: QuditRegister, target: int, basis: BasisKind) -> np.ndarray:
     """Exact probability of each outcome when measuring one qudit.
 

@@ -86,11 +86,10 @@ def execute_check(state: RoundState, assignment: CheckAssignment,
     measures in the announced basis, in participant order, so P1 goes
     first on a genuine round. Projecting QFT(psi) onto QFT|r> is projecting
     psi onto |r>, so a V2 check measures the unrotated qudit in V1. On a
-    forged round P1 holds nothing and announces first whatever serves
-    him best. His announcement never depends on the honest results (he
-    speaks before they do): -(n-1)*r mod d on a computational check,
-    which always passes, and a fixed value on a Fourier-image check,
-    where nothing beats blind luck.
+    forged round P1 holds nothing and announces first, before and so
+    regardless of the honest results, whatever serves him best:
+    -(n-1)*r mod d on a computational check, which always passes, and a
+    fixed value on a Fourier-image check, where nothing beats blind luck.
     """
     if state.measured:
         raise ValueError(f"check position {assignment.position} already consumed")

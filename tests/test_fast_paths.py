@@ -38,7 +38,14 @@ from quditsum import (
 )
 from quditsum.adversary import fabricate_rounds
 from quditsum.protocol import DecoyRecord
-from quditsum.qudit import _apply_single, _encode_matrix, _iqft_matrix, _measure_computational, measure_rows
+from quditsum.qudit import (
+    _apply_single,
+    _encode_matrix,
+    _iqft_matrix,
+    _measure_computational,
+    apply_encode,
+    measure_rows,
+)
 from quditsum.verification import CheckAssignment, execute_check, v1_pass, v2_pass
 
 V1, V2 = BasisKind.V1, BasisKind.V2
@@ -248,14 +255,14 @@ def test_execute_check_matches_rotate_then_measure_reference(forged, basis):
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10])
-def test_encode_matrix_is_shift_after_qft(d):
+def test_apply_encode_is_shift_after_qft(d):
     gen = np.random.default_rng(d)
     reg = random_register(d, 2, gen)
     for s in range(d):
         assert not _encode_matrix(d, s).flags.writeable
         for target in range(2):
             expected = apply_shift(apply_qft(reg, target), target, s).amplitudes
-            got = _apply_single(reg, _encode_matrix(d, s), target).amplitudes
+            got = apply_encode(reg, target, s).amplitudes
             assert np.max(np.abs(got - expected)) <= 1e-13
 
 

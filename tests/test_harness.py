@@ -1,11 +1,8 @@
 """Scenario runner, report schema, reproducibility, CLI contract."""
 
 import hashlib
-import itertools
 import json
-import math
 import os
-import time
 
 import numpy as np
 import pytest
@@ -21,11 +18,8 @@ from quditsum import (
 )
 from quditsum.cli import main
 from quditsum.harness import (
-    _TAIL_4_SIGMA,
     SCENARIOS,
-    _binom_cdf,
     _rate_entry,
-    _within_band,
     eve_detection_probability,
     eve_per_decoy_error_rate,
     modified_detection_probability,
@@ -351,51 +345,6 @@ def test_band_is_exact_at_large_counts():
     # the terms come from log space: no overflow at n = 2 * 10^4
     assert _rate_entry(10_000, 20_000, 0.5)["within_4_sigma"] is True
     assert _rate_entry(9_500, 20_000, 0.5)["within_4_sigma"] is False
-
-
-def _binom_prefix_sums(n, q):
-    """P(X <= k) for every k, summing all terms in order as the full loop does."""
-    lq, lp, top = math.log(q), math.log1p(-q), math.lgamma(n + 1)
-    terms = (math.exp(top - math.lgamma(j + 1) - math.lgamma(n - j + 1) + j * lq + (n - j) * lp)
-             for j in range(n + 1))
-    return [min(1.0, s) for s in itertools.accumulate(terms)]
-
-
-def _grid_counts(n, q):
-    sigma = math.sqrt(n * q * (1 - q))
-    ks = {round(n * f) for f in np.linspace(0, 1, 21)}
-    # both sides of the 4 sigma band edge and of the 40 sigma window edge
-    zs = (0, 1, 2, 3.8, 4, 4.2, 5, 10, 30, 39, 40, 41, 50)
-    ks |= {round(n * q + sign * z * sigma) for z in zs for sign in (-1, 1)}
-    return sorted(k for k in ks if 0 <= k <= n)
-
-
-@pytest.mark.parametrize("n", [16, 200, 20_000, 320_000])
-@pytest.mark.parametrize("q", [0.01, 0.45, 0.98])
-def test_binom_cdf_window_matches_full_sum(n, q):
-    full, full_upper = _binom_prefix_sums(n, q), _binom_prefix_sums(n, 1.0 - q)
-    for k in _grid_counts(n, q):
-        fast = _binom_cdf(k, n, q)
-        assert fast == pytest.approx(full[k], rel=1e-12, abs=0.0)
-        if n <= 40:
-            assert fast == full[k]
-        reference = min(full[k], full_upper[n - k]) >= _TAIL_4_SIGMA
-        assert _within_band(k, n, q) is reference
-
-
-def test_binom_cdf_window_is_faster_at_large_counts():
-    def seconds(fn):
-        t0 = time.perf_counter()
-        fn()
-        return time.perf_counter() - t0
-
-    def full_band():
-        full = _binom_prefix_sums(320_000, 0.45)[144_000]
-        return min(full, _binom_prefix_sums(320_000, 0.55)[176_000]) >= _TAIL_4_SIGMA
-
-    # eve-decoy mean_decoy_error_rate at 10^4 trials, n=3, 16 decoys
-    fast = min(seconds(lambda: _rate_entry(144_000, 320_000, 0.45)) for _ in range(3))
-    assert 5 * fast <= seconds(full_band)
 
 
 def test_write_report_failure_keeps_previous_report(tmp_path, monkeypatch):
