@@ -18,7 +18,7 @@ the decoy check is built to catch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -62,15 +62,21 @@ def fabricate_rounds(cfg: ProtocolConfig, plan: IqftAttackPlan) -> list[RoundSta
 
     Round j is the product of one fake particle per recipient (2..n), all
     built from r_choices[j]; P1 keeps no qudit of it. Rounds with equal r
-    share one read-only register.
+    share one cached read-only register.
     """
     owners = tuple(range(2, cfg.n + 1))
-    registers = {}
-    for r in dict.fromkeys(plan.r_choices):
+    registers = _forged_registers(cfg.d, cfg.n)
+    for r in set(plan.r_choices) - registers.keys():
         particle = fake_particle(cfg.d, r).amplitudes
         registers[r] = QuditRegister(cfg.d, len(owners), reduce(np.kron, [particle] * len(owners)))
         registers[r].amplitudes.setflags(write=False)
     return [RoundState(j, registers[r], owners=owners, r=r) for j, r in enumerate(plan.r_choices)]
+
+
+@lru_cache(maxsize=1)
+def _forged_registers(d: int, n: int) -> dict[int, QuditRegister]:
+    """r -> forged register of the n-1 recipients, filled on demand (at most d entries)."""
+    return {}
 
 
 def eve_intercept_resend(particles, rng: np.random.Generator) -> list[QuditRegister]:

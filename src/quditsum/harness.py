@@ -29,9 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .adversary import IqftAttackPlan, eve_intercept_resend, fabricate_rounds, recover_secret_digit
+from .adversary import _forged_registers
 from .protocol import (
     ProtocolConfig,
     SecretString,
+    _shared_register,
     check_decoys,
     compute_sum,
     encode_rounds,
@@ -503,7 +505,8 @@ def run_scenario(cfg: ScenarioConfig) -> ReportDocument:
 
     Trials are independent by construction (each gets its own derived
     stream), so the per-trial records depend only on the configuration
-    and the master seed, never on execution order or timing.
+    and the master seed, never on execution order or timing. The dealer's
+    read-only registers the trials share are released when the run ends.
     """
     t0 = time.perf_counter()
     per_trial, mismatches = [], 0
@@ -511,6 +514,8 @@ def run_scenario(cfg: ScenarioConfig) -> ReportDocument:
         record, count = _run_trial(cfg, t, derive_trial_stream(cfg.master_seed, t))
         per_trial.append(record)
         mismatches += count
+    _shared_register.cache_clear()
+    _forged_registers.cache_clear()
     aggregates, predictions = _aggregate(cfg, per_trial, mismatches)
     return ReportDocument(
         scenario=cfg.scenario,
@@ -522,8 +527,17 @@ def run_scenario(cfg: ScenarioConfig) -> ReportDocument:
     )
 
 
+def _report_text(data: dict) -> str:
+    """Top level indented by 2, each per_trial record on one line (indent runs the Python encoder)."""
+    rows = ",\n".join(f"    {json.dumps(rec)}" for rec in data["per_trial"])
+    fields = [f"  {json.dumps(key)}: " + (f"[\n{rows}\n  ]" if key == "per_trial" and rows else
+                                          json.dumps(value, indent=2).replace("\n", "\n  "))
+              for key, value in data.items()]
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
 def write_report(doc: ReportDocument, path) -> None:
-    """Serialize one report as indented JSON, atomically.
+    """Serialize one report as JSON, atomically.
 
     The text goes to a temporary file beside the target that then
     replaces it, so a failed write leaves any earlier report untouched.
@@ -533,10 +547,10 @@ def write_report(doc: ReportDocument, path) -> None:
     path = Path(path)
     if not path.parent.exists():
         raise FileNotFoundError(f"output directory {path.parent} does not exist")
-    text = json.dumps(doc.to_dict(), indent=2)
+    text = _report_text(doc.to_dict())
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text + "\n")
+        tmp.write_text(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -18,6 +18,7 @@ belongs to participant i.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .qudit import (
     _check_cap,
     _qft_matrix,
     apply_encode,
-    measure,
+    measure_out,
     measure_rows,
     omega_state,
 )
@@ -91,10 +92,11 @@ class DecoyRecord:
 class RoundState:
     """One shared state plus bookkeeping of who already measured.
 
-    owners[q] names the participant holding qudit q; the default wiring
-    is participant i on qudit i-1. A forged round holds the product of
-    the recipients' fake particles, owners=(2..n), and r is the
-    fabrication value it was built from (None on genuine rounds).
+    owners[q] names the participant still holding qudit q (measured
+    qudits leave the register); the default wiring is participant i on
+    qudit i-1. A forged round holds the product of the recipients' fake
+    particles, owners=(2..n), and r is the fabrication value it was
+    built from (None on genuine rounds).
     """
 
     index: int
@@ -126,11 +128,17 @@ def validate_secrets(cfg: ProtocolConfig, secrets) -> None:
                 raise ValueError(f"secret digit {x} of P{idx} out of range for d={cfg.d}")
 
 
-def prepare_rounds(cfg: ProtocolConfig, count: int | None = None) -> list[RoundState]:
-    """Shared states, one per digit position (count overrides cfg.m), all one read-only register."""
-    rounds = cfg.m if count is None else count
-    register = omega_state(cfg.d, cfg.n)
+@lru_cache(maxsize=1)
+def _shared_register(d: int, n: int) -> QuditRegister:
+    register = omega_state(d, n)
     register.amplitudes.setflags(write=False)
+    return register
+
+
+def prepare_rounds(cfg: ProtocolConfig, count: int | None = None) -> list[RoundState]:
+    """Shared states, one per digit position (count overrides cfg.m), all one cached read-only register."""
+    rounds = cfg.m if count is None else count
+    register = _shared_register(cfg.d, cfg.n)
     return [RoundState(j, register) for j in range(rounds)]
 
 
@@ -191,21 +199,20 @@ def encode_and_measure(state: RoundState, participant: int, digit: int, rng: np.
 
     The encoding (Fourier rotation, then the cyclic shift by the digit)
     is one unitary; the readout is a computational measurement. Returns
-    (measured value, collapsed round). A participant can touch a round
-    only once.
+    (measured value, round without the participant's qudit). A
+    participant can touch a round only once.
     """
     d = state.register.d
     if not 0 <= digit < d:
         raise ValueError(f"digit {digit} out of range for d={d}")
-    if participant not in state.owners:
-        raise ValueError(f"participant {participant} holds no qudit in round {state.index}")
     if participant in state.measured:
         raise ValueError(f"participant {participant} already measured round {state.index}")
+    if participant not in state.owners:
+        raise ValueError(f"participant {participant} holds no qudit in round {state.index}")
     q = state.owners.index(participant)
-    reg = apply_encode(state.register, q, digit)
-    out = measure(reg, q, BasisKind.V1, rng)
-    new_state = replace(state, register=out.posterior, measured=state.measured | {participant})
-    return out.value, new_state
+    value, rest = measure_out(apply_encode(state.register, q, digit), q, rng)
+    owners = state.owners[:q] + state.owners[q + 1:]
+    return value, replace(state, register=rest, owners=owners, measured=state.measured | {participant})
 
 
 def encode_rounds(rounds, secrets, rng: np.random.Generator) -> dict[int, list[int]]:

@@ -13,10 +13,11 @@ every measurement checks the norm instead.
 
 Two measurement bases appear throughout: V1 is the computational basis
 {|0>, ..., |d-1>} and V2 is its Fourier image {QFT|0>, ..., QFT|d-1>}.
-A V2 measurement is realized as an inverse Fourier rotation of the
-target, a computational measurement, and a forward rotation back. That
-is a true projection onto the V2 basis: the posterior's measured factor
-is QFT|r>, and repeating the measurement reproduces r with certainty.
+A V2 measurement samples r on the inverse-rotated target and writes the
+posterior as the kept slice times QFT|r>: a true projection onto the V2
+basis, so repeating it reproduces r with certainty. measure_out drops a
+measured qudit nobody reads again; the last one leaves the 0-qudit
+register, a single amplitude of modulus 1.
 """
 
 from __future__ import annotations
@@ -241,15 +242,21 @@ def measure(reg: QuditRegister, target: int, basis: BasisKind, rng: np.random.Ge
     """Projective measurement of one qudit in the given basis.
 
     V1 samples the computational digit of the target and collapses it.
-    V2 rotates by the inverse Fourier transform, measures computationally
-    and rotates back, so the posterior's target factor is QFT|value>.
+    V2 samples the digit of the inverse-rotated target; the posterior is
+    the kept slice with QFT|value> as the target factor.
     """
     if basis is BasisKind.V2:
-        rotated = apply_iqft(reg, target)
-        value, posterior = _measure_computational(rotated, target, rng)
-        return MeasurementOutcome(value, apply_qft(posterior, target))
+        value, kept = _collapse(apply_iqft(reg, target), target, rng)
+        posterior = kept[:, None, :] * _qft_matrix(reg.d)[:, value][None, :, None]
+        return MeasurementOutcome(value, QuditRegister._trusted(reg.d, reg.k, posterior.reshape(-1)))
     value, posterior = _measure_computational(reg, target, rng)
     return MeasurementOutcome(value, posterior)
+
+
+def measure_out(reg: QuditRegister, target: int, rng: np.random.Generator) -> tuple[int, QuditRegister]:
+    """Computational measurement that drops the target: (value, register of the other k-1 qudits)."""
+    value, kept = _collapse(reg, target, rng)
+    return value, QuditRegister._trusted(reg.d, reg.k - 1, kept.reshape(-1))
 
 
 def _sample(probs: np.ndarray, u) -> np.ndarray:
@@ -267,13 +274,18 @@ def _sample(probs: np.ndarray, u) -> np.ndarray:
     return np.count_nonzero(cdf <= np.expand_dims(u, -1), axis=-1)
 
 
-def _measure_computational(reg: QuditRegister, target: int, rng: np.random.Generator):
+def _collapse(reg: QuditRegister, target: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Sampled computational digit of the target and the normalized (a, b) slice it keeps."""
     value = int(_sample(outcome_distribution(reg, target, BasisKind.V1), rng.random()))
     a, b = _split(reg, target)
-    psi = reg.amplitudes.reshape(a, reg.d, b)
-    collapsed = np.zeros(psi.shape, dtype=np.complex128)
-    kept = psi[:, value, :]
-    collapsed[:, value, :] = kept / np.linalg.norm(kept)
+    kept = reg.amplitudes.reshape(a, reg.d, b)[:, value, :]
+    return value, kept / np.linalg.norm(kept)
+
+
+def _measure_computational(reg: QuditRegister, target: int, rng: np.random.Generator):
+    value, kept = _collapse(reg, target, rng)
+    collapsed = np.zeros((kept.shape[0], reg.d, kept.shape[1]), dtype=np.complex128)
+    collapsed[:, value, :] = kept
     return value, QuditRegister._trusted(reg.d, reg.k, collapsed.reshape(-1))
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import ProtocolConfig, RoundState
-from .qudit import BasisKind, apply_qft, measure
+from .qudit import BasisKind, apply_qft, measure_out
 
 
 @dataclass(frozen=True)
@@ -85,11 +85,12 @@ def execute_check(state: RoundState, assignment: CheckAssignment,
     Every owner rotates its own qudit by the Fourier transform and
     measures in the announced basis, in participant order, so P1 goes
     first on a genuine round. Projecting QFT(psi) onto QFT|r> is projecting
-    psi onto |r>, so a V2 check measures the unrotated qudit in V1. On a
-    forged round P1 holds nothing and announces first, before and so
-    regardless of the honest results, whatever serves him best:
-    -(n-1)*r mod d on a computational check, which always passes, and a
-    fixed value on a Fourier-image check, where nothing beats blind luck.
+    psi onto |r>, so a V2 check measures the unrotated qudit in V1, and
+    a measured qudit leaves the register. On a forged round P1 holds
+    nothing and announces first, before and so regardless of the honest
+    results, whatever serves him best: -(n-1)*r mod d on a computational
+    check, which always passes, and a fixed value on a Fourier-image
+    check, where nothing beats blind luck.
     """
     if state.measured:
         raise ValueError(f"check position {assignment.position} already consumed")
@@ -99,13 +100,13 @@ def execute_check(state: RoundState, assignment: CheckAssignment,
     if 1 not in state.owners:
         # any fixed value does equally well on a Fourier-image check
         values.append((-len(state.owners) * state.r) % d if basis is BasisKind.V1 else 0)
-    reg = state.register
+    reg, holders = state.register, list(state.owners)
     for participant in sorted(state.owners):
-        q = state.owners.index(participant)
+        q = holders.index(participant)
         if basis is BasisKind.V1:
             reg = apply_qft(reg, q)
-        out = measure(reg, q, BasisKind.V1, rng)
-        values.append(out.value)
-        reg = out.posterior
+        value, reg = measure_out(reg, q, rng)
+        values.append(value)
+        holders.pop(q)
     passed = v1_pass(values, d) if basis is BasisKind.V1 else v2_pass(values)
     return CheckOutcome(assignment, tuple(values), passed)

@@ -7,8 +7,12 @@ outcomes, records and final generator state, and posteriors equal up to
 global phase. The dense kernels (one matmul per unitary, the marginal
 and the slice-only collapse of a measurement, the fused encoding
 unitary, checks without the cancelling rotation pair) are pinned to the
-axis-permuting references the same way.
+axis-permuting references the same way. So are the measurements that
+drop the measured qudit, the V2 posterior written in one pass, and the
+registers a run builds once and shares.
 """
+
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from quditsum import (
     IqftAttackPlan,
     ProtocolConfig,
     QuditRegister,
+    ScenarioConfig,
     SecretString,
     apply_iqft,
     apply_qft,
@@ -28,6 +33,7 @@ from quditsum import (
     approx_equal,
     basis_state,
     check_decoys,
+    encode_and_measure,
     eve_intercept_resend,
     insert_decoys,
     measure,
@@ -35,15 +41,17 @@ from quditsum import (
     outcome_distribution,
     prepare_rounds,
     run_protocol,
+    run_scenario,
 )
-from quditsum.adversary import fabricate_rounds
-from quditsum.protocol import DecoyRecord
+from quditsum.adversary import fabricate_rounds, fake_particle
+from quditsum.protocol import DecoyRecord, encode_rounds
 from quditsum.qudit import (
     _apply_single,
     _encode_matrix,
     _iqft_matrix,
     _measure_computational,
     apply_encode,
+    measure_out,
     measure_rows,
 )
 from quditsum.verification import CheckAssignment, execute_check, v1_pass, v2_pass
@@ -281,3 +289,157 @@ def test_rounds_share_one_read_only_register_that_runs_leave_alone(eve):
         with pytest.raises(ValueError):
             shared.amplitudes[0] = 0.0
         assert approx_equal(apply_iqft(apply_qft(shared, 1), 1), shared)
+
+
+# ---------------------------------------------------------------------------
+# measured qudits leave the register
+
+
+def _kept_slice(posterior, target, value):
+    d, k = posterior.d, posterior.k
+    return posterior.amplitudes.reshape(d**target, d, d ** (k - target - 1))[:, value, :].reshape(-1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 10]), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_measure_out_matches_measure_v1(d, k, seed):
+    reg = random_register(d, k, np.random.default_rng(seed))
+    for target in range(k):
+        ref, fast = np.random.default_rng(seed + target), np.random.default_rng(seed + target)
+        expected = measure(reg, target, V1, ref)
+        value, rest = measure_out(reg, target, fast)
+        assert value == expected.value
+        assert fast.bit_generator.state == ref.bit_generator.state
+        assert (rest.d, rest.k) == (d, k - 1)
+        kept = _kept_slice(expected.posterior, target, value)
+        assert np.max(np.abs(rest.amplitudes - kept)) <= 1e-13
+        if k == 1:
+            assert rest.amplitudes.shape == (1,)
+            assert abs(abs(rest.amplitudes[0]) - 1.0) <= 1e-13
+
+
+def test_zero_qudit_register_admits_no_operation():
+    _, empty = measure_out(basis_state(5, [3]), 0, np.random.default_rng(0))
+    assert empty.k == 0
+    rng = np.random.default_rng(1)
+    for op in (lambda: apply_qft(empty, 0), lambda: measure(empty, 0, V1, rng),
+               lambda: measure(empty, 0, V2, rng), lambda: measure_out(empty, 0, rng)):
+        with pytest.raises(ValueError):
+            op()
+    with pytest.raises(ValueError, match="at least 1 qudit"):
+        QuditRegister(5, 0, np.ones(1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 10]), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_measure_v2_matches_rotate_measure_rotate_back(d, k, seed):
+    reg = random_register(d, k, np.random.default_rng(seed))
+    for target in range(k):
+        ref, fast = np.random.default_rng(seed + target), np.random.default_rng(seed + target)
+        value, collapsed = _measure_computational(apply_iqft(reg, target), target, ref)
+        out = measure(reg, target, V2, fast)
+        assert out.value == value
+        assert fast.bit_generator.state == ref.bit_generator.state
+        expected = apply_qft(collapsed, target).amplitudes
+        assert np.max(np.abs(out.posterior.amplitudes - expected)) <= 1e-13
+
+
+def _reference_encode_rounds(rounds, secrets, rng):
+    """Encode and read out on the full register, zero-filled posterior kept."""
+    results = {}
+    for j, state in enumerate(rounds):
+        reg = state.register
+        for i in sorted(state.owners):
+            q = state.owners.index(i)
+            value, reg = _measure_computational(apply_encode(reg, q, secrets[i - 1].digits[j]), q, rng)
+            results.setdefault(i, []).append(value)
+    return results
+
+
+def _reference_full_check(state, assignment, rng):
+    """The check on the full register: QFT on V1 checks, zero-filled posteriors."""
+    d, basis = state.register.d, assignment.basis
+    values = []
+    if 1 not in state.owners:
+        values.append((-len(state.owners) * state.r) % d if basis is V1 else 0)
+    reg = state.register
+    for participant in sorted(state.owners):
+        q = state.owners.index(participant)
+        if basis is V1:
+            reg = apply_qft(reg, q)
+        value, reg = _measure_computational(reg, q, rng)
+        values.append(value)
+    return tuple(values), v1_pass(values, d) if basis is V1 else v2_pass(values)
+
+
+@pytest.mark.parametrize("forged", [False, True])
+def test_shrinking_chains_match_full_register_reference(forged):
+    cfg = ProtocolConfig(d=5, n=4, m=2)
+    gen = np.random.default_rng(17)
+    for seed in range(200):
+        plan = IqftAttackPlan(tuple(int(x) for x in gen.integers(0, 5, size=2)))
+        rounds = fabricate_rounds(cfg, plan) if forged else prepare_rounds(cfg)
+        secrets = [SecretString.random(5, 2, gen) for _ in range(cfg.n)]
+        ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert encode_rounds(rounds, secrets, fast) == _reference_encode_rounds(rounds, secrets, ref)
+        assert fast.bit_generator.state == ref.bit_generator.state
+        assignment = CheckAssignment(2, 0, _basis(seed % 2))
+        outcome = execute_check(rounds[0], assignment, fast)
+        assert (outcome.announced, outcome.passed) == _reference_full_check(rounds[0], assignment, ref)
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("forged", [False, True])
+def test_encode_and_measure_drops_each_qudit(forged):
+    cfg = ProtocolConfig(d=3, n=4, m=1)
+    state = fabricate_rounds(cfg, IqftAttackPlan((2,)))[0] if forged else prepare_rounds(cfg)[0]
+    rng = np.random.default_rng(3)
+    owners = list(state.owners)
+    while owners:
+        participant = owners.pop(len(owners) // 2)
+        _, state = encode_and_measure(state, participant, 1, rng)
+        assert state.owners == tuple(owners)
+        assert state.register.k == len(owners)
+        assert participant in state.measured
+        with pytest.raises(ValueError, match="already measured"):
+            encode_and_measure(state, participant, 1, rng)
+    assert state.owners == () and state.register.k == 0
+
+
+# ---------------------------------------------------------------------------
+# registers shared across trials
+
+
+def test_prepare_rounds_shares_one_register_per_size():
+    first = prepare_rounds(ProtocolConfig(d=5, n=3, m=2))[0].register
+    again = prepare_rounds(ProtocolConfig(d=5, n=3, m=4, decoy_count=2))[0].register
+    assert again is first
+    assert not first.amplitudes.flags.writeable
+    assert np.array_equal(first.amplitudes, omega_state(5, 3).amplitudes)
+    other = prepare_rounds(ProtocolConfig(d=5, n=4, m=2))[0].register
+    assert other is not first and other.k == 4
+    assert np.array_equal(other.amplitudes, omega_state(5, 4).amplitudes)
+
+
+@pytest.mark.parametrize("d", [2, 5, 10])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_forged_registers_are_shared_across_calls(d, n):
+    cfg = ProtocolConfig(d=d, n=n, m=3)
+    first = fabricate_rounds(cfg, IqftAttackPlan((0, d - 1, 0)))
+    second = fabricate_rounds(cfg, IqftAttackPlan((d - 1, 1 % d, 0)))
+    registers = {state.r: state.register for state in first}
+    for state in second:
+        if state.r in registers:
+            assert state.register is registers[state.r]
+        particle = fake_particle(d, state.r).amplitudes
+        assert np.array_equal(state.register.amplitudes, reduce(np.kron, [particle] * (n - 1)))
+        assert not state.register.amplitudes.flags.writeable
+
+
+def test_scenario_run_releases_the_registers_its_trials_shared():
+    cfg = ProtocolConfig(d=3, n=3, m=2, decoy_count=2)
+    genuine = prepare_rounds(cfg)[0].register
+    forged = fabricate_rounds(cfg, IqftAttackPlan((1, 1)))[0].register
+    run_scenario(ScenarioConfig(scenario="honest", protocol=cfg, trials=2))
+    assert prepare_rounds(cfg)[0].register is not genuine
+    assert fabricate_rounds(cfg, IqftAttackPlan((1, 1)))[0].register is not forged

@@ -360,3 +360,15 @@ def test_write_report_failure_keeps_previous_report(tmp_path, monkeypatch):
         write_report(run_scenario(_cfg("honest", trials=3)), out)
     assert out.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_report_puts_each_per_trial_record_on_one_line(tmp_path):
+    doc = run_scenario(_cfg("modified-honest", trials=6, eta=3))
+    out = tmp_path / "r.json"
+    write_report(doc, out)
+    text = out.read_text()
+    assert json.loads(text) == doc.to_dict()
+    lines = text.splitlines()
+    for record in doc.to_dict()["per_trial"]:
+        assert f"    {json.dumps(record)}," in lines or f"    {json.dumps(record)}" in lines
+    assert lines[0] == "{" and lines[1].startswith('  "scenario": ') and lines[-1] == "}"
