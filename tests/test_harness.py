@@ -239,6 +239,39 @@ def test_per_trial_golden_digest_wide(scenario):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS_WIDE[scenario]
 
 
+# SHA-256 of the whole report text as written, minus its duration_seconds
+# line: params, per_trial, aggregates, oracle_predictions, versions, key
+# order and layout. At small-mix sizes with a tolerated decoy error rate of
+# 0.3, and at d=3 with no decoys, where the decoy error rate has no sample.
+REPORT_CONFIGS = {
+    "small-mix-0.3": (ProtocolConfig(d=5, n=3, m=4, decoy_count=16, error_threshold=0.3), 6, 20),
+    "no-decoys": (ProtocolConfig(d=3, n=3, m=1, decoy_count=0), 2, 30),
+}
+GOLDEN_REPORT_DIGESTS = {
+    ("small-mix-0.3", "honest"): "d3e5c256035a8057c96914e8c012b37d4fdc60b04faf887a1932c1d507fcbf33",
+    ("small-mix-0.3", "iqft-attack"): "84999205ee11153c1862d13aa36f0dbeea8797e73e20fc84ddaa70394302295b",
+    ("small-mix-0.3", "modified-honest"): "3475ae192556978721a35fa7e40c37acd69846b3c50c8d8ba0805f7ce3eada57",
+    ("small-mix-0.3", "modified-attack"): "67e7c0e1589bc70908d1dd4cc92eb305b4208d120125d3ca792d77c14097b3b9",
+    ("small-mix-0.3", "eve-decoy"): "6d4cad5a94fac817e0ffea71284bc8ff7807c31b1329c0450077ac12315fc682",
+    ("no-decoys", "honest"): "f67a69d8ec98b4fec586395048ca1f1d6ba01bcd7d380fc42c9b01f129f473b4",
+    ("no-decoys", "iqft-attack"): "58c08fa9d763f3f19104d59d75722f641f729c389161e473531028efb0cf46d6",
+    ("no-decoys", "modified-honest"): "b6c8d8169193d8e3594a3d4343ec76bd42bcf146b5d1c0b44d40a91948b3eaa5",
+    ("no-decoys", "modified-attack"): "b970de91d1bbe904339c66cda425f0de4f5d6f2ed8a30a8000f32e073568a0fb",
+    ("no-decoys", "eve-decoy"): "b9d85f595f42575f41e12496d53abcde73083fc992b5acd810d63aae24729af3",
+}
+
+
+@pytest.mark.parametrize("config, scenario", sorted(GOLDEN_REPORT_DIGESTS))
+def test_whole_report_golden_digest(config, scenario, tmp_path):
+    protocol, eta, trials = REPORT_CONFIGS[config]
+    out = tmp_path / "r.json"
+    write_report(run_scenario(ScenarioConfig(scenario, protocol, eta=eta, trials=trials,
+                                             master_seed=777)), out)
+    text = "".join(line for line in out.read_text().splitlines(keepends=True)
+                   if not line.startswith('  "duration_seconds": '))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_DIGESTS[config, scenario]
+
+
 def test_different_seed_changes_records():
     a = run_scenario(_cfg("honest", trials=10, seed=1))
     b = run_scenario(_cfg("honest", trials=10, seed=2))
