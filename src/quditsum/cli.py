@@ -66,9 +66,7 @@ def _print_summary(report) -> None:
             continue
         value = entry["value"]
         shown = "n/a" if value is None else f"{value:.6f}"
-        oracle = entry.get("oracle")
-        tail = "" if oracle is None else f" (oracle {oracle:.6f})"
-        print(f"  {name}: {shown}{tail}")
+        print(f"  {name}: {shown} (oracle {entry['oracle']:.6f})")
     if report.aggregates.get("flagged"):
         print(f"  outside 4 sigma: {', '.join(report.aggregates['flagged'])}")
 
@@ -78,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.list_scenarios:
         for tag in sorted(SCENARIOS):
-            print(f"{tag:16s} {SCENARIOS[tag]}")
+            print(f"{tag:16s} {SCENARIOS[tag].description}")
         return 0
     if args.command != "run":
         parser.print_usage(sys.stderr)
@@ -94,10 +92,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # fail before the trials run, not after; write_report checks again
-    out_dir = Path(args.out).parent
-    if not out_dir.is_dir():
-        print(f"error: output directory {out_dir} does not exist", file=sys.stderr)
+    # fail before the trials run, not after; the empty path and a trailing slash name directories
+    out = Path(args.out)
+    if out.is_dir() or args.out.endswith("/") or not out.parent.is_dir():
+        print(f"error: --out {args.out!r} is not a file in an existing directory", file=sys.stderr)
         return 3
     report = run_scenario(cfg)
     try:

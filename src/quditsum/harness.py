@@ -46,12 +46,58 @@ from .verification import CheckOutcome, execute_check, select_checks
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
 
+
+@dataclass(frozen=True)
+class Scenario:
+    """How a scenario's trials run and what its report holds.
+
+    The dealer forges the rounds (forged), eta extra rounds are burnt on
+    basis checks (hardened), an intercept-resend eavesdropper sits on
+    every channel (eve). record lists the per_trial keys after trial and
+    secrets, aggregates the rates and predictions the oracle_predictions
+    keys, each in report order.
+    """
+
+    description: str
+    record: tuple[str, ...]
+    aggregates: tuple[str, ...]
+    predictions: tuple[str, ...]
+    forged: bool = False
+    hardened: bool = False
+    eve: bool = False
+
+
 SCENARIOS = {
-    "honest": "original protocol, honest parties; checks digit-wise mod-d sum correctness",
-    "iqft-attack": "forging dealer distributes inverse-Fourier product states and steals every digit",
-    "modified-honest": "hardened protocol, honest parties; checks completeness and sum correctness",
-    "modified-attack": "hardened protocol against the adaptive forging dealer; measures detection",
-    "eve-decoy": "outside intercept-resend eavesdropper against the decoy transmission check",
+    "honest": Scenario(
+        "original protocol, honest parties; checks digit-wise mod-d sum correctness",
+        record=("sum", "sum_correct"),
+        aggregates=("sum_correct_rate",),
+        predictions=("sum_correct_rate",)),
+    "iqft-attack": Scenario(
+        "forging dealer distributes inverse-Fourier product states and steals every digit",
+        record=("fake_r", "announced", "recovered", "recovery_success", "decoy_error_rates",
+                "announced_sum", "sum_correct"),
+        aggregates=("recovery_success_rate", "mean_decoy_error_rate"),
+        predictions=("recovery_success_rate", "mean_decoy_error_rate"),
+        forged=True),
+    "modified-honest": Scenario(
+        "hardened protocol, honest parties; checks completeness and sum correctness",
+        record=("checks", "checks_passed", "sum", "sum_correct"),
+        aggregates=("sum_correct_rate", "check_pass_rate"),
+        predictions=("sum_correct_rate", "check_pass_rate"),
+        hardened=True),
+    "modified-attack": Scenario(
+        "hardened protocol against the adaptive forging dealer; measures detection",
+        record=("fake_r", "checks", "checks_executed", "detected", "recovered", "recovery_success"),
+        aggregates=("detection_rate", "recovery_success_rate"),
+        predictions=("per_check_pass_probability", "detection_rate", "recovery_success_rate"),
+        forged=True, hardened=True),
+    "eve-decoy": Scenario(
+        "outside intercept-resend eavesdropper against the decoy transmission check",
+        record=("decoy_error_rates", "decoy_mismatches", "decoys_checked", "detected", "sum_correct"),
+        aggregates=("detection_rate", "mean_decoy_error_rate"),
+        predictions=("per_decoy_error_rate", "detection_rate"),
+        eve=True),
 }
 
 
@@ -79,6 +125,8 @@ class ScenarioConfig:
             raise ValueError("master_seed must fit in 64 bits")
         if self.secrets is not None:
             validate_secrets(self.protocol, self.secrets)
+        if self.fake_r is not None and not SCENARIOS[self.scenario].forged:
+            raise ValueError(f"fake_r applies only to a forging dealer, not to {self.scenario}")
         if self.fake_r is not None and not 0 <= self.fake_r < self.protocol.d:
             raise ValueError(f"fake_r {self.fake_r} out of range for d={self.protocol.d}")
 
@@ -295,22 +343,6 @@ def _rows(by_participant, n: int) -> list[list[int]] | None:
     return [list(by_participant[i]) for i in range(2, n + 1)]
 
 
-def _sum_correct(p: ProtocolConfig, secrets, result: RunResult) -> bool | None:
-    if result.sum_digits is None:
-        return None
-    return list(result.sum_digits) == compute_sum([s.digits for s in secrets], p.d)
-
-
-def _recovery_success(p: ProtocolConfig, secrets, result: RunResult) -> bool | None:
-    if result.recovered is None:
-        return None
-    return all(result.recovered[i] == tuple(secrets[i - 1].digits) for i in range(2, p.n + 1))
-
-
-def _decoy_rates(p: ProtocolConfig, result: RunResult) -> list[float]:
-    return [_decoy_rate(result.decoy_mismatches[i], p.decoy_count) for i in range(2, p.n + 1)]
-
-
 def _check_dict(outcome) -> dict:
     a = outcome.assignment
     return {
@@ -322,86 +354,42 @@ def _check_dict(outcome) -> dict:
     }
 
 
-def _honest_record(p, t, secrets, plan, result) -> dict:
-    return {
-        "trial": t,
-        "secrets": _secrets_list(secrets),
-        "sum": list(result.sum_digits),
-        "sum_correct": _sum_correct(p, secrets, result),
-    }
-
-
-def _iqft_attack_record(p, t, secrets, plan, result) -> dict:
-    return {
-        "trial": t,
-        "secrets": _secrets_list(secrets),
-        "fake_r": list(plan.r_choices),
-        "announced": _rows(result.results, p.n),
-        "recovered": _rows(result.recovered, p.n),
-        "recovery_success": _recovery_success(p, secrets, result),
-        "decoy_error_rates": _decoy_rates(p, result),
-        "announced_sum": list(result.sum_digits),
-        "sum_correct": _sum_correct(p, secrets, result),
-    }
-
-
-def _modified_honest_record(p, t, secrets, plan, result) -> dict:
-    return {
-        "trial": t,
-        "secrets": _secrets_list(secrets),
-        "checks": [_check_dict(oc) for oc in result.checks],
-        "checks_passed": all(oc.passed for oc in result.checks),
-        "sum": list(result.sum_digits),
-        "sum_correct": _sum_correct(p, secrets, result),
-    }
-
-
-def _modified_attack_record(p, t, secrets, plan, result) -> dict:
-    return {
-        "trial": t,
-        "secrets": _secrets_list(secrets),
-        "fake_r": list(plan.r_choices),
-        "checks": [_check_dict(oc) for oc in result.checks],
-        "checks_executed": len(result.checks),
-        "detected": result.detected,
-        "recovered": _rows(result.recovered, p.n),
-        "recovery_success": _recovery_success(p, secrets, result),
-    }
-
-
-def _eve_decoy_record(p, t, secrets, plan, result) -> dict:
-    return {
-        "trial": t,
-        "secrets": _secrets_list(secrets),
-        "decoy_error_rates": _decoy_rates(p, result),
-        "decoy_mismatches": sum(result.decoy_mismatches.values()),
-        "decoys_checked": (p.n - 1) * p.decoy_count,
-        "detected": result.aborted,
-        "sum_correct": _sum_correct(p, secrets, result),
-    }
-
-
-# scenario -> (forged rounds, hardened with eta basis checks, Eve on the
-# channel, record builder)
-_SCENARIO_RUNS = {
-    "honest": (False, False, False, _honest_record),
-    "iqft-attack": (True, False, False, _iqft_attack_record),
-    "modified-honest": (False, True, False, _modified_honest_record),
-    "modified-attack": (True, True, False, _modified_attack_record),
-    "eve-decoy": (False, False, True, _eve_decoy_record),
+# each per_trial key, read off one trial as f(protocol, secrets, attack plan, result)
+_FIELDS = {
+    "sum": lambda p, s, plan, r: list(r.sum_digits),
+    "sum_correct": lambda p, s, plan, r: (
+        None if r.sum_digits is None
+        else list(r.sum_digits) == compute_sum([x.digits for x in s], p.d)),
+    "fake_r": lambda p, s, plan, r: list(plan.r_choices),
+    "announced": lambda p, s, plan, r: _rows(r.results, p.n),
+    "announced_sum": lambda p, s, plan, r: list(r.sum_digits),
+    "recovered": lambda p, s, plan, r: _rows(r.recovered, p.n),
+    "recovery_success": lambda p, s, plan, r: (
+        None if r.recovered is None
+        else all(r.recovered[i] == tuple(s[i - 1].digits) for i in range(2, p.n + 1))),
+    "checks": lambda p, s, plan, r: [_check_dict(oc) for oc in r.checks],
+    "checks_passed": lambda p, s, plan, r: all(oc.passed for oc in r.checks),
+    "checks_executed": lambda p, s, plan, r: len(r.checks),
+    "decoy_error_rates": lambda p, s, plan, r: [_decoy_rate(r.decoy_mismatches[i], p.decoy_count)
+                                                for i in range(2, p.n + 1)],
+    "decoy_mismatches": lambda p, s, plan, r: sum(r.decoy_mismatches.values()),
+    "decoys_checked": lambda p, s, plan, r: (p.n - 1) * p.decoy_count,
+    # caught by a decoy check or a basis check
+    "detected": lambda p, s, plan, r: r.aborted,
 }
 
 
 def _run_trial(cfg: ScenarioConfig, t: int, rng: np.random.Generator) -> tuple[dict, int]:
     """Draw secrets, then any forging plan; return record and decoy mismatches."""
-    p = cfg.protocol
-    forged, hardened, eve, build = _SCENARIO_RUNS[cfg.scenario]
-    eta = cfg.eta if hardened else 0
+    p, sc = cfg.protocol, SCENARIOS[cfg.scenario]
+    eta = cfg.eta if sc.hardened else 0
     secrets = _trial_secrets(cfg, rng)
-    plan = _trial_plan(cfg, p.m + eta, rng) if forged else None
-    rounds = fabricate_rounds(p, plan) if forged else prepare_rounds(p, count=p.m + eta)
-    result = run_protocol(p, eta, secrets, rounds, rng, eve=eve)
-    return build(p, t, secrets, plan, result), sum(result.decoy_mismatches.values())
+    plan = _trial_plan(cfg, p.m + eta, rng) if sc.forged else None
+    rounds = fabricate_rounds(p, plan) if sc.forged else prepare_rounds(p, count=p.m + eta)
+    result = run_protocol(p, eta, secrets, rounds, rng, eve=sc.eve)
+    record = {"trial": t, "secrets": _secrets_list(secrets)}
+    record.update((key, _FIELDS[key](p, secrets, plan, result)) for key in sc.record)
+    return record, sum(result.decoy_mismatches.values())
 
 
 # ---------------------------------------------------------------------------
@@ -420,68 +408,51 @@ def _within_band(successes: int, n: int, oracle: float) -> bool:
                _binom_cdf(n - successes, n, 1.0 - oracle)) >= _TAIL_4_SIGMA
 
 
-def _rate_entry(successes, n: int, oracle: float | None = None) -> dict:
+def _rate_entry(successes: int, n: int, oracle: float) -> dict:
     if n == 0:
-        entry: dict = {"value": None, "n": 0, "wilson_95": None}
-        if oracle is not None:
-            entry["oracle"] = oracle
-            entry["within_4_sigma"] = None
-        return entry
-    value = successes / n
-    lo, hi = wilson_interval(successes, n)
-    entry = {"value": value, "n": n, "wilson_95": [lo, hi]}
-    if oracle is not None:
-        entry["oracle"] = oracle
-        entry["within_4_sigma"] = _within_band(successes, n, oracle)
-    return entry
+        return {"value": None, "n": 0, "wilson_95": None, "oracle": oracle, "within_4_sigma": None}
+    return {"value": successes / n, "n": n, "wilson_95": list(wilson_interval(successes, n)),
+            "oracle": oracle, "within_4_sigma": _within_band(successes, n, oracle)}
+
+
+# rates that are the share of True among the records whose key is not None
+_BOOLEAN_RATES = {
+    "sum_correct_rate": "sum_correct",
+    "recovery_success_rate": "recovery_success",
+    "detection_rate": "detected",
+}
+
+# exact value of each rate and prediction as f(protocol, eta, eve on the channel)
+_ORACLES = {
+    "sum_correct_rate": lambda p, eta, eve: 1.0,
+    "recovery_success_rate": lambda p, eta, eve: 1.0,
+    "check_pass_rate": lambda p, eta, eve: 1.0,
+    "mean_decoy_error_rate": lambda p, eta, eve: eve_per_decoy_error_rate(p.d) if eve else 0.0,
+    "per_decoy_error_rate": lambda p, eta, eve: eve_per_decoy_error_rate(p.d),
+    "per_check_pass_probability": lambda p, eta, eve: modified_per_check_pass_probability(p.d, p.n),
+    "detection_rate": lambda p, eta, eve: (
+        eve_detection_probability(p.d, p.n, p.decoy_count, p.error_threshold) if eve
+        else modified_detection_probability(p.d, p.n, eta)),
+}
 
 
 def _aggregate(cfg: ScenarioConfig, per_trial: list, decoy_mismatches: int) -> tuple[dict, dict]:
-    p = cfg.protocol
-    trials = cfg.trials
-    decoys_checked = trials * (p.n - 1) * p.decoy_count
+    p, sc = cfg.protocol, SCENARIOS[cfg.scenario]
+    eta = cfg.eta if sc.hardened else 0
     aggregates: dict = {}
-    predictions: dict = {}
-    if cfg.scenario == "honest":
-        wins = sum(1 for r in per_trial if r["sum_correct"])
-        aggregates["sum_correct_rate"] = _rate_entry(wins, trials, oracle=1.0)
-        predictions["sum_correct_rate"] = 1.0
-    elif cfg.scenario == "iqft-attack":
-        wins = sum(1 for r in per_trial if r["recovery_success"])
-        aggregates["recovery_success_rate"] = _rate_entry(wins, trials, oracle=1.0)
-        aggregates["mean_decoy_error_rate"] = _rate_entry(decoy_mismatches, decoys_checked, oracle=0.0)
-        predictions["recovery_success_rate"] = 1.0
-        predictions["mean_decoy_error_rate"] = 0.0
-    elif cfg.scenario == "modified-honest":
-        wins = sum(1 for r in per_trial if r["sum_correct"])
-        aggregates["sum_correct_rate"] = _rate_entry(wins, trials, oracle=1.0)
-        checks = sum(len(r["checks"]) for r in per_trial)
-        passed = sum(1 for r in per_trial for c in r["checks"] if c["passed"])
-        aggregates["check_pass_rate"] = _rate_entry(passed, checks, oracle=1.0)
-        predictions["sum_correct_rate"] = 1.0
-        predictions["check_pass_rate"] = 1.0
-    elif cfg.scenario == "modified-attack":
-        det = sum(1 for r in per_trial if r["detected"])
-        oracle_det = modified_detection_probability(p.d, p.n, cfg.eta)
-        aggregates["detection_rate"] = _rate_entry(det, trials, oracle=oracle_det)
-        undetected = [r for r in per_trial if not r["detected"]]
-        rec = sum(1 for r in undetected if r["recovery_success"])
-        aggregates["recovery_success_rate"] = _rate_entry(rec, len(undetected), oracle=1.0)
-        predictions["per_check_pass_probability"] = modified_per_check_pass_probability(p.d, p.n)
-        predictions["detection_rate"] = oracle_det
-        predictions["recovery_success_rate"] = 1.0
-    else:  # eve-decoy
-        det = sum(1 for r in per_trial if r["detected"])
-        oracle_det = eve_detection_probability(p.d, p.n, p.decoy_count, p.error_threshold)
-        aggregates["detection_rate"] = _rate_entry(det, trials, oracle=oracle_det)
-        q = eve_per_decoy_error_rate(p.d)
-        aggregates["mean_decoy_error_rate"] = _rate_entry(decoy_mismatches, decoys_checked, oracle=q)
-        predictions["per_decoy_error_rate"] = q
-        predictions["detection_rate"] = oracle_det
-    flagged = [name for name, entry in aggregates.items()
-               if isinstance(entry, dict) and entry.get("within_4_sigma") is False]
-    aggregates["flagged"] = flagged
-    return aggregates, predictions
+    for name in sc.aggregates:
+        if name == "mean_decoy_error_rate":
+            successes, n = decoy_mismatches, cfg.trials * (p.n - 1) * p.decoy_count
+        elif name == "check_pass_rate":
+            checks = [c["passed"] for r in per_trial for c in r["checks"]]
+            successes, n = sum(checks), len(checks)
+        else:
+            key = _BOOLEAN_RATES[name]
+            values = [r[key] for r in per_trial if r[key] is not None]
+            successes, n = sum(values), len(values)
+        aggregates[name] = _rate_entry(successes, n, _ORACLES[name](p, eta, sc.eve))
+    aggregates["flagged"] = [name for name, entry in aggregates.items() if entry["within_4_sigma"] is False]
+    return aggregates, {name: _ORACLES[name](p, eta, sc.eve) for name in sc.predictions}
 
 
 def _params_dict(cfg: ScenarioConfig) -> dict:

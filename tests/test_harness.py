@@ -111,6 +111,9 @@ def test_scenario_config_validation():
         _cfg("honest", eta=-1)
     with pytest.raises(ValueError):
         _cfg("iqft-attack", fake_r=5)  # d defaults to 5 here
+    for scenario in ("honest", "modified-honest", "eve-decoy"):
+        with pytest.raises(ValueError, match="forging dealer"):
+            _cfg(scenario, fake_r=1)  # only a forging dealer has a fabrication value
     with pytest.raises(ValueError):
         _cfg("honest", secrets=(SecretString((0,)),))
 
@@ -186,6 +189,18 @@ def test_report_schema_keys():
     assert data["schema_version"] == 1
     assert data["params"]["d"] == 5
     assert data["params"]["master_seed"] == 7
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_report_keys_follow_the_scenario_entry(scenario):
+    entry = SCENARIOS[scenario]
+    doc = run_scenario(_cfg(scenario, trials=6, eta=3))
+    for record in doc.per_trial:
+        assert list(record) == ["trial", "secrets", *entry.record]
+    assert list(doc.aggregates) == [*entry.aggregates, "flagged"]
+    assert list(doc.oracle_predictions) == list(entry.predictions)
+    for name in entry.aggregates:
+        assert doc.aggregates[name]["oracle"] is not None
 
 
 def test_reports_are_reproducible_bit_for_bit():
@@ -325,6 +340,8 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
                  "--out", str(out)]) == 2  # wrong participant count
     assert main(["run", "--scenario", "iqft-attack", "--d", "5", "--fake-r", "7",
                  "--out", str(out)]) == 2
+    for scenario in ("honest", "modified-honest", "eve-decoy"):
+        assert main(["run", "--scenario", scenario, "--fake-r", "1", "--out", str(out)]) == 2
     assert not out.exists()
     assert "error:" in capsys.readouterr().err
 
@@ -340,12 +357,17 @@ def test_cli_missing_output_directory_exits_3(tmp_path, capsys):
 
 def test_cli_checks_output_directory_before_running(tmp_path, monkeypatch, capsys):
     def must_not_run(cfg):
-        raise AssertionError("run_scenario called despite a missing output directory")
+        raise AssertionError("run_scenario called despite an unusable --out")
 
     monkeypatch.setattr("quditsum.cli.run_scenario", must_not_run)
-    target = tmp_path / "nowhere" / "r.json"
-    assert main(["run", "--scenario", "honest", "--out", str(target)]) == 3
-    assert "error:" in capsys.readouterr().err
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "existing-dir").mkdir()
+    # a missing directory, an existing one, the empty path (the current directory)
+    # and a new directory named with a trailing slash
+    for target in (str(tmp_path / "nowhere" / "r.json"), "existing-dir", "", "new-dir/"):
+        assert main(["run", "--scenario", "honest", "--out", target]) == 3
+        assert "error:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["existing-dir"]
 
 
 def test_cli_without_command_exits_2(capsys):

@@ -1,0 +1,44 @@
+"""The README and pyproject.toml agree with the package they describe."""
+
+from pathlib import Path
+
+import pytest
+
+import quditsum
+from quditsum.harness import SCENARIOS, TOOL_VERSION
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _readme_table(header_start: str) -> list[list[str]]:
+    """Cells of the README table whose header row starts with header_start."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith(header_start))
+    rows = []
+    for line in lines[start + 2:]:  # past the header and the separator
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _keys(cell: str) -> tuple[str, ...]:
+    return tuple(key.strip(" `") for key in cell.split(","))
+
+
+def test_readme_scenario_table_matches_list_scenarios():
+    rows = _readme_table("| name ")
+    assert [tag for tag, _ in rows] == list(SCENARIOS)
+    assert {tag: text for tag, text in rows} == {tag: sc.description for tag, sc in SCENARIOS.items()}
+
+
+def test_readme_report_schema_matches_scenario_table():
+    rows = _readme_table("| scenario ")
+    assert {tag: tuple(map(_keys, cells)) for tag, *cells in rows} == {
+        tag: (sc.record, sc.aggregates, sc.predictions) for tag, sc in SCENARIOS.items()}
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["version"] == quditsum.__version__ == TOOL_VERSION
