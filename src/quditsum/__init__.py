@@ -3,7 +3,6 @@ protocol over d-level systems, the forged-state attack that breaks its
 privacy, and the randomized checking step that restores it."""
 
 from .adversary import (
-    IqftAttackPlan,
     eve_intercept_resend,
     fabricate_rounds,
     fake_particle,

@@ -17,28 +17,12 @@ the decoy check is built to catch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
 from .protocol import ProtocolConfig, RoundState
 from .qudit import BasisKind, QuditRegister, apply_iqft, basis_state, measure, measure_rows
-
-
-@dataclass(frozen=True)
-class IqftAttackPlan:
-    """The dealer's fabrication choices.
-
-    r_choices[j] is the value r used to fabricate every recipient's fake
-    particle in round j.
-    """
-
-    r_choices: tuple[int, ...]
-
-    @classmethod
-    def uniform(cls, d: int, rounds: int, rng: np.random.Generator) -> "IqftAttackPlan":
-        return cls(tuple(int(x) for x in rng.integers(0, d, size=rounds)))
 
 
 def fake_particle(d: int, r: int) -> QuditRegister:
@@ -57,8 +41,8 @@ def recover_secret_digit(announced: int, r: int, d: int) -> int:
     return (announced - r) % d
 
 
-def fabricate_rounds(cfg: ProtocolConfig, plan: IqftAttackPlan) -> list[RoundState]:
-    """Build the dealer's forged round for every entry of the plan.
+def fabricate_rounds(cfg: ProtocolConfig, r_choices) -> list[RoundState]:
+    """Build the dealer's forged round for every fabrication value.
 
     Round j is the product of one fake particle per recipient (2..n), all
     built from r_choices[j]; P1 keeps no qudit of it. Rounds with equal r
@@ -66,11 +50,11 @@ def fabricate_rounds(cfg: ProtocolConfig, plan: IqftAttackPlan) -> list[RoundSta
     """
     owners = tuple(range(2, cfg.n + 1))
     registers = _forged_registers(cfg.d, cfg.n)
-    for r in set(plan.r_choices) - registers.keys():
+    for r in set(r_choices) - registers.keys():
         particle = fake_particle(cfg.d, r).amplitudes
         registers[r] = QuditRegister(cfg.d, len(owners), reduce(np.kron, [particle] * len(owners)))
         registers[r].amplitudes.setflags(write=False)
-    return [RoundState(j, registers[r], owners=owners, r=r) for j, r in enumerate(plan.r_choices)]
+    return [RoundState(j, registers[r], owners=owners, r=r) for j, r in enumerate(r_choices)]
 
 
 @lru_cache(maxsize=1)
@@ -79,28 +63,19 @@ def _forged_registers(d: int, n: int) -> dict[int, QuditRegister]:
     return {}
 
 
-def eve_intercept_resend(particles, rng: np.random.Generator) -> list[QuditRegister]:
+def eve_intercept_resend(particles, decoys: np.ndarray, rng: np.random.Generator):
     """Measure every in-transit particle in a uniformly random basis.
 
-    particles is a sequence of (register, qudit) pairs; payload particles
-    that are still entangled with the rest of a round are addressed by
-    their qudit inside the shared register. The post-measurement register
-    is returned in input order, which is exactly what a resent particle
-    looks like to the receiver: the measured factor is the basis state
-    Eve observed.
+    particles is a sequence of (register, qudit) pairs: payload particles
+    still entangled with the rest of a round, addressed by their qudit
+    inside the shared register. decoys is the (N, d) array of decoy rows
+    sent after them. Returns (registers, rows): the post-measurement
+    registers in input order and the measured decoy rows, which is
+    exactly what resent particles look like to the receiver, the measured
+    factor being the basis state Eve observed.
     """
-    out, lone = [], []
-    for reg, q in particles:
-        v2 = int(rng.integers(2)) == 1
-        if reg.k == 1 and q == 0:
-            # take the uniform measure would take here; measured together below
-            lone.append((len(out), v2, rng.random()))
-            out.append(reg)
-        else:
-            out.append(measure(reg, q, BasisKind.V2 if v2 else BasisKind.V1, rng).posterior)
-    if lone:
-        index, v2, u = (np.array(col) for col in zip(*lone))
-        _, rows = measure_rows(np.stack([out[j].amplitudes for j in index]), v2, u)
-        for j, row in zip(index, rows):
-            out[j] = QuditRegister._trusted(out[j].d, 1, row)
-    return out
+    registers = [measure(reg, q, BasisKind.V2 if rng.integers(2) else BasisKind.V1, rng)[1]
+                 for reg, q in particles]
+    # per decoy, a basis bit and then the uniform measure would take
+    draws = np.array([(rng.integers(2), rng.random()) for _ in range(len(decoys))]).reshape(-1, 2)
+    return registers, measure_rows(decoys, draws[:, 0] == 1, draws[:, 1])[1]

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adversary import IqftAttackPlan, eve_intercept_resend, fabricate_rounds, recover_secret_digit
+from .adversary import eve_intercept_resend, fabricate_rounds, recover_secret_digit
 from .adversary import _forged_registers
 from .protocol import (
     ProtocolConfig,
@@ -241,14 +241,13 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
         raise ValueError(f"got {len(rounds)} rounds, need m+eta={total}")
     receivers = range(2, cfg.n + 1)
 
-    decoy_regs, decoy_recs = insert_decoys(cfg, rng, payload_len=total)
+    decoys, expected = insert_decoys(cfg, rng, payload_len=total)
     if eve:
         for i in receivers:
             particles = [(state.register, state.owners.index(i)) for state in rounds]
-            resent = eve_intercept_resend(particles + [(reg, 0) for reg in decoy_regs[i]], rng)
+            resent, decoys[i] = eve_intercept_resend(particles, decoys[i], rng)
             rounds = [replace(state, register=reg) for state, reg in zip(rounds, resent)]
-            decoy_regs[i] = resent[total:]
-    mismatches = {i: check_decoys(decoy_recs[i], decoy_regs[i], rng) for i in receivers}
+    mismatches = {i: check_decoys(expected[i], decoys[i], rng) for i in receivers}
     if any(_decoy_rate(c, cfg.decoy_count) > cfg.error_threshold for c in mismatches.values()):
         return RunResult(mismatches, aborted=True)
 
@@ -327,10 +326,11 @@ def _trial_secrets(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[Secre
     return tuple(SecretString.random(p.d, p.m, rng) for _ in range(p.n))
 
 
-def _trial_plan(cfg: ScenarioConfig, rounds: int, rng: np.random.Generator) -> IqftAttackPlan:
+def _trial_plan(cfg: ScenarioConfig, rounds: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """The forging dealer's fabrication value r for each round."""
     if cfg.fake_r is not None:
-        return IqftAttackPlan((cfg.fake_r,) * rounds)
-    return IqftAttackPlan.uniform(cfg.protocol.d, rounds, rng)
+        return (cfg.fake_r,) * rounds
+    return tuple(int(x) for x in rng.integers(0, cfg.protocol.d, size=rounds))
 
 
 def _secrets_list(secrets) -> list[list[int]]:
@@ -360,7 +360,7 @@ _FIELDS = {
     "sum_correct": lambda p, s, plan, r: (
         None if r.sum_digits is None
         else list(r.sum_digits) == compute_sum([x.digits for x in s], p.d)),
-    "fake_r": lambda p, s, plan, r: list(plan.r_choices),
+    "fake_r": lambda p, s, plan, r: list(plan),
     "announced": lambda p, s, plan, r: _rows(r.results, p.n),
     "announced_sum": lambda p, s, plan, r: list(r.sum_digits),
     "recovered": lambda p, s, plan, r: _rows(r.recovered, p.n),

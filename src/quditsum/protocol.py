@@ -23,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 
 from .qudit import (
-    BasisKind,
     QuditRegister,
     _check_cap,
     _qft_matrix,
@@ -77,15 +76,6 @@ class SecretString:
     @classmethod
     def random(cls, d: int, m: int, rng: np.random.Generator) -> "SecretString":
         return cls(tuple(int(x) for x in rng.integers(0, d, size=m)))
-
-
-@dataclass(frozen=True)
-class DecoyRecord:
-    """Preparation record of one decoy: where it sits and what it should read."""
-
-    position: int
-    basis: BasisKind
-    value: int
 
 
 @dataclass(frozen=True)
@@ -146,52 +136,42 @@ def insert_decoys(cfg: ProtocolConfig, rng: np.random.Generator, payload_len: in
     """Draw the decoys guarding each transmitted sequence.
 
     Every decoy carries a uniform value prepared in a uniform basis,
-    either |r> or QFT|r>. Positions index the interleaved sequence of
-    payload plus decoys and are drawn without replacement, so the decoys
-    sit at uniformly random slots among the payload particles.
-
-    Returns ({recipient: [register, ...]}, {recipient: [DecoyRecord, ...]})
-    for recipients 2..n, both lists ordered by position.
+    either |r> or QFT|r>. Returns ({recipient: rows}, {recipient:
+    (values, v2)}) for recipients 2..n: rows is the (decoy_count, d)
+    array of decoy states, values what each should read and v2 marks
+    those prepared in the Fourier basis.
     """
     payload = cfg.m if payload_len is None else payload_len
-    seq_len = payload + cfg.decoy_count
     d, count = cfg.d, cfg.decoy_count
-    registers: dict[int, list[QuditRegister]] = {}
-    records: dict[int, list[DecoyRecord]] = {}
+    decoys, expected = {}, {}
     for i in range(2, cfg.n + 1):
-        positions = sorted(int(x) for x in rng.choice(seq_len, size=count, replace=False))
+        # the slots among the payload are never read; drawing them keeps every trial's stream
+        rng.choice(payload + count, size=count, replace=False)
         # value and basis bit of each decoy in turn, one draw per entry
         draws = rng.integers(0, np.tile([d, 2], count))
         values, v2 = draws[0::2], draws[1::2] == 1
         rows = np.zeros((count, d), dtype=np.complex128)
         rows[np.arange(count), values] = 1.0
         rows[v2] = _qft_matrix(d).T[values[v2]]
-        registers[i] = [QuditRegister._trusted(d, 1, row) for row in rows]
-        records[i] = [DecoyRecord(pos, BasisKind.V2 if b else BasisKind.V1, int(x))
-                      for pos, x, b in zip(positions, values, v2)]
-    return registers, records
+        decoys[i], expected[i] = rows, (values, v2)
+    return decoys, expected
 
 
-def check_decoys(records, received, rng: np.random.Generator) -> int:
-    """Measure each received decoy in its preparation basis.
+def check_decoys(expected, rows: np.ndarray, rng: np.random.Generator) -> int:
+    """Measure each received decoy row in its preparation basis.
 
-    Returns the number of mismatches against the recorded values. 0
-    exactly when the channel was untouched, since both |r> and QFT|r>
-    are eigenstates of their own measurement. All decoys are measured
-    as one array, against one uniform each in record order.
+    expected is the (values, v2) pair insert_decoys recorded. Returns the
+    number of mismatches: 0 exactly when the channel was untouched, since
+    both |r> and QFT|r> are eigenstates of their own measurement. All
+    decoys are measured as one array, against one uniform each in order.
     """
-    if len(records) != len(received):
-        raise ValueError(
-            f"got {len(received)} decoy registers for {len(records)} records"
-        )
-    if not records:
-        return 0
-    if any(reg.k != 1 for reg in received):
-        raise ValueError("every decoy is a single qudit")
-    u = rng.random(len(records))
-    v2 = np.array([rec.basis is BasisKind.V2 for rec in records])
-    values, _ = measure_rows(np.stack([reg.amplitudes for reg in received]), v2, u)
-    return int(np.count_nonzero(values != [rec.value for rec in records]))
+    values, v2 = expected
+    if np.ndim(rows) != 2:
+        raise ValueError(f"decoys must be an (N, d) array of rows, got shape {np.shape(rows)}")
+    if len(rows) != len(values):
+        raise ValueError(f"got {len(rows)} decoy rows for {len(values)} expected values")
+    measured, _ = measure_rows(rows, v2, rng.random(len(values)))
+    return int(np.count_nonzero(measured != values))
 
 
 def encode_and_measure(state: RoundState, participant: int, digit: int, rng: np.random.Generator):

@@ -71,7 +71,7 @@ class QuditRegister:
                 f"amplitude vector has length {amp.size}, expected {self.d}**{self.k}"
             )
         norm_sq = float(np.sum(np.abs(amp) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN counts as bad
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
         self.amplitudes = amp
 
@@ -98,14 +98,6 @@ class QuditRegister:
 
     def __repr__(self) -> str:  # amplitudes are too long to echo
         return f"QuditRegister(d={self.d}, k={self.k})"
-
-
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    """Sampled value of one qudit together with the collapsed register."""
-
-    value: int
-    posterior: QuditRegister
 
 
 def _check_cap(d: int, k: int) -> None:
@@ -238,19 +230,22 @@ def outcome_distribution(reg: QuditRegister, target: int, basis: BasisKind) -> n
     return np.einsum("adb,adb->d", f, f)
 
 
-def measure(reg: QuditRegister, target: int, basis: BasisKind, rng: np.random.Generator) -> MeasurementOutcome:
-    """Projective measurement of one qudit in the given basis.
+def measure(reg: QuditRegister, target: int, basis: BasisKind,
+            rng: np.random.Generator) -> tuple[int, QuditRegister]:
+    """Projective measurement of one qudit in the given basis: (value, collapsed register).
 
-    V1 samples the computational digit of the target and collapses it.
-    V2 samples the digit of the inverse-rotated target; the posterior is
-    the kept slice with QFT|value> as the target factor.
+    V1 samples the computational digit of the target and zeroes every
+    other digit. V2 samples the digit of the inverse-rotated target; the
+    posterior is the kept slice with QFT|value> as the target factor.
     """
     if basis is BasisKind.V2:
         value, kept = _collapse(apply_iqft(reg, target), target, rng)
         posterior = kept[:, None, :] * _qft_matrix(reg.d)[:, value][None, :, None]
-        return MeasurementOutcome(value, QuditRegister._trusted(reg.d, reg.k, posterior.reshape(-1)))
-    value, posterior = _measure_computational(reg, target, rng)
-    return MeasurementOutcome(value, posterior)
+    else:
+        value, kept = _collapse(reg, target, rng)
+        posterior = np.zeros((kept.shape[0], reg.d, kept.shape[1]), dtype=np.complex128)
+        posterior[:, value, :] = kept
+    return value, QuditRegister._trusted(reg.d, reg.k, posterior.reshape(-1))
 
 
 def measure_out(reg: QuditRegister, target: int, rng: np.random.Generator) -> tuple[int, QuditRegister]:
@@ -280,13 +275,6 @@ def _collapse(reg: QuditRegister, target: int, rng: np.random.Generator) -> tupl
     a, b = _split(reg, target)
     kept = reg.amplitudes.reshape(a, reg.d, b)[:, value, :]
     return value, kept / np.linalg.norm(kept)
-
-
-def _measure_computational(reg: QuditRegister, target: int, rng: np.random.Generator):
-    value, kept = _collapse(reg, target, rng)
-    collapsed = np.zeros((kept.shape[0], reg.d, kept.shape[1]), dtype=np.complex128)
-    collapsed[:, value, :] = kept
-    return value, QuditRegister._trusted(reg.d, reg.k, collapsed.reshape(-1))
 
 
 def measure_rows(rows: np.ndarray, v2: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

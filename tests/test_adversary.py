@@ -8,8 +8,8 @@ from conftest import assert_within_4sigma
 
 from quditsum import (
     BasisKind,
-    IqftAttackPlan,
     ProtocolConfig,
+    QuditRegister,
     SecretString,
     apply_iqft,
     apply_qft,
@@ -33,9 +33,14 @@ def _secrets(rows):
     return tuple(SecretString(tuple(r)) for r in rows)
 
 
-def _attack(cfg, secrets, plan, rng):
+def _attack(cfg, secrets, r_choices, rng):
     """The forging dealer against the original protocol."""
-    return run_protocol(cfg, 0, secrets, fabricate_rounds(cfg, plan), rng)
+    return run_protocol(cfg, 0, secrets, fabricate_rounds(cfg, r_choices), rng)
+
+
+def _uniform_r(d, rounds, rng):
+    """The forging dealer's fabrication values, drawn as the harness draws them."""
+    return tuple(int(x) for x in rng.integers(0, d, size=rounds))
 
 
 def _stolen_all(result, secrets):
@@ -87,7 +92,7 @@ def test_recover_secret_digit_validation():
 def test_attack_worked_example():
     cfg = ProtocolConfig(d=10, n=3, m=1)
     secrets = _secrets([[4], [5], [6]])
-    result = _attack(cfg, secrets, IqftAttackPlan((2,)), np.random.default_rng(0))
+    result = _attack(cfg, secrets, (2,), np.random.default_rng(0))
     assert {i: result.results[i] for i in (2, 3)} == {2: (7,), 3: (8,)}
     assert result.recovered == {2: (5,), 3: (6,)}
     assert _stolen_all(result, secrets)
@@ -102,7 +107,7 @@ def test_attack_steals_every_secret_and_stays_stealthy():
         cfg = ProtocolConfig(d=d, n=n, m=m, decoy_count=8)
         for _ in range(25):
             secrets = tuple(SecretString.random(d, m, rng) for _ in range(n))
-            result = _attack(cfg, secrets, IqftAttackPlan.uniform(d, m, rng), rng)
+            result = _attack(cfg, secrets, _uniform_r(d, m, rng), rng)
             assert _stolen_all(result, secrets)
             for i in range(2, n + 1):
                 assert result.recovered[i] == tuple(secrets[i - 1].digits)
@@ -114,14 +119,14 @@ def test_attack_publishes_correct_sum_when_stealthy():
     rng = np.random.default_rng(5)
     for _ in range(10):
         secrets = tuple(SecretString.random(7, 4, rng) for _ in range(3))
-        result = _attack(cfg, secrets, IqftAttackPlan.uniform(7, 4, rng), rng)
+        result = _attack(cfg, secrets, _uniform_r(7, 4, rng), rng)
         assert list(result.sum_digits) == compute_sum([s.digits for s in secrets], 7)
 
 
 def test_attack_plan_must_cover_every_round():
     cfg = ProtocolConfig(d=5, n=3, m=3)
     with pytest.raises(ValueError):
-        _attack(cfg, _secrets([[1] * 3] * 3), IqftAttackPlan((1,)), np.random.default_rng(0))
+        _attack(cfg, _secrets([[1] * 3] * 3), (1,), np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +169,10 @@ def test_exact_eve_error_rate_oracle(d, expected):
 def test_eve_intercept_resend_returns_basis_states():
     rng = np.random.default_rng(8)
     regs = [basis_state(5, [int(rng.integers(5))]) for _ in range(30)]
-    resent = eve_intercept_resend([(r, 0) for r in regs], rng)
-    assert len(resent) == 30
-    for reg in resent:
+    rows = np.array([r.amplitudes for r in regs[10:]])
+    resent, resent_rows = eve_intercept_resend([(r, 0) for r in regs[:10]], rows, rng)
+    assert len(resent) == 10 and resent_rows.shape == (20, 5)
+    for reg in resent + [QuditRegister(5, 1, row) for row in resent_rows]:
         # each resent particle is |v> or QFT|v> for some v
         v1_probs = outcome_distribution(reg, 0, V1)
         v2_probs = outcome_distribution(reg, 0, V2)
@@ -180,9 +186,9 @@ def test_eve_disturbance_matches_oracle(d):
     mismatches = 0
     checked = 0
     for _ in range(60):
-        regs, recs = insert_decoys(cfg, rng)
-        resent = eve_intercept_resend([(r, 0) for r in regs[2]], rng)
-        mismatches += check_decoys(recs[2], resent, rng)
+        rows, expected = insert_decoys(cfg, rng)
+        _, resent = eve_intercept_resend([], rows[2], rng)
+        mismatches += check_decoys(expected[2], resent, rng)
         checked += cfg.decoy_count
     assert_within_4sigma(mismatches / checked, 0.5 * (1 - 1 / d), checked)
 
@@ -192,7 +198,7 @@ def test_eve_disturbance_matches_oracle(d):
 def test_fabricate_rounds_share_one_register_per_fabrication_value(d, n):
     cfg = ProtocolConfig(d=d, n=n, m=1)
     r_choices = tuple(int(x) for x in np.random.default_rng(d * n).integers(0, d, size=3 * d))
-    rounds = fabricate_rounds(cfg, IqftAttackPlan(r_choices))
+    rounds = fabricate_rounds(cfg, r_choices)
     assert [state.r for state in rounds] == list(r_choices)
     for j, (state, r) in enumerate(zip(rounds, r_choices)):
         expected = reduce(np.kron, [fake_particle(d, r).amplitudes] * (n - 1))

@@ -1,10 +1,10 @@
 """The fast paths against the reference computations they replace.
 
-Decoys and the particles Eve intercepts are measured as one array, with
-one uniform per particle drawn in the order the per-particle loop would
-draw it. These tests reproduce those loops and require identical
-outcomes, records and final generator state, and posteriors equal up to
-global phase. The dense kernels (one matmul per unitary, the marginal
+Each receiver's decoys are one array of rows from preparation through
+Eve to the check, measured with one uniform per decoy drawn in the
+order the per-particle loop would draw it. These tests reproduce those
+loops and require identical outcomes, expected values and final
+generator state, and posteriors equal up to global phase. The dense kernels (one matmul per unitary, the marginal
 and the slice-only collapse of a measurement, the fused encoding
 unitary, checks without the cancelling rotation pair) are pinned to the
 axis-permuting references the same way. So are the measurements that
@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from quditsum import (
     BasisKind,
-    IqftAttackPlan,
     ProtocolConfig,
     QuditRegister,
     ScenarioConfig,
@@ -44,12 +43,11 @@ from quditsum import (
     run_scenario,
 )
 from quditsum.adversary import fabricate_rounds, fake_particle
-from quditsum.protocol import DecoyRecord, encode_rounds
+from quditsum.protocol import encode_rounds
 from quditsum.qudit import (
     _apply_single,
     _encode_matrix,
     _iqft_matrix,
-    _measure_computational,
     apply_encode,
     measure_out,
     measure_rows,
@@ -64,28 +62,27 @@ def _basis(bit) -> BasisKind:
 
 
 def _reference_insert_decoys(cfg, rng, payload_len):
-    """One decoy at a time: value draw, basis draw, register."""
-    seq_len = payload_len + cfg.decoy_count
+    """One decoy at a time after the slot draw: value draw, basis draw, register."""
     registers, records = {}, {}
     for i in range(2, cfg.n + 1):
-        positions = sorted(int(x) for x in rng.choice(seq_len, size=cfg.decoy_count, replace=False))
+        rng.choice(payload_len + cfg.decoy_count, size=cfg.decoy_count, replace=False)
         registers[i], records[i] = [], []
-        for pos in positions:
+        for _ in range(cfg.decoy_count):
             value = int(rng.integers(cfg.d))
             basis = _basis(int(rng.integers(2)))
             reg = basis_state(cfg.d, [value])
             registers[i].append(apply_qft(reg, 0) if basis is V2 else reg)
-            records[i].append(DecoyRecord(pos, basis, value))
+            records[i].append((value, basis))
     return registers, records
 
 
 def _reference_check_decoys(records, received, rng):
-    return sum(measure(reg, 0, rec.basis, rng).value != rec.value
-               for rec, reg in zip(records, received))
+    return sum(measure(reg, 0, basis, rng)[0] != value
+               for (value, basis), reg in zip(records, received))
 
 
 def _reference_eve(particles, rng):
-    return [measure(reg, q, _basis(int(rng.integers(2))), rng).posterior for reg, q in particles]
+    return [measure(reg, q, _basis(int(rng.integers(2))), rng)[1] for reg, q in particles]
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,9 +96,9 @@ def test_measure_rows_matches_measure_loop(d, count, seed):
     expected = [measure(reg, 0, _basis(b), ref) for reg, b in zip(regs, v2)]
     rows = np.array([reg.amplitudes for reg in regs], dtype=np.complex128).reshape(count, d)
     values, posterior = measure_rows(rows, v2, fast.random(count))
-    assert values.tolist() == [out.value for out in expected]
-    for row, out in zip(posterior, expected):
-        assert approx_equal(QuditRegister(d, 1, row), out.posterior)
+    assert values.tolist() == [value for value, _ in expected]
+    for row, (_, reg) in zip(posterior, expected):
+        assert approx_equal(QuditRegister(d, 1, row), reg)
     assert fast.bit_generator.state == ref.bit_generator.state
 
 
@@ -113,7 +110,7 @@ def test_measure_draws_what_generator_choice_draws(d):
         reg = random_register(d, 2, gen)
         target, basis = int(gen.integers(2)), _basis(int(gen.integers(2)))
         probs = outcome_distribution(reg, target, basis)
-        assert measure(reg, target, basis, fast).value == int(ref.choice(d, p=probs / probs.sum()))
+        assert measure(reg, target, basis, fast)[0] == int(ref.choice(d, p=probs / probs.sum()))
     assert fast.bit_generator.state == ref.bit_generator.state
 
 
@@ -123,19 +120,22 @@ def test_decoys_match_scalar_loops(d, n, count, eve):
     cfg = ProtocolConfig(d=d, n=n, m=2, decoy_count=count)
     ref, fast = np.random.default_rng(31 * d + n), np.random.default_rng(31 * d + n)
     ref_regs, ref_recs = _reference_insert_decoys(cfg, ref, payload_len=5)
-    regs, recs = insert_decoys(cfg, fast, payload_len=5)
-    assert recs == ref_recs
-    for i in recs:
-        for a, b in zip(regs[i], ref_regs[i]):
-            assert np.array_equal(a.amplitudes, b.amplitudes)
+    rows, expected = insert_decoys(cfg, fast, payload_len=5)
+    assert sorted(rows) == sorted(expected) == sorted(ref_recs)
+    for i in expected:
+        values, v2 = expected[i]
+        assert rows[i].shape == (count, d)
+        assert list(zip(values.tolist(), map(_basis, v2))) == ref_recs[i]
+        assert np.array_equal(rows[i], np.array([r.amplitudes for r in ref_regs[i]]).reshape(count, d))
     assert fast.bit_generator.state == ref.bit_generator.state
     if eve:
-        for i in recs:
+        for i in expected:
             ref_regs[i] = _reference_eve([(r, 0) for r in ref_regs[i]], ref)
-            regs[i] = eve_intercept_resend([(r, 0) for r in regs[i]], fast)
-            assert all(approx_equal(a, b) for a, b in zip(regs[i], ref_regs[i]))
-    counts = [check_decoys(recs[i], regs[i], fast) for i in sorted(recs)]
-    assert counts == [_reference_check_decoys(ref_recs[i], ref_regs[i], ref) for i in sorted(recs)]
+            resent, rows[i] = eve_intercept_resend([], rows[i], fast)
+            assert resent == [] and rows[i].shape == (count, d)
+            assert all(approx_equal(QuditRegister(d, 1, a), b) for a, b in zip(rows[i], ref_regs[i]))
+    counts = [check_decoys(expected[i], rows[i], fast) for i in sorted(expected)]
+    assert counts == [_reference_check_decoys(ref_recs[i], ref_regs[i], ref) for i in sorted(expected)]
     assert fast.bit_generator.state == ref.bit_generator.state
     if eve and count >= 40:
         assert sum(counts) > 0
@@ -144,18 +144,18 @@ def test_decoys_match_scalar_loops(d, n, count, eve):
 def test_eve_on_payload_and_lone_decoys_matches_reference():
     gen = np.random.default_rng(5)
     payload = omega_state(5, 3)
-    particles = []
-    for j in range(12):
-        if j % 4 == 0:
-            particles.append((payload, j % 3))
-        else:
-            particles.append((random_register(5, 1, gen), 0))
-    ref, fast = np.random.default_rng(9), np.random.default_rng(9)
-    expected = _reference_eve(particles, ref)
-    resent = eve_intercept_resend(particles, fast)
-    assert [(r.d, r.k) for r in resent] == [(r.d, r.k) for r in expected]
-    assert all(approx_equal(a, b) for a, b in zip(resent, expected))
-    assert fast.bit_generator.state == ref.bit_generator.state
+    particles = [(payload, q) for q in (0, 1, 2, 1)]
+    for count in (0, 8):
+        decoys = [random_register(5, 1, gen) for _ in range(count)]
+        ref, fast = np.random.default_rng(9 + count), np.random.default_rng(9 + count)
+        expected = _reference_eve(particles + [(reg, 0) for reg in decoys], ref)
+        rows = np.array([reg.amplitudes for reg in decoys], dtype=np.complex128).reshape(count, 5)
+        resent, resent_rows = eve_intercept_resend(particles, rows, fast)
+        assert [(r.d, r.k) for r in resent] == [(r.d, r.k) for r in expected[:4]]
+        assert all(approx_equal(a, b) for a, b in zip(resent, expected[:4]))
+        assert resent_rows.shape == (count, 5)
+        assert all(approx_equal(QuditRegister(5, 1, a), b) for a, b in zip(resent_rows, expected[4:]))
+        assert fast.bit_generator.state == ref.bit_generator.state
 
 
 def test_measurement_checks_the_norm_of_trusted_registers():
@@ -227,7 +227,7 @@ def test_measure_computational_matches_zero_fill_reference(d, k):
         sel = (slice(None),) * target + (expected,)
         collapsed[sel] = psi[sel]
         collapsed = collapsed.reshape(-1) / np.linalg.norm(collapsed)
-        value, posterior = _measure_computational(reg, target, fast)
+        value, posterior = measure(reg, target, V1, fast)
         assert value == expected
         assert approx_equal(posterior, QuditRegister(d, k, collapsed))
         assert fast.bit_generator.state == ref.bit_generator.state
@@ -242,9 +242,8 @@ def _reference_check(state, assignment, rng):
     reg = state.register
     for participant in sorted(state.owners):
         q = state.owners.index(participant)
-        out = measure(apply_qft(reg, q), q, basis, rng)
-        values.append(out.value)
-        reg = out.posterior
+        value, reg = measure(apply_qft(reg, q), q, basis, rng)
+        values.append(value)
     return tuple(values), v1_pass(values, d) if basis is V1 else v2_pass(values)
 
 
@@ -254,7 +253,7 @@ def test_execute_check_matches_rotate_then_measure_reference(forged, basis):
     cfg = ProtocolConfig(d=5, n=3, m=1)
     genuine = prepare_rounds(cfg)[0]
     for seed in range(200):
-        state = fabricate_rounds(cfg, IqftAttackPlan((seed % 5,)))[0] if forged else genuine
+        state = fabricate_rounds(cfg, (seed % 5,))[0] if forged else genuine
         assignment = CheckAssignment(2, 0, basis)
         ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
         outcome = execute_check(state, assignment, fast)
@@ -306,12 +305,12 @@ def test_measure_out_matches_measure_v1(d, k, seed):
     reg = random_register(d, k, np.random.default_rng(seed))
     for target in range(k):
         ref, fast = np.random.default_rng(seed + target), np.random.default_rng(seed + target)
-        expected = measure(reg, target, V1, ref)
+        expected, posterior = measure(reg, target, V1, ref)
         value, rest = measure_out(reg, target, fast)
-        assert value == expected.value
+        assert value == expected
         assert fast.bit_generator.state == ref.bit_generator.state
         assert (rest.d, rest.k) == (d, k - 1)
-        kept = _kept_slice(expected.posterior, target, value)
+        kept = _kept_slice(posterior, target, value)
         assert np.max(np.abs(rest.amplitudes - kept)) <= 1e-13
         if k == 1:
             assert rest.amplitudes.shape == (1,)
@@ -336,12 +335,12 @@ def test_measure_v2_matches_rotate_measure_rotate_back(d, k, seed):
     reg = random_register(d, k, np.random.default_rng(seed))
     for target in range(k):
         ref, fast = np.random.default_rng(seed + target), np.random.default_rng(seed + target)
-        value, collapsed = _measure_computational(apply_iqft(reg, target), target, ref)
-        out = measure(reg, target, V2, fast)
-        assert out.value == value
+        value, collapsed = measure(apply_iqft(reg, target), target, V1, ref)
+        got, posterior = measure(reg, target, V2, fast)
+        assert got == value
         assert fast.bit_generator.state == ref.bit_generator.state
         expected = apply_qft(collapsed, target).amplitudes
-        assert np.max(np.abs(out.posterior.amplitudes - expected)) <= 1e-13
+        assert np.max(np.abs(posterior.amplitudes - expected)) <= 1e-13
 
 
 def _reference_encode_rounds(rounds, secrets, rng):
@@ -351,7 +350,7 @@ def _reference_encode_rounds(rounds, secrets, rng):
         reg = state.register
         for i in sorted(state.owners):
             q = state.owners.index(i)
-            value, reg = _measure_computational(apply_encode(reg, q, secrets[i - 1].digits[j]), q, rng)
+            value, reg = measure(apply_encode(reg, q, secrets[i - 1].digits[j]), q, V1, rng)
             results.setdefault(i, []).append(value)
     return results
 
@@ -367,7 +366,7 @@ def _reference_full_check(state, assignment, rng):
         q = state.owners.index(participant)
         if basis is V1:
             reg = apply_qft(reg, q)
-        value, reg = _measure_computational(reg, q, rng)
+        value, reg = measure(reg, q, V1, rng)
         values.append(value)
     return tuple(values), v1_pass(values, d) if basis is V1 else v2_pass(values)
 
@@ -377,8 +376,8 @@ def test_shrinking_chains_match_full_register_reference(forged):
     cfg = ProtocolConfig(d=5, n=4, m=2)
     gen = np.random.default_rng(17)
     for seed in range(200):
-        plan = IqftAttackPlan(tuple(int(x) for x in gen.integers(0, 5, size=2)))
-        rounds = fabricate_rounds(cfg, plan) if forged else prepare_rounds(cfg)
+        r_choices = tuple(int(x) for x in gen.integers(0, 5, size=2))
+        rounds = fabricate_rounds(cfg, r_choices) if forged else prepare_rounds(cfg)
         secrets = [SecretString.random(5, 2, gen) for _ in range(cfg.n)]
         ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
         assert encode_rounds(rounds, secrets, fast) == _reference_encode_rounds(rounds, secrets, ref)
@@ -392,7 +391,7 @@ def test_shrinking_chains_match_full_register_reference(forged):
 @pytest.mark.parametrize("forged", [False, True])
 def test_encode_and_measure_drops_each_qudit(forged):
     cfg = ProtocolConfig(d=3, n=4, m=1)
-    state = fabricate_rounds(cfg, IqftAttackPlan((2,)))[0] if forged else prepare_rounds(cfg)[0]
+    state = fabricate_rounds(cfg, (2,))[0] if forged else prepare_rounds(cfg)[0]
     rng = np.random.default_rng(3)
     owners = list(state.owners)
     while owners:
@@ -425,8 +424,8 @@ def test_prepare_rounds_shares_one_register_per_size():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_forged_registers_are_shared_across_calls(d, n):
     cfg = ProtocolConfig(d=d, n=n, m=3)
-    first = fabricate_rounds(cfg, IqftAttackPlan((0, d - 1, 0)))
-    second = fabricate_rounds(cfg, IqftAttackPlan((d - 1, 1 % d, 0)))
+    first = fabricate_rounds(cfg, (0, d - 1, 0))
+    second = fabricate_rounds(cfg, (d - 1, 1 % d, 0))
     registers = {state.r: state.register for state in first}
     for state in second:
         if state.r in registers:
@@ -439,7 +438,7 @@ def test_forged_registers_are_shared_across_calls(d, n):
 def test_scenario_run_releases_the_registers_its_trials_shared():
     cfg = ProtocolConfig(d=3, n=3, m=2, decoy_count=2)
     genuine = prepare_rounds(cfg)[0].register
-    forged = fabricate_rounds(cfg, IqftAttackPlan((1, 1)))[0].register
+    forged = fabricate_rounds(cfg, (1, 1))[0].register
     run_scenario(ScenarioConfig(scenario="honest", protocol=cfg, trials=2))
     assert prepare_rounds(cfg)[0].register is not genuine
-    assert fabricate_rounds(cfg, IqftAttackPlan((1, 1)))[0].register is not forged
+    assert fabricate_rounds(cfg, (1, 1))[0].register is not forged

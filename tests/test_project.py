@@ -1,5 +1,7 @@
-"""The README and pyproject.toml agree with the package they describe."""
+"""The README and pyproject.toml agree with the package they describe,
+and the package modules import nothing they leave unused."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,26 @@ def test_pyproject_version_is_the_package_version():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project["version"] == quditsum.__version__ == TOOL_VERSION
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; `from __future__` is exempt."""
+    tree = ast.parse(source)
+    imported = [(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+                for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_unused_import_finder_sees_unused_names():
+    source = "import os\nimport numpy as np\nfrom a.b import c, e\nfrom __future__ import annotations\nnp.x(c)\n"
+    assert _unused_imports(source) == ["os", "e"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "quditsum").glob("*.py")
+                                         if p.name != "__init__.py"))
+def test_module_uses_every_name_it_imports(module):
+    assert _unused_imports((ROOT / "src" / "quditsum" / module).read_text()) == []

@@ -6,6 +6,7 @@ import pytest
 from quditsum import (
     BasisKind,
     ProtocolConfig,
+    QuditRegister,
     SecretString,
     apply_qft,
     approx_equal,
@@ -80,51 +81,54 @@ def test_prepare_rounds_count_override():
 def test_insert_decoys_shapes_and_records():
     cfg = ProtocolConfig(d=7, n=4, m=5, decoy_count=12)
     rng = np.random.default_rng(42)
-    regs, recs = insert_decoys(cfg, rng)
-    assert set(regs) == {2, 3, 4}
+    rows, expected = insert_decoys(cfg, rng)
+    assert set(rows) == set(expected) == {2, 3, 4}
     for i in (2, 3, 4):
-        assert len(regs[i]) == 12
-        positions = [r.position for r in recs[i]]
-        assert positions == sorted(positions)
-        assert len(set(positions)) == 12
-        assert all(0 <= p < 5 + 12 for p in positions)
-        for rec, reg in zip(recs[i], regs[i]):
-            assert 0 <= rec.value < 7
-            expected = basis_state(7, [rec.value])
-            if rec.basis is BasisKind.V2:
-                expected = apply_qft(expected, 0)
-            assert approx_equal(reg, expected)
+        values, v2 = expected[i]
+        assert rows[i].shape == (12, 7) and values.shape == v2.shape == (12,)
+        for row, value, fourier in zip(rows[i], values, v2):
+            assert 0 <= value < 7
+            state = basis_state(7, [int(value)])
+            if fourier:
+                state = apply_qft(state, 0)
+            assert approx_equal(QuditRegister(7, 1, row), state)
 
 
 def test_insert_decoys_uses_both_bases():
     cfg = ProtocolConfig(d=2, n=2, m=1, decoy_count=40)
-    _, recs = insert_decoys(cfg, np.random.default_rng(1))
-    bases = {r.basis for r in recs[2]}
-    assert bases == {BasisKind.V1, BasisKind.V2}
+    _, expected = insert_decoys(cfg, np.random.default_rng(1))
+    _, v2 = expected[2]
+    assert v2.any() and not v2.all()
 
 
 def test_zero_decoys_allowed():
     cfg = ProtocolConfig(d=5, n=3, m=1, decoy_count=0)
-    regs, recs = insert_decoys(cfg, np.random.default_rng(0))
-    assert regs[2] == [] and recs[3] == []
-    assert check_decoys(recs[2], regs[2], np.random.default_rng(0)) == 0
+    rows, expected = insert_decoys(cfg, np.random.default_rng(0))
+    assert rows[2].shape == (0, 5) and len(expected[3][0]) == 0
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert check_decoys(expected[2], rows[2], rng) == 0
+    assert rng.bit_generator.state == before
 
 
 def test_check_decoys_clean_channel_is_exactly_zero():
     cfg = ProtocolConfig(d=10, n=3, m=4, decoy_count=20)
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        regs, recs = insert_decoys(cfg, rng)
+        rows, expected = insert_decoys(cfg, rng)
         for i in (2, 3):
-            assert check_decoys(recs[i], regs[i], rng) == 0
+            assert check_decoys(expected[i], rows[i], rng) == 0
 
 
 def test_check_decoys_rejects_length_mismatch():
     cfg = ProtocolConfig(d=5, n=2, m=1, decoy_count=3)
     rng = np.random.default_rng(0)
-    regs, recs = insert_decoys(cfg, rng)
-    with pytest.raises(ValueError):
-        check_decoys(recs[2], regs[2][:-1], rng)
+    rows, expected = insert_decoys(cfg, rng)
+    with pytest.raises(ValueError, match="3 expected"):
+        check_decoys(expected[2], rows[2][:-1], rng)
+    for bad in (rows[2][0], rows[2][:, :, None]):
+        with pytest.raises(ValueError, match="array of rows"):
+            check_decoys(expected[2], bad, rng)
 
 
 # ---------------------------------------------------------------------------

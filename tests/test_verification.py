@@ -8,7 +8,6 @@ from conftest import assert_within_4sigma
 
 from quditsum import (
     BasisKind,
-    IqftAttackPlan,
     ProtocolConfig,
     SecretString,
     compute_sum,
@@ -33,7 +32,7 @@ def _hardened(cfg, eta, secrets, rng, forged=False):
     """One hardened run, the dealer honest or forging every round."""
     total = cfg.m + eta
     if forged:
-        rounds = fabricate_rounds(cfg, IqftAttackPlan.uniform(cfg.d, total, rng))
+        rounds = fabricate_rounds(cfg, tuple(int(x) for x in rng.integers(0, cfg.d, size=total)))
     else:
         rounds = prepare_rounds(cfg, count=total)
     return run_protocol(cfg, eta, secrets, rounds, rng)
@@ -144,7 +143,7 @@ def test_adaptive_dealer_always_passes_v1():
     for d, n in [(2, 2), (5, 3), (10, 4)]:
         cfg = ProtocolConfig(d=d, n=n, m=1)
         for r in range(d):
-            fab = fabricate_rounds(cfg, IqftAttackPlan((r,)))[0]
+            fab = fabricate_rounds(cfg, (r,))[0]
             outcome = execute_check(fab, CheckAssignment(2, 0, V1), rng)
             assert outcome.passed
             assert outcome.announced[0] == (-(n - 1) * r) % d
@@ -159,7 +158,7 @@ def test_adaptive_dealer_v2_pass_rate_is_d_to_one_minus_n():
     rng = np.random.default_rng(55)
     passes = 0
     for _ in range(trials):
-        fab = fabricate_rounds(cfg, IqftAttackPlan((int(rng.integers(d)),)))[0]
+        fab = fabricate_rounds(cfg, (int(rng.integers(d)),))[0]
         outcome = execute_check(fab, CheckAssignment(2, 0, V2), rng)
         passes += outcome.passed
     assert_within_4sigma(passes / trials, d ** (1 - n), trials)
@@ -250,5 +249,5 @@ def test_modified_plan_length_must_cover_checks():
     # run_protocol rejects len(rounds) != m+eta
     cfg = ProtocolConfig(d=5, n=3, m=1)
     with pytest.raises(ValueError):
-        run_protocol(cfg, 4, _secrets([[1], [2], [3]]), fabricate_rounds(cfg, IqftAttackPlan((1,))),
+        run_protocol(cfg, 4, _secrets([[1], [2], [3]]), fabricate_rounds(cfg, (1,)),
                      np.random.default_rng(0))
