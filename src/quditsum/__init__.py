@@ -20,7 +20,6 @@ from .harness import (
 )
 from .protocol import (
     ProtocolConfig,
-    SecretString,
     check_decoys,
     compute_sum,
     encode_and_measure,

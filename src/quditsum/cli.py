@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from .harness import SCENARIOS, ScenarioConfig, run_scenario, write_report
-from .protocol import ProtocolConfig, SecretString
+from .protocol import ProtocolConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,30 +45,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_secrets(tokens: list[str], n: int) -> tuple[SecretString, ...]:
+def _parse_secrets(tokens: list[str], n: int) -> tuple[tuple[int, ...], ...]:
     if len(tokens) != n:
         raise ValueError(f"--secrets needs one digit list per participant (n={n}), got {len(tokens)}")
     secrets = []
     for tok in tokens:
         try:
-            digits = tuple(int(x) for x in tok.split(","))
+            secrets.append(tuple(int(x) for x in tok.split(",")))
         except ValueError:
             raise ValueError(f"--secrets entry {tok!r} is not a comma-separated digit list") from None
-        secrets.append(SecretString(digits))
     return tuple(secrets)
 
 
-def _print_summary(report) -> None:
-    print(f"scenario {report.scenario}: {report.params['trials']} trials "
-          f"in {report.duration_seconds:.2f}s")
-    for name, entry in report.aggregates.items():
+def _print_summary(report: dict) -> None:
+    aggregates = report["aggregates"]
+    print(f"scenario {report['scenario']}: {report['params']['trials']} trials "
+          f"in {report['duration_seconds']:.2f}s")
+    for name, entry in aggregates.items():
         if not isinstance(entry, dict):
             continue
         value = entry["value"]
         shown = "n/a" if value is None else f"{value:.6f}"
         print(f"  {name}: {shown} (oracle {entry['oracle']:.6f})")
-    if report.aggregates.get("flagged"):
-        print(f"  outside 4 sigma: {', '.join(report.aggregates['flagged'])}")
+    if aggregates["flagged"]:
+        print(f"  outside 4 sigma: {', '.join(aggregates['flagged'])}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -84,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         protocol = ProtocolConfig(d=args.d, n=args.n, m=args.m, decoy_count=args.decoys,
-                                  error_threshold=args.threshold, seed=args.seed)
+                                  error_threshold=args.threshold)
         secrets = _parse_secrets(args.secrets, args.n) if args.secrets else None
         cfg = ScenarioConfig(scenario=args.scenario, protocol=protocol, eta=args.eta,
                              trials=args.trials, master_seed=args.seed,

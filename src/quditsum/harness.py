@@ -32,7 +32,6 @@ from .adversary import eve_intercept_resend, fabricate_rounds, recover_secret_di
 from .adversary import _forged_registers
 from .protocol import (
     ProtocolConfig,
-    SecretString,
     _shared_register,
     check_decoys,
     compute_sum,
@@ -110,7 +109,7 @@ class ScenarioConfig:
     eta: int = 0
     trials: int = 1
     master_seed: int = 0
-    secrets: tuple[SecretString, ...] | None = None
+    secrets: tuple[tuple[int, ...], ...] | None = None
     fake_r: int | None = None
 
     def __post_init__(self) -> None:
@@ -122,39 +121,13 @@ class ScenarioConfig:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.master_seed < 2**64:
-            raise ValueError("master_seed must fit in 64 bits")
+            raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if self.secrets is not None:
             validate_secrets(self.protocol, self.secrets)
         if self.fake_r is not None and not SCENARIOS[self.scenario].forged:
             raise ValueError(f"fake_r applies only to a forging dealer, not to {self.scenario}")
         if self.fake_r is not None and not 0 <= self.fake_r < self.protocol.d:
             raise ValueError(f"fake_r {self.fake_r} out of range for d={self.protocol.d}")
-
-
-@dataclass
-class ReportDocument:
-    """In-memory form of one report file."""
-
-    scenario: str
-    params: dict
-    per_trial: list
-    aggregates: dict
-    oracle_predictions: dict
-    schema_version: int = SCHEMA_VERSION
-    tool_version: str = TOOL_VERSION
-    duration_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "params": self.params,
-            "per_trial": self.per_trial,
-            "aggregates": self.aggregates,
-            "oracle_predictions": self.oracle_predictions,
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "duration_seconds": self.duration_seconds,
-        }
 
 
 def derive_trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -167,7 +140,7 @@ def derive_trial_stream(master_seed: int, trial_index: int) -> np.random.Generat
     different indices are statistically independent.
     """
     if not 0 <= master_seed < 2**64:
-        raise ValueError("master_seed must fit in 64 bits")
+        raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
     seq = np.random.SeedSequence(master_seed, spawn_key=(trial_index,))
@@ -265,7 +238,7 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
         # the forging dealer publishes R1 = k_1 - (n-1) r, which cancels
         # the fabrication offsets in the sum, and subtracts r from the rest
         r = [state.r for state in surviving]
-        results[1] = [(k - (cfg.n - 1) * rj) % cfg.d for k, rj in zip(secrets[0].digits, r)]
+        results[1] = [(k - (cfg.n - 1) * rj) % cfg.d for k, rj in zip(secrets[0], r)]
         recovered = {i: tuple(recover_secret_digit(v, rj, cfg.d) for v, rj in zip(results[i], r))
                      for i in receivers}
     rows = {i: tuple(results[i]) for i in range(1, cfg.n + 1)}
@@ -319,11 +292,12 @@ def eve_detection_probability(d: int, n: int, decoy_count: int, threshold: float
 # per-trial runners
 
 
-def _trial_secrets(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[SecretString, ...]:
+def _trial_secrets(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
     if cfg.secrets is not None:
         return cfg.secrets
     p = cfg.protocol
-    return tuple(SecretString.random(p.d, p.m, rng) for _ in range(p.n))
+    # one (n, m) draw: the same digits and generator state as n draws of m digits
+    return tuple(tuple(int(x) for x in row) for row in rng.integers(0, p.d, size=(p.n, p.m)))
 
 
 def _trial_plan(cfg: ScenarioConfig, rounds: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -334,7 +308,7 @@ def _trial_plan(cfg: ScenarioConfig, rounds: int, rng: np.random.Generator) -> t
 
 
 def _secrets_list(secrets) -> list[list[int]]:
-    return [list(s.digits) for s in secrets]
+    return [list(s) for s in secrets]
 
 
 def _rows(by_participant, n: int) -> list[list[int]] | None:
@@ -359,14 +333,14 @@ _FIELDS = {
     "sum": lambda p, s, plan, r: list(r.sum_digits),
     "sum_correct": lambda p, s, plan, r: (
         None if r.sum_digits is None
-        else list(r.sum_digits) == compute_sum([x.digits for x in s], p.d)),
+        else list(r.sum_digits) == compute_sum(s, p.d)),
     "fake_r": lambda p, s, plan, r: list(plan),
     "announced": lambda p, s, plan, r: _rows(r.results, p.n),
     "announced_sum": lambda p, s, plan, r: list(r.sum_digits),
     "recovered": lambda p, s, plan, r: _rows(r.recovered, p.n),
     "recovery_success": lambda p, s, plan, r: (
         None if r.recovered is None
-        else all(r.recovered[i] == tuple(s[i - 1].digits) for i in range(2, p.n + 1))),
+        else all(r.recovered[i] == tuple(s[i - 1]) for i in range(2, p.n + 1))),
     "checks": lambda p, s, plan, r: [_check_dict(oc) for oc in r.checks],
     "checks_passed": lambda p, s, plan, r: all(oc.passed for oc in r.checks),
     "checks_executed": lambda p, s, plan, r: len(r.checks),
@@ -471,8 +445,8 @@ def _params_dict(cfg: ScenarioConfig) -> dict:
     }
 
 
-def run_scenario(cfg: ScenarioConfig) -> ReportDocument:
-    """Run every trial of the scenario and assemble the report.
+def run_scenario(cfg: ScenarioConfig) -> dict:
+    """Run every trial of the scenario and return the report, as write_report writes it.
 
     Trials are independent by construction (each gets its own derived
     stream), so the per-trial records depend only on the configuration
@@ -488,14 +462,16 @@ def run_scenario(cfg: ScenarioConfig) -> ReportDocument:
     _shared_register.cache_clear()
     _forged_registers.cache_clear()
     aggregates, predictions = _aggregate(cfg, per_trial, mismatches)
-    return ReportDocument(
-        scenario=cfg.scenario,
-        params=_params_dict(cfg),
-        per_trial=per_trial,
-        aggregates=aggregates,
-        oracle_predictions=predictions,
-        duration_seconds=time.perf_counter() - t0,
-    )
+    return {
+        "scenario": cfg.scenario,
+        "params": _params_dict(cfg),
+        "per_trial": per_trial,
+        "aggregates": aggregates,
+        "oracle_predictions": predictions,
+        "schema_version": SCHEMA_VERSION,
+        "tool_version": TOOL_VERSION,
+        "duration_seconds": time.perf_counter() - t0,
+    }
 
 
 def _report_text(data: dict) -> str:
@@ -507,8 +483,8 @@ def _report_text(data: dict) -> str:
     return "{\n" + ",\n".join(fields) + "\n}\n"
 
 
-def write_report(doc: ReportDocument, path) -> None:
-    """Serialize one report as JSON, atomically.
+def write_report(doc: dict, path) -> None:
+    """Serialize one report dict (as run_scenario returns it) as JSON, atomically.
 
     The text goes to a temporary file beside the target that then
     replaces it, so a failed write leaves any earlier report untouched.
@@ -518,7 +494,7 @@ def write_report(doc: ReportDocument, path) -> None:
     path = Path(path)
     if not path.parent.exists():
         raise FileNotFoundError(f"output directory {path.parent} does not exist")
-    text = _report_text(doc.to_dict())
+    text = _report_text(doc)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_text(text)

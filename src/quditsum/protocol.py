@@ -68,17 +68,6 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class SecretString:
-    """One participant's private digit string."""
-
-    digits: tuple[int, ...]
-
-    @classmethod
-    def random(cls, d: int, m: int, rng: np.random.Generator) -> "SecretString":
-        return cls(tuple(int(x) for x in rng.integers(0, d, size=m)))
-
-
-@dataclass(frozen=True)
 class RoundState:
     """One shared state plus bookkeeping of who already measured.
 
@@ -105,15 +94,15 @@ class RoundState:
 
 
 def validate_secrets(cfg: ProtocolConfig, secrets) -> None:
-    """Reject secret collections that do not fit the configuration."""
+    """Reject secrets that do not fit: secrets[i-1] must be participant i's m int digits mod d."""
     if len(secrets) != cfg.n:
         raise ValueError(f"need one secret per participant: got {len(secrets)}, n={cfg.n}")
     for idx, secret in enumerate(secrets, start=1):
-        if len(secret.digits) != cfg.m:
-            raise ValueError(
-                f"secret of P{idx} has {len(secret.digits)} digits, expected m={cfg.m}"
-            )
-        for x in secret.digits:
+        if len(secret) != cfg.m:
+            raise ValueError(f"secret of P{idx} has {len(secret)} digits, expected m={cfg.m}")
+        for x in secret:
+            if type(x) is not int:  # a numpy or float digit would reach the JSON report
+                raise ValueError(f"secret digit {x!r} of P{idx} is not an int")
             if not 0 <= x < cfg.d:
                 raise ValueError(f"secret digit {x} of P{idx} out of range for d={cfg.d}")
 
@@ -206,7 +195,7 @@ def encode_rounds(rounds, secrets, rng: np.random.Generator) -> dict[int, list[i
     results: dict[int, list[int]] = {}
     for j, state in enumerate(rounds):
         for i in sorted(state.owners):
-            value, state = encode_and_measure(state, i, secrets[i - 1].digits[j], rng)
+            value, state = encode_and_measure(state, i, secrets[i - 1][j], rng)
             results.setdefault(i, []).append(value)
     return results
 

@@ -61,8 +61,6 @@ def select_checks(cfg: ProtocolConfig, eta: int, rng: np.random.Generator) -> li
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    if eta == 0:
-        return []
     total = cfg.m + eta
     positions = [int(x) for x in rng.choice(total, size=eta, replace=False)]
     base, rem = divmod(eta, cfg.n - 1)

@@ -24,3 +24,8 @@ def assert_within_4sigma(observed_rate: float, p: float, n: int) -> None:
     assert abs(observed_rate - p) <= 4.0 * sigma + 1e-12, (
         f"rate {observed_rate} is more than 4 sigma from {p} (n={n}, sigma={sigma:.2e})"
     )
+
+
+def random_secret(d: int, m: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """One participant's secret: m uniform digits mod d in one draw."""
+    return tuple(int(x) for x in rng.integers(0, d, size=m))

@@ -4,13 +4,12 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from conftest import assert_within_4sigma
+from conftest import assert_within_4sigma, random_secret
 
 from quditsum import (
     BasisKind,
     ProtocolConfig,
     QuditRegister,
-    SecretString,
     apply_iqft,
     apply_qft,
     approx_equal,
@@ -30,7 +29,7 @@ V1, V2 = BasisKind.V1, BasisKind.V2
 
 
 def _secrets(rows):
-    return tuple(SecretString(tuple(r)) for r in rows)
+    return tuple(tuple(r) for r in rows)
 
 
 def _attack(cfg, secrets, r_choices, rng):
@@ -44,7 +43,7 @@ def _uniform_r(d, rounds, rng):
 
 
 def _stolen_all(result, secrets):
-    return all(result.recovered[i] == tuple(secrets[i - 1].digits)
+    return all(result.recovered[i] == secrets[i - 1]
                for i in range(2, len(secrets) + 1))
 
 
@@ -98,7 +97,7 @@ def test_attack_worked_example():
     assert _stolen_all(result, secrets)
     assert result.decoy_mismatches == {2: 0, 3: 0}
     assert result.sum_digits == (5,)
-    assert list(result.sum_digits) == compute_sum([s.digits for s in secrets], 10)
+    assert list(result.sum_digits) == compute_sum(secrets, 10)
 
 
 def test_attack_steals_every_secret_and_stays_stealthy():
@@ -106,11 +105,11 @@ def test_attack_steals_every_secret_and_stays_stealthy():
     for d, n, m in [(2, 2, 3), (5, 3, 2), (7, 4, 6), (10, 3, 1)]:
         cfg = ProtocolConfig(d=d, n=n, m=m, decoy_count=8)
         for _ in range(25):
-            secrets = tuple(SecretString.random(d, m, rng) for _ in range(n))
+            secrets = tuple(random_secret(d, m, rng) for _ in range(n))
             result = _attack(cfg, secrets, _uniform_r(d, m, rng), rng)
             assert _stolen_all(result, secrets)
             for i in range(2, n + 1):
-                assert result.recovered[i] == tuple(secrets[i - 1].digits)
+                assert result.recovered[i] == secrets[i - 1]
             assert all(count == 0 for count in result.decoy_mismatches.values())
 
 
@@ -118,9 +117,9 @@ def test_attack_publishes_correct_sum_when_stealthy():
     cfg = ProtocolConfig(d=7, n=3, m=4)
     rng = np.random.default_rng(5)
     for _ in range(10):
-        secrets = tuple(SecretString.random(7, 4, rng) for _ in range(3))
+        secrets = tuple(random_secret(7, 4, rng) for _ in range(3))
         result = _attack(cfg, secrets, _uniform_r(7, 4, rng), rng)
-        assert list(result.sum_digits) == compute_sum([s.digits for s in secrets], 7)
+        assert list(result.sum_digits) == compute_sum(secrets, 7)
 
 
 def test_attack_plan_must_cover_every_round():

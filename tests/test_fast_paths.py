@@ -9,14 +9,15 @@ and the slice-only collapse of a measurement, the fused encoding
 unitary, checks without the cancelling rotation pair) are pinned to the
 axis-permuting references the same way. So are the measurements that
 drop the measured qudit, the V2 posterior written in one pass, and the
-registers a run builds once and shares.
+registers a run builds once and shares, and the one draw of every
+participant's secret digits.
 """
 
 from functools import reduce
 
 import numpy as np
 import pytest
-from conftest import random_register
+from conftest import random_register, random_secret
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,6 @@ from quditsum import (
     ProtocolConfig,
     QuditRegister,
     ScenarioConfig,
-    SecretString,
     apply_iqft,
     apply_qft,
     apply_shift,
@@ -43,6 +43,7 @@ from quditsum import (
     run_scenario,
 )
 from quditsum.adversary import fabricate_rounds, fake_particle
+from quditsum.harness import _trial_secrets
 from quditsum.protocol import encode_rounds
 from quditsum.qudit import (
     _apply_single,
@@ -276,7 +277,7 @@ def test_apply_encode_is_shift_after_qft(d):
 @pytest.mark.parametrize("eve", [False, True])
 def test_rounds_share_one_read_only_register_that_runs_leave_alone(eve):
     cfg = ProtocolConfig(d=5, n=3, m=2, decoy_count=0)
-    secrets = tuple(SecretString((1, 4)) for _ in range(cfg.n))
+    secrets = tuple((1, 4) for _ in range(cfg.n))
     for seed in range(10):
         rounds = prepare_rounds(cfg, count=cfg.m + 2)
         shared = rounds[0].register
@@ -350,7 +351,7 @@ def _reference_encode_rounds(rounds, secrets, rng):
         reg = state.register
         for i in sorted(state.owners):
             q = state.owners.index(i)
-            value, reg = measure(apply_encode(reg, q, secrets[i - 1].digits[j]), q, V1, rng)
+            value, reg = measure(apply_encode(reg, q, secrets[i - 1][j]), q, V1, rng)
             results.setdefault(i, []).append(value)
     return results
 
@@ -378,7 +379,7 @@ def test_shrinking_chains_match_full_register_reference(forged):
     for seed in range(200):
         r_choices = tuple(int(x) for x in gen.integers(0, 5, size=2))
         rounds = fabricate_rounds(cfg, r_choices) if forged else prepare_rounds(cfg)
-        secrets = [SecretString.random(5, 2, gen) for _ in range(cfg.n)]
+        secrets = [random_secret(5, 2, gen) for _ in range(cfg.n)]
         ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
         assert encode_rounds(rounds, secrets, fast) == _reference_encode_rounds(rounds, secrets, ref)
         assert fast.bit_generator.state == ref.bit_generator.state
@@ -442,3 +443,16 @@ def test_scenario_run_releases_the_registers_its_trials_shared():
     run_scenario(ScenarioConfig(scenario="honest", protocol=cfg, trials=2))
     assert prepare_rounds(cfg)[0].register is not genuine
     assert fabricate_rounds(cfg, (1, 1))[0].register is not forged
+
+
+@pytest.mark.parametrize("d, ns", [(2, (2, 3, 4, 7)), (5, (2, 3, 4, 7)), (10, (2, 3, 4)), (2048, (2,))])
+def test_secrets_draw_matches_per_participant_draws(d, ns):
+    # one (n, m) integers draw in place of n draws of m digits each
+    for n in ns:
+        for m in range(1, 8):
+            cfg = ScenarioConfig("honest", ProtocolConfig(d=d, n=n, m=m))
+            for seed in range(5):
+                ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+                expected = tuple(random_secret(d, m, ref) for _ in range(n))
+                assert _trial_secrets(cfg, fast) == expected
+                assert fast.bit_generator.state == ref.bit_generator.state

@@ -10,7 +10,6 @@ import pytest
 from quditsum import (
     ProtocolConfig,
     ScenarioConfig,
-    SecretString,
     derive_trial_stream,
     run_scenario,
     wilson_interval,
@@ -34,7 +33,6 @@ def _cfg(scenario, trials=20, seed=7, **kw):
         m=kw.pop("m", 2),
         decoy_count=kw.pop("decoy_count", 4),
         error_threshold=kw.pop("error_threshold", 0.0),
-        seed=seed,
     )
     return ScenarioConfig(scenario=scenario, protocol=proto, trials=trials,
                           master_seed=seed, **kw)
@@ -115,48 +113,54 @@ def test_scenario_config_validation():
         with pytest.raises(ValueError, match="forging dealer"):
             _cfg(scenario, fake_r=1)  # only a forging dealer has a fabrication value
     with pytest.raises(ValueError):
-        _cfg("honest", secrets=(SecretString((0,)),))
+        _cfg("honest", secrets=((0,),))
+    for digit in (4.0, np.int64(4), True):
+        with pytest.raises(ValueError, match="is not an int"):
+            _cfg("honest", d=10, m=1, secrets=((digit,), (5,), (6,)))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
+            _cfg("honest", seed=seed)
 
 
 def test_honest_scenario_report():
     doc = run_scenario(_cfg("honest", trials=30))
-    assert doc.scenario == "honest"
-    assert len(doc.per_trial) == 30
-    agg = doc.aggregates["sum_correct_rate"]
+    assert doc["scenario"] == "honest"
+    assert len(doc["per_trial"]) == 30
+    agg = doc["aggregates"]["sum_correct_rate"]
     assert agg["value"] == 1.0 and agg["n"] == 30
     assert agg["within_4_sigma"] is True
-    assert doc.aggregates["flagged"] == []
-    assert doc.oracle_predictions == {"sum_correct_rate": 1.0}
-    assert "detection_rate" not in doc.aggregates
+    assert doc["aggregates"]["flagged"] == []
+    assert doc["oracle_predictions"] == {"sum_correct_rate": 1.0}
+    assert "detection_rate" not in doc["aggregates"]
 
 
 def test_iqft_attack_scenario_report():
     doc = run_scenario(_cfg("iqft-attack", trials=25))
-    assert doc.aggregates["recovery_success_rate"]["value"] == 1.0
-    assert doc.aggregates["mean_decoy_error_rate"]["value"] == 0.0
-    assert "detection_rate" not in doc.aggregates
-    for record in doc.per_trial:
+    assert doc["aggregates"]["recovery_success_rate"]["value"] == 1.0
+    assert doc["aggregates"]["mean_decoy_error_rate"]["value"] == 0.0
+    assert "detection_rate" not in doc["aggregates"]
+    for record in doc["per_trial"]:
         assert record["recovery_success"]
         assert record["decoy_error_rates"] == [0.0, 0.0]
 
 
 def test_modified_honest_scenario_report():
     doc = run_scenario(_cfg("modified-honest", trials=25, eta=4))
-    assert doc.aggregates["sum_correct_rate"]["value"] == 1.0
-    assert doc.aggregates["check_pass_rate"]["value"] == 1.0
-    assert doc.aggregates["check_pass_rate"]["n"] == 25 * 4
-    assert "detection_rate" not in doc.aggregates
+    assert doc["aggregates"]["sum_correct_rate"]["value"] == 1.0
+    assert doc["aggregates"]["check_pass_rate"]["value"] == 1.0
+    assert doc["aggregates"]["check_pass_rate"]["n"] == 25 * 4
+    assert "detection_rate" not in doc["aggregates"]
 
 
 def test_modified_attack_scenario_report():
     doc = run_scenario(_cfg("modified-attack", trials=120, eta=6))
-    agg = doc.aggregates["detection_rate"]
+    agg = doc["aggregates"]["detection_rate"]
     assert agg["n"] == 120
     assert agg["oracle"] == pytest.approx(1 - 0.52**6)
-    assert doc.oracle_predictions["per_check_pass_probability"] == pytest.approx(0.52)
-    detected = sum(1 for r in doc.per_trial if r["detected"])
+    assert doc["oracle_predictions"]["per_check_pass_probability"] == pytest.approx(0.52)
+    detected = sum(1 for r in doc["per_trial"] if r["detected"])
     assert agg["value"] == detected / 120
-    for record in doc.per_trial:
+    for record in doc["per_trial"]:
         if record["detected"]:
             assert record["recovered"] is None
         else:
@@ -165,24 +169,23 @@ def test_modified_attack_scenario_report():
 
 def test_eve_decoy_scenario_report():
     doc = run_scenario(_cfg("eve-decoy", trials=60, d=10, decoy_count=8))
-    assert "detection_rate" in doc.aggregates
-    assert doc.aggregates["mean_decoy_error_rate"]["oracle"] == 0.45
-    assert doc.oracle_predictions["per_decoy_error_rate"] == 0.45
-    assert doc.aggregates["mean_decoy_error_rate"]["n"] == 60 * 2 * 8
+    assert "detection_rate" in doc["aggregates"]
+    assert doc["aggregates"]["mean_decoy_error_rate"]["oracle"] == 0.45
+    assert doc["oracle_predictions"]["per_decoy_error_rate"] == 0.45
+    assert doc["aggregates"]["mean_decoy_error_rate"]["n"] == 60 * 2 * 8
 
 
 def test_fixed_secrets_and_fake_r_are_honored():
-    secrets = (SecretString((4, 1)), SecretString((5, 0)), SecretString((6, 2)))
+    secrets = ((4, 1), (5, 0), (6, 2))
     doc = run_scenario(_cfg("iqft-attack", trials=5, d=10, secrets=secrets, fake_r=2))
-    for record in doc.per_trial:
+    for record in doc["per_trial"]:
         assert record["secrets"] == [[4, 1], [5, 0], [6, 2]]
         assert record["fake_r"] == [2, 2]
         assert record["recovered"] == [[5, 0], [6, 2]]
 
 
 def test_report_schema_keys():
-    doc = run_scenario(_cfg("honest", trials=3))
-    data = doc.to_dict()
+    data = run_scenario(_cfg("honest", trials=3))
     assert list(data) == ["scenario", "params", "per_trial", "aggregates",
                           "oracle_predictions", "schema_version", "tool_version",
                           "duration_seconds"]
@@ -195,24 +198,23 @@ def test_report_schema_keys():
 def test_report_keys_follow_the_scenario_entry(scenario):
     entry = SCENARIOS[scenario]
     doc = run_scenario(_cfg(scenario, trials=6, eta=3))
-    for record in doc.per_trial:
+    for record in doc["per_trial"]:
         assert list(record) == ["trial", "secrets", *entry.record]
-    assert list(doc.aggregates) == [*entry.aggregates, "flagged"]
-    assert list(doc.oracle_predictions) == list(entry.predictions)
+    assert list(doc["aggregates"]) == [*entry.aggregates, "flagged"]
+    assert list(doc["oracle_predictions"]) == list(entry.predictions)
     for name in entry.aggregates:
-        assert doc.aggregates[name]["oracle"] is not None
+        assert doc["aggregates"][name]["oracle"] is not None
 
 
 def test_reports_are_reproducible_bit_for_bit():
     for scenario in sorted(SCENARIOS):
         first = run_scenario(_cfg(scenario, trials=12, eta=3))
         second = run_scenario(_cfg(scenario, trials=12, eta=3))
-        a = json.dumps(first.per_trial)
-        b = json.dumps(second.per_trial)
+        a = json.dumps(first["per_trial"])
+        b = json.dumps(second["per_trial"])
         assert a == b, f"{scenario} per-trial records differ between identical runs"
-        da, db = first.to_dict(), second.to_dict()
-        da.pop("duration_seconds"), db.pop("duration_seconds")
-        assert json.dumps(da) == json.dumps(db)
+        first.pop("duration_seconds"), second.pop("duration_seconds")
+        assert json.dumps(first) == json.dumps(second)
 
 
 # SHA-256 of each scenario's canonical per_trial JSON at a fixed
@@ -231,7 +233,7 @@ GOLDEN_DIGESTS = {
 def test_per_trial_golden_digest(scenario):
     cfg = ScenarioConfig(scenario, ProtocolConfig(d=5, n=3, m=2, decoy_count=4),
                          eta=4, trials=25, master_seed=2024)
-    text = json.dumps(run_scenario(cfg).per_trial, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(run_scenario(cfg)["per_trial"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[scenario]
 
 
@@ -250,7 +252,7 @@ GOLDEN_DIGESTS_WIDE = {
 def test_per_trial_golden_digest_wide(scenario):
     cfg = ScenarioConfig(scenario, ProtocolConfig(d=10, n=4, m=2, decoy_count=4),
                          eta=3, trials=8, master_seed=2024)
-    text = json.dumps(run_scenario(cfg).per_trial, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(run_scenario(cfg)["per_trial"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS_WIDE[scenario]
 
 
@@ -290,7 +292,7 @@ def test_whole_report_golden_digest(config, scenario, tmp_path):
 def test_different_seed_changes_records():
     a = run_scenario(_cfg("honest", trials=10, seed=1))
     b = run_scenario(_cfg("honest", trials=10, seed=2))
-    assert json.dumps(a.per_trial) != json.dumps(b.per_trial)
+    assert json.dumps(a["per_trial"]) != json.dumps(b["per_trial"])
 
 
 def test_write_report_round_trip(tmp_path):
@@ -300,6 +302,26 @@ def test_write_report_round_trip(tmp_path):
     data = json.loads(out.read_text())
     assert data["scenario"] == "honest"
     assert len(data["per_trial"]) == 4
+
+
+def _json_native(value) -> bool:
+    """Only the types json.loads returns: no tuples, no numpy scalars."""
+    if type(value) is dict:
+        return all(type(k) is str and _json_native(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_json_native, value))
+    return value is None or type(value) in (str, int, float, bool)
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_written_report_is_the_returned_dict(scenario, tmp_path):
+    doc = run_scenario(_cfg(scenario, trials=6, eta=3, error_threshold=0.3))
+    out = tmp_path / "r.json"
+    write_report(doc, out)
+    loaded = json.loads(out.read_text())
+    assert loaded == doc
+    assert list(loaded) == list(doc)
+    assert _json_native(doc)
 
 
 def test_write_report_missing_directory(tmp_path):
@@ -342,8 +364,11 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
                  "--out", str(out)]) == 2
     for scenario in ("honest", "modified-honest", "eve-decoy"):
         assert main(["run", "--scenario", scenario, "--fake-r", "1", "--out", str(out)]) == 2
-    assert not out.exists()
     assert "error:" in capsys.readouterr().err
+    for seed in ("-1", str(2**64)):  # --seed is the master seed alone
+        assert main(["run", "--scenario", "honest", "--seed", seed, "--out", str(out)]) == 2
+        assert f"master_seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_missing_output_directory_exits_3(tmp_path, capsys):
@@ -384,7 +409,7 @@ def test_band_accepts_seed_209_small_mix_detection():
     # tail is 5.8e-4, unusual but well inside the 4 sigma tail mass
     cfg = ScenarioConfig("modified-attack", ProtocolConfig(d=5, n=3, m=4, decoy_count=16),
                          eta=6, trials=20, master_seed=209)
-    aggregates = run_scenario(cfg).aggregates
+    aggregates = run_scenario(cfg)["aggregates"]
     assert aggregates["detection_rate"]["value"] == 0.8
     assert aggregates["detection_rate"]["within_4_sigma"] is True
     assert aggregates["flagged"] == []
@@ -422,8 +447,8 @@ def test_report_puts_each_per_trial_record_on_one_line(tmp_path):
     out = tmp_path / "r.json"
     write_report(doc, out)
     text = out.read_text()
-    assert json.loads(text) == doc.to_dict()
+    assert json.loads(text) == doc
     lines = text.splitlines()
-    for record in doc.to_dict()["per_trial"]:
+    for record in doc["per_trial"]:
         assert f"    {json.dumps(record)}," in lines or f"    {json.dumps(record)}" in lines
     assert lines[0] == "{" and lines[1].startswith('  "scenario": ') and lines[-1] == "}"

@@ -1,12 +1,15 @@
 """The README and pyproject.toml agree with the package they describe,
 and the package modules import nothing they leave unused."""
 
+import argparse
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import quditsum
+from quditsum.cli import build_parser
 from quditsum.harness import SCENARIOS, TOOL_VERSION
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,6 +41,16 @@ def test_readme_report_schema_matches_scenario_table():
     rows = _readme_table("| scenario ")
     assert {tag: tuple(map(_keys, cells)) for tag, *cells in rows} == {
         tag: (sc.record, sc.aggregates, sc.predictions) for tag, sc in SCENARIOS.items()}
+
+
+def test_readme_useful_flags_are_the_run_options():
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme.split("Useful flags:", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(--[a-z-]+)", paragraph)) | {"--scenario"}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    run_options = {opt for action in subparsers.choices["run"]._actions
+                   for opt in action.option_strings if opt.startswith("--")}
+    assert documented == run_options - {"--help"}
 
 
 def test_pyproject_version_is_the_package_version():

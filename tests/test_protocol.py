@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
+from conftest import random_secret
 
 from quditsum import (
     BasisKind,
     ProtocolConfig,
     QuditRegister,
-    SecretString,
     apply_qft,
     approx_equal,
     basis_state,
@@ -25,7 +25,7 @@ from quditsum.protocol import RoundState
 
 
 def _secrets(digit_rows):
-    return tuple(SecretString(tuple(row)) for row in digit_rows)
+    return tuple(tuple(row) for row in digit_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +231,9 @@ def test_honest_sum_correct_across_grid():
             for m in (1, 4):
                 cfg = ProtocolConfig(d=d, n=n, m=m, decoy_count=4)
                 rng = np.random.default_rng(1000 + trial)
-                secrets = tuple(SecretString.random(d, m, rng) for _ in range(n))
+                secrets = tuple(random_secret(d, m, rng) for _ in range(n))
                 result = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), rng)
-                expected = compute_sum([s.digits for s in secrets], d)
+                expected = compute_sum(secrets, d)
                 assert list(result.sum_digits) == expected
                 trial += 1
 

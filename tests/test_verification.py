@@ -4,12 +4,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import assert_within_4sigma
+from conftest import assert_within_4sigma, random_secret
 
 from quditsum import (
     BasisKind,
     ProtocolConfig,
-    SecretString,
     compute_sum,
     execute_check,
     fabricate_rounds,
@@ -25,7 +24,7 @@ V1, V2 = BasisKind.V1, BasisKind.V2
 
 
 def _secrets(rows):
-    return tuple(SecretString(tuple(r)) for r in rows)
+    return tuple(tuple(r) for r in rows)
 
 
 def _hardened(cfg, eta, secrets, rng, forged=False):
@@ -61,7 +60,10 @@ def test_v2_pass_examples():
 
 def test_select_checks_empty():
     cfg = ProtocolConfig(d=5, n=3, m=2)
-    assert select_checks(cfg, 0, np.random.default_rng(0)) == []
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert select_checks(cfg, 0, rng) == []
+    assert rng.bit_generator.state == before  # no checks draw nothing
 
 
 def test_select_checks_even_split():
@@ -183,12 +185,12 @@ def test_modified_honest_never_detects_and_sums_correctly():
     for d, n, m, eta in [(2, 2, 1, 2), (5, 3, 2, 4), (10, 3, 1, 6)]:
         cfg = ProtocolConfig(d=d, n=n, m=m, decoy_count=4)
         for _ in range(10):
-            secrets = tuple(SecretString.random(d, m, rng) for _ in range(n))
+            secrets = tuple(random_secret(d, m, rng) for _ in range(n))
             result = _hardened(cfg, eta, secrets, rng)
             assert not result.detected and not result.aborted
             assert len(result.checks) == eta
             assert all(oc.passed for oc in result.checks)
-            expected = compute_sum([s.digits for s in secrets], d)
+            expected = compute_sum(secrets, d)
             assert list(result.sum_digits) == expected
 
 
@@ -196,10 +198,10 @@ def test_modified_attack_with_no_checks_reduces_to_original():
     cfg = ProtocolConfig(d=10, n=3, m=2, decoy_count=4)
     rng = np.random.default_rng(32)
     for _ in range(10):
-        secrets = tuple(SecretString.random(10, 2, rng) for _ in range(3))
+        secrets = tuple(random_secret(10, 2, rng) for _ in range(3))
         result = _hardened(cfg, 0, secrets, rng, forged=True)
         assert not result.detected
-        assert all(result.recovered[i] == tuple(secrets[i - 1].digits) for i in (2, 3))
+        assert all(result.recovered[i] == secrets[i - 1] for i in (2, 3))
 
 
 def test_modified_attack_detection_rate():
@@ -210,7 +212,7 @@ def test_modified_attack_detection_rate():
     detected = 0
     for t in range(trials):
         rng = np.random.default_rng((9, t))
-        secrets = tuple(SecretString.random(d, 1, rng) for _ in range(n))
+        secrets = tuple(random_secret(d, 1, rng) for _ in range(n))
         result = _hardened(cfg, eta, secrets, rng, forged=True)
         detected += result.detected
     assert_within_4sigma(detected / trials, expected, trials)
@@ -221,7 +223,7 @@ def test_modified_attack_abort_stops_at_first_failure():
     rng = np.random.default_rng(33)
     saw_abort = False
     for _ in range(50):
-        secrets = tuple(SecretString.random(5, 1, rng) for _ in range(3))
+        secrets = tuple(random_secret(5, 1, rng) for _ in range(3))
         result = _hardened(cfg, 6, secrets, rng, forged=True)
         if result.detected:
             saw_abort = True
@@ -237,11 +239,11 @@ def test_modified_attack_undetected_recovers_secrets():
     rng = np.random.default_rng(34)
     undetected = 0
     for _ in range(200):
-        secrets = tuple(SecretString.random(2, 2, rng) for _ in range(2))
+        secrets = tuple(random_secret(2, 2, rng) for _ in range(2))
         result = _hardened(cfg, 2, secrets, rng, forged=True)
         if not result.detected:
             undetected += 1
-            assert result.recovered[2] == tuple(secrets[1].digits)
+            assert result.recovered[2] == secrets[1]
     assert undetected > 0
 
 
