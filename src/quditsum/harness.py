@@ -38,9 +38,10 @@ from .protocol import (
     encode_rounds,
     insert_decoys,
     prepare_rounds,
+    require_int,
     validate_secrets,
 )
-from .verification import CheckOutcome, execute_check, select_checks
+from .verification import execute_check, select_checks
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -116,6 +117,8 @@ class ScenarioConfig:
         if self.scenario not in SCENARIOS:
             known = ", ".join(sorted(SCENARIOS))
             raise ValueError(f"unknown scenario {self.scenario!r}; known: {known}")
+        for name in ("eta", "trials", "master_seed"):
+            require_int(name, getattr(self, name))
         if self.eta < 0:
             raise ValueError(f"eta must be >= 0, got {self.eta}")
         if self.trials < 1:
@@ -124,10 +127,12 @@ class ScenarioConfig:
             raise ValueError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         if self.secrets is not None:
             validate_secrets(self.protocol, self.secrets)
-        if self.fake_r is not None and not SCENARIOS[self.scenario].forged:
-            raise ValueError(f"fake_r applies only to a forging dealer, not to {self.scenario}")
-        if self.fake_r is not None and not 0 <= self.fake_r < self.protocol.d:
-            raise ValueError(f"fake_r {self.fake_r} out of range for d={self.protocol.d}")
+        if self.fake_r is not None:
+            require_int("fake_r", self.fake_r)
+            if not SCENARIOS[self.scenario].forged:
+                raise ValueError(f"fake_r applies only to a forging dealer, not to {self.scenario}")
+            if not 0 <= self.fake_r < self.protocol.d:
+                raise ValueError(f"fake_r {self.fake_r} out of range for d={self.protocol.d}")
 
 
 def derive_trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
@@ -174,9 +179,10 @@ class RunResult:
     """Everything observable about one protocol run.
 
     decoy_mismatches counts the failed decoys of each receiver (2..n).
-    aborted means the run stopped before encoding, on a decoy error rate
-    above the threshold or on a failed basis check; detected means the
-    latter. results holds every participant's result string, P1's
+    checks holds the record of each executed basis check. aborted means
+    the run stopped before encoding, on a decoy error rate above the
+    threshold or on a failed basis check, which is then the last entry of
+    checks. results holds every participant's result string, P1's
     back-computed when the dealer forged the rounds, and recovered the
     digits the forging dealer reads off them. Both are None after an
     abort, recovered also on genuine rounds.
@@ -184,8 +190,7 @@ class RunResult:
 
     decoy_mismatches: dict[int, int]
     aborted: bool = False
-    detected: bool = False
-    checks: tuple[CheckOutcome, ...] = ()
+    checks: tuple[dict, ...] = ()
     results: dict[int, tuple[int, ...]] | None = None
     sum_digits: tuple[int, ...] | None = None
     recovered: dict[int, tuple[int, ...]] | None = None
@@ -224,13 +229,13 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
     if any(_decoy_rate(c, cfg.decoy_count) > cfg.error_threshold for c in mismatches.values()):
         return RunResult(mismatches, aborted=True)
 
-    checks: list[CheckOutcome] = []
-    for assignment in select_checks(cfg, eta, rng):
-        checks.append(execute_check(rounds[assignment.position], assignment, rng))
-        if not checks[-1].passed:
-            return RunResult(mismatches, aborted=True, detected=True, checks=tuple(checks))
+    checks = []
+    for check in select_checks(cfg, eta, rng):
+        checks.append(execute_check(rounds[check["position"]], check, rng))
+        if not checks[-1]["passed"]:
+            return RunResult(mismatches, aborted=True, checks=tuple(checks))
 
-    checked = {c.assignment.position for c in checks}
+    checked = {c["position"] for c in checks}
     surviving = [state for pos, state in enumerate(rounds) if pos not in checked]
     results = encode_rounds(surviving, secrets, rng)
     recovered = None
@@ -317,17 +322,6 @@ def _rows(by_participant, n: int) -> list[list[int]] | None:
     return [list(by_participant[i]) for i in range(2, n + 1)]
 
 
-def _check_dict(outcome) -> dict:
-    a = outcome.assignment
-    return {
-        "position": a.position,
-        "chooser": a.chooser,
-        "basis": a.basis.value,
-        "announced": list(outcome.announced),
-        "passed": outcome.passed,
-    }
-
-
 # each per_trial key, read off one trial as f(protocol, secrets, attack plan, result)
 _FIELDS = {
     "sum": lambda p, s, plan, r: list(r.sum_digits),
@@ -341,8 +335,8 @@ _FIELDS = {
     "recovery_success": lambda p, s, plan, r: (
         None if r.recovered is None
         else all(r.recovered[i] == tuple(s[i - 1]) for i in range(2, p.n + 1))),
-    "checks": lambda p, s, plan, r: [_check_dict(oc) for oc in r.checks],
-    "checks_passed": lambda p, s, plan, r: all(oc.passed for oc in r.checks),
+    "checks": lambda p, s, plan, r: list(r.checks),
+    "checks_passed": lambda p, s, plan, r: all(c["passed"] for c in r.checks),
     "checks_executed": lambda p, s, plan, r: len(r.checks),
     "decoy_error_rates": lambda p, s, plan, r: [_decoy_rate(r.decoy_mismatches[i], p.decoy_count)
                                                 for i in range(2, p.n + 1)],
@@ -451,16 +445,18 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     Trials are independent by construction (each gets its own derived
     stream), so the per-trial records depend only on the configuration
     and the master seed, never on execution order or timing. The dealer's
-    read-only registers the trials share are released when the run ends.
+    read-only registers the trials share are released however the run ends.
     """
     t0 = time.perf_counter()
     per_trial, mismatches = [], 0
-    for t in range(cfg.trials):
-        record, count = _run_trial(cfg, t, derive_trial_stream(cfg.master_seed, t))
-        per_trial.append(record)
-        mismatches += count
-    _shared_register.cache_clear()
-    _forged_registers.cache_clear()
+    try:
+        for t in range(cfg.trials):
+            record, count = _run_trial(cfg, t, derive_trial_stream(cfg.master_seed, t))
+            per_trial.append(record)
+            mismatches += count
+    finally:
+        _shared_register.cache_clear()
+        _forged_registers.cache_clear()
     aggregates, predictions = _aggregate(cfg, per_trial, mismatches)
     return {
         "scenario": cfg.scenario,

@@ -52,6 +52,10 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("d", "n", "m", "decoy_count"):
+            require_int(name, getattr(self, name))
+        if type(self.error_threshold) not in (int, float):
+            raise ValueError(f"error_threshold must be an int or float, got {self.error_threshold!r}")
         if self.d < 2:
             raise ValueError(f"digit modulus d must be >= 2, got {self.d}")
         if self.n < 2:
@@ -91,6 +95,12 @@ class RoundState:
             raise ValueError(
                 f"owners names {len(self.owners)} participants for {self.register.k} qudits"
             )
+
+
+def require_int(name: str, value) -> None:
+    """Reject a value whose type is not int: a numpy, float or bool value would reach the JSON report."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def validate_secrets(cfg: ProtocolConfig, secrets) -> None:

@@ -14,30 +14,10 @@ probability 1 - d^(1-n) no matter what he announces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .protocol import ProtocolConfig, RoundState
 from .qudit import BasisKind, apply_qft, measure_out
-
-
-@dataclass(frozen=True)
-class CheckAssignment:
-    """One announced check: who picked it, which position, which basis."""
-
-    chooser: int
-    position: int
-    basis: BasisKind
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    """Announced values of one executed check, P1's announcement first."""
-
-    assignment: CheckAssignment
-    announced: tuple[int, ...]
-    passed: bool
 
 
 def v1_pass(values, d: int) -> bool:
@@ -51,34 +31,27 @@ def v2_pass(values) -> bool:
     return all(v == values[0] for v in values)
 
 
-def select_checks(cfg: ProtocolConfig, eta: int, rng: np.random.Generator) -> list[CheckAssignment]:
+def select_checks(cfg: ProtocolConfig, eta: int, rng: np.random.Generator) -> list[dict]:
     """Randomly assign eta check positions to the receiving participants.
 
     Positions are distinct, drawn uniformly from the m+eta prepared
     states. Shares are balanced across the n-1 choosers, remainders going
     to the lowest-indexed ones. Each chooser picks an independent uniform
-    basis per check. Returned in execution (position) order.
+    basis, "V1" or "V2", per check, chooser by chooser. Returned as
+    {"position", "chooser", "basis"} records in execution (position) order.
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    total = cfg.m + eta
-    positions = [int(x) for x in rng.choice(total, size=eta, replace=False)]
+    positions = rng.choice(cfg.m + eta, size=eta, replace=False)
     base, rem = divmod(eta, cfg.n - 1)
-    assignments = []
-    cursor = 0
-    for idx, chooser in enumerate(range(2, cfg.n + 1)):
-        share = base + (1 if idx < rem else 0)
-        for pos in positions[cursor:cursor + share]:
-            basis = BasisKind.V1 if int(rng.integers(2)) == 0 else BasisKind.V2
-            assignments.append(CheckAssignment(chooser, pos, basis))
-        cursor += share
-    assignments.sort(key=lambda a: a.position)
-    return assignments
+    choosers = [c for c in range(2, cfg.n + 1) for _ in range(base + (1 if c - 2 < rem else 0))]
+    checks = [{"position": int(pos), "chooser": chooser, "basis": "V2" if rng.integers(2) else "V1"}
+              for pos, chooser in zip(positions, choosers)]
+    return sorted(checks, key=lambda c: c["position"])
 
 
-def execute_check(state: RoundState, assignment: CheckAssignment,
-                  rng: np.random.Generator) -> CheckOutcome:
-    """Consume one check position and produce its announced transcript.
+def execute_check(state: RoundState, check: dict, rng: np.random.Generator) -> dict:
+    """Consume one check position; return its record with the announced values and the verdict.
 
     Every owner rotates its own qudit by the Fourier transform and
     measures in the announced basis, in participant order, so P1 goes
@@ -91,20 +64,19 @@ def execute_check(state: RoundState, assignment: CheckAssignment,
     check, where nothing beats blind luck.
     """
     if state.measured:
-        raise ValueError(f"check position {assignment.position} already consumed")
-    basis = assignment.basis
+        raise ValueError(f"check position {check['position']} already consumed")
+    v1 = BasisKind(check["basis"]) is BasisKind.V1
     d = state.register.d
     values = []
     if 1 not in state.owners:
         # any fixed value does equally well on a Fourier-image check
-        values.append((-len(state.owners) * state.r) % d if basis is BasisKind.V1 else 0)
+        values.append((-len(state.owners) * state.r) % d if v1 else 0)
     reg, holders = state.register, list(state.owners)
     for participant in sorted(state.owners):
         q = holders.index(participant)
-        if basis is BasisKind.V1:
+        if v1:
             reg = apply_qft(reg, q)
         value, reg = measure_out(reg, q, rng)
         values.append(value)
         holders.pop(q)
-    passed = v1_pass(values, d) if basis is BasisKind.V1 else v2_pass(values)
-    return CheckOutcome(assignment, tuple(values), passed)
+    return {**check, "announced": values, "passed": v1_pass(values, d) if v1 else v2_pass(values)}

@@ -42,6 +42,7 @@ from quditsum import (
     run_protocol,
     run_scenario,
 )
+from quditsum import harness
 from quditsum.adversary import fabricate_rounds, fake_particle
 from quditsum.harness import _trial_secrets
 from quditsum.protocol import encode_rounds
@@ -53,7 +54,7 @@ from quditsum.qudit import (
     measure_out,
     measure_rows,
 )
-from quditsum.verification import CheckAssignment, execute_check, v1_pass, v2_pass
+from quditsum.verification import execute_check, v1_pass, v2_pass
 
 V1, V2 = BasisKind.V1, BasisKind.V2
 
@@ -234,9 +235,9 @@ def test_measure_computational_matches_zero_fill_reference(d, k):
         assert fast.bit_generator.state == ref.bit_generator.state
 
 
-def _reference_check(state, assignment, rng):
+def _reference_check(state, check, rng):
     """Rotate each owner's qudit, then measure it in the announced basis."""
-    d, basis = state.register.d, assignment.basis
+    d, basis = state.register.d, BasisKind(check["basis"])
     values = []
     if 1 not in state.owners:
         values.append((-len(state.owners) * state.r) % d if basis is V1 else 0)
@@ -245,7 +246,7 @@ def _reference_check(state, assignment, rng):
         q = state.owners.index(participant)
         value, reg = measure(apply_qft(reg, q), q, basis, rng)
         values.append(value)
-    return tuple(values), v1_pass(values, d) if basis is V1 else v2_pass(values)
+    return values, v1_pass(values, d) if basis is V1 else v2_pass(values)
 
 
 @pytest.mark.parametrize("forged", [False, True])
@@ -255,10 +256,10 @@ def test_execute_check_matches_rotate_then_measure_reference(forged, basis):
     genuine = prepare_rounds(cfg)[0]
     for seed in range(200):
         state = fabricate_rounds(cfg, (seed % 5,))[0] if forged else genuine
-        assignment = CheckAssignment(2, 0, basis)
+        check = {"position": 0, "chooser": 2, "basis": basis.value}
         ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
-        outcome = execute_check(state, assignment, fast)
-        assert (outcome.announced, outcome.passed) == _reference_check(state, assignment, ref)
+        outcome = execute_check(state, check, fast)
+        assert (outcome["announced"], outcome["passed"]) == _reference_check(state, check, ref)
         assert fast.bit_generator.state == ref.bit_generator.state
 
 
@@ -356,9 +357,9 @@ def _reference_encode_rounds(rounds, secrets, rng):
     return results
 
 
-def _reference_full_check(state, assignment, rng):
+def _reference_full_check(state, check, rng):
     """The check on the full register: QFT on V1 checks, zero-filled posteriors."""
-    d, basis = state.register.d, assignment.basis
+    d, basis = state.register.d, BasisKind(check["basis"])
     values = []
     if 1 not in state.owners:
         values.append((-len(state.owners) * state.r) % d if basis is V1 else 0)
@@ -369,7 +370,7 @@ def _reference_full_check(state, assignment, rng):
             reg = apply_qft(reg, q)
         value, reg = measure(reg, q, V1, rng)
         values.append(value)
-    return tuple(values), v1_pass(values, d) if basis is V1 else v2_pass(values)
+    return values, v1_pass(values, d) if basis is V1 else v2_pass(values)
 
 
 @pytest.mark.parametrize("forged", [False, True])
@@ -383,9 +384,9 @@ def test_shrinking_chains_match_full_register_reference(forged):
         ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
         assert encode_rounds(rounds, secrets, fast) == _reference_encode_rounds(rounds, secrets, ref)
         assert fast.bit_generator.state == ref.bit_generator.state
-        assignment = CheckAssignment(2, 0, _basis(seed % 2))
-        outcome = execute_check(rounds[0], assignment, fast)
-        assert (outcome.announced, outcome.passed) == _reference_full_check(rounds[0], assignment, ref)
+        check = {"position": 0, "chooser": 2, "basis": _basis(seed % 2).value}
+        outcome = execute_check(rounds[0], check, fast)
+        assert (outcome["announced"], outcome["passed"]) == _reference_full_check(rounds[0], check, ref)
         assert fast.bit_generator.state == ref.bit_generator.state
 
 
@@ -443,6 +444,28 @@ def test_scenario_run_releases_the_registers_its_trials_shared():
     run_scenario(ScenarioConfig(scenario="honest", protocol=cfg, trials=2))
     assert prepare_rounds(cfg)[0].register is not genuine
     assert fabricate_rounds(cfg, (1, 1))[0].register is not forged
+
+
+@pytest.mark.parametrize("scenario", ["honest", "iqft-attack"])
+def test_interrupted_scenario_run_releases_the_registers_its_trials_shared(scenario, monkeypatch):
+    # a run stopped between trials must not hold its registers, up to 2^22
+    # amplitudes, until the next run
+    seen, real = [], harness.run_protocol
+
+    def interrupt_second_trial(cfg, eta, secrets, rounds, rng, eve=False):
+        seen.append(rounds[0].register)
+        if len(seen) == 2:
+            raise KeyboardInterrupt
+        return real(cfg, eta, secrets, rounds, rng, eve=eve)
+
+    monkeypatch.setattr(harness, "run_protocol", interrupt_second_trial)
+    cfg = ProtocolConfig(d=3, n=3, m=2, decoy_count=2)
+    forged = scenario == "iqft-attack"
+    with pytest.raises(KeyboardInterrupt):
+        run_scenario(ScenarioConfig(scenario, cfg, trials=3, fake_r=1 if forged else None))
+    assert len(seen) == 2 and seen[0] is seen[1]  # the trials shared one register
+    fresh = fabricate_rounds(cfg, (1, 1)) if forged else prepare_rounds(cfg)
+    assert fresh[0].register is not seen[0]
 
 
 @pytest.mark.parametrize("d, ns", [(2, (2, 3, 4, 7)), (5, (2, 3, 4, 7)), (10, (2, 3, 4)), (2048, (2,))])

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -120,6 +121,19 @@ def test_scenario_config_validation():
     for seed in (-1, 2**64):
         with pytest.raises(ValueError, match=r"master_seed must lie in \[0, 2\*\*64\)"):
             _cfg("honest", seed=seed)
+    # a numpy, float or bool value would reach the JSON report, or fail to
+    # serialize only after every trial has run
+    proto = ProtocolConfig(d=5, n=3, m=2)
+    for field, values in {"eta": (np.int64(2), 2.0), "trials": (True, np.int64(3)),
+                          "master_seed": (np.uint64(3), True, 3.0),
+                          "fake_r": (np.int64(2), 2.0, True)}.items():
+        for value in values:
+            with pytest.raises(ValueError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
+                ScenarioConfig("iqft-attack", proto, **{field: value})
+    with pytest.raises(ValueError, match=r"^d must be an int, got np\.int64\(5\)$"):
+        _cfg("iqft-attack", d=np.int64(5), fake_r=np.int64(2))
+    with pytest.raises(ValueError, match="^error_threshold must be an int or float, got True$"):
+        _cfg("honest", error_threshold=True)
 
 
 def test_honest_scenario_report():

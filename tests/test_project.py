@@ -3,14 +3,17 @@ and the package modules import nothing they leave unused."""
 
 import argparse
 import ast
+import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quditsum
 from quditsum.cli import build_parser
 from quditsum.harness import SCENARIOS, TOOL_VERSION
+from quditsum.verification import execute_check, select_checks
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -51,6 +54,26 @@ def test_readme_useful_flags_are_the_run_options():
     run_options = {opt for action in subparsers.choices["run"]._actions
                    for opt in action.option_strings if opt.startswith("--")}
     assert documented == run_options - {"--help"}
+
+
+def test_readme_check_record_keys_are_the_execute_check_keys():
+    readme = (ROOT / "README.md").read_text()
+    bullets = readme.split("Each entry of a `checks` list", 1)[1].split("\n\n")[1]  # the list after the paragraph
+    documented = re.findall(r"^- `([a-z_]+)`", bullets, flags=re.M)
+    cfg = quditsum.ProtocolConfig(d=3, n=3, m=1)
+    rng = np.random.default_rng(0)
+    check = select_checks(cfg, 1, rng)[0]
+    record = execute_check(quditsum.prepare_rounds(cfg, count=2)[check["position"]], check, rng)
+    assert documented == list(record)
+
+
+def test_readme_python_api_example_runs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    snippet = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(snippet, namespace)
+    assert json.loads((tmp_path / "report.json").read_text()) == namespace["report"]
 
 
 def test_pyproject_version_is_the_package_version():

@@ -1,5 +1,7 @@
 """Original protocol: rounds, decoys, encoding, announcements."""
 
+import re
+
 import numpy as np
 import pytest
 from conftest import random_secret
@@ -45,6 +47,16 @@ def test_config_validation():
         ProtocolConfig(d=5, n=3, m=1, error_threshold=1.5)
     with pytest.raises(ValueError):
         ProtocolConfig(d=2, n=23, m=1)  # register would exceed the cap
+    # a numpy, float or bool value would reach the JSON report
+    for field in ("d", "n", "m", "decoy_count"):
+        for value in (np.int64(5), 5.0, True):
+            with pytest.raises(ValueError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
+                ProtocolConfig(**{"d": 5, "n": 3, "m": 1, field: value})
+    for value in (True, np.float32(0.25), "0.25"):
+        with pytest.raises(ValueError, match=f"^error_threshold must be an int or float, got {re.escape(repr(value))}$"):
+            ProtocolConfig(d=5, n=3, m=1, error_threshold=value)
+    for value in (0, 1, 0.25):
+        assert ProtocolConfig(d=5, n=3, m=1, error_threshold=value).error_threshold == value
 
 
 def test_validate_secrets():

@@ -1,5 +1,6 @@
 """Hardened protocol: check selection, check execution, detection power."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -18,9 +19,6 @@ from quditsum import (
     v1_pass,
     v2_pass,
 )
-from quditsum.verification import CheckAssignment
-
-V1, V2 = BasisKind.V1, BasisKind.V2
 
 
 def _secrets(rows):
@@ -69,14 +67,14 @@ def test_select_checks_empty():
 def test_select_checks_even_split():
     cfg = ProtocolConfig(d=5, n=3, m=2)
     checks = select_checks(cfg, 6, np.random.default_rng(1))
-    shares = Counter(a.chooser for a in checks)
+    shares = Counter(a["chooser"] for a in checks)
     assert shares == {2: 3, 3: 3}
 
 
 def test_select_checks_remainder_to_lowest_choosers():
     cfg = ProtocolConfig(d=5, n=4, m=2)
     checks = select_checks(cfg, 7, np.random.default_rng(2))
-    shares = Counter(a.chooser for a in checks)
+    shares = Counter(a["chooser"] for a in checks)
     assert shares == {2: 3, 3: 2, 4: 2}
 
 
@@ -84,17 +82,45 @@ def test_select_checks_positions_distinct_and_in_range():
     cfg = ProtocolConfig(d=3, n=3, m=4)
     for seed in range(10):
         checks = select_checks(cfg, 5, np.random.default_rng(seed))
-        positions = [a.position for a in checks]
+        positions = [a["position"] for a in checks]
         assert positions == sorted(positions)
         assert len(set(positions)) == 5
         assert all(0 <= p < 4 + 5 for p in positions)
-        assert all(a.basis in (V1, V2) for a in checks)
+        assert all(a["basis"] in ("V1", "V2") for a in checks)
 
 
 def test_select_checks_uses_both_bases():
     cfg = ProtocolConfig(d=3, n=2, m=1)
     checks = select_checks(cfg, 40, np.random.default_rng(3))
-    assert {a.basis for a in checks} == {V1, V2}
+    assert {a["basis"] for a in checks} == {"V1", "V2"}
+
+
+def _reference_select_checks(cfg, eta, rng):
+    """The cursor/share loop select_checks replaced: each chooser's block of positions in turn."""
+    positions = [int(x) for x in rng.choice(cfg.m + eta, size=eta, replace=False)]
+    base, rem = divmod(eta, cfg.n - 1)
+    checks, cursor = [], 0
+    for idx, chooser in enumerate(range(2, cfg.n + 1)):
+        share = base + (1 if idx < rem else 0)
+        for pos in positions[cursor:cursor + share]:
+            basis = "V1" if int(rng.integers(2)) == 0 else "V2"
+            checks.append({"position": pos, "chooser": chooser, "basis": basis})
+        cursor += share
+    checks.sort(key=lambda c: c["position"])
+    return checks
+
+
+def test_select_checks_draws_as_the_cursor_loop():
+    for n in range(2, 9):
+        for eta in range(21):
+            for seed in range(5):
+                cfg = ProtocolConfig(d=2, n=n, m=1 + seed)
+                ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+                checks = select_checks(cfg, eta, fast)
+                assert checks == _reference_select_checks(cfg, eta, ref)
+                assert fast.bit_generator.state == ref.bit_generator.state
+                assert all(list(c) == ["position", "chooser", "basis"] for c in checks)
+                assert json.loads(json.dumps(checks)) == checks
 
 
 # ---------------------------------------------------------------------------
@@ -107,10 +133,10 @@ def test_honest_check_v1_sums_to_zero(d, n):
     rng = np.random.default_rng(10 * d + n)
     for _ in range(15):
         state = prepare_rounds(cfg, count=1)[0]
-        outcome = execute_check(state, CheckAssignment(2, 0, V1), rng)
-        assert outcome.passed
-        assert sum(outcome.announced) % d == 0
-        assert len(outcome.announced) == n
+        outcome = execute_check(state, {"position": 0, "chooser": 2, "basis": "V1"}, rng)
+        assert outcome["passed"]
+        assert sum(outcome["announced"]) % d == 0
+        assert len(outcome["announced"]) == n
 
 
 @pytest.mark.parametrize("d,n", [(2, 2), (5, 3), (7, 4)])
@@ -119,9 +145,9 @@ def test_honest_check_v2_all_agree(d, n):
     rng = np.random.default_rng(20 * d + n)
     for _ in range(15):
         state = prepare_rounds(cfg, count=1)[0]
-        outcome = execute_check(state, CheckAssignment(2, 0, V2), rng)
-        assert outcome.passed
-        assert len(set(outcome.announced)) == 1
+        outcome = execute_check(state, {"position": 0, "chooser": 2, "basis": "V2"}, rng)
+        assert outcome["passed"]
+        assert len(set(outcome["announced"])) == 1
 
 
 def test_consumed_check_state_rejected():
@@ -131,7 +157,29 @@ def test_consumed_check_state_rejected():
     from quditsum import encode_and_measure
     _, used = encode_and_measure(state, 1, 0, rng)
     with pytest.raises(ValueError):
-        execute_check(used, CheckAssignment(2, 0, V1), rng)
+        execute_check(used, {"position": 0, "chooser": 2, "basis": "V1"}, rng)
+
+
+def test_execute_check_rejects_unknown_basis():
+    state = prepare_rounds(ProtocolConfig(d=3, n=3, m=1))[0]
+    with pytest.raises(ValueError, match="V3"):
+        execute_check(state, {"position": 0, "chooser": 2, "basis": "V3"}, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("forged", [False, True])
+@pytest.mark.parametrize("basis", ["V1", "V2"])
+def test_check_record_is_the_check_plus_its_transcript(forged, basis):
+    cfg = ProtocolConfig(d=5, n=3, m=1)
+    state = fabricate_rounds(cfg, (2,))[0] if forged else prepare_rounds(cfg)[0]
+    check = {"position": 0, "chooser": 3, "basis": basis}
+    record = execute_check(state, check, np.random.default_rng(1))
+    assert list(record) == ["position", "chooser", "basis", "announced", "passed"]
+    assert {k: record[k] for k in check} == check
+    assert len(record["announced"]) == cfg.n
+    # only JSON-native values: no tuple, no numpy scalar
+    assert json.loads(json.dumps(record)) == record
+    assert type(record["passed"]) is bool
+    assert all(type(v) is int for v in record["announced"])
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +194,10 @@ def test_adaptive_dealer_always_passes_v1():
         cfg = ProtocolConfig(d=d, n=n, m=1)
         for r in range(d):
             fab = fabricate_rounds(cfg, (r,))[0]
-            outcome = execute_check(fab, CheckAssignment(2, 0, V1), rng)
-            assert outcome.passed
-            assert outcome.announced[0] == (-(n - 1) * r) % d
-            assert all(v == r for v in outcome.announced[1:])
+            outcome = execute_check(fab, {"position": 0, "chooser": 2, "basis": "V1"}, rng)
+            assert outcome["passed"]
+            assert outcome["announced"][0] == (-(n - 1) * r) % d
+            assert all(v == r for v in outcome["announced"][1:])
 
 
 def test_adaptive_dealer_v2_pass_rate_is_d_to_one_minus_n():
@@ -161,8 +209,8 @@ def test_adaptive_dealer_v2_pass_rate_is_d_to_one_minus_n():
     passes = 0
     for _ in range(trials):
         fab = fabricate_rounds(cfg, (int(rng.integers(d)),))[0]
-        outcome = execute_check(fab, CheckAssignment(2, 0, V2), rng)
-        passes += outcome.passed
+        outcome = execute_check(fab, {"position": 0, "chooser": 2, "basis": "V2"}, rng)
+        passes += outcome["passed"]
     assert_within_4sigma(passes / trials, d ** (1 - n), trials)
 
 
@@ -172,7 +220,7 @@ def test_honest_result_on_forged_state_is_uniform_in_v2():
     for d in (2, 5, 10):
         for r in range(d):
             reg = apply_qft(fake_particle(d, r), 0)
-            probs = outcome_distribution(reg, 0, V2)
+            probs = outcome_distribution(reg, 0, BasisKind.V2)
             assert np.allclose(probs, np.full(d, 1 / d), atol=1e-12)
 
 
@@ -187,9 +235,9 @@ def test_modified_honest_never_detects_and_sums_correctly():
         for _ in range(10):
             secrets = tuple(random_secret(d, m, rng) for _ in range(n))
             result = _hardened(cfg, eta, secrets, rng)
-            assert not result.detected and not result.aborted
+            assert not result.aborted
             assert len(result.checks) == eta
-            assert all(oc.passed for oc in result.checks)
+            assert all(oc["passed"] for oc in result.checks)
             expected = compute_sum(secrets, d)
             assert list(result.sum_digits) == expected
 
@@ -200,7 +248,7 @@ def test_modified_attack_with_no_checks_reduces_to_original():
     for _ in range(10):
         secrets = tuple(random_secret(10, 2, rng) for _ in range(3))
         result = _hardened(cfg, 0, secrets, rng, forged=True)
-        assert not result.detected
+        assert not result.aborted
         assert all(result.recovered[i] == secrets[i - 1] for i in (2, 3))
 
 
@@ -214,7 +262,7 @@ def test_modified_attack_detection_rate():
         rng = np.random.default_rng((9, t))
         secrets = tuple(random_secret(d, 1, rng) for _ in range(n))
         result = _hardened(cfg, eta, secrets, rng, forged=True)
-        detected += result.detected
+        detected += result.aborted
     assert_within_4sigma(detected / trials, expected, trials)
 
 
@@ -225,11 +273,11 @@ def test_modified_attack_abort_stops_at_first_failure():
     for _ in range(50):
         secrets = tuple(random_secret(5, 1, rng) for _ in range(3))
         result = _hardened(cfg, 6, secrets, rng, forged=True)
-        if result.detected:
+        if result.aborted:
             saw_abort = True
-            assert result.aborted
-            assert not result.checks[-1].passed
-            assert all(oc.passed for oc in result.checks[:-1])
+            assert sum(result.decoy_mismatches.values()) == 0  # caught by a check, not a decoy
+            assert not result.checks[-1]["passed"]
+            assert all(oc["passed"] for oc in result.checks[:-1])
             assert result.recovered is None and result.sum_digits is None
     assert saw_abort
 
@@ -241,7 +289,7 @@ def test_modified_attack_undetected_recovers_secrets():
     for _ in range(200):
         secrets = tuple(random_secret(2, 2, rng) for _ in range(2))
         result = _hardened(cfg, 2, secrets, rng, forged=True)
-        if not result.detected:
+        if not result.aborted:
             undetected += 1
             assert result.recovered[2] == secrets[1]
     assert undetected > 0
