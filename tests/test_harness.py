@@ -303,6 +303,90 @@ def test_whole_report_golden_digest(config, scenario, tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_REPORT_DIGESTS[config, scenario]
 
 
+# The seeded CLI runs README "Determinism" names, per size group: the sizes
+# every run of the group shares, then the flags each scenario runs with.
+DETERMINISM_RUNS = {
+    "small-mix": ("--d 5 --n 3 --m 4 --eta 6 --decoys 16 --trials 20",
+                  [f"--seed {s} --threshold {t}" for s in (1, 2, 209, 777) for t in (0, 0.3)]),
+    "d7-n4": ("--d 7 --n 4 --m 3 --eta 5 --decoys 8 --trials 40", ["--seed 3", "--seed 4"]),
+    "d2-n2": ("--d 2 --n 2 --m 3 --eta 5 --decoys 8 --trials 60", ["--seed 3", "--seed 4"]),
+    "d10-n5": ("--d 10 --n 5 --m 2 --eta 3 --decoys 8 --trials 6", ["--seed 5", "--seed 6"]),
+    "no-decoys": ("--d 3 --n 3 --m 1 --eta 2 --decoys 0 --trials 50",
+                  [f"--seed {s} --threshold {t}" for s in (3, 4) for t in (0, 0.3)]),
+    # --fake-r runs only where the dealer forges
+    "fixed-secrets": ("--d 10 --n 3 --eta 4 --decoys 4 --trials 10",
+                      ["--m 1 --seed 8 --secrets 4 5 6", "--m 2 --seed 9 --secrets 1,2 3,4 5,6",
+                       "--m 1 --seed 8 --secrets 4 5 6 --fake-r 2"]),
+    # honest, modified-honest and eve-decoy only, as the benchmark runs them
+    "wide-register": ("--d 10 --n 6 --m 1 --eta 2 --decoys 16 --trials 4", ["--seed 1"]),
+}
+WIDE_REGISTER_SCENARIOS = ("honest", "modified-honest", "eve-decoy")
+
+# SHA-256 over each run's report text, minus its duration_seconds line,
+# followed by its stdout with the elapsed time and the report path masked
+DETERMINISM_DIGESTS = {
+    ("small-mix", "honest"): "4988b100c9d854781b87269591ea2c1feb1156b8e16aa0f5d1842d4362f13101",
+    ("small-mix", "iqft-attack"): "b654a3d944c9e17930007e316574a696c8e167c0a3ceae9851e2a4c8abb25044",
+    ("small-mix", "modified-honest"): "49fe0df3f0510ac81e83c9db8c1d2c93d756d2e2c200e410b3f7da01e4404291",
+    ("small-mix", "modified-attack"): "7f74c044fe7b7f8794599686883c0203ffac77f57cbc1a97f37bb38a7acafede",
+    ("small-mix", "eve-decoy"): "1d8ce7220ed91079ddc76fb1cf0accc8b7424caa735c9f11731c839734b1f092",
+    ("d7-n4", "honest"): "fd65214aa32f9f98a6e536887ec00112e3a6dda837831ed657b17b416b7e8ebe",
+    ("d7-n4", "iqft-attack"): "3a9c1fbd78c85ebca36600c01866c4e4144406e2427584e2fd8a56cba62b3086",
+    ("d7-n4", "modified-honest"): "2845131e1ae09f07d94bb06b6a1a30e05fcc4218eb5e50e8a0cbe60f3ba2da53",
+    ("d7-n4", "modified-attack"): "999edc59d3499f16c2b811c5d6378fa8408cb75902344ac51302a85a74b35317",
+    ("d7-n4", "eve-decoy"): "df705bc511746e1fe8e36730c95351579101dbee288f111801a0f2529b9c1af5",
+    ("d2-n2", "honest"): "ef6c5108adb5ba63a332bb7981ebd6387108bf7c5dca53e006e109b982e775ef",
+    ("d2-n2", "iqft-attack"): "993b7494c0a2031ec4fa5470c796ac1cee241006fb126ce4d1cc1eec0751e8cc",
+    ("d2-n2", "modified-honest"): "2322b644271da3efb073a0c15e0503887f1b10687984dd0f1c534949342305b3",
+    ("d2-n2", "modified-attack"): "cbd6612573649904a1a4f1fdfb6072e7a3c4ff05dbb2d650a49c18ef40ccb1b1",
+    ("d2-n2", "eve-decoy"): "958f96be303a8662bf67f9debd9a6ec5b76604f577328363fad10ae3c8fc92d6",
+    ("d10-n5", "honest"): "85fa3a26a43cabac7468d71017c3730c09c4fd60ce7dead66c249e0350be7c3b",
+    ("d10-n5", "iqft-attack"): "b598d3d6415c1abff2ad5f714c5fc17a90d53b8a496f2bc75bcbc518750e7065",
+    ("d10-n5", "modified-honest"): "c4163e286fafa1a67af0219c1d5135b404ba32e4930ce205068fd8bd88ff59f1",
+    ("d10-n5", "modified-attack"): "71f95941c47fb5c4e08d33dd2a65061a78dda26a3483080fa0a04581f7b2e305",
+    ("d10-n5", "eve-decoy"): "f153a7f32533b8c857a716c38318e64f19aaa45f5b789f0999a5218b3b07037a",
+    ("no-decoys", "honest"): "85d10ec6b1cd18327aa25d57d51709d9fdd6b1dc37d5ce0ed93b65385a89baf6",
+    ("no-decoys", "iqft-attack"): "7440bdffbe6996db425436439f617749fc4756abf8663ba149b57d0a623de238",
+    ("no-decoys", "modified-honest"): "ce3c99d59432bd594e4cf257ea0d06e3c6391ceefd89f619f7e483b04dde4b1e",
+    ("no-decoys", "modified-attack"): "620ddee3038470bbd958be8c2b31b61888f3e07ac7cc68e11a5fb4733860d487",
+    ("no-decoys", "eve-decoy"): "3966413525d6b40913e2ca8a487acf65c70fac846565dea1f87d30429f7249b0",
+    ("fixed-secrets", "honest"): "45ec203e37caae907c27132d2535ed3c7c818f607dd7a7ccd9293fb91ae99182",
+    ("fixed-secrets", "iqft-attack"): "a31c8a0a824534ea8e4c75f49270c09ba2e6749e4dc1c2f7332e9c256ed6c809",
+    ("fixed-secrets", "modified-honest"): "3a0d99d903cad9e2513b8478fa6d12d637d9c9c4fefbecb05f42fadc22af9a23",
+    ("fixed-secrets", "modified-attack"): "bba29aeabf9249a474a411b666c0a138bb82034c4179f904c7fd8740042b786f",
+    ("fixed-secrets", "eve-decoy"): "3da4835badfd9a0b339bc1ed5f85d22b3b92920254b30e234b50e5fe5b086dba",
+    ("wide-register", "honest"): "df0525de8609870162818e4b39074ea86f27bc02bb19b352b2d7c929bd2eb777",
+    ("wide-register", "modified-honest"): "2e263122eb981a3f10e8639ec130887a3b5090795a14224acd9c57377ba8f20d",
+    ("wide-register", "eve-decoy"): "8c998d69ee43f56736e8a1c6c202d113c137aff64953ec3e6c419478ff1bb460",
+}
+
+
+def _determinism_argvs(group, scenario):
+    sizes, variants = DETERMINISM_RUNS[group]
+    return [["run", "--scenario", scenario, *sizes.split(), *flags.split()]
+            for flags in variants if "--fake-r" not in flags or SCENARIOS[scenario].forged]
+
+
+@pytest.mark.parametrize("group, scenario", sorted(DETERMINISM_DIGESTS))
+def test_determinism_runs_digest(group, scenario, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    digest = hashlib.sha256()
+    for argv in _determinism_argvs(group, scenario):
+        assert main([*argv, "--out", str(out)]) == 0
+        text = "".join(line for line in out.read_text().splitlines(keepends=True)
+                       if not line.startswith('  "duration_seconds": '))
+        stdout = re.sub(r" in \d+\.\d+s$", " in <elapsed>s", capsys.readouterr().out, flags=re.M)
+        digest.update((text + stdout.replace(str(out), "<out>")).encode())
+    assert digest.hexdigest() == DETERMINISM_DIGESTS[group, scenario]
+
+
+def test_determinism_runs_are_the_readme_runs():
+    groups = [(g, s) for g in DETERMINISM_RUNS
+              for s in (WIDE_REGISTER_SCENARIOS if g == "wide-register" else SCENARIOS)]
+    assert sorted(groups) == sorted(DETERMINISM_DIGESTS)
+    assert sum(len(_determinism_argvs(g, s)) for g, s in groups) == 105
+
+
 def test_different_seed_changes_records():
     a = run_scenario(_cfg("honest", trials=10, seed=1))
     b = run_scenario(_cfg("honest", trials=10, seed=2))
