@@ -10,7 +10,6 @@ from .adversary import (
 )
 from .harness import (
     TOOL_VERSION,
-    RunResult,
     ScenarioConfig,
     derive_trial_stream,
     run_protocol,

@@ -21,7 +21,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .protocol import ProtocolConfig, RoundState
+from .protocol import ProtocolConfig, RoundState, require_int
 from .qudit import BasisKind, QuditRegister, apply_iqft, basis_state, measure, measure_rows
 
 
@@ -46,8 +46,13 @@ def fabricate_rounds(cfg: ProtocolConfig, r_choices) -> list[RoundState]:
 
     Round j is the product of one fake particle per recipient (2..n), all
     built from r_choices[j]; P1 keeps no qudit of it. Rounds with equal r
-    share one cached read-only register.
+    share one cached read-only register. Every r must be an int in [0, d),
+    checked before the cache is read: 1.0 or True would match the key 1.
     """
+    for r in r_choices:
+        require_int("fabrication value", r)
+        if not 0 <= r < cfg.d:
+            raise ValueError(f"fabrication value {r} out of range for d={cfg.d}")
     owners = tuple(range(2, cfg.n + 1))
     registers = _forged_registers(cfg.d, cfg.n)
     for r in set(r_choices) - registers.keys():

@@ -174,35 +174,9 @@ def wilson_interval(successes: float, n: int, z: float = 1.959963984540054) -> t
 # the protocol engine
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """Everything observable about one protocol run.
-
-    decoy_mismatches counts the failed decoys of each receiver (2..n).
-    checks holds the record of each executed basis check. aborted means
-    the run stopped before encoding, on a decoy error rate above the
-    threshold or on a failed basis check, which is then the last entry of
-    checks. results holds every participant's result string, P1's
-    back-computed when the dealer forged the rounds, and recovered the
-    digits the forging dealer reads off them. Both are None after an
-    abort, recovered also on genuine rounds.
-    """
-
-    decoy_mismatches: dict[int, int]
-    aborted: bool = False
-    checks: tuple[dict, ...] = ()
-    results: dict[int, tuple[int, ...]] | None = None
-    sum_digits: tuple[int, ...] | None = None
-    recovered: dict[int, tuple[int, ...]] | None = None
-
-
-def _decoy_rate(mismatches: int, decoy_count: int) -> float:
-    return mismatches / decoy_count if decoy_count else 0.0
-
-
 def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.Generator,
-                 eve: bool = False) -> RunResult:
-    """One run of the summation protocol, original (eta=0) or hardened.
+                 eve: bool = False) -> dict:
+    """One run of the summation protocol, original (eta=0) or hardened; returns its record.
 
     rounds are the m+eta states the dealer hands out, genuine or forged.
     With eve=True an intercept-resend eavesdropper measures every particle
@@ -210,8 +184,16 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
     checks its decoys and the run aborts if any error rate exceeds the
     threshold. Next eta positions are burnt on basis checks, aborting at
     the first failure, and the m surviving rounds carry the secrets.
+
+    The record holds every per_trial key of any scenario, as the report
+    writes it. detected means the run aborted; the keys of the encoding
+    step are None then, and a failed basis check is the last entry of
+    checks. announced holds the rows of P2..Pn, recovered the digits a
+    forging dealer reads off them (None on genuine rounds, as is each
+    entry of fake_r).
     """
     validate_secrets(cfg, secrets)
+    require_int("eta", eta)
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     total = cfg.m + eta
@@ -225,30 +207,42 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
             particles = [(state.register, state.owners.index(i)) for state in rounds]
             resent, decoys[i] = eve_intercept_resend(particles, decoys[i], rng)
             rounds = [replace(state, register=reg) for state, reg in zip(rounds, resent)]
-    mismatches = {i: check_decoys(expected[i], decoys[i], rng) for i in receivers}
-    if any(_decoy_rate(c, cfg.decoy_count) > cfg.error_threshold for c in mismatches.values()):
-        return RunResult(mismatches, aborted=True)
-
+    mismatches = [check_decoys(expected[i], decoys[i], rng) for i in receivers]
+    rates = [c / cfg.decoy_count if cfg.decoy_count else 0.0 for c in mismatches]
+    detected = any(rate > cfg.error_threshold for rate in rates)
     checks = []
-    for check in select_checks(cfg, eta, rng):
+    for check in [] if detected else select_checks(cfg, eta, rng):
         checks.append(execute_check(rounds[check["position"]], check, rng))
-        if not checks[-1]["passed"]:
-            return RunResult(mismatches, aborted=True, checks=tuple(checks))
+        detected = not checks[-1]["passed"]
+        if detected:
+            break
+    record = {
+        "fake_r": [state.r for state in rounds],
+        "decoy_error_rates": rates, "decoy_mismatches": sum(mismatches),
+        "decoys_checked": len(mismatches) * cfg.decoy_count,
+        "checks": checks, "checks_passed": all(c["passed"] for c in checks),
+        "checks_executed": len(checks), "detected": detected,
+        "announced": None, "recovered": None, "recovery_success": None,
+        "sum": None, "announced_sum": None, "sum_correct": None,
+    }
+    if detected:
+        return record
 
     checked = {c["position"] for c in checks}
     surviving = [state for pos, state in enumerate(rounds) if pos not in checked]
     results = encode_rounds(surviving, secrets, rng)
-    recovered = None
     if 1 not in results:
         # the forging dealer publishes R1 = k_1 - (n-1) r, which cancels
         # the fabrication offsets in the sum, and subtracts r from the rest
         r = [state.r for state in surviving]
         results[1] = [(k - (cfg.n - 1) * rj) % cfg.d for k, rj in zip(secrets[0], r)]
-        recovered = {i: tuple(recover_secret_digit(v, rj, cfg.d) for v, rj in zip(results[i], r))
-                     for i in receivers}
-    rows = {i: tuple(results[i]) for i in range(1, cfg.n + 1)}
-    return RunResult(mismatches, checks=tuple(checks), results=rows,
-                     sum_digits=tuple(compute_sum(rows.values(), cfg.d)), recovered=recovered)
+        recovered = [[recover_secret_digit(v, rj, cfg.d) for v, rj in zip(results[i], r)]
+                     for i in receivers]
+        record.update(recovered=recovered, recovery_success=recovered == _secrets_list(secrets[1:]))
+    digits = compute_sum([results[i] for i in range(1, cfg.n + 1)], cfg.d)
+    record.update(announced=[results[i] for i in receivers], sum=digits, announced_sum=digits,
+                  sum_correct=digits == compute_sum(secrets, cfg.d))
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -316,48 +310,17 @@ def _secrets_list(secrets) -> list[list[int]]:
     return [list(s) for s in secrets]
 
 
-def _rows(by_participant, n: int) -> list[list[int]] | None:
-    if by_participant is None:
-        return None
-    return [list(by_participant[i]) for i in range(2, n + 1)]
-
-
-# each per_trial key, read off one trial as f(protocol, secrets, attack plan, result)
-_FIELDS = {
-    "sum": lambda p, s, plan, r: list(r.sum_digits),
-    "sum_correct": lambda p, s, plan, r: (
-        None if r.sum_digits is None
-        else list(r.sum_digits) == compute_sum(s, p.d)),
-    "fake_r": lambda p, s, plan, r: list(plan),
-    "announced": lambda p, s, plan, r: _rows(r.results, p.n),
-    "announced_sum": lambda p, s, plan, r: list(r.sum_digits),
-    "recovered": lambda p, s, plan, r: _rows(r.recovered, p.n),
-    "recovery_success": lambda p, s, plan, r: (
-        None if r.recovered is None
-        else all(r.recovered[i] == tuple(s[i - 1]) for i in range(2, p.n + 1))),
-    "checks": lambda p, s, plan, r: list(r.checks),
-    "checks_passed": lambda p, s, plan, r: all(c["passed"] for c in r.checks),
-    "checks_executed": lambda p, s, plan, r: len(r.checks),
-    "decoy_error_rates": lambda p, s, plan, r: [_decoy_rate(r.decoy_mismatches[i], p.decoy_count)
-                                                for i in range(2, p.n + 1)],
-    "decoy_mismatches": lambda p, s, plan, r: sum(r.decoy_mismatches.values()),
-    "decoys_checked": lambda p, s, plan, r: (p.n - 1) * p.decoy_count,
-    # caught by a decoy check or a basis check
-    "detected": lambda p, s, plan, r: r.aborted,
-}
-
-
 def _run_trial(cfg: ScenarioConfig, t: int, rng: np.random.Generator) -> tuple[dict, int]:
     """Draw secrets, then any forging plan; return record and decoy mismatches."""
     p, sc = cfg.protocol, SCENARIOS[cfg.scenario]
     eta = cfg.eta if sc.hardened else 0
     secrets = _trial_secrets(cfg, rng)
-    plan = _trial_plan(cfg, p.m + eta, rng) if sc.forged else None
-    rounds = fabricate_rounds(p, plan) if sc.forged else prepare_rounds(p, count=p.m + eta)
-    result = run_protocol(p, eta, secrets, rounds, rng, eve=sc.eve)
+    rounds = (fabricate_rounds(p, _trial_plan(cfg, p.m + eta, rng)) if sc.forged
+              else prepare_rounds(p, count=p.m + eta))
+    outcome = run_protocol(p, eta, secrets, rounds, rng, eve=sc.eve)
     record = {"trial": t, "secrets": _secrets_list(secrets)}
-    record.update((key, _FIELDS[key](p, secrets, plan, result)) for key in sc.record)
-    return record, sum(result.decoy_mismatches.values())
+    record.update((key, outcome[key]) for key in sc.record)
+    return record, outcome["decoy_mismatches"]
 
 
 # ---------------------------------------------------------------------------

@@ -82,20 +82,6 @@ class QuditRegister:
         reg.d, reg.k, reg.amplitudes = d, k, amplitudes
         return reg
 
-    @property
-    def dim(self) -> int:
-        return self.d**self.k
-
-    def digits_of(self, index: int) -> tuple[int, ...]:
-        """Base-d digit tuple (qudit 0 first) of a flat amplitude index."""
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} out of range for dimension {self.dim}")
-        digits = []
-        for _ in range(self.k):
-            index, rem = divmod(index, self.d)
-            digits.append(rem)
-        return tuple(reversed(digits))
-
     def __repr__(self) -> str:  # amplitudes are too long to echo
         return f"QuditRegister(d={self.d}, k={self.k})"
 

@@ -57,13 +57,13 @@ def test_c01_worked_example_exact():
         secrets = ((4,), (5,), (6,))
 
         honest = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), np.random.default_rng(0))
-        assert honest.sum_digits == (5,)
+        assert honest["sum"] == [5]
 
         forged = fabricate_rounds(cfg, (2,))
         attack = run_protocol(cfg, 0, secrets, forged, np.random.default_rng(1))
-        assert {i: attack.results[i] for i in (2, 3)} == {2: (7,), 3: (8,)}
-        assert attack.recovered == {2: (5,), 3: (6,)}
-        assert all(attack.recovered[i] == secrets[i - 1] for i in (2, 3))
+        assert attack["announced"] == [[7], [8]]  # P2, P3
+        assert attack["recovered"] == [[5], [6]]
+        assert attack["recovered"] == [list(secrets[i - 1]) for i in (2, 3)]
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -109,7 +109,7 @@ def test_c04_honest_sum_always_correct():
                         secrets = tuple(random_secret(d, m, rng) for _ in range(n))
                         result = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), rng)
                         expected = compute_sum(secrets, d)
-                        assert list(result.sum_digits) == expected
+                        assert result["sum"] == expected
                         trials += 1
         assert trials >= 200
 
@@ -124,9 +124,8 @@ def test_c05_attack_complete_and_stealthy():
                 secrets = tuple(random_secret(d, m, rng) for _ in range(n))
                 forged = fabricate_rounds(cfg, tuple(int(x) for x in rng.integers(0, d, size=m)))
                 result = run_protocol(cfg, 0, secrets, forged, rng)
-                successes += all(result.recovered[i] == secrets[i - 1]
-                                 for i in range(2, n + 1))
-                assert all(count == 0 for count in result.decoy_mismatches.values())
+                successes += result["recovered"] == [list(secrets[i - 1]) for i in range(2, n + 1)]
+                assert result["decoy_error_rates"] == [0.0] * (n - 1)
             assert successes == 100
 
 
@@ -158,11 +157,11 @@ def test_c06_modified_honest_completeness():
             rng = np.random.default_rng((6, t))
             secrets = tuple(random_secret(5, 1, rng) for _ in range(3))
             result = run_protocol(cfg, 10, secrets, prepare_rounds(cfg, count=11), rng)
-            assert not result.aborted
-            assert all(oc["passed"] for oc in result.checks)
-            checks_seen += len(result.checks)
+            assert not result["detected"]
+            assert all(oc["passed"] for oc in result["checks"])
+            checks_seen += len(result["checks"])
             expected = compute_sum(secrets, 5)
-            assert list(result.sum_digits) == expected
+            assert result["sum"] == expected
         assert checks_seen >= 10_000
 
 

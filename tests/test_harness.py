@@ -12,6 +12,9 @@ from quditsum import (
     ProtocolConfig,
     ScenarioConfig,
     derive_trial_stream,
+    fabricate_rounds,
+    prepare_rounds,
+    run_protocol,
     run_scenario,
     wilson_interval,
     write_report,
@@ -134,6 +137,19 @@ def test_scenario_config_validation():
         _cfg("iqft-attack", d=np.int64(5), fake_r=np.int64(2))
     with pytest.raises(ValueError, match="^error_threshold must be an int or float, got True$"):
         _cfg("honest", error_threshold=True)
+    # nor may a fabrication value or eta handed to the engine itself, with
+    # the register of r = 1 already cached
+    fabricate_rounds(proto, (1,))
+    for r in (np.int64(1), 1.0, True):
+        with pytest.raises(ValueError, match=f"^fabrication value must be an int, got {re.escape(repr(r))}$"):
+            fabricate_rounds(proto, (1, r))
+    for r in (-1, 5):
+        with pytest.raises(ValueError, match=f"^fabrication value {r} out of range for d=5$"):
+            fabricate_rounds(proto, (1, r))
+    secrets, rounds = ((1, 2), (3, 4), (0, 1)), prepare_rounds(proto, count=3)
+    for eta in (1.0, True, np.int64(1)):
+        with pytest.raises(ValueError, match=f"^eta must be an int, got {re.escape(repr(eta))}$"):
+            run_protocol(proto, eta, secrets, rounds, np.random.default_rng(0))
 
 
 def test_honest_scenario_report():
@@ -218,6 +234,38 @@ def test_report_keys_follow_the_scenario_entry(scenario):
     assert list(doc["oracle_predictions"]) == list(entry.predictions)
     for name in entry.aggregates:
         assert doc["aggregates"][name]["oracle"] is not None
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_run_protocol_returns_the_record_every_scenario_reads(scenario):
+    # the scenario's rounds, eta and channel; aborted runs and completed ones
+    sc = SCENARIOS[scenario]
+    keys = {key for entry in SCENARIOS.values() for key in entry.record}
+    eta = 3 if sc.hardened else 0
+    for threshold in (0.0, 0.3):
+        p = ProtocolConfig(d=5, n=3, m=2, decoy_count=4, error_threshold=threshold)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            secrets = tuple(tuple(int(x) for x in row) for row in rng.integers(0, 5, size=(3, 2)))
+            rounds = (fabricate_rounds(p, tuple(int(x) for x in rng.integers(0, 5, size=2 + eta)))
+                      if sc.forged else prepare_rounds(p, count=2 + eta))
+            record = run_protocol(p, eta, secrets, rounds, rng, eve=sc.eve)
+            assert keys <= set(record)
+            assert _json_native(record)
+            assert json.loads(json.dumps(record)) == record
+
+
+def test_run_protocol_record_after_a_decoy_abort():
+    p = ProtocolConfig(d=5, n=3, m=2, decoy_count=8)  # threshold 0
+    records = [run_protocol(p, 2, ((1, 2), (3, 4), (0, 1)), prepare_rounds(p, count=4),
+                            np.random.default_rng(seed), eve=True) for seed in range(10)]
+    aborted = [r for r in records if r["decoy_mismatches"] > 0]
+    assert aborted
+    for record in aborted:
+        assert record["detected"] is True
+        assert record["checks"] == [] and record["checks_executed"] == 0
+        for key in ("announced", "sum", "sum_correct", "recovered", "recovery_success"):
+            assert record[key] is None
 
 
 def test_reports_are_reproducible_bit_for_bit():

@@ -232,7 +232,7 @@ def test_worked_example_digits():
     secrets = _secrets([[4], [5], [6]])
     for seed in range(50):
         result = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), np.random.default_rng(seed))
-        assert result.sum_digits == (5,)
+        assert result["sum"] == [5]
 
 
 def test_honest_sum_correct_across_grid():
@@ -246,7 +246,7 @@ def test_honest_sum_correct_across_grid():
                 secrets = tuple(random_secret(d, m, rng) for _ in range(n))
                 result = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), rng)
                 expected = compute_sum(secrets, d)
-                assert list(result.sum_digits) == expected
+                assert result["sum"] == expected
                 trial += 1
 
 
@@ -254,10 +254,9 @@ def test_announcements_state_results_then_sum():
     cfg = ProtocolConfig(d=5, n=4, m=2)
     secrets = _secrets([[1, 2], [3, 4], [0, 0], [2, 1]])
     result = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), np.random.default_rng(3))
-    assert list(result.results) == [1, 2, 3, 4]
-    assert all(len(row) == 2 for row in result.results.values())
-    rows = [result.results[i] for i in (1, 2, 3, 4)]
-    assert list(result.sum_digits) == compute_sum(rows, 5)
+    assert len(result["announced"]) == 3  # P2..P4; P1 only publishes the sum
+    assert all(len(row) == 2 for row in result["announced"])
+    assert result["sum"] == compute_sum(secrets, 5)
 
 
 def test_run_rejects_wrong_secrets():
