@@ -12,24 +12,23 @@ sees a clean channel and the theft leaves no trace there.
 The second is an outside eavesdropper running intercept-resend in a
 uniformly random basis. She learns announced-basis values at the price
 of disturbing half the decoys she guesses wrong, which is exactly what
-the decoy check is built to catch.
+the decoy check is built to catch. Fake and resent particles are
+one-qudit factors of their rounds.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-
 import numpy as np
 
 from .protocol import ProtocolConfig, RoundState, require_int
-from .qudit import BasisKind, QuditRegister, apply_iqft, basis_state, measure, measure_rows
+from .qudit import BasisKind, QuditRegister, _iqft_matrix, _qft_matrix, measure_rows
 
 
 def fake_particle(d: int, r: int) -> QuditRegister:
-    """The forged single-qudit state: the inverse Fourier transform of |r>."""
+    """The forged single-qudit state IQFT|r>: a read-only view of row r of the symmetric IQFT matrix."""
     if not 0 <= r < d:
         raise ValueError(f"fabrication value {r} out of range for d={d}")
-    return apply_iqft(basis_state(d, [r]), 0)
+    return QuditRegister._trusted(d, 1, _iqft_matrix(d)[r])
 
 
 def recover_secret_digit(announced: int, r: int, d: int) -> int:
@@ -44,43 +43,35 @@ def recover_secret_digit(announced: int, r: int, d: int) -> int:
 def fabricate_rounds(cfg: ProtocolConfig, r_choices) -> list[RoundState]:
     """Build the dealer's forged round for every fabrication value.
 
-    Round j is the product of one fake particle per recipient (2..n), all
-    built from r_choices[j]; P1 keeps no qudit of it. Rounds with equal r
-    share one cached read-only register. Every r must be an int in [0, d),
-    checked before the cache is read: 1.0 or True would match the key 1.
+    Round j holds one fake particle per recipient (2..n), each its own
+    one-qudit factor, all built from r_choices[j]; P1 keeps no qudit of
+    it. Every r must be an int in [0, d); the types are checked first,
+    since True would pass the range check and index the IQFT matrix as
+    a mask.
     """
     for r in r_choices:
         require_int("fabrication value", r)
-        if not 0 <= r < cfg.d:
-            raise ValueError(f"fabrication value {r} out of range for d={cfg.d}")
-    owners = tuple(range(2, cfg.n + 1))
-    registers = _forged_registers(cfg.d, cfg.n)
-    for r in set(r_choices) - registers.keys():
-        particle = fake_particle(cfg.d, r).amplitudes
-        registers[r] = QuditRegister(cfg.d, len(owners), reduce(np.kron, [particle] * len(owners)))
-        registers[r].amplitudes.setflags(write=False)
-    return [RoundState(j, registers[r], owners=owners, r=r) for j, r in enumerate(r_choices)]
+    return [RoundState(j, tuple((fake_particle(cfg.d, r), (i,)) for i in range(2, cfg.n + 1)), r=r)
+            for j, r in enumerate(r_choices)]
 
 
-@lru_cache(maxsize=1)
-def _forged_registers(d: int, n: int) -> dict[int, QuditRegister]:
-    """r -> forged register of the n-1 recipients, filled on demand (at most d entries)."""
-    return {}
+def eve_intercept_resend(rounds, receiver: int, decoys: np.ndarray, rng: np.random.Generator):
+    """Measure every particle in transit to the receiver in a uniformly random basis.
 
-
-def eve_intercept_resend(particles, decoys: np.ndarray, rng: np.random.Generator):
-    """Measure every in-transit particle in a uniformly random basis.
-
-    particles is a sequence of (register, qudit) pairs: payload particles
-    still entangled with the rest of a round, addressed by their qudit
-    inside the shared register. decoys is the (N, d) array of decoy rows
-    sent after them. Returns (registers, rows): the post-measurement
-    registers in input order and the measured decoy rows, which is
-    exactly what resent particles look like to the receiver, the measured
-    factor being the basis state Eve observed.
+    The receiver's qudit of each round travels first, then the (N, d)
+    array of decoy rows. Each payload qudit leaves its register, and the
+    receiver holds instead the basis state Eve observed, |v> or QFT|v>,
+    as a one-qudit factor of its own. Returns (rounds, rows): the rounds
+    as the receiver gets them and the measured decoy rows.
     """
-    registers = [measure(reg, q, BasisKind.V2 if rng.integers(2) else BasisKind.V1, rng)[1]
-                 for reg, q in particles]
+    resent = []
+    for state in rounds:
+        basis = BasisKind.V2 if rng.integers(2) else BasisKind.V1
+        value, rest = state.measure_qudit(receiver, basis, rng)
+        # QFT|v> is row v of the symmetric QFT matrix
+        states = _qft_matrix(state.d) if basis is BasisKind.V2 else np.eye(state.d, dtype=np.complex128)
+        particle = QuditRegister._trusted(state.d, 1, states[value])
+        resent.append(RoundState(rest.index, rest.factors + ((particle, (receiver,)),), rest.measured, rest.r))
     # per decoy, a basis bit and then the uniform measure would take
     draws = np.array([(rng.integers(2), rng.random()) for _ in range(len(decoys))]).reshape(-1, 2)
-    return registers, measure_rows(decoys, draws[:, 0] == 1, draws[:, 1])[1]
+    return resent, measure_rows(decoys, draws[:, 0] == 1, draws[:, 1])[1]

@@ -23,13 +23,12 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .adversary import eve_intercept_resend, fabricate_rounds, recover_secret_digit
-from .adversary import _forged_registers
 from .protocol import (
     ProtocolConfig,
     _shared_register,
@@ -204,9 +203,7 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
     decoys, expected = insert_decoys(cfg, rng, payload_len=total)
     if eve:
         for i in receivers:
-            particles = [(state.register, state.owners.index(i)) for state in rounds]
-            resent, decoys[i] = eve_intercept_resend(particles, decoys[i], rng)
-            rounds = [replace(state, register=reg) for state, reg in zip(rounds, resent)]
+            rounds, decoys[i] = eve_intercept_resend(rounds, i, decoys[i], rng)
     mismatches = [check_decoys(expected[i], decoys[i], rng) for i in receivers]
     rates = [c / cfg.decoy_count if cfg.decoy_count else 0.0 for c in mismatches]
     detected = any(rate > cfg.error_threshold for rate in rates)
@@ -407,8 +404,8 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 
     Trials are independent by construction (each gets its own derived
     stream), so the per-trial records depend only on the configuration
-    and the master seed, never on execution order or timing. The dealer's
-    read-only registers the trials share are released however the run ends.
+    and the master seed, never on execution order or timing. The
+    read-only GHZ register the trials share is released however the run ends.
     """
     t0 = time.perf_counter()
     per_trial, mismatches = [], 0
@@ -419,7 +416,6 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
             mismatches += count
     finally:
         _shared_register.cache_clear()
-        _forged_registers.cache_clear()
     aggregates, predictions = _aggregate(cfg, per_trial, mismatches)
     return {
         "scenario": cfg.scenario,

@@ -11,23 +11,24 @@ everything up digit-wise mod d and publishes the sum. The entanglement
 guarantees the announced digits sum to the digit-wise sum of all the
 secrets while each single announcement stays uniformly distributed.
 
-Participants are numbered 1-based; qudit i-1 of a shared round register
-belongs to participant i.
+Participants are numbered 1-based; P1..Pn hold the qudits of a genuine
+round's shared register in order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .qudit import (
+    BasisKind,
     QuditRegister,
     _check_cap,
     _qft_matrix,
     apply_encode,
-    measure_out,
+    measure,
     measure_rows,
     omega_state,
 )
@@ -73,28 +74,52 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class RoundState:
-    """One shared state plus bookkeeping of who already measured.
+    """One round as a product of (register, owners) factors, plus who already read out.
 
-    owners[q] names the participant still holding qudit q (measured
-    qudits leave the register); the default wiring is participant i on
-    qudit i-1. A forged round holds the product of the recipients' fake
-    particles, owners=(2..n), and r is the fabrication value it was
-    built from (None on genuine rounds).
+    owners[q] holds qudit q of its register. A genuine round is the shared
+    register held by 1..n; a forged round is one fake particle per
+    recipient 2..n, built from the fabrication value r (None if genuine).
     """
 
     index: int
-    register: QuditRegister
-    owners: tuple[int, ...] = ()
+    factors: tuple[tuple[QuditRegister, tuple[int, ...]], ...]
     measured: frozenset[int] = frozenset()
     r: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.owners:
-            object.__setattr__(self, "owners", tuple(range(1, self.register.k + 1)))
-        if len(self.owners) != self.register.k:
-            raise ValueError(
-                f"owners names {len(self.owners)} participants for {self.register.k} qudits"
-            )
+        for register, owners in self.factors:
+            if len(owners) != register.k:
+                raise ValueError(f"owners names {len(owners)} participants for {register.k} qudits")
+
+    @property
+    def d(self) -> int:
+        """Levels per qudit, the same in every factor."""
+        return self.factors[0][0].d
+
+    @property
+    def owners(self) -> tuple[int, ...]:
+        """The participants still holding a qudit of the round, in order."""
+        return tuple(sorted(p for _, owners in self.factors for p in owners))
+
+    def measure_qudit(self, participant: int, basis: BasisKind, rng: np.random.Generator,
+                      rotate=None) -> tuple[int, "RoundState"]:
+        """Measure the participant's qudit in the basis, after rotate(register, q) if given.
+
+        Returns the value and the round without that qudit, dropping a
+        register left with none; measured is left as it is.
+        """
+        for f, (register, owners) in enumerate(self.factors):
+            if participant in owners:
+                break
+        else:
+            raise ValueError(f"participant {participant} holds no qudit in round {self.index}")
+        q = owners.index(participant)
+        if rotate is not None:
+            register = rotate(register, q)
+        value, rest = measure(register, q, basis, rng)
+        kept = owners[:q] + owners[q + 1:]
+        factors = self.factors[:f] + (((rest, kept),) if kept else ()) + self.factors[f + 1:]
+        return value, RoundState(self.index, factors, self.measured, self.r)
 
 
 def require_int(name: str, value) -> None:
@@ -127,8 +152,8 @@ def _shared_register(d: int, n: int) -> QuditRegister:
 def prepare_rounds(cfg: ProtocolConfig, count: int | None = None) -> list[RoundState]:
     """Shared states, one per digit position (count overrides cfg.m), all one cached read-only register."""
     rounds = cfg.m if count is None else count
-    register = _shared_register(cfg.d, cfg.n)
-    return [RoundState(j, register) for j in range(rounds)]
+    factors = ((_shared_register(cfg.d, cfg.n), tuple(range(1, cfg.n + 1))),)
+    return [RoundState(j, factors) for j in range(rounds)]
 
 
 def insert_decoys(cfg: ProtocolConfig, rng: np.random.Generator, payload_len: int | None = None):
@@ -181,17 +206,11 @@ def encode_and_measure(state: RoundState, participant: int, digit: int, rng: np.
     (measured value, round without the participant's qudit). A
     participant can touch a round only once.
     """
-    d = state.register.d
-    if not 0 <= digit < d:
-        raise ValueError(f"digit {digit} out of range for d={d}")
     if participant in state.measured:
         raise ValueError(f"participant {participant} already measured round {state.index}")
-    if participant not in state.owners:
-        raise ValueError(f"participant {participant} holds no qudit in round {state.index}")
-    q = state.owners.index(participant)
-    value, rest = measure_out(apply_encode(state.register, q, digit), q, rng)
-    owners = state.owners[:q] + state.owners[q + 1:]
-    return value, replace(state, register=rest, owners=owners, measured=state.measured | {participant})
+    value, rest = state.measure_qudit(participant, BasisKind.V1, rng,
+                                      lambda register, q: apply_encode(register, q, digit))
+    return value, RoundState(state.index, rest.factors, state.measured | {participant}, state.r)
 
 
 def encode_rounds(rounds, secrets, rng: np.random.Generator) -> dict[int, list[int]]:
@@ -204,7 +223,7 @@ def encode_rounds(rounds, secrets, rng: np.random.Generator) -> dict[int, list[i
     """
     results: dict[int, list[int]] = {}
     for j, state in enumerate(rounds):
-        for i in sorted(state.owners):
+        for i in state.owners:
             value, state = encode_and_measure(state, i, secrets[i - 1][j], rng)
             results.setdefault(i, []).append(value)
     return results

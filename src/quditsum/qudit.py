@@ -13,11 +13,9 @@ every measurement checks the norm instead.
 
 Two measurement bases appear throughout: V1 is the computational basis
 {|0>, ..., |d-1>} and V2 is its Fourier image {QFT|0>, ..., QFT|d-1>}.
-A V2 measurement samples r on the inverse-rotated target and writes the
-posterior as the kept slice times QFT|r>: a true projection onto the V2
-basis, so repeating it reproduces r with certainty. measure_out drops a
-measured qudit nobody reads again; the last one leaves the 0-qudit
-register, a single amplitude of modulus 1.
+A measurement (V2 on the inverse-rotated target) returns the value and
+the other qudits: a particle read again is the basis state it collapsed
+to, a register of its own. The last qudit leaves the 0-qudit register.
 """
 
 from __future__ import annotations
@@ -218,26 +216,17 @@ def outcome_distribution(reg: QuditRegister, target: int, basis: BasisKind) -> n
 
 def measure(reg: QuditRegister, target: int, basis: BasisKind,
             rng: np.random.Generator) -> tuple[int, QuditRegister]:
-    """Projective measurement of one qudit in the given basis: (value, collapsed register).
+    """Projective measurement of one qudit in the given basis; the qudit leaves the register.
 
-    V1 samples the computational digit of the target and zeroes every
-    other digit. V2 samples the digit of the inverse-rotated target; the
-    posterior is the kept slice with QFT|value> as the target factor.
+    Returns the value and the register of the other k-1 qudits. V2
+    samples the computational digit of the inverse-rotated target.
     """
     if basis is BasisKind.V2:
-        value, kept = _collapse(apply_iqft(reg, target), target, rng)
-        posterior = kept[:, None, :] * _qft_matrix(reg.d)[:, value][None, :, None]
-    else:
-        value, kept = _collapse(reg, target, rng)
-        posterior = np.zeros((kept.shape[0], reg.d, kept.shape[1]), dtype=np.complex128)
-        posterior[:, value, :] = kept
-    return value, QuditRegister._trusted(reg.d, reg.k, posterior.reshape(-1))
-
-
-def measure_out(reg: QuditRegister, target: int, rng: np.random.Generator) -> tuple[int, QuditRegister]:
-    """Computational measurement that drops the target: (value, register of the other k-1 qudits)."""
-    value, kept = _collapse(reg, target, rng)
-    return value, QuditRegister._trusted(reg.d, reg.k - 1, kept.reshape(-1))
+        reg = apply_iqft(reg, target)
+    value = int(_sample(outcome_distribution(reg, target, BasisKind.V1), rng.random()))
+    a, b = _split(reg, target)
+    kept = reg.amplitudes.reshape(a, reg.d, b)[:, value, :]
+    return value, QuditRegister._trusted(reg.d, reg.k - 1, (kept / np.linalg.norm(kept)).reshape(-1))
 
 
 def _sample(probs: np.ndarray, u) -> np.ndarray:
@@ -253,14 +242,6 @@ def _sample(probs: np.ndarray, u) -> np.ndarray:
     cdf /= cdf[..., -1:]
     # the count of cdf entries <= u is searchsorted(u, side="right")
     return np.count_nonzero(cdf <= np.expand_dims(u, -1), axis=-1)
-
-
-def _collapse(reg: QuditRegister, target: int, rng: np.random.Generator) -> tuple[int, np.ndarray]:
-    """Sampled computational digit of the target and the normalized (a, b) slice it keeps."""
-    value = int(_sample(outcome_distribution(reg, target, BasisKind.V1), rng.random()))
-    a, b = _split(reg, target)
-    kept = reg.amplitudes.reshape(a, reg.d, b)[:, value, :]
-    return value, kept / np.linalg.norm(kept)
 
 
 def measure_rows(rows: np.ndarray, v2: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .protocol import ProtocolConfig, RoundState
-from .qudit import BasisKind, apply_qft, measure_out
+from .qudit import BasisKind, apply_qft
 
 
 def v1_pass(values, d: int) -> bool:
@@ -57,7 +57,7 @@ def execute_check(state: RoundState, check: dict, rng: np.random.Generator) -> d
     measures in the announced basis, in participant order, so P1 goes
     first on a genuine round. Projecting QFT(psi) onto QFT|r> is projecting
     psi onto |r>, so a V2 check measures the unrotated qudit in V1, and
-    a measured qudit leaves the register. On a forged round P1 holds
+    a measured qudit leaves its register. On a forged round P1 holds
     nothing and announces first, before and so regardless of the honest
     results, whatever serves him best: -(n-1)*r mod d on a computational
     check, which always passes, and a fixed value on a Fourier-image
@@ -66,17 +66,11 @@ def execute_check(state: RoundState, check: dict, rng: np.random.Generator) -> d
     if state.measured:
         raise ValueError(f"check position {check['position']} already consumed")
     v1 = BasisKind(check["basis"]) is BasisKind.V1
-    d = state.register.d
-    values = []
-    if 1 not in state.owners:
+    d, owners, values = state.d, state.owners, []
+    if 1 not in owners:
         # any fixed value does equally well on a Fourier-image check
-        values.append((-len(state.owners) * state.r) % d if v1 else 0)
-    reg, holders = state.register, list(state.owners)
-    for participant in sorted(state.owners):
-        q = holders.index(participant)
-        if v1:
-            reg = apply_qft(reg, q)
-        value, reg = measure_out(reg, q, rng)
+        values.append((-len(owners) * state.r) % d if v1 else 0)
+    for participant in owners:
+        value, state = state.measure_qudit(participant, BasisKind.V1, rng, apply_qft if v1 else None)
         values.append(value)
-        holders.pop(q)
     return {**check, "announced": values, "passed": v1_pass(values, d) if v1 else v2_pass(values)}

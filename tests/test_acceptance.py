@@ -170,18 +170,19 @@ def test_c07_modified_soundness_against_adaptive_dealer():
         t0 = time.perf_counter()
         d, n, eta = 5, 3, 6
 
-        # exact per-check analysis from per-qudit outcome distributions
-        # on the forged product register
+        # exact per-check analysis from the outcome distribution of each
+        # one-qudit factor of the forged round
         for r in range(d):
             fab_cfg = ProtocolConfig(d=d, n=n, m=1)
             fab = fabricate_rounds(fab_cfg, (r,))[0]
+            assert len(fab.factors) == n - 1
             v2_pass_prob = 1.0
-            for q in range(len(fab.owners)):
-                after = apply_qft(fab.register, q)
-                v1_probs = outcome_distribution(after, q, V1)
+            for register, _ in fab.factors:
+                after = apply_qft(register, 0)
+                v1_probs = outcome_distribution(after, 0, V1)
                 # deterministic honest result r, announced sum cancels to 0
                 assert abs(v1_probs[r] - 1.0) < 1e-12
-                v2_probs = outcome_distribution(after, q, V2)
+                v2_probs = outcome_distribution(after, 0, V2)
                 assert np.allclose(v2_probs, 1 / d, atol=1e-12)
                 v2_pass_prob *= v2_probs[0]  # dealer announces 0
             assert abs(v2_pass_prob - d ** (1 - n)) < 1e-12
@@ -211,7 +212,7 @@ def test_c08_eve_disturbance_rate():
             for rep in range(100):
                 rng = np.random.default_rng((8, d, rep))
                 rows, expected_values = insert_decoys(cfg, rng)
-                _, resent = eve_intercept_resend([], rows[2], rng)
+                _, resent = eve_intercept_resend([], 2, rows[2], rng)
                 mismatches += check_decoys(expected_values[2], resent, rng)
                 checked += cfg.decoy_count
             assert checked >= 10_000

@@ -1,7 +1,5 @@
 """Forging-dealer attack and intercept-resend eavesdropper."""
 
-from functools import reduce
-
 import numpy as np
 import pytest
 from conftest import assert_within_4sigma, random_secret
@@ -21,9 +19,12 @@ from quditsum import (
     fake_particle,
     insert_decoys,
     outcome_distribution,
+    prepare_rounds,
     recover_secret_digit,
     run_protocol,
 )
+from quditsum.harness import _within_band
+from quditsum.qudit import _iqft_matrix
 
 V1, V2 = BasisKind.V1, BasisKind.V2
 
@@ -54,6 +55,13 @@ def test_fake_particle_is_inverse_fourier_of_basis_state():
     assert approx_equal(fake_particle(10, 2), apply_iqft(basis_state(10, [2]), 0))
     # d=2: IQFT|0> = (|0> + |1>)/sqrt(2)
     assert np.allclose(fake_particle(2, 0).amplitudes, [2**-0.5, 2**-0.5])
+    # row r of the symmetric IQFT matrix is IQFT|r> bit for bit
+    for d in range(2, 33):
+        for r in range(d):
+            particle = fake_particle(d, r)
+            assert (particle.d, particle.k) == (d, 1)
+            assert np.array_equal(particle.amplitudes, apply_iqft(basis_state(d, [r]), 0).amplitudes)
+            assert not particle.amplitudes.flags.writeable
 
 
 def test_fake_particle_encodes_deterministically():
@@ -166,11 +174,19 @@ def test_exact_eve_error_rate_oracle(d, expected):
 
 def test_eve_intercept_resend_returns_basis_states():
     rng = np.random.default_rng(8)
-    regs = [basis_state(5, [int(rng.integers(5))]) for _ in range(30)]
-    rows = np.array([r.amplitudes for r in regs[10:]])
-    resent, resent_rows = eve_intercept_resend([(r, 0) for r in regs[:10]], rows, rng)
+    cfg = ProtocolConfig(d=5, n=3, m=5)
+    rounds = prepare_rounds(cfg) + fabricate_rounds(cfg, _uniform_r(5, 5, rng))
+    rows = np.array([basis_state(5, [int(rng.integers(5))]).amplitudes for _ in range(20)])
+    resent, resent_rows = eve_intercept_resend(rounds, 3, rows, rng)
     assert len(resent) == 10 and resent_rows.shape == (20, 5)
-    for reg in resent + [QuditRegister(5, 1, row) for row in resent_rows]:
+    particles = []
+    for state, after in zip(rounds, resent):
+        # the receiver's qudit left its register; the resent particle is a factor of its own
+        assert after.owners == state.owners and after.r == state.r
+        assert [owners for _, owners in after.factors].count((3,)) == 1
+        assert after.factors[-1][1] == (3,)
+        particles.append(after.factors[-1][0])
+    for reg in particles + [QuditRegister(5, 1, row) for row in resent_rows]:
         # each resent particle is |v> or QFT|v> for some v
         v1_probs = outcome_distribution(reg, 0, V1)
         v2_probs = outcome_distribution(reg, 0, V2)
@@ -185,23 +201,48 @@ def test_eve_disturbance_matches_oracle(d):
     checked = 0
     for _ in range(60):
         rows, expected = insert_decoys(cfg, rng)
-        _, resent = eve_intercept_resend([], rows[2], rng)
+        _, resent = eve_intercept_resend([], 2, rows[2], rng)
         mismatches += check_decoys(expected[2], resent, rng)
         checked += cfg.decoy_count
     assert_within_4sigma(mismatches / checked, 0.5 * (1 - 1 / d), checked)
 
 
+@pytest.mark.parametrize("d,n,m", [(2, 2, 1), (3, 3, 1), (5, 3, 2)])
+def test_eve_sum_correct_rate_matches_closed_form(d, n, m):
+    # a round's sum is exact when Eve measures all n-1 payload particles in
+    # V2, which leaves every qudit in a Fourier basis state; after any V1
+    # measurement P1's readout is uniform. Per digit: q + (1 - q)/d, q = 2^(1-n)
+    cfg = ProtocolConfig(d=d, n=n, m=m, decoy_count=0, error_threshold=1.0)
+    q = 2.0 ** (1 - n)
+    oracle = (q + (1 - q) / d) ** m
+    rng = np.random.default_rng(1000 * d + 10 * n + m)
+    trials, correct = 800, 0
+    for _ in range(trials):
+        secrets = tuple(random_secret(d, m, rng) for _ in range(n))
+        record = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), rng, eve=True)
+        assert record["detected"] is False
+        correct += record["sum_correct"]
+    assert _within_band(correct, trials, oracle), (correct / trials, oracle)
+
+
 @pytest.mark.parametrize("d", [2, 5, 10])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_fabricate_rounds_share_one_register_per_fabrication_value(d, n):
+    # each forged factor is a one-qudit, read-only fake_particle(d, r): a view
+    # of row r of the cached IQFT matrix, so rounds of equal r share one buffer
     cfg = ProtocolConfig(d=d, n=n, m=1)
     r_choices = tuple(int(x) for x in np.random.default_rng(d * n).integers(0, d, size=3 * d))
     rounds = fabricate_rounds(cfg, r_choices)
     assert [state.r for state in rounds] == list(r_choices)
+    buffers = set()
     for j, (state, r) in enumerate(zip(rounds, r_choices)):
-        expected = reduce(np.kron, [fake_particle(d, r).amplitudes] * (n - 1))
-        assert state.index == j
+        assert state.index == j and state.measured == frozenset()
         assert state.owners == tuple(range(2, n + 1))
-        assert np.array_equal(state.register.amplitudes, expected)
-        assert not state.register.amplitudes.flags.writeable
-    assert len({id(state.register) for state in rounds}) == len(set(r_choices))
+        assert [owners for _, owners in state.factors] == [(i,) for i in range(2, n + 1)]
+        for register, _ in state.factors:
+            assert (register.d, register.k) == (d, 1)
+            assert np.array_equal(register.amplitudes, fake_particle(d, r).amplitudes)
+            assert register.amplitudes.base is _iqft_matrix(d)
+            assert not register.amplitudes.flags.writeable
+            buffers.add((r, register.amplitudes.ctypes.data))
+    assert len(buffers) == len({r for r, _ in buffers}) == len(set(r_choices))

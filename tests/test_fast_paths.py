@@ -7,10 +7,11 @@ loops and require identical outcomes, expected values and final
 generator state, and posteriors equal up to global phase. The dense kernels (one matmul per unitary, the marginal
 and the slice-only collapse of a measurement, the fused encoding
 unitary, checks without the cancelling rotation pair) are pinned to the
-axis-permuting references the same way. So are the measurements that
-drop the measured qudit, the V2 posterior written in one pass, and the
-registers a run builds once and shares, and the one draw of every
-participant's secret digits.
+axis-permuting references the same way. So are the rounds kept as
+products of factors, whose measurements drop the measured qudit, against
+the dense loop that keeps every qudit in one register; the registers a
+run builds once and shares; and the one draw of every participant's
+secret digits.
 """
 
 from functools import reduce
@@ -50,8 +51,8 @@ from quditsum.qudit import (
     _apply_single,
     _encode_matrix,
     _iqft_matrix,
+    _qft_matrix,
     apply_encode,
-    measure_out,
     measure_rows,
 )
 from quditsum.verification import execute_check, v1_pass, v2_pass
@@ -61,6 +62,36 @@ V1, V2 = BasisKind.V1, BasisKind.V2
 
 def _basis(bit) -> BasisKind:
     return V2 if bit else V1
+
+
+def _kept_measure(reg, target, basis, rng):
+    """Reference measurement that keeps its qudit, drawing what Generator.choice draws.
+
+    The posterior is the normalized kept slice times |v> (V1) or QFT|v>
+    (V2) on the target: a projection, so the qudit reads v again.
+    """
+    probs = outcome_distribution(reg, target, basis)
+    value = int(rng.choice(reg.d, p=probs / probs.sum()))
+    rotated = apply_iqft(reg, target) if basis is V2 else reg
+    kept = rotated.amplitudes.reshape(reg.d**target, reg.d, -1)[:, value, :]
+    factor = _qft_matrix(reg.d)[:, value] if basis is V2 else np.eye(reg.d)[value]
+    posterior = kept[:, None, :] * factor[None, :, None] / np.linalg.norm(kept)
+    return value, QuditRegister(reg.d, reg.k, posterior.reshape(-1))
+
+
+def _same_state(a, b) -> bool:
+    """Equal amplitudes to 1e-13 once the global phase between them is removed."""
+    overlap = np.vdot(a.amplitudes, b.amplitudes)
+    return np.max(np.abs(a.amplitudes * overlap / abs(overlap) - b.amplitudes)) <= 1e-13
+
+
+def _dense(state):
+    """A round's product of factors as one register, its qudits in participant order."""
+    amplitudes, owners = np.ones(1, dtype=np.complex128), ()
+    for register, held in state.factors:
+        amplitudes, owners = np.kron(amplitudes, register.amplitudes), owners + held
+    psi = amplitudes.reshape((state.d,) * len(owners)).transpose(np.argsort(owners))
+    return QuditRegister(state.d, len(owners), psi.reshape(-1))
 
 
 def _reference_insert_decoys(cfg, rng, payload_len):
@@ -84,7 +115,7 @@ def _reference_check_decoys(records, received, rng):
 
 
 def _reference_eve(particles, rng):
-    return [measure(reg, q, _basis(int(rng.integers(2))), rng)[1] for reg, q in particles]
+    return [_kept_measure(reg, q, _basis(int(rng.integers(2))), rng)[1] for reg, q in particles]
 
 
 @settings(max_examples=60, deadline=None)
@@ -95,7 +126,7 @@ def test_measure_rows_matches_measure_loop(d, count, seed):
     regs = [random_register(d, 1, gen) for _ in range(count)]
     v2 = gen.integers(2, size=count) == 1
     ref, fast = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    expected = [measure(reg, 0, _basis(b), ref) for reg, b in zip(regs, v2)]
+    expected = [_kept_measure(reg, 0, _basis(b), ref) for reg, b in zip(regs, v2)]
     rows = np.array([reg.amplitudes for reg in regs], dtype=np.complex128).reshape(count, d)
     values, posterior = measure_rows(rows, v2, fast.random(count))
     assert values.tolist() == [value for value, _ in expected]
@@ -133,7 +164,7 @@ def test_decoys_match_scalar_loops(d, n, count, eve):
     if eve:
         for i in expected:
             ref_regs[i] = _reference_eve([(r, 0) for r in ref_regs[i]], ref)
-            resent, rows[i] = eve_intercept_resend([], rows[i], fast)
+            resent, rows[i] = eve_intercept_resend([], i, rows[i], fast)
             assert resent == [] and rows[i].shape == (count, d)
             assert all(approx_equal(QuditRegister(d, 1, a), b) for a, b in zip(rows[i], ref_regs[i]))
     counts = [check_decoys(expected[i], rows[i], fast) for i in sorted(expected)]
@@ -145,19 +176,23 @@ def test_decoys_match_scalar_loops(d, n, count, eve):
 
 def test_eve_on_payload_and_lone_decoys_matches_reference():
     gen = np.random.default_rng(5)
-    payload = omega_state(5, 3)
-    particles = [(payload, q) for q in (0, 1, 2, 1)]
-    for count in (0, 8):
-        decoys = [random_register(5, 1, gen) for _ in range(count)]
-        ref, fast = np.random.default_rng(9 + count), np.random.default_rng(9 + count)
-        expected = _reference_eve(particles + [(reg, 0) for reg in decoys], ref)
-        rows = np.array([reg.amplitudes for reg in decoys], dtype=np.complex128).reshape(count, 5)
-        resent, resent_rows = eve_intercept_resend(particles, rows, fast)
-        assert [(r.d, r.k) for r in resent] == [(r.d, r.k) for r in expected[:4]]
-        assert all(approx_equal(a, b) for a, b in zip(resent, expected[:4]))
-        assert resent_rows.shape == (count, 5)
-        assert all(approx_equal(QuditRegister(5, 1, a), b) for a, b in zip(resent_rows, expected[4:]))
-        assert fast.bit_generator.state == ref.bit_generator.state
+    cfg = ProtocolConfig(d=5, n=3, m=4)
+    rounds = prepare_rounds(cfg, count=2) + fabricate_rounds(cfg, (3, 0))
+    for receiver in (2, 3):
+        for count in (0, 8):
+            decoys = [random_register(5, 1, gen) for _ in range(count)]
+            ref, fast = np.random.default_rng(9 + count), np.random.default_rng(9 + count)
+            particles = [(_dense(state), state.owners.index(receiver)) for state in rounds]
+            expected = _reference_eve(particles + [(reg, 0) for reg in decoys], ref)
+            rows = np.array([reg.amplitudes for reg in decoys], dtype=np.complex128).reshape(count, 5)
+            resent, resent_rows = eve_intercept_resend(rounds, receiver, rows, fast)
+            for state, after, posterior in zip(rounds, resent, expected):
+                assert after.owners == state.owners and after.measured == frozenset()
+                assert (after.factors[-1][0].k, after.factors[-1][1]) == (1, (receiver,))
+                assert _same_state(_dense(after), posterior)
+            assert resent_rows.shape == (count, 5)
+            assert all(approx_equal(QuditRegister(5, 1, a), b) for a, b in zip(resent_rows, expected[4:]))
+            assert fast.bit_generator.state == ref.bit_generator.state
 
 
 def test_measurement_checks_the_norm_of_trusted_registers():
@@ -228,23 +263,23 @@ def test_measure_computational_matches_zero_fill_reference(d, k):
         collapsed = np.zeros_like(psi)
         sel = (slice(None),) * target + (expected,)
         collapsed[sel] = psi[sel]
-        collapsed = collapsed.reshape(-1) / np.linalg.norm(collapsed)
-        value, posterior = measure(reg, target, V1, fast)
+        collapsed = collapsed / np.linalg.norm(collapsed)
+        value, rest = measure(reg, target, V1, fast)
         assert value == expected
-        assert approx_equal(posterior, QuditRegister(d, k, collapsed))
+        assert (rest.d, rest.k) == (d, k - 1)
+        assert np.max(np.abs(rest.amplitudes - collapsed[sel].reshape(-1))) <= 1e-13
         assert fast.bit_generator.state == ref.bit_generator.state
 
 
 def _reference_check(state, check, rng):
-    """Rotate each owner's qudit, then measure it in the announced basis."""
-    d, basis = state.register.d, BasisKind(check["basis"])
+    """Rotate each owner's qudit of the dense round, then measure it in the announced basis."""
+    d, basis = state.d, BasisKind(check["basis"])
     values = []
     if 1 not in state.owners:
         values.append((-len(state.owners) * state.r) % d if basis is V1 else 0)
-    reg = state.register
-    for participant in sorted(state.owners):
-        q = state.owners.index(participant)
-        value, reg = measure(apply_qft(reg, q), q, basis, rng)
+    reg = _dense(state)
+    for q in range(reg.k):
+        value, reg = _kept_measure(apply_qft(reg, q), q, basis, rng)
         values.append(value)
     return values, v1_pass(values, d) if basis is V1 else v2_pass(values)
 
@@ -281,9 +316,9 @@ def test_rounds_share_one_read_only_register_that_runs_leave_alone(eve):
     secrets = tuple((1, 4) for _ in range(cfg.n))
     for seed in range(10):
         rounds = prepare_rounds(cfg, count=cfg.m + 2)
-        shared = rounds[0].register
+        shared = rounds[0].factors[0][0]
         before = shared.amplitudes.copy()
-        assert all(state.register is shared for state in rounds)
+        assert all(state.factors == ((shared, (1, 2, 3)),) for state in rounds)
         run_protocol(cfg, 2, secrets, rounds, np.random.default_rng(seed), eve=eve)
         assert np.array_equal(shared.amplitudes, before)
         assert not shared.amplitudes.flags.writeable
@@ -296,35 +331,33 @@ def test_rounds_share_one_read_only_register_that_runs_leave_alone(eve):
 # measured qudits leave the register
 
 
-def _kept_slice(posterior, target, value):
-    d, k = posterior.d, posterior.k
-    return posterior.amplitudes.reshape(d**target, d, d ** (k - target - 1))[:, value, :].reshape(-1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(d=st.sampled_from([2, 3, 5, 10]), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_measure_out_matches_measure_v1(d, k, seed):
+def test_measure_matches_kept_qudit_reference(d, k, seed):
+    # the rest is the kept-qudit posterior projected onto |v> (V1) or QFT|v> (V2)
     reg = random_register(d, k, np.random.default_rng(seed))
     for target in range(k):
-        ref, fast = np.random.default_rng(seed + target), np.random.default_rng(seed + target)
-        expected, posterior = measure(reg, target, V1, ref)
-        value, rest = measure_out(reg, target, fast)
-        assert value == expected
-        assert fast.bit_generator.state == ref.bit_generator.state
-        assert (rest.d, rest.k) == (d, k - 1)
-        kept = _kept_slice(posterior, target, value)
-        assert np.max(np.abs(rest.amplitudes - kept)) <= 1e-13
-        if k == 1:
-            assert rest.amplitudes.shape == (1,)
-            assert abs(abs(rest.amplitudes[0]) - 1.0) <= 1e-13
+        for basis in (V1, V2):
+            ref, fast = np.random.default_rng(seed + target), np.random.default_rng(seed + target)
+            expected, posterior = _kept_measure(reg, target, basis, ref)
+            value, rest = measure(reg, target, basis, fast)
+            assert value == expected
+            assert fast.bit_generator.state == ref.bit_generator.state
+            assert (rest.d, rest.k) == (d, k - 1)
+            factor = _qft_matrix(d)[:, value] if basis is V2 else np.eye(d)[value]
+            kept = posterior.amplitudes.reshape(d**target, d, -1).transpose(0, 2, 1) @ factor.conj()
+            assert np.max(np.abs(rest.amplitudes - kept.reshape(-1))) <= 1e-13
+            if k == 1:
+                assert rest.amplitudes.shape == (1,)
+                assert abs(abs(rest.amplitudes[0]) - 1.0) <= 1e-13
 
 
 def test_zero_qudit_register_admits_no_operation():
-    _, empty = measure_out(basis_state(5, [3]), 0, np.random.default_rng(0))
+    _, empty = measure(basis_state(5, [3]), 0, V1, np.random.default_rng(0))
     assert empty.k == 0
     rng = np.random.default_rng(1)
     for op in (lambda: apply_qft(empty, 0), lambda: measure(empty, 0, V1, rng),
-               lambda: measure(empty, 0, V2, rng), lambda: measure_out(empty, 0, rng)):
+               lambda: measure(empty, 0, V2, rng)):
         with pytest.raises(ValueError):
             op()
     with pytest.raises(ValueError, match="at least 1 qudit"):
@@ -337,38 +370,38 @@ def test_measure_v2_matches_rotate_measure_rotate_back(d, k, seed):
     reg = random_register(d, k, np.random.default_rng(seed))
     for target in range(k):
         ref, fast = np.random.default_rng(seed + target), np.random.default_rng(seed + target)
-        value, collapsed = measure(apply_iqft(reg, target), target, V1, ref)
-        got, posterior = measure(reg, target, V2, fast)
+        value, collapsed = _kept_measure(apply_iqft(reg, target), target, V1, ref)
+        got, rest = measure(reg, target, V2, fast)
         assert got == value
         assert fast.bit_generator.state == ref.bit_generator.state
-        expected = apply_qft(collapsed, target).amplitudes
-        assert np.max(np.abs(posterior.amplitudes - expected)) <= 1e-13
+        # rotated back, the target holds QFT|v>; what it multiplies is the rest
+        back = apply_qft(collapsed, target).amplitudes.reshape(d**target, d, -1)
+        expected = np.einsum("adb,d->ab", back, _qft_matrix(d)[:, value].conj())
+        assert np.max(np.abs(rest.amplitudes - expected.reshape(-1))) <= 1e-13
 
 
 def _reference_encode_rounds(rounds, secrets, rng):
-    """Encode and read out on the full register, zero-filled posterior kept."""
+    """Encode and read out on the dense register, zero-filled posterior kept."""
     results = {}
     for j, state in enumerate(rounds):
-        reg = state.register
-        for i in sorted(state.owners):
-            q = state.owners.index(i)
-            value, reg = measure(apply_encode(reg, q, secrets[i - 1][j]), q, V1, rng)
+        reg = _dense(state)
+        for q, i in enumerate(state.owners):
+            value, reg = _kept_measure(apply_encode(reg, q, secrets[i - 1][j]), q, V1, rng)
             results.setdefault(i, []).append(value)
     return results
 
 
 def _reference_full_check(state, check, rng):
-    """The check on the full register: QFT on V1 checks, zero-filled posteriors."""
-    d, basis = state.register.d, BasisKind(check["basis"])
+    """The check on the dense register: QFT on V1 checks, zero-filled posteriors."""
+    d, basis = state.d, BasisKind(check["basis"])
     values = []
     if 1 not in state.owners:
         values.append((-len(state.owners) * state.r) % d if basis is V1 else 0)
-    reg = state.register
-    for participant in sorted(state.owners):
-        q = state.owners.index(participant)
+    reg = _dense(state)
+    for q in range(reg.k):
         if basis is V1:
             reg = apply_qft(reg, q)
-        value, reg = measure(reg, q, V1, rng)
+        value, reg = _kept_measure(reg, q, V1, rng)
         values.append(value)
     return values, v1_pass(values, d) if basis is V1 else v2_pass(values)
 
@@ -390,6 +423,44 @@ def test_shrinking_chains_match_full_register_reference(forged):
         assert fast.bit_generator.state == ref.bit_generator.state
 
 
+def _reference_eve_then_encode(rounds, secrets, rng):
+    """Eve on every receiver's qudit, then every owner's readout, on dense kept-qudit registers.
+
+    Returns the registers as Eve leaves them and each owner's readouts.
+    """
+    regs = [_dense(state) for state in rounds]
+    for i in range(2, len(secrets) + 1):
+        for j, state in enumerate(rounds):
+            regs[j] = _kept_measure(regs[j], state.owners.index(i), _basis(int(rng.integers(2))), rng)[1]
+    after_eve, results = list(regs), {}
+    for j, state in enumerate(rounds):
+        for q, i in enumerate(state.owners):
+            value, regs[j] = _kept_measure(apply_encode(regs[j], q, secrets[i - 1][j]), q, V1, rng)
+            results.setdefault(i, []).append(value)
+    return after_eve, results
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("forged", [False, True])
+def test_factor_rounds_under_eve_match_dense_reference(d, n, forged):
+    # Eve's measured qudit leaves its register and her resent particle is
+    # a factor of its own; the dense loop keeps both in one register
+    cfg = ProtocolConfig(d=d, n=n, m=1, decoy_count=0)
+    gen = np.random.default_rng(100 * d + n)
+    for seed in range(200):
+        rounds = fabricate_rounds(cfg, (int(gen.integers(d)),)) if forged else prepare_rounds(cfg)
+        secrets = [random_secret(d, 1, gen) for _ in range(n)]
+        ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+        after_eve, expected = _reference_eve_then_encode(rounds, secrets, ref)
+        for i in range(2, n + 1):
+            rounds, _ = eve_intercept_resend(rounds, i, np.zeros((0, d), dtype=np.complex128), fast)
+        for state, reg in zip(rounds, after_eve):
+            assert _same_state(_dense(state), reg)
+        assert encode_rounds(rounds, secrets, fast) == expected
+        assert fast.bit_generator.state == ref.bit_generator.state
+
+
 @pytest.mark.parametrize("forged", [False, True])
 def test_encode_and_measure_drops_each_qudit(forged):
     cfg = ProtocolConfig(d=3, n=4, m=1)
@@ -400,11 +471,11 @@ def test_encode_and_measure_drops_each_qudit(forged):
         participant = owners.pop(len(owners) // 2)
         _, state = encode_and_measure(state, participant, 1, rng)
         assert state.owners == tuple(owners)
-        assert state.register.k == len(owners)
+        assert sum(reg.k for reg, _ in state.factors) == len(owners)
         assert participant in state.measured
         with pytest.raises(ValueError, match="already measured"):
             encode_and_measure(state, participant, 1, rng)
-    assert state.owners == () and state.register.k == 0
+    assert state.owners == () and state.factors == ()
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +483,12 @@ def test_encode_and_measure_drops_each_qudit(forged):
 
 
 def test_prepare_rounds_shares_one_register_per_size():
-    first = prepare_rounds(ProtocolConfig(d=5, n=3, m=2))[0].register
-    again = prepare_rounds(ProtocolConfig(d=5, n=3, m=4, decoy_count=2))[0].register
+    first = prepare_rounds(ProtocolConfig(d=5, n=3, m=2))[0].factors[0][0]
+    again = prepare_rounds(ProtocolConfig(d=5, n=3, m=4, decoy_count=2))[0].factors[0][0]
     assert again is first
     assert not first.amplitudes.flags.writeable
     assert np.array_equal(first.amplitudes, omega_state(5, 3).amplitudes)
-    other = prepare_rounds(ProtocolConfig(d=5, n=4, m=2))[0].register
+    other = prepare_rounds(ProtocolConfig(d=5, n=4, m=2))[0].factors[0][0]
     assert other is not first and other.k == 4
     assert np.array_equal(other.amplitudes, omega_state(5, 4).amplitudes)
 
@@ -425,25 +496,34 @@ def test_prepare_rounds_shares_one_register_per_size():
 @pytest.mark.parametrize("d", [2, 5, 10])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_forged_registers_are_shared_across_calls(d, n):
+    # every fake particle of r, in any call, is a read-only view of row r
+    # of the one cached IQFT matrix, and the factors multiply out to the
+    # dense forged register bit for bit
     cfg = ProtocolConfig(d=d, n=n, m=3)
     first = fabricate_rounds(cfg, (0, d - 1, 0))
     second = fabricate_rounds(cfg, (d - 1, 1 % d, 0))
-    registers = {state.r: state.register for state in first}
-    for state in second:
-        if state.r in registers:
-            assert state.register is registers[state.r]
+    for state in first + second:
         particle = fake_particle(d, state.r).amplitudes
-        assert np.array_equal(state.register.amplitudes, reduce(np.kron, [particle] * (n - 1)))
-        assert not state.register.amplitudes.flags.writeable
+        assert [owners for _, owners in state.factors] == [(i,) for i in range(2, n + 1)]
+        for register, _ in state.factors:
+            assert register.k == 1 and register.amplitudes.base is _iqft_matrix(d)
+            assert np.array_equal(register.amplitudes, particle)
+            assert np.shares_memory(register.amplitudes, particle)
+            assert not register.amplitudes.flags.writeable
+        assert np.array_equal(_dense(state).amplitudes, reduce(np.kron, [particle] * (n - 1)))
 
 
 def test_scenario_run_releases_the_registers_its_trials_shared():
     cfg = ProtocolConfig(d=3, n=3, m=2, decoy_count=2)
-    genuine = prepare_rounds(cfg)[0].register
-    forged = fabricate_rounds(cfg, (1, 1))[0].register
+    genuine = prepare_rounds(cfg)[0].factors[0][0]
     run_scenario(ScenarioConfig(scenario="honest", protocol=cfg, trials=2))
-    assert prepare_rounds(cfg)[0].register is not genuine
-    assert fabricate_rounds(cfg, (1, 1))[0].register is not forged
+    assert prepare_rounds(cfg)[0].factors[0][0] is not genuine
+    # forged rounds hold views of the d x d IQFT matrix, nothing a run builds or releases
+    before = fabricate_rounds(cfg, (1, 1))
+    run_scenario(ScenarioConfig(scenario="iqft-attack", protocol=cfg, trials=2, fake_r=1))
+    after = fabricate_rounds(cfg, (1, 1))
+    for state in before + after:
+        assert all(reg.amplitudes.base is _iqft_matrix(3) for reg, _ in state.factors)
 
 
 @pytest.mark.parametrize("scenario", ["honest", "iqft-attack"])
@@ -453,7 +533,7 @@ def test_interrupted_scenario_run_releases_the_registers_its_trials_shared(scena
     seen, real = [], harness.run_protocol
 
     def interrupt_second_trial(cfg, eta, secrets, rounds, rng, eve=False):
-        seen.append(rounds[0].register)
+        seen.append(rounds[0].factors[0][0])
         if len(seen) == 2:
             raise KeyboardInterrupt
         return real(cfg, eta, secrets, rounds, rng, eve=eve)
@@ -463,9 +543,13 @@ def test_interrupted_scenario_run_releases_the_registers_its_trials_shared(scena
     forged = scenario == "iqft-attack"
     with pytest.raises(KeyboardInterrupt):
         run_scenario(ScenarioConfig(scenario, cfg, trials=3, fake_r=1 if forged else None))
-    assert len(seen) == 2 and seen[0] is seen[1]  # the trials shared one register
-    fresh = fabricate_rounds(cfg, (1, 1)) if forged else prepare_rounds(cfg)
-    assert fresh[0].register is not seen[0]
+    assert len(seen) == 2
+    if forged:
+        # a fake particle is a view of the d x d IQFT matrix: no register to hold
+        assert all(reg.amplitudes.base is _iqft_matrix(3) for reg in seen)
+    else:
+        assert seen[0] is seen[1]  # the trials shared one register
+        assert prepare_rounds(cfg)[0].factors[0][0] is not seen[0]
 
 
 @pytest.mark.parametrize("d, ns", [(2, (2, 3, 4, 7)), (5, (2, 3, 4, 7)), (10, (2, 3, 4)), (2048, (2,))])

@@ -137,8 +137,7 @@ def test_scenario_config_validation():
         _cfg("iqft-attack", d=np.int64(5), fake_r=np.int64(2))
     with pytest.raises(ValueError, match="^error_threshold must be an int or float, got True$"):
         _cfg("honest", error_threshold=True)
-    # nor may a fabrication value or eta handed to the engine itself, with
-    # the register of r = 1 already cached
+    # nor may a fabrication value or eta handed to the engine itself
     fabricate_rounds(proto, (1,))
     for r in (np.int64(1), 1.0, True):
         with pytest.raises(ValueError, match=f"^fabrication value must be an int, got {re.escape(repr(r))}$"):

@@ -1,5 +1,6 @@
 """Original protocol: rounds, decoys, encoding, announcements."""
 
+import itertools
 import re
 
 import numpy as np
@@ -16,6 +17,7 @@ from quditsum import (
     check_decoys,
     compute_sum,
     encode_and_measure,
+    fake_particle,
     insert_decoys,
     omega_state,
     outcome_distribution,
@@ -24,6 +26,7 @@ from quditsum import (
     validate_secrets,
 )
 from quditsum.protocol import RoundState
+from quditsum.qudit import apply_encode
 
 
 def _secrets(digit_rows):
@@ -82,7 +85,9 @@ def test_prepare_rounds_shares_the_entangled_state():
         assert state.index == j
         assert state.owners == (1, 2, 3)
         assert state.measured == frozenset()
-        assert approx_equal(state.register, omega_state(10, 3))
+        ((register, owners),) = state.factors
+        assert owners == (1, 2, 3)
+        assert approx_equal(register, omega_state(10, 3))
 
 
 def test_prepare_rounds_count_override():
@@ -149,13 +154,23 @@ def test_check_decoys_rejects_length_mismatch():
 
 def test_encode_and_measure_on_forged_state_is_deterministic():
     # the attack's fake state IQFT|2> with digit 5 reads out 7, always
-    from quditsum import fake_particle
     rng = np.random.default_rng(0)
     for _ in range(20):
-        state = RoundState(0, fake_particle(10, 2), owners=(2,))
+        state = RoundState(0, ((fake_particle(10, 2), (2,)),))
         value, after = encode_and_measure(state, 2, 5, rng)
         assert value == 7
-        assert after.measured == frozenset({2})
+        assert after.measured == frozenset({2}) and after.factors == ()
+
+
+def test_round_factors_name_one_owner_per_qudit():
+    with pytest.raises(ValueError, match="^owners names 2 participants for 3 qudits$"):
+        RoundState(0, ((omega_state(5, 3), (1, 2)),))
+    with pytest.raises(ValueError, match="^owners names 2 participants for 1 qudits$"):
+        RoundState(0, ((fake_particle(5, 1), (2,)), (fake_particle(5, 1), (3, 4))))
+    state = RoundState(4, ((fake_particle(5, 1), (2,)), (fake_particle(5, 3), (3,))))
+    assert state.owners == (2, 3) and state.d == 5
+    with pytest.raises(ValueError, match="^participant 1 holds no qudit in round 4$"):
+        encode_and_measure(state, 1, 0, np.random.default_rng(0))
 
 
 def test_encode_rejects_double_measurement():
@@ -202,6 +217,42 @@ def test_single_encoded_qudit_is_uniform():
     reg = apply_shift(reg, 1, 3)
     probs = outcome_distribution(reg, 1, BasisKind.V1)
     assert np.allclose(probs, np.full(5, 0.2), atol=1e-12)
+
+
+def _readout_law(reg, digits):
+    """Joint law of the computational readouts after qudit q encodes digits[q]."""
+    for q, digit in enumerate(digits):
+        reg = apply_encode(reg, q, digit)
+    return np.abs(reg.amplitudes) ** 2
+
+
+def test_encoded_readouts_depend_only_on_the_digit_sum():
+    # the privacy claim, exactly: the joint law of all n readouts is uniform
+    # on the tuples k with sum(k) = sum(s) mod d, so secrets with equal
+    # digit-wise sum give equal laws
+    cases = [(d, n, list(itertools.product(range(d), repeat=n))) for d in (2, 3) for n in (2, 3)]
+    gen = np.random.default_rng(54)
+    cases.append((5, 4, [tuple(int(x) for x in gen.integers(0, 5, size=4)) for _ in range(40)]))
+    for d, n, tuples in cases:
+        sums = np.indices((d,) * n).sum(axis=0).reshape(-1) % d
+        laws = {}
+        for digits in tuples:
+            law = _readout_law(omega_state(d, n), digits)
+            expected = np.where(sums == sum(digits) % d, float(d) ** (1 - n), 0.0)
+            assert np.max(np.abs(law - expected)) <= 1e-12
+            laws.setdefault(sum(digits) % d, []).append(law)
+        assert len(laws) == d
+        for same_sum in laws.values():
+            assert all(np.max(np.abs(law - same_sum[0])) <= 1e-12 for law in same_sum)
+
+
+def test_forged_readouts_are_point_masses():
+    # on a fake particle IQFT|r> the readout is (r + s) mod d with certainty
+    for d in (2, 3, 5):
+        for r in range(d):
+            for digit in range(d):
+                law = _readout_law(fake_particle(d, r), [digit])
+                assert np.max(np.abs(law - np.eye(d)[(r + digit) % d])) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -221,19 +221,23 @@ def test_encoded_entangled_support_sums_to_digit_total(d, n):
 
 
 def test_measure_computational_eigenstate():
+    # the measured qudit leaves; the last one leaves a unit amplitude
     rng = np.random.default_rng(0)
-    value, posterior = measure(basis_state(7, [4]), 0, V1, rng)
+    value, rest = measure(basis_state(7, [4]), 0, V1, rng)
     assert value == 4
-    assert approx_equal(posterior, basis_state(7, [4]))
+    assert rest.k == 0 and abs(abs(rest.amplitudes[0]) - 1.0) < 1e-12
+    value, rest = measure(basis_state(7, [4, 2, 6]), 1, V1, rng)
+    assert value == 2
+    assert approx_equal(rest, basis_state(7, [4, 6]))
 
 
 def test_measure_collapses_entangled_pair():
     rng = np.random.default_rng(1)
     seen = set()
     for _ in range(40):
-        value, posterior = measure(omega_state(2, 2), 0, V1, rng)
+        value, rest = measure(omega_state(2, 2), 0, V1, rng)
         seen.add(value)
-        assert approx_equal(posterior, basis_state(2, [value, value]))
+        assert approx_equal(rest, basis_state(2, [value]))
     assert seen == {0, 1}
 
 
@@ -258,23 +262,28 @@ def test_outcome_distribution_sums_to_one():
 
 def test_fourier_basis_measurement_projects():
     # measuring QFT|r> in the Fourier-image basis returns r surely and
-    # leaves the state untouched
+    # leaves the other qudit of a product untouched
     rng = np.random.default_rng(2)
     for r in range(4):
-        reg = apply_qft(basis_state(4, [r]), 0)
-        value, posterior = measure(reg, 0, V2, rng)
-        assert value == r
-        assert approx_equal(posterior, reg)
+        for s in range(4):
+            reg = apply_qft(basis_state(4, [r, s]), 0)
+            value, rest = measure(reg, 0, V2, rng)
+            assert value == r
+            assert approx_equal(rest, basis_state(4, [s]))
 
 
 def test_fourier_basis_measurement_repeats():
+    # the rest is the projection onto QFT|v>, and QFT|v> resent in its
+    # place reads v again with certainty
     rng = np.random.default_rng(3)
-    reg = random_register(5, 2, rng)
-    first, posterior = measure(reg, 1, V2, rng)
-    probs = outcome_distribution(posterior, 1, V2)
-    assert abs(probs[first] - 1.0) < 1e-9
-    second, _ = measure(posterior, 1, V2, rng)
-    assert second == first
+    for _ in range(10):
+        reg = random_register(5, 2, rng)
+        first, rest = measure(reg, 1, V2, rng)
+        resent = apply_qft(basis_state(5, [first]), 0)
+        projected = reg.amplitudes.reshape(5, 5) @ resent.amplitudes.conj()
+        assert approx_equal(rest, QuditRegister(5, 1, projected / np.linalg.norm(projected)), tol=1e-12)
+        assert abs(outcome_distribution(resent, 0, V2)[first] - 1.0) < 1e-9
+        assert measure(resent, 0, V2, rng)[0] == first
 
 
 def test_measure_agrees_with_outcome_distribution():
