@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .protocol import ProtocolConfig, RoundState, require_int
-from .qudit import BasisKind, QuditRegister, _iqft_matrix, _qft_matrix, measure_rows
+from .qudit import BasisKind, QuditRegister, _iqft_matrix, basis_rows, measure_rows
 
 
 def fake_particle(d: int, r: int) -> QuditRegister:
@@ -62,16 +62,15 @@ def eve_intercept_resend(rounds, receiver: int, decoys: np.ndarray, rng: np.rand
     array of decoy rows. Each payload qudit leaves its register, and the
     receiver holds instead the basis state Eve observed, |v> or QFT|v>,
     as a one-qudit factor of its own. Returns (rounds, rows): the rounds
-    as the receiver gets them and the measured decoy rows.
+    as the receiver gets them and the decoy rows she resends, the same way.
     """
     resent = []
     for state in rounds:
         basis = BasisKind.V2 if rng.integers(2) else BasisKind.V1
         value, rest = state.measure_qudit(receiver, basis, rng)
-        # QFT|v> is row v of the symmetric QFT matrix
-        states = _qft_matrix(state.d) if basis is BasisKind.V2 else np.eye(state.d, dtype=np.complex128)
-        particle = QuditRegister._trusted(state.d, 1, states[value])
+        particle = QuditRegister._trusted(state.d, 1, basis_rows(state.d, value, basis is BasisKind.V2))
         resent.append(RoundState(rest.index, rest.factors + ((particle, (receiver,)),), rest.measured, rest.r))
     # per decoy, a basis bit and then the uniform measure would take
     draws = np.array([(rng.integers(2), rng.random()) for _ in range(len(decoys))]).reshape(-1, 2)
-    return resent, measure_rows(decoys, draws[:, 0] == 1, draws[:, 1])[1]
+    v2 = draws[:, 0] == 1
+    return resent, basis_rows(decoys.shape[1], measure_rows(decoys, v2, draws[:, 1]), v2)

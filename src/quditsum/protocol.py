@@ -26,8 +26,8 @@ from .qudit import (
     BasisKind,
     QuditRegister,
     _check_cap,
-    _qft_matrix,
     apply_encode,
+    basis_rows,
     measure,
     measure_rows,
     omega_state,
@@ -53,7 +53,7 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("d", "n", "m", "decoy_count"):
+        for name in ("d", "n", "m", "decoy_count", "seed"):
             require_int(name, getattr(self, name))
         if type(self.error_threshold) not in (int, float):
             raise ValueError(f"error_threshold must be an int or float, got {self.error_threshold!r}")
@@ -174,10 +174,7 @@ def insert_decoys(cfg: ProtocolConfig, rng: np.random.Generator, payload_len: in
         # value and basis bit of each decoy in turn, one draw per entry
         draws = rng.integers(0, np.tile([d, 2], count))
         values, v2 = draws[0::2], draws[1::2] == 1
-        rows = np.zeros((count, d), dtype=np.complex128)
-        rows[np.arange(count), values] = 1.0
-        rows[v2] = _qft_matrix(d).T[values[v2]]
-        decoys[i], expected[i] = rows, (values, v2)
+        decoys[i], expected[i] = basis_rows(d, values, v2), (values, v2)
     return decoys, expected
 
 
@@ -194,8 +191,7 @@ def check_decoys(expected, rows: np.ndarray, rng: np.random.Generator) -> int:
         raise ValueError(f"decoys must be an (N, d) array of rows, got shape {np.shape(rows)}")
     if len(rows) != len(values):
         raise ValueError(f"got {len(rows)} decoy rows for {len(values)} expected values")
-    measured, _ = measure_rows(rows, v2, rng.random(len(values)))
-    return int(np.count_nonzero(measured != values))
+    return int(np.count_nonzero(measure_rows(rows, v2, rng.random(len(values))) != values))
 
 
 def encode_and_measure(state: RoundState, participant: int, digit: int, rng: np.random.Generator):

@@ -14,8 +14,8 @@ every measurement checks the norm instead.
 Two measurement bases appear throughout: V1 is the computational basis
 {|0>, ..., |d-1>} and V2 is its Fourier image {QFT|0>, ..., QFT|d-1>}.
 A measurement (V2 on the inverse-rotated target) returns the value and
-the other qudits: a particle read again is the basis state it collapsed
-to, a register of its own. The last qudit leaves the 0-qudit register.
+the other qudits. A lone particle, a decoy or one an eavesdropper sends
+on, is one of the 2d states |v> or QFT|v>: one row of basis_rows.
 """
 
 from __future__ import annotations
@@ -129,10 +129,7 @@ def _split(reg: QuditRegister, target: int) -> tuple[int, int]:
 def _apply_single(reg: QuditRegister, mat: np.ndarray, target: int) -> QuditRegister:
     """Apply a d x d unitary to one qudit of the register: one matmul, contiguous output."""
     a, b = _split(reg, target)
-    if b == 1:
-        out = reg.amplitudes.reshape(a, reg.d) @ mat.T
-    else:
-        out = np.matmul(mat, reg.amplitudes.reshape(a, reg.d, b))
+    out = np.matmul(mat, reg.amplitudes.reshape(a, reg.d, b))
     return QuditRegister._trusted(reg.d, reg.k, out.reshape(-1))
 
 
@@ -206,11 +203,8 @@ def outcome_distribution(reg: QuditRegister, target: int, basis: BasisKind) -> n
     a, b = _split(reg, target)
     if basis is BasisKind.V2:
         reg = apply_iqft(reg, target)
-    # |x|^2 off the float64 (re, im) view; einsum is slow on a length-2 inner axis
+    # |x|^2 off the float64 (re, im) view
     f = reg.amplitudes.view(np.float64).reshape(a, reg.d, 2 * b)
-    if b == 1:
-        g = f.reshape(a, 2 * reg.d)
-        return np.einsum("aj,aj->j", g, g).reshape(reg.d, 2).sum(axis=1)
     return np.einsum("adb,adb->d", f, f)
 
 
@@ -244,21 +238,21 @@ def _sample(probs: np.ndarray, u) -> np.ndarray:
     return np.count_nonzero(cdf <= np.expand_dims(u, -1), axis=-1)
 
 
-def measure_rows(rows: np.ndarray, v2: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def basis_rows(d: int, values, v2) -> np.ndarray:
+    """Row i is |values[i]>, or QFT|values[i]> where v2[i]; scalar inputs give one row."""
+    # QFT|v> is row v of the symmetric QFT matrix
+    return np.where(np.expand_dims(v2, -1), _qft_matrix(d)[values], np.eye(d, dtype=np.complex128)[values])
+
+
+def measure_rows(rows: np.ndarray, v2: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Measure N lone qudits, one per row of an (N, d) array, in V2 where v2[i].
 
-    u[i] is the uniform measure would draw for row i. Returns the outcomes
-    and the posterior rows, each |value> or QFT|value> up to phase.
+    u[i] is the uniform measure would draw for row i. Returns the
+    outcomes; each row collapses to basis_rows(d, outcomes, v2) up to phase.
     """
-    d = rows.shape[1]
     rotated = np.array(rows, dtype=np.complex128)
-    rotated[v2] = rows[v2] @ _iqft_matrix(d).T
-    values = _sample(np.abs(rotated) ** 2, u)
-    picked = (np.arange(len(rows)), values)
-    posterior = np.zeros_like(rotated)
-    posterior[picked] = rotated[picked] / np.abs(rotated[picked])
-    posterior[v2] = posterior[v2] @ _qft_matrix(d).T
-    return values, posterior
+    rotated[v2] = rows[v2] @ _iqft_matrix(rows.shape[1]).T
+    return _sample(np.abs(rotated) ** 2, u)
 
 
 def approx_equal(a: QuditRegister, b: QuditRegister, tol: float = 1e-9) -> bool:

@@ -1,5 +1,7 @@
 """Forging-dealer attack and intercept-resend eavesdropper."""
 
+import itertools
+
 import numpy as np
 import pytest
 from conftest import assert_within_4sigma, random_secret
@@ -18,13 +20,14 @@ from quditsum import (
     fabricate_rounds,
     fake_particle,
     insert_decoys,
+    omega_state,
     outcome_distribution,
     prepare_rounds,
     recover_secret_digit,
     run_protocol,
 )
 from quditsum.harness import _within_band
-from quditsum.qudit import _iqft_matrix
+from quditsum.qudit import _iqft_matrix, _qft_matrix, apply_encode
 
 V1, V2 = BasisKind.V1, BasisKind.V2
 
@@ -186,11 +189,10 @@ def test_eve_intercept_resend_returns_basis_states():
         assert [owners for _, owners in after.factors].count((3,)) == 1
         assert after.factors[-1][1] == (3,)
         particles.append(after.factors[-1][0])
-    for reg in particles + [QuditRegister(5, 1, row) for row in resent_rows]:
-        # each resent particle is |v> or QFT|v> for some v
-        v1_probs = outcome_distribution(reg, 0, V1)
-        v2_probs = outcome_distribution(reg, 0, V2)
-        assert max(v1_probs.max(), v2_probs.max()) > 1.0 - 1e-9
+    table = np.concatenate([np.eye(5, dtype=np.complex128), _qft_matrix(5)])
+    for row in [reg.amplitudes for reg in particles] + list(resent_rows):
+        # each resent particle is exactly |v> or QFT|v> for some v
+        assert any(np.array_equal(row, state) for state in table)
 
 
 @pytest.mark.parametrize("d", [2, 10])
@@ -223,6 +225,53 @@ def test_eve_sum_correct_rate_matches_closed_form(d, n, m):
         assert record["detected"] is False
         correct += record["sum_correct"]
     assert _within_band(correct, trials, oracle), (correct / trials, oracle)
+
+
+def _project(reg, basis, value):
+    """The other qudits once qudit 1 reads value in the basis: the normalized kept slice."""
+    rotated = apply_iqft(reg, 1) if basis is V2 else reg
+    kept = rotated.amplitudes.reshape(reg.d, reg.d, -1)[:, value, :]
+    return QuditRegister(reg.d, reg.k - 1, kept / np.linalg.norm(kept))
+
+
+def _eve_branches(d, n):
+    """(probability, factors) for each of Eve's bases and outcomes on omega_state(d, n).
+
+    Eve reads receivers 2..n in turn, each at qudit 1 of what is left of
+    the register, in a uniform basis, and resends the basis state she
+    read. The factors are P1's qudit and the n-1 resent particles.
+    """
+    branches = [(1.0, omega_state(d, n), [])]
+    for _ in range(n - 1):
+        branches = [(p * probs[v] / 2, _project(reg, basis, v),
+                     resent + [apply_qft(basis_state(d, [v]), 0) if basis is V2 else basis_state(d, [v])])
+                    for p, reg, resent in branches for basis in (V1, V2)
+                    for probs in [outcome_distribution(reg, 1, basis)] for v in range(d) if probs[v] > 1e-9]
+    return [(p, [reg] + resent) for p, reg, resent in branches]
+
+
+def _readout_sum_law(factors, digits):
+    """Law of the sum mod d of the readouts, each factor encoding its digit: the laws convolved cyclically."""
+    d = factors[0].d
+    law = np.eye(d)[0]
+    for reg, digit in zip(factors, digits):
+        readout = outcome_distribution(apply_encode(reg, 0, digit), 0, V1)
+        law = sum(readout[k] * np.roll(law, k) for k in range(d))
+    return law
+
+
+@pytest.mark.parametrize("d,n,sampled", [(2, 2, 0), (2, 3, 0), (3, 2, 0), (3, 3, 0), (5, 3, 5), (4, 4, 5)])
+def test_eve_sum_correct_rate_closed_form_from_amplitudes(d, n, sampled):
+    # the amplitude leg of (q + (1 - q)/d) per digit, q = 2^(1-n), at m = 1
+    q = 2.0 ** (1 - n)
+    branches = _eve_branches(d, n)
+    assert abs(sum(p for p, _ in branches) - 1.0) < 1e-12
+    rng = np.random.default_rng(10 * d + n)
+    tuples = ([tuple(int(x) for x in rng.integers(d, size=n)) for _ in range(sampled)] if sampled
+              else itertools.product(range(d), repeat=n))
+    for digits in tuples:
+        correct = sum(p * _readout_sum_law(factors, digits)[sum(digits) % d] for p, factors in branches)
+        assert abs(correct - (q + (1 - q) / d)) < 1e-12, (digits, correct)
 
 
 @pytest.mark.parametrize("d", [2, 5, 10])

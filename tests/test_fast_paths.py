@@ -53,6 +53,7 @@ from quditsum.qudit import (
     _iqft_matrix,
     _qft_matrix,
     apply_encode,
+    basis_rows,
     measure_rows,
 )
 from quditsum.verification import execute_check, v1_pass, v2_pass
@@ -109,6 +110,14 @@ def _reference_insert_decoys(cfg, rng, payload_len):
     return registers, records
 
 
+def _reference_decoy_rows(d, values, v2):
+    """The zero-fill decoy build: |v> rows, then QFT|v> (column v of the QFT matrix) where v2."""
+    rows = np.zeros((len(values), d), dtype=np.complex128)
+    rows[np.arange(len(values)), values] = 1.0
+    rows[v2] = _qft_matrix(d).T[values[v2]]
+    return rows
+
+
 def _reference_check_decoys(records, received, rng):
     return sum(measure(reg, 0, basis, rng)[0] != value
                for (value, basis), reg in zip(records, received))
@@ -128,11 +137,25 @@ def test_measure_rows_matches_measure_loop(d, count, seed):
     ref, fast = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     expected = [_kept_measure(reg, 0, _basis(b), ref) for reg, b in zip(regs, v2)]
     rows = np.array([reg.amplitudes for reg in regs], dtype=np.complex128).reshape(count, d)
-    values, posterior = measure_rows(rows, v2, fast.random(count))
+    values = measure_rows(rows, v2, fast.random(count))
     assert values.tolist() == [value for value, _ in expected]
-    for row, (_, reg) in zip(posterior, expected):
+    # each row collapsed to the basis state it read, up to phase
+    for row, (_, reg) in zip(basis_rows(d, values, v2), expected):
         assert approx_equal(QuditRegister(d, 1, row), reg)
     assert fast.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10, 16])
+def test_basis_rows_match_zero_fill_reference(d):
+    gen = np.random.default_rng(d)
+    for count in (0, 1, 7, 40):
+        values, v2 = gen.integers(d, size=count), gen.integers(2, size=count) == 1
+        rows = basis_rows(d, values, v2)
+        assert rows.dtype == np.complex128 and np.array_equal(rows, _reference_decoy_rows(d, values, v2))
+    for value in range(d):
+        for bit in (False, True):
+            row = basis_rows(d, value, bit)
+            assert row.shape == (d,) and np.array_equal(row, _reference_decoy_rows(d, np.array([value]), np.array([bit]))[0])
 
 
 @pytest.mark.parametrize("d", [2, 5, 16])
@@ -147,11 +170,15 @@ def test_measure_draws_what_generator_choice_draws(d):
     assert fast.bit_generator.state == ref.bit_generator.state
 
 
-@pytest.mark.parametrize("d,n,count", [(5, 3, 16), (2, 2, 40), (10, 4, 7), (3, 3, 0)])
-@pytest.mark.parametrize("eve", [False, True])
-def test_decoys_match_scalar_loops(d, n, count, eve):
+@pytest.mark.parametrize("eve,d,n,count,seed", [
+    *(pytest.param(eve, d, n, count, 31 * d + n, id=f"{eve}-{d}-{n}-{count}")
+      for eve in (False, True) for d, n, count in [(5, 3, 16), (2, 2, 40), (10, 4, 7), (3, 3, 0)]),
+    # the resent decoys carry no phase, unlike the reference posteriors
+    *((True, d, 3, 16, seed) for d in (2, 3, 5, 10) for seed in range(200)),
+])
+def test_decoys_match_scalar_loops(eve, d, n, count, seed):
     cfg = ProtocolConfig(d=d, n=n, m=2, decoy_count=count)
-    ref, fast = np.random.default_rng(31 * d + n), np.random.default_rng(31 * d + n)
+    ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
     ref_regs, ref_recs = _reference_insert_decoys(cfg, ref, payload_len=5)
     rows, expected = insert_decoys(cfg, fast, payload_len=5)
     assert sorted(rows) == sorted(expected) == sorted(ref_recs)

@@ -1,5 +1,6 @@
 """The README and pyproject.toml agree with the package they describe,
-and the package modules import nothing they leave unused."""
+and the package modules import nothing they leave unused and no private
+name of one another outside a short allowlist."""
 
 import argparse
 import ast
@@ -103,3 +104,29 @@ def test_unused_import_finder_sees_unused_names():
                                          if p.name != "__init__.py"))
 def test_module_uses_every_name_it_imports(module):
     assert _unused_imports((ROOT / "src" / "quditsum" / module).read_text()) == []
+
+
+# the private names one package module may import from another; the
+# |v>/QFT|v> table and the Fourier matrices stay inside qudit otherwise
+PRIVATE_IMPORTS_ALLOWED = {"protocol": {"_check_cap"}, "adversary": {"_iqft_matrix"},
+                           "harness": {"_shared_register"}}
+
+
+def _private_imports(source: str) -> list[str]:
+    """Underscore names a module imports from a module of the package."""
+    tree = ast.parse(source)
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "quditsum")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_private_import_finder_sees_package_imports():
+    source = "from .qudit import _a, b\nfrom quditsum.protocol import _c\nfrom numpy import _d\nfrom . import _e\n"
+    assert _private_imports(source) == ["_a", "_c", "_e"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "quditsum").glob("*.py")))
+def test_module_imports_only_allowed_private_names(module):
+    allowed = PRIVATE_IMPORTS_ALLOWED.get(module.removesuffix(".py"), set())
+    assert set(_private_imports((ROOT / "src" / "quditsum" / module).read_text())) <= allowed

@@ -55,6 +55,9 @@ def test_config_validation():
         for value in (np.int64(5), 5.0, True):
             with pytest.raises(ValueError, match=f"^{field} must be an int, got {re.escape(repr(value))}$"):
                 ProtocolConfig(**{"d": 5, "n": 3, "m": 1, field: value})
+    for value in (1.5, True, "1", None):
+        with pytest.raises(ValueError, match=f"^seed must be an int, got {re.escape(repr(value))}$"):
+            ProtocolConfig(d=5, n=3, m=1, seed=value)
     for value in (True, np.float32(0.25), "0.25"):
         with pytest.raises(ValueError, match=f"^error_threshold must be an int or float, got {re.escape(repr(value))}$"):
             ProtocolConfig(d=5, n=3, m=1, error_threshold=value)
