@@ -59,17 +59,13 @@ def eve_intercept_resend(rounds, receiver: int, decoys: np.ndarray, rng: np.rand
     """Measure every particle in transit to the receiver in a uniformly random basis.
 
     The receiver's qudit of each round travels first, then the (N, d)
-    array of decoy rows. Each payload qudit leaves its register, and the
-    receiver holds instead the basis state Eve observed, |v> or QFT|v>,
-    as a one-qudit factor of its own. Returns (rounds, rows): the rounds
-    as the receiver gets them and the decoy rows she resends, the same way.
+    array of decoy rows. Each payload qudit is intercepted: the receiver
+    holds instead the basis state Eve observed, |v> or QFT|v>, as a
+    one-qudit factor of its own. Returns (rounds, rows): the rounds as the
+    receiver gets them and the decoy rows she resends, the same way.
     """
-    resent = []
-    for state in rounds:
-        basis = BasisKind.V2 if rng.integers(2) else BasisKind.V1
-        value, rest = state.measure_qudit(receiver, basis, rng)
-        particle = QuditRegister._trusted(state.d, 1, basis_rows(state.d, value, basis is BasisKind.V2))
-        resent.append(RoundState(rest.index, rest.factors + ((particle, (receiver,)),), rest.measured, rest.r))
+    resent = [state.intercept(receiver, BasisKind.V2 if rng.integers(2) else BasisKind.V1, rng)[1]
+              for state in rounds]
     # per decoy, a basis bit and then the uniform measure would take
     draws = np.array([(rng.integers(2), rng.random()) for _ in range(len(decoys))]).reshape(-1, 2)
     v2 = draws[:, 0] == 1

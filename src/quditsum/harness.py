@@ -177,12 +177,13 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
                  eve: bool = False) -> dict:
     """One run of the summation protocol, original (eta=0) or hardened; returns its record.
 
-    rounds are the m+eta states the dealer hands out, genuine or forged.
-    With eve=True an intercept-resend eavesdropper measures every particle
-    on every channel, the payload before the decoys. Every receiver then
-    checks its decoys and the run aborts if any error rate exceeds the
-    threshold. Next eta positions are burnt on basis checks, aborting at
-    the first failure, and the m surviving rounds carry the secrets.
+    rounds are the m+eta states the dealer hands out, genuine (held by
+    1..n) or forged (held by 2..n), of d levels each. With eve=True an
+    intercept-resend eavesdropper measures every particle on every
+    channel, the payload before the decoys. Every receiver then checks its
+    decoys and the run aborts if any error rate exceeds the threshold.
+    Next eta positions are burnt on basis checks, aborting at the first
+    failure, and the m surviving rounds carry the secrets.
 
     The record holds every per_trial key of any scenario, as the report
     writes it. detected means the run aborted; the keys of the encoding
@@ -199,6 +200,10 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
     if len(rounds) != total:
         raise ValueError(f"got {len(rounds)} rounds, need m+eta={total}")
     receivers = range(2, cfg.n + 1)
+    fits = (tuple(range(1, cfg.n + 1)), tuple(receivers))
+    for state in rounds:
+        if state.d != cfg.d or state.owners not in fits:
+            raise ValueError(f"round {state.index} does not fit d={cfg.d}, n={cfg.n}")
 
     decoys, expected = insert_decoys(cfg, rng, payload_len=total)
     if eve:

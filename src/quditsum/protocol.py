@@ -74,7 +74,7 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class RoundState:
-    """One round as a product of (register, owners) factors, plus who already read out.
+    """One round as a product of (register, owners) factors, read out whole.
 
     owners[q] holds qudit q of its register. A genuine round is the shared
     register held by 1..n; a forged round is one fake particle per
@@ -83,7 +83,6 @@ class RoundState:
 
     index: int
     factors: tuple[tuple[QuditRegister, tuple[int, ...]], ...]
-    measured: frozenset[int] = frozenset()
     r: int | None = None
 
     def __post_init__(self) -> None:
@@ -98,28 +97,36 @@ class RoundState:
 
     @property
     def owners(self) -> tuple[int, ...]:
-        """The participants still holding a qudit of the round, in order."""
+        """The participants holding a qudit of the round, in order."""
         return tuple(sorted(p for _, owners in self.factors for p in owners))
 
-    def measure_qudit(self, participant: int, basis: BasisKind, rng: np.random.Generator,
-                      rotate=None) -> tuple[int, "RoundState"]:
-        """Measure the participant's qudit in the basis, after rotate(register, q) if given.
+    def read_out(self, rng: np.random.Generator, rotate) -> list[int]:
+        """Each owner's V1 readout in participant order, after rotate(register, q, participant) if given."""
+        factors = list(self.factors)
+        return [self._measure(factors, p, BasisKind.V1, rng, rotate) for p in self.owners]
 
-        Returns the value and the round without that qudit, dropping a
-        register left with none; measured is left as it is.
-        """
-        for f, (register, owners) in enumerate(self.factors):
+    def intercept(self, participant: int, basis: BasisKind,
+                  rng: np.random.Generator) -> tuple[int, "RoundState"]:
+        """Measure one owner's qudit; return the value v and the round with |v> or QFT|v> in its place."""
+        factors = list(self.factors)
+        value = self._measure(factors, participant, basis, rng, None)
+        particle = QuditRegister._trusted(self.d, 1, basis_rows(self.d, value, basis is BasisKind.V2))
+        return value, RoundState(self.index, (*factors, (particle, (participant,))), self.r)
+
+    def _measure(self, factors: list, participant: int, basis: BasisKind, rng, rotate) -> int:
+        """Measure the participant's qudit of factors, dropping it from that list; return the value."""
+        for f, (register, owners) in enumerate(factors):
             if participant in owners:
                 break
         else:
             raise ValueError(f"participant {participant} holds no qudit in round {self.index}")
         q = owners.index(participant)
         if rotate is not None:
-            register = rotate(register, q)
+            register = rotate(register, q, participant)
         value, rest = measure(register, q, basis, rng)
         kept = owners[:q] + owners[q + 1:]
-        factors = self.factors[:f] + (((rest, kept),) if kept else ()) + self.factors[f + 1:]
-        return value, RoundState(self.index, factors, self.measured, self.r)
+        factors[f:f + 1] = [(rest, kept)] if kept else []
+        return value
 
 
 def require_int(name: str, value) -> None:
@@ -194,19 +201,13 @@ def check_decoys(expected, rows: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.count_nonzero(measure_rows(rows, v2, rng.random(len(values))) != values))
 
 
-def encode_and_measure(state: RoundState, participant: int, digit: int, rng: np.random.Generator):
-    """Encode one digit on the participant's qudit and read it out.
+def encode_and_measure(state: RoundState, digits, rng: np.random.Generator) -> list[int]:
+    """Encode digits[i-1] on each owner i's qudit and read the round out, in participant order.
 
     The encoding (Fourier rotation, then the cyclic shift by the digit)
-    is one unitary; the readout is a computational measurement. Returns
-    (measured value, round without the participant's qudit). A
-    participant can touch a round only once.
+    is one unitary; the readout is a computational measurement.
     """
-    if participant in state.measured:
-        raise ValueError(f"participant {participant} already measured round {state.index}")
-    value, rest = state.measure_qudit(participant, BasisKind.V1, rng,
-                                      lambda register, q: apply_encode(register, q, digit))
-    return value, RoundState(state.index, rest.factors, state.measured | {participant}, state.r)
+    return state.read_out(rng, lambda register, q, i: apply_encode(register, q, digits[i - 1]))
 
 
 def encode_rounds(rounds, secrets, rng: np.random.Generator) -> dict[int, list[int]]:
@@ -219,8 +220,7 @@ def encode_rounds(rounds, secrets, rng: np.random.Generator) -> dict[int, list[i
     """
     results: dict[int, list[int]] = {}
     for j, state in enumerate(rounds):
-        for i in state.owners:
-            value, state = encode_and_measure(state, i, secrets[i - 1][j], rng)
+        for i, value in zip(state.owners, encode_and_measure(state, [s[j] for s in secrets], rng)):
             results.setdefault(i, []).append(value)
     return results
 

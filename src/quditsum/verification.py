@@ -51,26 +51,22 @@ def select_checks(cfg: ProtocolConfig, eta: int, rng: np.random.Generator) -> li
 
 
 def execute_check(state: RoundState, check: dict, rng: np.random.Generator) -> dict:
-    """Consume one check position; return its record with the announced values and the verdict.
+    """Burn one check position; return its record with the announced values and the verdict.
 
     Every owner rotates its own qudit by the Fourier transform and
     measures in the announced basis, in participant order, so P1 goes
-    first on a genuine round. Projecting QFT(psi) onto QFT|r> is projecting
-    psi onto |r>, so a V2 check measures the unrotated qudit in V1, and
-    a measured qudit leaves its register. On a forged round P1 holds
-    nothing and announces first, before and so regardless of the honest
-    results, whatever serves him best: -(n-1)*r mod d on a computational
-    check, which always passes, and a fixed value on a Fourier-image
-    check, where nothing beats blind luck.
+    first on a genuine round: one read-out of the whole round. Projecting
+    QFT(psi) onto QFT|r> is projecting psi onto |r>, so a V2 check reads
+    the unrotated qudits out in V1. On a forged round P1 holds nothing and
+    announces first, before and so regardless of the honest results,
+    whatever serves him best: -(n-1)*r mod d on a computational check,
+    which always passes, and a fixed value on a Fourier-image check, where
+    nothing beats blind luck.
     """
-    if state.measured:
-        raise ValueError(f"check position {check['position']} already consumed")
     v1 = BasisKind(check["basis"]) is BasisKind.V1
     d, owners, values = state.d, state.owners, []
     if 1 not in owners:
         # any fixed value does equally well on a Fourier-image check
         values.append((-len(owners) * state.r) % d if v1 else 0)
-    for participant in owners:
-        value, state = state.measure_qudit(participant, BasisKind.V1, rng, apply_qft if v1 else None)
-        values.append(value)
+    values += state.read_out(rng, (lambda register, q, participant: apply_qft(register, q)) if v1 else None)
     return {**check, "announced": values, "passed": v1_pass(values, d) if v1 else v2_pass(values)}

@@ -285,7 +285,7 @@ def test_fabricate_rounds_share_one_register_per_fabrication_value(d, n):
     assert [state.r for state in rounds] == list(r_choices)
     buffers = set()
     for j, (state, r) in enumerate(zip(rounds, r_choices)):
-        assert state.index == j and state.measured == frozenset()
+        assert state.index == j
         assert state.owners == tuple(range(2, n + 1))
         assert [owners for _, owners in state.factors] == [(i,) for i in range(2, n + 1)]
         for register, _ in state.factors:

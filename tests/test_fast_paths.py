@@ -33,7 +33,6 @@ from quditsum import (
     approx_equal,
     basis_state,
     check_decoys,
-    encode_and_measure,
     eve_intercept_resend,
     insert_decoys,
     measure,
@@ -214,7 +213,7 @@ def test_eve_on_payload_and_lone_decoys_matches_reference():
             rows = np.array([reg.amplitudes for reg in decoys], dtype=np.complex128).reshape(count, 5)
             resent, resent_rows = eve_intercept_resend(rounds, receiver, rows, fast)
             for state, after, posterior in zip(rounds, resent, expected):
-                assert after.owners == state.owners and after.measured == frozenset()
+                assert after.owners == state.owners
                 assert (after.factors[-1][0].k, after.factors[-1][1]) == (1, (receiver,))
                 assert _same_state(_dense(after), posterior)
             assert resent_rows.shape == (count, 5)
@@ -489,20 +488,25 @@ def test_factor_rounds_under_eve_match_dense_reference(d, n, forged):
 
 
 @pytest.mark.parametrize("forged", [False, True])
-def test_encode_and_measure_drops_each_qudit(forged):
+def test_intercept_replaces_each_qudit(forged):
+    # the intercepted qudit leaves its register and the state read joins
+    # the round as the participant's own one-qudit factor
     cfg = ProtocolConfig(d=3, n=4, m=1)
     state = fabricate_rounds(cfg, (2,))[0] if forged else prepare_rounds(cfg)[0]
     rng = np.random.default_rng(3)
-    owners = list(state.owners)
+    holders = state.owners
+    owners, order = list(holders), []
     while owners:
         participant = owners.pop(len(owners) // 2)
-        _, state = encode_and_measure(state, participant, 1, rng)
-        assert state.owners == tuple(owners)
-        assert sum(reg.k for reg, _ in state.factors) == len(owners)
-        assert participant in state.measured
-        with pytest.raises(ValueError, match="already measured"):
-            encode_and_measure(state, participant, 1, rng)
-    assert state.owners == () and state.factors == ()
+        order.append(participant)
+        v2 = len(owners) % 2 == 1
+        value, state = state.intercept(participant, V2 if v2 else V1, rng)
+        assert state.owners == holders
+        assert sum(reg.k for reg, _ in state.factors) == len(holders)
+        particle, held_by = state.factors[-1]
+        assert held_by == (participant,) and particle.k == 1
+        assert np.array_equal(particle.amplitudes, basis_rows(3, value, v2))
+    assert [owners for _, owners in state.factors] == [(p,) for p in order]
 
 
 # ---------------------------------------------------------------------------

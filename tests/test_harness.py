@@ -267,6 +267,19 @@ def test_run_protocol_record_after_a_decoy_abort():
             assert record[key] is None
 
 
+@pytest.mark.parametrize("d, n, forged", [(3, 3, False), (5, 4, False), (5, 2, True), (3, 3, True)])
+def test_run_protocol_rejects_rounds_that_do_not_fit(d, n, forged):
+    # rounds dealt for other sizes must fail before the first draw: run on,
+    # they write a wrong record or break mid-run after the decoys
+    other = ProtocolConfig(d=d, n=n, m=1)
+    rounds = fabricate_rounds(other, (1,)) if forged else prepare_rounds(other)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^round 0 does not fit d=5, n=3$"):
+        run_protocol(ProtocolConfig(d=5, n=3, m=1, decoy_count=2), 0, ((1,), (2,), (3,)), rounds, rng)
+    assert rng.bit_generator.state == state
+
+
 def test_reports_are_reproducible_bit_for_bit():
     for scenario in sorted(SCENARIOS):
         first = run_scenario(_cfg(scenario, trials=12, eta=3))

@@ -1,6 +1,6 @@
 """The README and pyproject.toml agree with the package they describe,
-and the package modules import nothing they leave unused and no private
-name of one another outside a short allowlist."""
+and the package modules import nothing they leave unused and reach no
+private name of one another outside a short allowlist."""
 
 import argparse
 import ast
@@ -106,27 +106,38 @@ def test_module_uses_every_name_it_imports(module):
     assert _unused_imports((ROOT / "src" / "quditsum" / module).read_text()) == []
 
 
-# the private names one package module may import from another; the
-# |v>/QFT|v> table and the Fourier matrices stay inside qudit otherwise
-PRIVATE_IMPORTS_ALLOWED = {"protocol": {"_check_cap"}, "adversary": {"_iqft_matrix"},
+# the private names one package module may import from another, or read
+# off a name it imports from one; the |v>/QFT|v> table and the Fourier
+# matrices stay inside qudit otherwise, and only the modules that build
+# registers from rows of them wrap amplitudes without a check
+PRIVATE_IMPORTS_ALLOWED = {"protocol": {"_check_cap", "QuditRegister._trusted"},
+                           "adversary": {"_iqft_matrix", "QuditRegister._trusted"},
                            "harness": {"_shared_register"}}
 
 
-def _private_imports(source: str) -> list[str]:
-    """Underscore names a module imports from a module of the package."""
+def _private_names(source: str) -> list[str]:
+    """Underscore names a module imports from a module of the package, then `Name._attr` off such a name."""
     tree = ast.parse(source)
-    return [alias.name for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            and (node.level > 0 or (node.module or "").split(".")[0] == "quditsum")
-            for alias in node.names if alias.name.startswith("_")]
+    imports = [alias for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "quditsum")
+               for alias in node.names]
+    local = {alias.asname or alias.name for alias in imports}
+    return ([alias.name for alias in imports if alias.name.startswith("_")]
+            + [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+               and node.value.id in local and node.attr.startswith("_")])
 
 
 def test_private_import_finder_sees_package_imports():
     source = "from .qudit import _a, b\nfrom quditsum.protocol import _c\nfrom numpy import _d\nfrom . import _e\n"
-    assert _private_imports(source) == ["_a", "_c", "_e"]
+    assert _private_names(source) == ["_a", "_c", "_e"]
+    # attribute reads off a package name, aliased or private itself; not off numpy or a local
+    source += "from .qudit import Reg as R\nimport numpy as np\nx = R._g(b._f)\nnp._h\nb.i\n_e._j\nReg._k\n"
+    assert sorted(_private_names(source)) == ["R._g", "_a", "_c", "_e", "_e._j", "b._f"]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in (ROOT / "src" / "quditsum").glob("*.py")))
 def test_module_imports_only_allowed_private_names(module):
     allowed = PRIVATE_IMPORTS_ALLOWED.get(module.removesuffix(".py"), set())
-    assert set(_private_imports((ROOT / "src" / "quditsum" / module).read_text())) <= allowed
+    assert set(_private_names((ROOT / "src" / "quditsum" / module).read_text())) <= allowed

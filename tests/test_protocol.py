@@ -17,6 +17,7 @@ from quditsum import (
     check_decoys,
     compute_sum,
     encode_and_measure,
+    fabricate_rounds,
     fake_particle,
     insert_decoys,
     omega_state,
@@ -87,7 +88,6 @@ def test_prepare_rounds_shares_the_entangled_state():
     for j, state in enumerate(rounds):
         assert state.index == j
         assert state.owners == (1, 2, 3)
-        assert state.measured == frozenset()
         ((register, owners),) = state.factors
         assert owners == (1, 2, 3)
         assert approx_equal(register, omega_state(10, 3))
@@ -156,13 +156,11 @@ def test_check_decoys_rejects_length_mismatch():
 
 
 def test_encode_and_measure_on_forged_state_is_deterministic():
-    # the attack's fake state IQFT|2> with digit 5 reads out 7, always
+    # the attack's fake state IQFT|2> with P2's digit 5 reads out 7, always
     rng = np.random.default_rng(0)
     for _ in range(20):
         state = RoundState(0, ((fake_particle(10, 2), (2,)),))
-        value, after = encode_and_measure(state, 2, 5, rng)
-        assert value == 7
-        assert after.measured == frozenset({2}) and after.factors == ()
+        assert encode_and_measure(state, (0, 5), rng) == [7]
 
 
 def test_round_factors_name_one_owner_per_qudit():
@@ -173,26 +171,17 @@ def test_round_factors_name_one_owner_per_qudit():
     state = RoundState(4, ((fake_particle(5, 1), (2,)), (fake_particle(5, 3), (3,))))
     assert state.owners == (2, 3) and state.d == 5
     with pytest.raises(ValueError, match="^participant 1 holds no qudit in round 4$"):
-        encode_and_measure(state, 1, 0, np.random.default_rng(0))
-
-
-def test_encode_rejects_double_measurement():
-    cfg = ProtocolConfig(d=5, n=3, m=1)
-    rng = np.random.default_rng(0)
-    state = prepare_rounds(cfg)[0]
-    _, state = encode_and_measure(state, 2, 3, rng)
-    with pytest.raises(ValueError):
-        encode_and_measure(state, 2, 3, rng)
+        state.intercept(1, BasisKind.V1, np.random.default_rng(0))
 
 
 def test_encode_rejects_foreign_participant_and_bad_digit():
     cfg = ProtocolConfig(d=5, n=2, m=1)
     state = prepare_rounds(cfg)[0]
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        encode_and_measure(state, 3, 0, rng)
-    with pytest.raises(ValueError):
-        encode_and_measure(state, 1, 5, rng)
+    with pytest.raises(ValueError, match="^participant 3 holds no qudit in round 0$"):
+        state.intercept(3, BasisKind.V1, rng)
+    with pytest.raises(ValueError, match="^shift amount 5 out of range for d=5$"):
+        encode_and_measure(state, (5, 0), rng)
 
 
 def test_encoded_results_sum_to_secret_total():
@@ -203,12 +192,31 @@ def test_encoded_results_sum_to_secret_total():
         cfg = ProtocolConfig(d=d, n=n, m=1)
         for _ in range(10):
             digits = [int(x) for x in rng.integers(0, d, size=n)]
-            state = prepare_rounds(cfg)[0]
-            values = []
-            for i in range(1, n + 1):
-                v, state = encode_and_measure(state, i, digits[i - 1], rng)
-                values.append(v)
-            assert sum(values) % d == sum(digits) % d
+            values = encode_and_measure(prepare_rounds(cfg)[0], digits, rng)
+            assert len(values) == n and sum(values) % d == sum(digits) % d
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("forged", [False, True])
+def test_round_operations_leave_their_round_as_it_was(d, n, forged):
+    # a round is a value: reading it out or intercepting a qudit of it
+    # builds what it returns and leaves the round itself to be used again
+    cfg = ProtocolConfig(d=d, n=n, m=1)
+    state = fabricate_rounds(cfg, (d - 1,))[0] if forged else prepare_rounds(cfg)[0]
+    factors = state.factors
+    for seed in range(10):
+        for rotate in (None, lambda register, q, i: apply_encode(register, q, i % d)):
+            first, again = np.random.default_rng(seed), np.random.default_rng(seed)
+            values = state.read_out(first, rotate)
+            assert len(values) == len(state.owners)
+            assert state.read_out(again, rotate) == values
+            assert first.bit_generator.state == again.bit_generator.state
+        for basis in (BasisKind.V1, BasisKind.V2):
+            for i in state.owners:
+                _, after = state.intercept(i, basis, np.random.default_rng(seed))
+                assert (after.index, after.r, after.d, after.owners) == (0, state.r, d, state.owners)
+        assert state.factors == factors
 
 
 def test_single_encoded_qudit_is_uniform():

@@ -150,16 +150,6 @@ def test_honest_check_v2_all_agree(d, n):
         assert len(set(outcome["announced"])) == 1
 
 
-def test_consumed_check_state_rejected():
-    cfg = ProtocolConfig(d=5, n=3, m=1)
-    rng = np.random.default_rng(0)
-    state = prepare_rounds(cfg, count=1)[0]
-    from quditsum import encode_and_measure
-    _, used = encode_and_measure(state, 1, 0, rng)
-    with pytest.raises(ValueError):
-        execute_check(used, {"position": 0, "chooser": 2, "basis": "V1"}, rng)
-
-
 def test_execute_check_rejects_unknown_basis():
     state = prepare_rounds(ProtocolConfig(d=3, n=3, m=1))[0]
     with pytest.raises(ValueError, match="V3"):
