@@ -21,7 +21,6 @@ from .protocol import (
     ProtocolConfig,
     check_decoys,
     compute_sum,
-    encode_and_measure,
     insert_decoys,
     prepare_rounds,
     validate_secrets,

@@ -37,10 +37,11 @@ from .protocol import (
     encode_rounds,
     insert_decoys,
     prepare_rounds,
+    read_out,
     require_int,
     validate_secrets,
 )
-from .verification import execute_check, select_checks
+from .verification import check_rotations, execute_check, select_checks
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -183,7 +184,10 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
     channel, the payload before the decoys. Every receiver then checks its
     decoys and the run aborts if any error rate exceeds the threshold.
     Next eta positions are burnt on basis checks, aborting at the first
-    failure, and the m surviving rounds carry the secrets.
+    failure, and the m surviving rounds carry the secrets. One read_out
+    serves all checks and one all surviving rounds, so the checks after a
+    failed one are read out too: harmless, as the run then returns and
+    nothing reads its generator again.
 
     The record holds every per_trial key of any scenario, as the report
     writes it. detected means the run aborted; the keys of the encoding
@@ -212,9 +216,12 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
     mismatches = [check_decoys(expected[i], decoys[i], rng) for i in receivers]
     rates = [c / cfg.decoy_count if cfg.decoy_count else 0.0 for c in mismatches]
     detected = any(rate > cfg.error_threshold for rate in rates)
+    selected = [] if detected else select_checks(cfg, eta, rng)
+    checked = [rounds[check["position"]] for check in selected]
+    announced = read_out(checked, check_rotations(cfg.d, selected), rng)
     checks = []
-    for check in [] if detected else select_checks(cfg, eta, rng):
-        checks.append(execute_check(rounds[check["position"]], check, rng))
+    for state, check, values in zip(checked, selected, announced):
+        checks.append(execute_check(state, check, values))
         detected = not checks[-1]["passed"]
         if detected:
             break

@@ -12,7 +12,8 @@ guarantees the announced digits sum to the digit-wise sum of all the
 secrets while each single announcement stays uniformly distributed.
 
 Participants are numbered 1-based; P1..Pn hold the qudits of a genuine
-round's shared register in order.
+round's shared register in order. read_out reads many rounds in lockstep,
+its uniforms drawn up front.
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import qudit
 from .qudit import (
     BasisKind,
     QuditRegister,
     _check_cap,
-    apply_encode,
     basis_rows,
+    encode_matrix,
     measure,
+    measure_first,
     measure_rows,
     omega_state,
 )
@@ -76,7 +79,8 @@ class ProtocolConfig:
 class RoundState:
     """One round as a product of (register, owners) factors, read out whole.
 
-    owners[q] holds qudit q of its register. A genuine round is the shared
+    owners[q] holds qudit q of its register, each participant at most one
+    qudit, and every factor has the same d. A genuine round is the shared
     register held by 1..n; a forged round is one fake particle per
     recipient 2..n, built from the fabrication value r (None if genuine).
     """
@@ -86,9 +90,14 @@ class RoundState:
     r: int | None = None
 
     def __post_init__(self) -> None:
+        if len({register.d for register, _ in self.factors}) != 1:
+            raise ValueError(f"round {self.index} needs one or more factors, all of one d")
         for register, owners in self.factors:
             if len(owners) != register.k:
                 raise ValueError(f"owners names {len(owners)} participants for {register.k} qudits")
+        held = [p for _, owners in self.factors for p in owners]
+        if len(set(held)) != len(held):
+            raise ValueError(f"round {self.index} names a participant twice")
 
     @property
     def d(self) -> int:
@@ -100,33 +109,60 @@ class RoundState:
         """The participants holding a qudit of the round, in order."""
         return tuple(sorted(p for _, owners in self.factors for p in owners))
 
-    def read_out(self, rng: np.random.Generator, rotate) -> list[int]:
-        """Each owner's V1 readout in participant order, after rotate(register, q, participant) if given."""
-        factors = list(self.factors)
-        return [self._measure(factors, p, BasisKind.V1, rng, rotate) for p in self.owners]
-
     def intercept(self, participant: int, basis: BasisKind,
                   rng: np.random.Generator) -> tuple[int, "RoundState"]:
         """Measure one owner's qudit; return the value v and the round with |v> or QFT|v> in its place."""
-        factors = list(self.factors)
-        value = self._measure(factors, participant, basis, rng, None)
-        particle = QuditRegister._trusted(self.d, 1, basis_rows(self.d, value, basis is BasisKind.V2))
-        return value, RoundState(self.index, (*factors, (particle, (participant,))), self.r)
-
-    def _measure(self, factors: list, participant: int, basis: BasisKind, rng, rotate) -> int:
-        """Measure the participant's qudit of factors, dropping it from that list; return the value."""
-        for f, (register, owners) in enumerate(factors):
+        for f, (register, owners) in enumerate(self.factors):
             if participant in owners:
                 break
         else:
             raise ValueError(f"participant {participant} holds no qudit in round {self.index}")
         q = owners.index(participant)
-        if rotate is not None:
-            register = rotate(register, q, participant)
         value, rest = measure(register, q, basis, rng)
         kept = owners[:q] + owners[q + 1:]
-        factors[f:f + 1] = [(rest, kept)] if kept else []
-        return value
+        particle = QuditRegister._trusted(self.d, 1, basis_rows(self.d, value, basis is BasisKind.V2))
+        factors = self.factors[:f] + (((rest, kept),) if kept else ()) + self.factors[f + 1:]
+        return value, RoundState(self.index, (*factors, (particle, (participant,))), self.r)
+
+
+def read_out(rounds, rotations, rng: np.random.Generator) -> list[list[int]]:
+    """Every owner's V1 readout of every round in participant order, one list per round.
+
+    rotations[j] is None or the d x d unitary (one for all, or one per
+    owner) the owners of rounds[j] apply first. One rng.random draw up
+    front gives every owner its uniform, in round then participant order
+    as a per-owner loop draws them. Factors of equal qudit count are
+    stacked, up to qudit.STACK_CAP amplitudes, and read one qudit a step.
+    """
+    owners = [state.owners for state in rounds]
+    u = rng.random(sum(map(len, owners)))
+    d = rounds[0].d if rounds else 2
+    mats, rotated = np.empty((len(u), d, d), dtype=np.complex128), np.zeros(len(u), dtype=bool)
+    mats[:] = np.eye(d)
+    groups, start = {}, 0
+    for state, rotation, held in zip(rounds, rotations, owners, strict=True):
+        if state.d != d:
+            raise ValueError(f"round {state.index} has d={state.d}, not the first round's d={d}")
+        end = start + len(held)
+        if rotation is not None:
+            mats[start:end], rotated[start:end] = rotation, True
+        slot = dict(zip(held, range(start, end)))
+        for register, factor_owners in state.factors:
+            groups.setdefault(register.k, []).append((register.amplitudes, [slot[p] for p in factor_owners]))
+        start = end
+    values = np.empty(len(u), dtype=np.int64)
+    for k, members in groups.items():
+        size = max(1, qudit.STACK_CAP // d**k)
+        for first in range(0, len(members), size):
+            stack = members[first:first + size]
+            # a lone register is read as a view, without a copy
+            psi = stack[0][0][None] if len(stack) == 1 else np.stack([a for a, _ in stack])
+            for s in np.array([slots for _, slots in stack]).T:
+                # a stack nobody rotates skips the identity matmul
+                values[s], psi = measure_first(psi.reshape(len(s), d, -1), u[s],
+                                               mats[s] if rotated[s].any() else None)
+    flat = iter(values.tolist())
+    return [[next(flat) for _ in held] for held in owners]
 
 
 def require_int(name: str, value) -> None:
@@ -201,26 +237,19 @@ def check_decoys(expected, rows: np.ndarray, rng: np.random.Generator) -> int:
     return int(np.count_nonzero(measure_rows(rows, v2, rng.random(len(values))) != values))
 
 
-def encode_and_measure(state: RoundState, digits, rng: np.random.Generator) -> list[int]:
-    """Encode digits[i-1] on each owner i's qudit and read the round out, in participant order.
-
-    The encoding (Fourier rotation, then the cyclic shift by the digit)
-    is one unitary; the readout is a computational measurement.
-    """
-    return state.read_out(rng, lambda register, q, i: apply_encode(register, q, digits[i - 1]))
-
-
 def encode_rounds(rounds, secrets, rng: np.random.Generator) -> dict[int, list[int]]:
-    """Encoding step for every owner of every round, in round order.
+    """Encode every owner's digit (QFT, then the shift by it) and read every round out.
 
     secrets[i-1] belongs to participant i; digit j goes on the j-th round
     of the list (not on RoundState.index, which may name an original
     position in a longer prepared sequence). Only participants holding a
     qudit get a result string.
     """
+    rotations = [[encode_matrix(state.d, secrets[i - 1][j]) for i in state.owners]
+                 for j, state in enumerate(rounds)]
     results: dict[int, list[int]] = {}
-    for j, state in enumerate(rounds):
-        for i, value in zip(state.owners, encode_and_measure(state, [s[j] for s in secrets], rng)):
+    for state, values in zip(rounds, read_out(rounds, rotations, rng)):
+        for i, value in zip(state.owners, values):
             results.setdefault(i, []).append(value)
     return results
 

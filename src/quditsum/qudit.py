@@ -14,8 +14,9 @@ every measurement checks the norm instead.
 Two measurement bases appear throughout: V1 is the computational basis
 {|0>, ..., |d-1>} and V2 is its Fourier image {QFT|0>, ..., QFT|d-1>}.
 A measurement (V2 on the inverse-rotated target) returns the value and
-the other qudits. A lone particle, a decoy or one an eavesdropper sends
-on, is one of the 2d states |v> or QFT|v>: one row of basis_rows.
+the other qudits; measure_first does so for a stack of registers, against
+uniforms drawn up front. A lone particle, a decoy or one an eavesdropper
+sends on, is one of the 2d states |v> or QFT|v>: one row of basis_rows.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ import numpy as np
 # fails loudly instead of swallowing memory. Module level so a caller who
 # knows what they are doing can raise it.
 DIM_CAP = 2**22
+
+# Most amplitudes read_out stacks for one measure_first; a larger register goes alone, as a view.
+STACK_CAP = 2**16
 
 # Normalization drift allowed before a register is rejected as invalid.
 NORM_TOL = 1e-9
@@ -113,8 +117,11 @@ def _iqft_matrix(d: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _encode_matrix(d: int, s: int) -> np.ndarray:
-    # The QFT followed by the shift by s: row l of S·QFT is row l - s of the QFT.
+def encode_matrix(d: int, s: int) -> np.ndarray:
+    """The encoding unitary, the Fourier transform followed by the cyclic shift by s."""
+    if not 0 <= s < d:
+        raise ValueError(f"shift amount {s} out of range for d={d}")
+    # row l of S·QFT is row l - s of the QFT
     mat = np.roll(_qft_matrix(d), s, axis=0)
     mat.setflags(write=False)
     return mat
@@ -188,9 +195,7 @@ def apply_shift(reg: QuditRegister, target: int, s: int) -> QuditRegister:
 
 def apply_encode(reg: QuditRegister, target: int, s: int) -> QuditRegister:
     """Fourier transform on one qudit, then the cyclic shift by s, as one unitary."""
-    if not 0 <= s < reg.d:
-        raise ValueError(f"shift amount {s} out of range for d={reg.d}")
-    return _apply_single(reg, _encode_matrix(reg.d, s), target)
+    return _apply_single(reg, encode_matrix(reg.d, s), target)
 
 
 def outcome_distribution(reg: QuditRegister, target: int, basis: BasisKind) -> np.ndarray:
@@ -229,19 +234,40 @@ def _sample(probs: np.ndarray, u) -> np.ndarray:
     Same arithmetic as Generator.choice; also every measurement's norm check.
     """
     total = probs.sum(axis=-1, keepdims=True)
-    bad = total[~(np.abs(total - 1.0) <= NORM_TOL)]  # NaN counts as bad
-    if bad.size:
-        raise ValueError(f"state is not normalized: |psi|^2 = {float(bad[0])!r}")
+    good = np.abs(total - 1.0) <= NORM_TOL  # NaN counts as bad
+    if not good.all():
+        raise ValueError(f"state is not normalized: |psi|^2 = {float(total[~good][0])!r}")
     cdf = (probs / total).cumsum(axis=-1)
     cdf /= cdf[..., -1:]
     # the count of cdf entries <= u is searchsorted(u, side="right")
-    return np.count_nonzero(cdf <= np.expand_dims(u, -1), axis=-1)
+    return (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
 
 
 def basis_rows(d: int, values, v2) -> np.ndarray:
     """Row i is |values[i]>, or QFT|values[i]> where v2[i]; scalar inputs give one row."""
     # QFT|v> is row v of the symmetric QFT matrix
-    return np.where(np.expand_dims(v2, -1), _qft_matrix(d)[values], np.eye(d, dtype=np.complex128)[values])
+    return np.where(np.asarray(v2)[..., None], _qft_matrix(d)[values], np.eye(d, dtype=np.complex128)[values])
+
+
+def measure_first(psi: np.ndarray, u: np.ndarray,
+                  mats: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Measure the first qudit of each register of the (G, d, b) stack psi in V1; it leaves them.
+
+    psi's last axis is contiguous. Register g first gets the unitary mats[g]
+    unless mats is None, then is measured against u[g]. Returns the G
+    values and the (G, b) normalized rests.
+    """
+    if mats is not None:
+        psi = np.matmul(mats, psi)
+    # |x|^2 off the float64 (re, im) view
+    f = psi.view(np.float64)
+    probs = np.einsum("gdb,gdb->gd", f, f)
+    values = _sample(probs, u)
+    g = np.arange(len(psi))
+    kept = psi[g, values]
+    # the kept slice's squared norm is its outcome's probability
+    kept /= np.sqrt(probs[g, values])[:, None]
+    return values, kept
 
 
 def measure_rows(rows: np.ndarray, v2: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -250,9 +276,9 @@ def measure_rows(rows: np.ndarray, v2: np.ndarray, u: np.ndarray) -> np.ndarray:
     u[i] is the uniform measure would draw for row i. Returns the
     outcomes; each row collapses to basis_rows(d, outcomes, v2) up to phase.
     """
-    rotated = np.array(rows, dtype=np.complex128)
-    rotated[v2] = rows[v2] @ _iqft_matrix(rows.shape[1]).T
-    return _sample(np.abs(rotated) ** 2, u)
+    rows = np.asarray(rows, dtype=np.complex128)
+    mats = np.where(np.asarray(v2)[:, None, None], _iqft_matrix(rows.shape[1]), np.eye(rows.shape[1]))
+    return measure_first(rows[:, :, None], u, mats)[0]
 
 
 def approx_equal(a: QuditRegister, b: QuditRegister, tol: float = 1e-9) -> bool:

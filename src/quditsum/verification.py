@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .protocol import ProtocolConfig, RoundState
-from .qudit import BasisKind, apply_qft
+from .qudit import BasisKind, encode_matrix
 
 
 def v1_pass(values, d: int) -> bool:
@@ -50,23 +50,25 @@ def select_checks(cfg: ProtocolConfig, eta: int, rng: np.random.Generator) -> li
     return sorted(checks, key=lambda c: c["position"])
 
 
-def execute_check(state: RoundState, check: dict, rng: np.random.Generator) -> dict:
-    """Burn one check position; return its record with the announced values and the verdict.
+def check_rotations(d: int, checks) -> list:
+    """Each check's read_out rotation: the QFT on V1; none on V2, where the QFT and the V2 basis cancel."""
+    # encoding the digit 0 is the QFT alone
+    return [encode_matrix(d, 0) if BasisKind(check["basis"]) is BasisKind.V1 else None for check in checks]
 
-    Every owner rotates its own qudit by the Fourier transform and
-    measures in the announced basis, in participant order, so P1 goes
-    first on a genuine round: one read-out of the whole round. Projecting
-    QFT(psi) onto QFT|r> is projecting psi onto |r>, so a V2 check reads
-    the unrotated qudits out in V1. On a forged round P1 holds nothing and
-    announces first, before and so regardless of the honest results,
-    whatever serves him best: -(n-1)*r mod d on a computational check,
-    which always passes, and a fixed value on a Fourier-image check, where
-    nothing beats blind luck.
+
+def execute_check(state: RoundState, check: dict, values) -> dict:
+    """Return the check's record: the announced values and the verdict.
+
+    values are the owners' readouts of the checked round, in participant
+    order, so P1 goes first on a genuine round. On a forged round P1 holds
+    nothing and announces first, before and so regardless of the honest
+    results, whatever serves him best: -(n-1)*r mod d on a computational
+    check, which always passes, and a fixed value on a Fourier-image
+    check, where nothing beats blind luck.
     """
     v1 = BasisKind(check["basis"]) is BasisKind.V1
-    d, owners, values = state.d, state.owners, []
+    d, owners, values = state.d, state.owners, list(values)
     if 1 not in owners:
         # any fixed value does equally well on a Fourier-image check
-        values.append((-len(owners) * state.r) % d if v1 else 0)
-    values += state.read_out(rng, (lambda register, q, participant: apply_qft(register, q)) if v1 else None)
+        values.insert(0, (-len(owners) * state.r) % d if v1 else 0)
     return {**check, "announced": values, "passed": v1_pass(values, d) if v1 else v2_pass(values)}

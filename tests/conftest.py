@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 
-from quditsum import QuditRegister
+from quditsum import QuditRegister, execute_check
+from quditsum.protocol import read_out
+from quditsum.verification import check_rotations
 
 
 def random_register(d: int, k: int, rng: np.random.Generator) -> QuditRegister:
@@ -29,3 +31,8 @@ def assert_within_4sigma(observed_rate: float, p: float, n: int) -> None:
 def random_secret(d: int, m: int, rng: np.random.Generator) -> tuple[int, ...]:
     """One participant's secret: m uniform digits mod d in one draw."""
     return tuple(int(x) for x in rng.integers(0, d, size=m))
+
+
+def run_check(state, check: dict, rng: np.random.Generator) -> dict:
+    """One check as run_protocol runs it: the round read out with the check's rotation, then the verdict."""
+    return execute_check(state, check, read_out([state], check_rotations(state.d, [check]), rng)[0])

@@ -11,14 +11,17 @@ axis-permuting references the same way. So are the rounds kept as
 products of factors, whose measurements drop the measured qudit, against
 the dense loop that keeps every qudit in one register; the registers a
 run builds once and shares; and the one draw of every participant's
-secret digits.
+secret digits. read_out, which measures many rounds in lockstep against
+uniforms drawn up front, is pinned to the per-owner measurement chain it
+replaced.
 """
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
-from conftest import random_register, random_secret
+from conftest import random_register, random_secret, run_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -45,17 +48,18 @@ from quditsum import (
 from quditsum import harness
 from quditsum.adversary import fabricate_rounds, fake_particle
 from quditsum.harness import _trial_secrets
-from quditsum.protocol import encode_rounds
+from quditsum import qudit
+from quditsum.protocol import RoundState, encode_rounds, read_out
 from quditsum.qudit import (
     _apply_single,
-    _encode_matrix,
     _iqft_matrix,
     _qft_matrix,
     apply_encode,
     basis_rows,
+    encode_matrix,
     measure_rows,
 )
-from quditsum.verification import execute_check, v1_pass, v2_pass
+from quditsum.verification import v1_pass, v2_pass
 
 V1, V2 = BasisKind.V1, BasisKind.V2
 
@@ -319,7 +323,7 @@ def test_execute_check_matches_rotate_then_measure_reference(forged, basis):
         state = fabricate_rounds(cfg, (seed % 5,))[0] if forged else genuine
         check = {"position": 0, "chooser": 2, "basis": basis.value}
         ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
-        outcome = execute_check(state, check, fast)
+        outcome = run_check(state, check, fast)
         assert (outcome["announced"], outcome["passed"]) == _reference_check(state, check, ref)
         assert fast.bit_generator.state == ref.bit_generator.state
 
@@ -329,7 +333,7 @@ def test_apply_encode_is_shift_after_qft(d):
     gen = np.random.default_rng(d)
     reg = random_register(d, 2, gen)
     for s in range(d):
-        assert not _encode_matrix(d, s).flags.writeable
+        assert not encode_matrix(d, s).flags.writeable
         for target in range(2):
             expected = apply_shift(apply_qft(reg, target), target, s).amplitudes
             got = apply_encode(reg, target, s).amplitudes
@@ -444,7 +448,7 @@ def test_shrinking_chains_match_full_register_reference(forged):
         assert encode_rounds(rounds, secrets, fast) == _reference_encode_rounds(rounds, secrets, ref)
         assert fast.bit_generator.state == ref.bit_generator.state
         check = {"position": 0, "chooser": 2, "basis": _basis(seed % 2).value}
-        outcome = execute_check(rounds[0], check, fast)
+        outcome = run_check(rounds[0], check, fast)
         assert (outcome["announced"], outcome["passed"]) == _reference_full_check(rounds[0], check, ref)
         assert fast.bit_generator.state == ref.bit_generator.state
 
@@ -507,6 +511,97 @@ def test_intercept_replaces_each_qudit(forged):
         assert held_by == (participant,) and particle.k == 1
         assert np.array_equal(particle.amplitudes, basis_rows(3, value, v2))
     assert [owners for _, owners in state.factors] == [(p,) for p in order]
+
+
+# ---------------------------------------------------------------------------
+# rounds read out in lockstep
+
+
+def _per_owner_read_out(state, rotation, rng):
+    """The chain read_out replaced: owner by owner, rotate its qudit, measure it, drop it from its factor."""
+    factors, values = list(state.factors), []
+    for idx, p in enumerate(state.owners):
+        f = next(f for f, (_, held) in enumerate(factors) if p in held)
+        register, held = factors[f]
+        q = held.index(p)
+        if rotation is not None:
+            register = _apply_single(register, rotation if np.ndim(rotation) == 2 else rotation[idx], q)
+        value, rest = measure(register, q, V1, rng)
+        factors[f:f + 1] = [(rest, held[:q] + held[q + 1:])] if len(held) > 1 else []
+        values.append(value)
+    return values
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 10]), n=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.tuples(st.booleans(), st.booleans(), st.sampled_from(["none", "qft", "encode"])),
+                      max_size=6))
+def test_read_out_matches_per_owner_chain(d, n, seed, kinds):
+    # genuine and forged rounds, some with a random subset of their qudits
+    # intercepted in random order, under mixed rotations, all in one call
+    gen = np.random.default_rng(seed)
+    cfg = ProtocolConfig(d=d, n=n, m=1, decoy_count=0)
+    rounds, rotations = [], []
+    for forged, eve, rotation in kinds:
+        state = fabricate_rounds(cfg, (int(gen.integers(d)),))[0] if forged else prepare_rounds(cfg)[0]
+        if eve:
+            for i in gen.permutation(state.owners)[:int(gen.integers(1, len(state.owners) + 1))]:
+                state = state.intercept(int(i), _basis(int(gen.integers(2))), gen)[1]
+        rounds.append(state)
+        rotations.append({"none": None, "qft": _qft_matrix(d),
+                          "encode": [encode_matrix(d, int(s)) for s in gen.integers(d, size=len(state.owners))]
+                          }[rotation])
+    ref, fast = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    expected = [_per_owner_read_out(state, rotation, ref) for state, rotation in zip(rounds, rotations)]
+    assert read_out(rounds, rotations, fast) == expected
+    assert fast.bit_generator.state == ref.bit_generator.state
+
+
+def test_read_out_rejects_rounds_it_cannot_stack():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    five, three = prepare_rounds(ProtocolConfig(d=5, n=3, m=1))[0], prepare_rounds(ProtocolConfig(d=3, n=3, m=1))[0]
+    assert read_out([], [], rng) == [] and rng.bit_generator.state == state
+    with pytest.raises(ValueError, match="^round 0 has d=3, not the first round's d=5$"):
+        read_out([five, three], [None, None], rng)
+    with pytest.raises(ValueError):
+        read_out([five, five], [None], rng)
+
+
+@pytest.mark.parametrize("cap", [1, 6, 54])
+def test_read_out_is_the_same_for_every_stack_cap(cap, monkeypatch):
+    # at d=3 a cap of 1 reads every factor alone, 6 stacks lone qudits in
+    # twos and 54 the 3-qudit registers in twos; the default stacks them all
+    cfg = ProtocolConfig(d=3, n=3, m=1, decoy_count=0)
+    gen = np.random.default_rng(cap)
+    rounds = prepare_rounds(cfg, count=3) + fabricate_rounds(cfg, (0, 2))
+    rounds += [rounds[0].intercept(2, V2, gen)[1], rounds[3].intercept(3, V1, gen)[1]]
+    rotations = [None, _qft_matrix(3), [encode_matrix(3, 1)] * 3, None, [encode_matrix(3, 2)] * 2, None, None]
+    ref = np.random.default_rng(7)
+    expected = [_per_owner_read_out(state, rotation, ref) for state, rotation in zip(rounds, rotations)]
+    assert read_out(rounds, rotations, np.random.default_rng(7)) == expected
+    monkeypatch.setattr(qudit, "STACK_CAP", cap)
+    assert read_out(rounds, rotations, np.random.default_rng(7)) == expected
+
+
+def test_read_out_of_rounds_over_the_stack_cap_peaks_as_one_round():
+    # 10^5 amplitudes is over the cap: each round is read alone, as a view
+    # of the shared register, so reading four costs no more memory than one
+    rounds = prepare_rounds(ProtocolConfig(d=10, n=5, m=4, decoy_count=0))
+    assert rounds[0].factors[0][0].amplitudes.size > qudit.STACK_CAP
+    rotation = [encode_matrix(10, s) for s in range(5)]
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            read_out(rounds[:count], [rotation] * count, np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call allocations outside the read-out
+    one = peak(1)
+    assert peak(4) <= 1.1 * one
 
 
 # ---------------------------------------------------------------------------

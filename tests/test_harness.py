@@ -19,6 +19,7 @@ from quditsum import (
     wilson_interval,
     write_report,
 )
+from quditsum import qudit
 from quditsum.cli import main
 from quditsum.harness import (
     SCENARIOS,
@@ -328,6 +329,21 @@ def test_per_trial_golden_digest_wide(scenario):
                          eta=3, trials=8, master_seed=2024)
     text = json.dumps(run_scenario(cfg)["per_trial"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS_WIDE[scenario]
+
+
+@pytest.mark.parametrize("cap", [1, 2**22])
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_DIGESTS))
+def test_per_trial_golden_digests_hold_for_every_stack_cap(cap, scenario, monkeypatch):
+    # a cap of 1 reads every factor alone, 2^22 stacks every factor of a size
+    monkeypatch.setattr(qudit, "STACK_CAP", cap)
+    for cfg, digests in [
+        (ScenarioConfig(scenario, ProtocolConfig(d=5, n=3, m=2, decoy_count=4), eta=4, trials=25,
+                        master_seed=2024), GOLDEN_DIGESTS),
+        (ScenarioConfig(scenario, ProtocolConfig(d=10, n=4, m=2, decoy_count=4), eta=3, trials=8,
+                        master_seed=2024), GOLDEN_DIGESTS_WIDE),
+    ]:
+        text = json.dumps(run_scenario(cfg)["per_trial"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digests[scenario]
 
 
 # SHA-256 of the whole report text as written, minus its duration_seconds

@@ -10,11 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_check
 
 import quditsum
 from quditsum.cli import build_parser
 from quditsum.harness import SCENARIOS, TOOL_VERSION
-from quditsum.verification import execute_check, select_checks
+from quditsum.verification import select_checks
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -64,7 +65,7 @@ def test_readme_check_record_keys_are_the_execute_check_keys():
     cfg = quditsum.ProtocolConfig(d=3, n=3, m=1)
     rng = np.random.default_rng(0)
     check = select_checks(cfg, 1, rng)[0]
-    record = execute_check(quditsum.prepare_rounds(cfg, count=2)[check["position"]], check, rng)
+    record = run_check(quditsum.prepare_rounds(cfg, count=2)[check["position"]], check, rng)
     assert documented == list(record)
 
 

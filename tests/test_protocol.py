@@ -16,7 +16,6 @@ from quditsum import (
     basis_state,
     check_decoys,
     compute_sum,
-    encode_and_measure,
     fabricate_rounds,
     fake_particle,
     insert_decoys,
@@ -26,8 +25,8 @@ from quditsum import (
     run_protocol,
     validate_secrets,
 )
-from quditsum.protocol import RoundState
-from quditsum.qudit import apply_encode
+from quditsum.protocol import RoundState, encode_rounds, read_out
+from quditsum.qudit import apply_encode, encode_matrix
 
 
 def _secrets(digit_rows):
@@ -160,7 +159,7 @@ def test_encode_and_measure_on_forged_state_is_deterministic():
     rng = np.random.default_rng(0)
     for _ in range(20):
         state = RoundState(0, ((fake_particle(10, 2), (2,)),))
-        assert encode_and_measure(state, (0, 5), rng) == [7]
+        assert encode_rounds([state], ((0,), (5,)), rng) == {2: [7]}
 
 
 def test_round_factors_name_one_owner_per_qudit():
@@ -174,6 +173,26 @@ def test_round_factors_name_one_owner_per_qudit():
         state.intercept(1, BasisKind.V1, np.random.default_rng(0))
 
 
+def test_round_needs_factors_of_one_d_and_each_owner_once():
+    # each fails on construction, so a run never sees the round and the
+    # generator it was handed is untouched
+    cfg = ProtocolConfig(d=5, n=3, m=1, decoy_count=2)
+    secrets = ((1,), (2,), (3,))
+    cases = [
+        (lambda: RoundState(0, ()), "^round 0 needs one or more factors, all of one d$"),
+        (lambda: RoundState(2, ((fake_particle(5, 1), (2,)), (fake_particle(3, 1), (3,)))),
+         "^round 2 needs one or more factors, all of one d$"),
+        (lambda: RoundState(1, ((omega_state(5, 2), (2, 3)), (fake_particle(5, 0), (3,)))),
+         "^round 1 names a participant twice$"),
+    ]
+    for build, message in cases:
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            run_protocol(cfg, 0, secrets, [build()], rng)
+        assert rng.bit_generator.state == before
+
+
 def test_encode_rejects_foreign_participant_and_bad_digit():
     cfg = ProtocolConfig(d=5, n=2, m=1)
     state = prepare_rounds(cfg)[0]
@@ -181,7 +200,7 @@ def test_encode_rejects_foreign_participant_and_bad_digit():
     with pytest.raises(ValueError, match="^participant 3 holds no qudit in round 0$"):
         state.intercept(3, BasisKind.V1, rng)
     with pytest.raises(ValueError, match="^shift amount 5 out of range for d=5$"):
-        encode_and_measure(state, (5, 0), rng)
+        encode_rounds([state], ((5,), (0,)), rng)
 
 
 def test_encoded_results_sum_to_secret_total():
@@ -192,7 +211,7 @@ def test_encoded_results_sum_to_secret_total():
         cfg = ProtocolConfig(d=d, n=n, m=1)
         for _ in range(10):
             digits = [int(x) for x in rng.integers(0, d, size=n)]
-            values = encode_and_measure(prepare_rounds(cfg)[0], digits, rng)
+            values = read_out(prepare_rounds(cfg), [[encode_matrix(d, s) for s in digits]], rng)[0]
             assert len(values) == n and sum(values) % d == sum(digits) % d
 
 
@@ -206,11 +225,11 @@ def test_round_operations_leave_their_round_as_it_was(d, n, forged):
     state = fabricate_rounds(cfg, (d - 1,))[0] if forged else prepare_rounds(cfg)[0]
     factors = state.factors
     for seed in range(10):
-        for rotate in (None, lambda register, q, i: apply_encode(register, q, i % d)):
+        for rotation in (None, [encode_matrix(d, i % d) for i in state.owners]):
             first, again = np.random.default_rng(seed), np.random.default_rng(seed)
-            values = state.read_out(first, rotate)
+            values = read_out([state], [rotation], first)[0]
             assert len(values) == len(state.owners)
-            assert state.read_out(again, rotate) == values
+            assert read_out([state], [rotation], again)[0] == values
             assert first.bit_generator.state == again.bit_generator.state
         for basis in (BasisKind.V1, BasisKind.V2):
             for i in state.owners:

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import assert_within_4sigma, random_secret
+from conftest import assert_within_4sigma, random_secret, run_check
 
 from quditsum import (
     BasisKind,
@@ -19,6 +19,7 @@ from quditsum import (
     v1_pass,
     v2_pass,
 )
+from quditsum.verification import check_rotations
 
 
 def _secrets(rows):
@@ -133,7 +134,7 @@ def test_honest_check_v1_sums_to_zero(d, n):
     rng = np.random.default_rng(10 * d + n)
     for _ in range(15):
         state = prepare_rounds(cfg, count=1)[0]
-        outcome = execute_check(state, {"position": 0, "chooser": 2, "basis": "V1"}, rng)
+        outcome = run_check(state, {"position": 0, "chooser": 2, "basis": "V1"}, rng)
         assert outcome["passed"]
         assert sum(outcome["announced"]) % d == 0
         assert len(outcome["announced"]) == n
@@ -145,15 +146,18 @@ def test_honest_check_v2_all_agree(d, n):
     rng = np.random.default_rng(20 * d + n)
     for _ in range(15):
         state = prepare_rounds(cfg, count=1)[0]
-        outcome = execute_check(state, {"position": 0, "chooser": 2, "basis": "V2"}, rng)
+        outcome = run_check(state, {"position": 0, "chooser": 2, "basis": "V2"}, rng)
         assert outcome["passed"]
         assert len(set(outcome["announced"])) == 1
 
 
 def test_execute_check_rejects_unknown_basis():
     state = prepare_rounds(ProtocolConfig(d=3, n=3, m=1))[0]
+    check = {"position": 0, "chooser": 2, "basis": "V3"}
     with pytest.raises(ValueError, match="V3"):
-        execute_check(state, {"position": 0, "chooser": 2, "basis": "V3"}, np.random.default_rng(0))
+        check_rotations(3, [check])
+    with pytest.raises(ValueError, match="V3"):
+        execute_check(state, check, [0, 0, 0])
 
 
 @pytest.mark.parametrize("forged", [False, True])
@@ -162,7 +166,7 @@ def test_check_record_is_the_check_plus_its_transcript(forged, basis):
     cfg = ProtocolConfig(d=5, n=3, m=1)
     state = fabricate_rounds(cfg, (2,))[0] if forged else prepare_rounds(cfg)[0]
     check = {"position": 0, "chooser": 3, "basis": basis}
-    record = execute_check(state, check, np.random.default_rng(1))
+    record = run_check(state, check, np.random.default_rng(1))
     assert list(record) == ["position", "chooser", "basis", "announced", "passed"]
     assert {k: record[k] for k in check} == check
     assert len(record["announced"]) == cfg.n
@@ -184,7 +188,7 @@ def test_adaptive_dealer_always_passes_v1():
         cfg = ProtocolConfig(d=d, n=n, m=1)
         for r in range(d):
             fab = fabricate_rounds(cfg, (r,))[0]
-            outcome = execute_check(fab, {"position": 0, "chooser": 2, "basis": "V1"}, rng)
+            outcome = run_check(fab, {"position": 0, "chooser": 2, "basis": "V1"}, rng)
             assert outcome["passed"]
             assert outcome["announced"][0] == (-(n - 1) * r) % d
             assert all(v == r for v in outcome["announced"][1:])
@@ -199,7 +203,7 @@ def test_adaptive_dealer_v2_pass_rate_is_d_to_one_minus_n():
     passes = 0
     for _ in range(trials):
         fab = fabricate_rounds(cfg, (int(rng.integers(d)),))[0]
-        outcome = execute_check(fab, {"position": 0, "chooser": 2, "basis": "V2"}, rng)
+        outcome = run_check(fab, {"position": 0, "chooser": 2, "basis": "V2"}, rng)
         passes += outcome["passed"]
     assert_within_4sigma(passes / trials, d ** (1 - n), trials)
 
