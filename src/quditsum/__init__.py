@@ -30,8 +30,6 @@ from .qudit import (
     QuditRegister,
     apply_iqft,
     apply_qft,
-    apply_shift,
-    approx_equal,
     basis_state,
     measure,
     omega_state,

@@ -51,8 +51,8 @@ def fabricate_rounds(cfg: ProtocolConfig, r_choices) -> list[RoundState]:
     """
     for r in r_choices:
         require_int("fabrication value", r)
-    return [RoundState(j, tuple((fake_particle(cfg.d, r), (i,)) for i in range(2, cfg.n + 1)), r=r)
-            for j, r in enumerate(r_choices)]
+    return [RoundState(tuple((fake_particle(cfg.d, r), (i,)) for i in range(2, cfg.n + 1)), r=r)
+            for r in r_choices]
 
 
 def eve_intercept_resend(rounds, receiver: int, decoys: np.ndarray, rng: np.random.Generator):

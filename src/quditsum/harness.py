@@ -205,9 +205,9 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
         raise ValueError(f"got {len(rounds)} rounds, need m+eta={total}")
     receivers = range(2, cfg.n + 1)
     fits = (tuple(range(1, cfg.n + 1)), tuple(receivers))
-    for state in rounds:
+    for j, state in enumerate(rounds):
         if state.d != cfg.d or state.owners not in fits:
-            raise ValueError(f"round {state.index} does not fit d={cfg.d}, n={cfg.n}")
+            raise ValueError(f"round {j} does not fit d={cfg.d}, n={cfg.n}")
 
     decoys, expected = insert_decoys(cfg, rng, payload_len=total)
     if eve:

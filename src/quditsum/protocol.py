@@ -19,7 +19,7 @@ its uniforms drawn up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .qudit import (
     basis_rows,
     encode_matrix,
     measure,
-    measure_first,
     measure_rows,
+    measure_stack,
     omega_state,
 )
 
@@ -83,28 +83,27 @@ class RoundState:
     qudit, and every factor has the same d. A genuine round is the shared
     register held by 1..n; a forged round is one fake particle per
     recipient 2..n, built from the fabrication value r (None if genuine).
+    A round is a value: it never changes, so one may fill many positions.
     """
 
-    index: int
     factors: tuple[tuple[QuditRegister, tuple[int, ...]], ...]
     r: int | None = None
 
     def __post_init__(self) -> None:
         if len({register.d for register, _ in self.factors}) != 1:
-            raise ValueError(f"round {self.index} needs one or more factors, all of one d")
+            raise ValueError("a round needs one or more factors, all of one d")
         for register, owners in self.factors:
             if len(owners) != register.k:
                 raise ValueError(f"owners names {len(owners)} participants for {register.k} qudits")
-        held = [p for _, owners in self.factors for p in owners]
-        if len(set(held)) != len(held):
-            raise ValueError(f"round {self.index} names a participant twice")
+        if len(set(self.owners)) != len(self.owners):
+            raise ValueError("a round names a participant twice")
 
     @property
     def d(self) -> int:
         """Levels per qudit, the same in every factor."""
         return self.factors[0][0].d
 
-    @property
+    @cached_property
     def owners(self) -> tuple[int, ...]:
         """The participants holding a qudit of the round, in order."""
         return tuple(sorted(p for _, owners in self.factors for p in owners))
@@ -116,13 +115,13 @@ class RoundState:
             if participant in owners:
                 break
         else:
-            raise ValueError(f"participant {participant} holds no qudit in round {self.index}")
+            raise ValueError(f"participant {participant} holds no qudit in the round")
         q = owners.index(participant)
         value, rest = measure(register, q, basis, rng)
         kept = owners[:q] + owners[q + 1:]
         particle = QuditRegister._trusted(self.d, 1, basis_rows(self.d, value, basis is BasisKind.V2))
         factors = self.factors[:f] + (((rest, kept),) if kept else ()) + self.factors[f + 1:]
-        return value, RoundState(self.index, (*factors, (particle, (participant,))), self.r)
+        return value, RoundState((*factors, (particle, (participant,))), self.r)
 
 
 def read_out(rounds, rotations, rng: np.random.Generator) -> list[list[int]]:
@@ -137,12 +136,12 @@ def read_out(rounds, rotations, rng: np.random.Generator) -> list[list[int]]:
     owners = [state.owners for state in rounds]
     u = rng.random(sum(map(len, owners)))
     d = rounds[0].d if rounds else 2
-    mats, rotated = np.empty((len(u), d, d), dtype=np.complex128), np.zeros(len(u), dtype=bool)
-    mats[:] = np.eye(d)
+    mats, rotated = np.zeros((len(u), d, d), dtype=np.complex128), np.zeros(len(u), dtype=bool)
+    mats[:, range(d), range(d)] = 1
     groups, start = {}, 0
-    for state, rotation, held in zip(rounds, rotations, owners, strict=True):
+    for j, (state, rotation, held) in enumerate(zip(rounds, rotations, owners, strict=True)):
         if state.d != d:
-            raise ValueError(f"round {state.index} has d={state.d}, not the first round's d={d}")
+            raise ValueError(f"round {j} has d={state.d}, not the first round's d={d}")
         end = start + len(held)
         if rotation is not None:
             mats[start:end], rotated[start:end] = rotation, True
@@ -159,7 +158,7 @@ def read_out(rounds, rotations, rng: np.random.Generator) -> list[list[int]]:
             psi = stack[0][0][None] if len(stack) == 1 else np.stack([a for a, _ in stack])
             for s in np.array([slots for _, slots in stack]).T:
                 # a stack nobody rotates skips the identity matmul
-                values[s], psi = measure_first(psi.reshape(len(s), d, -1), u[s],
+                values[s], psi = measure_stack(psi.reshape(len(s), 1, d, -1), u[s],
                                                mats[s] if rotated[s].any() else None)
     flat = iter(values.tolist())
     return [[next(flat) for _ in held] for held in owners]
@@ -193,10 +192,9 @@ def _shared_register(d: int, n: int) -> QuditRegister:
 
 
 def prepare_rounds(cfg: ProtocolConfig, count: int | None = None) -> list[RoundState]:
-    """Shared states, one per digit position (count overrides cfg.m), all one cached read-only register."""
-    rounds = cfg.m if count is None else count
-    factors = ((_shared_register(cfg.d, cfg.n), tuple(range(1, cfg.n + 1))),)
-    return [RoundState(j, factors) for j in range(rounds)]
+    """Shared states, one per digit position (count overrides cfg.m): one round, on the cached register."""
+    state = RoundState(((_shared_register(cfg.d, cfg.n), tuple(range(1, cfg.n + 1))),))
+    return [state] * (cfg.m if count is None else count)
 
 
 def insert_decoys(cfg: ProtocolConfig, rng: np.random.Generator, payload_len: int | None = None):
@@ -241,9 +239,7 @@ def encode_rounds(rounds, secrets, rng: np.random.Generator) -> dict[int, list[i
     """Encode every owner's digit (QFT, then the shift by it) and read every round out.
 
     secrets[i-1] belongs to participant i; digit j goes on the j-th round
-    of the list (not on RoundState.index, which may name an original
-    position in a longer prepared sequence). Only participants holding a
-    qudit get a result string.
+    of the list. Only participants holding a qudit get a result string.
     """
     rotations = [[encode_matrix(state.d, secrets[i - 1][j]) for i in state.owners]
                  for j, state in enumerate(rounds)]

@@ -13,10 +13,10 @@ every measurement checks the norm instead.
 
 Two measurement bases appear throughout: V1 is the computational basis
 {|0>, ..., |d-1>} and V2 is its Fourier image {QFT|0>, ..., QFT|d-1>}.
-A measurement (V2 on the inverse-rotated target) returns the value and
-the other qudits; measure_first does so for a stack of registers, against
-uniforms drawn up front. A lone particle, a decoy or one an eavesdropper
-sends on, is one of the 2d states |v> or QFT|v>: one row of basis_rows.
+Every measurement (V2 on the inverse-rotated target) is measure_stack,
+reading one qudit of each register of a stack against uniforms drawn up
+front. A lone particle, a decoy or one an eavesdropper sends on, is one
+of the 2d states |v> or QFT|v>: one row of basis_rows.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 # knows what they are doing can raise it.
 DIM_CAP = 2**22
 
-# Most amplitudes read_out stacks for one measure_first; a larger register goes alone, as a view.
+# Most amplitudes read_out stacks for one measure_stack; a larger register goes alone, as a view.
 STACK_CAP = 2**16
 
 # Normalization drift allowed before a register is rejected as invalid.
@@ -184,15 +184,6 @@ def apply_iqft(reg: QuditRegister, target: int) -> QuditRegister:
     return _apply_single(reg, _iqft_matrix(reg.d), target)
 
 
-def apply_shift(reg: QuditRegister, target: int, s: int) -> QuditRegister:
-    """Cyclic shift on one qudit: |r> -> |(r + s) mod d>."""
-    a, b = _split(reg, target)
-    if not 0 <= s < reg.d:
-        raise ValueError(f"shift amount {s} out of range for d={reg.d}")
-    psi = reg.amplitudes.reshape(a, reg.d, b)
-    return QuditRegister._trusted(reg.d, reg.k, np.roll(psi, s, axis=1).reshape(-1))
-
-
 def apply_encode(reg: QuditRegister, target: int, s: int) -> QuditRegister:
     """Fourier transform on one qudit, then the cyclic shift by s, as one unitary."""
     return _apply_single(reg, encode_matrix(reg.d, s), target)
@@ -222,10 +213,9 @@ def measure(reg: QuditRegister, target: int, basis: BasisKind,
     """
     if basis is BasisKind.V2:
         reg = apply_iqft(reg, target)
-    value = int(_sample(outcome_distribution(reg, target, BasisKind.V1), rng.random()))
     a, b = _split(reg, target)
-    kept = reg.amplitudes.reshape(a, reg.d, b)[:, value, :]
-    return value, QuditRegister._trusted(reg.d, reg.k - 1, (kept / np.linalg.norm(kept)).reshape(-1))
+    values, kept = measure_stack(reg.amplitudes.reshape(1, a, reg.d, b), rng.random(1))
+    return int(values[0]), QuditRegister._trusted(reg.d, reg.k - 1, kept.reshape(-1))
 
 
 def _sample(probs: np.ndarray, u) -> np.ndarray:
@@ -246,27 +236,28 @@ def _sample(probs: np.ndarray, u) -> np.ndarray:
 def basis_rows(d: int, values, v2) -> np.ndarray:
     """Row i is |values[i]>, or QFT|values[i]> where v2[i]; scalar inputs give one row."""
     # QFT|v> is row v of the symmetric QFT matrix
-    return np.where(np.asarray(v2)[..., None], _qft_matrix(d)[values], np.eye(d, dtype=np.complex128)[values])
+    computational = np.asarray(values)[..., None] == np.arange(d)
+    return np.where(np.asarray(v2)[..., None], _qft_matrix(d)[values], computational)
 
 
-def measure_first(psi: np.ndarray, u: np.ndarray,
+def measure_stack(psi: np.ndarray, u: np.ndarray,
                   mats: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Measure the first qudit of each register of the (G, d, b) stack psi in V1; it leaves them.
+    """Measure axis 2 of the (G, a, d, b) stack psi in V1: one qudit per register, which leaves it.
 
     psi's last axis is contiguous. Register g first gets the unitary mats[g]
-    unless mats is None, then is measured against u[g]. Returns the G
-    values and the (G, b) normalized rests.
+    on that qudit unless mats is None, then is measured against u[g].
+    Returns the G values and the (G, a, b) normalized rests.
     """
     if mats is not None:
-        psi = np.matmul(mats, psi)
+        psi = np.matmul(mats[:, None], psi)
     # |x|^2 off the float64 (re, im) view
     f = psi.view(np.float64)
-    probs = np.einsum("gdb,gdb->gd", f, f)
+    probs = np.einsum("gadb,gadb->gd", f, f)
     values = _sample(probs, u)
     g = np.arange(len(psi))
-    kept = psi[g, values]
+    kept = psi[g, :, values]
     # the kept slice's squared norm is its outcome's probability
-    kept /= np.sqrt(probs[g, values])[:, None]
+    kept /= np.sqrt(probs[g, values])[:, None, None]
     return values, kept
 
 
@@ -277,12 +268,6 @@ def measure_rows(rows: np.ndarray, v2: np.ndarray, u: np.ndarray) -> np.ndarray:
     outcomes; each row collapses to basis_rows(d, outcomes, v2) up to phase.
     """
     rows = np.asarray(rows, dtype=np.complex128)
-    mats = np.where(np.asarray(v2)[:, None, None], _iqft_matrix(rows.shape[1]), np.eye(rows.shape[1]))
-    return measure_first(rows[:, :, None], u, mats)[0]
-
-
-def approx_equal(a: QuditRegister, b: QuditRegister, tol: float = 1e-9) -> bool:
-    """State equality up to global phase: |<a|b>| >= 1 - tol."""
-    if a.d != b.d or a.k != b.k:
-        raise ValueError(f"cannot compare registers of shape ({a.d},{a.k}) and ({b.d},{b.k})")
-    return abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol
+    # IQFT|x> of a row x is x @ IQFT.T
+    rows = np.where(np.asarray(v2)[:, None], rows @ _iqft_matrix(rows.shape[1]).T, rows)
+    return measure_stack(rows[:, None, :, None], u)[0]

@@ -16,6 +16,23 @@ def random_register(d: int, k: int, rng: np.random.Generator) -> QuditRegister:
     return QuditRegister(d, k, amp)
 
 
+def apply_shift(reg: QuditRegister, target: int, s: int) -> QuditRegister:
+    """Cyclic shift on one qudit, |r> -> |(r + s) mod d>: the reference for the fused encoding unitary."""
+    if not 0 <= target < reg.k:
+        raise ValueError(f"target qudit {target} out of range for k={reg.k}")
+    if not 0 <= s < reg.d:
+        raise ValueError(f"shift amount {s} out of range for d={reg.d}")
+    psi = reg.amplitudes.reshape(reg.d**target, reg.d, -1)
+    return QuditRegister(reg.d, reg.k, np.roll(psi, s, axis=1))
+
+
+def approx_equal(a: QuditRegister, b: QuditRegister, tol: float = 1e-9) -> bool:
+    """State equality up to global phase: |<a|b>| >= 1 - tol."""
+    if a.d != b.d or a.k != b.k:
+        raise ValueError(f"cannot compare registers of shape ({a.d},{a.k}) and ({b.d},{b.k})")
+    return abs(np.vdot(a.amplitudes, b.amplitudes)) >= 1.0 - tol
+
+
 def assert_within_4sigma(observed_rate: float, p: float, n: int) -> None:
     """Binomial consistency check: |observed - p| <= 4 sqrt(p(1-p)/n).
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from conftest import assert_within_4sigma, random_register, random_secret
+from conftest import apply_shift, assert_within_4sigma, random_register, random_secret
 
 from quditsum import (
     BasisKind,
@@ -21,7 +21,6 @@ from quditsum import (
     ScenarioConfig,
     apply_iqft,
     apply_qft,
-    apply_shift,
     basis_state,
     check_decoys,
     compute_sum,

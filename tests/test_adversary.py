@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import assert_within_4sigma, random_secret
+from conftest import apply_shift, approx_equal, assert_within_4sigma, random_secret
 
 from quditsum import (
     BasisKind,
@@ -12,7 +12,6 @@ from quditsum import (
     QuditRegister,
     apply_iqft,
     apply_qft,
-    approx_equal,
     basis_state,
     check_decoys,
     compute_sum,
@@ -74,7 +73,6 @@ def test_fake_particle_encodes_deterministically():
         for r in range(d):
             for digit in range(0, d, max(1, d // 3)):
                 reg = apply_qft(fake_particle(d, r), 0)
-                from quditsum import apply_shift
                 reg = apply_shift(reg, 0, digit)
                 probs = outcome_distribution(reg, 0, V1)
                 assert abs(probs[(r + digit) % d] - 1.0) < 1e-9
@@ -284,8 +282,7 @@ def test_fabricate_rounds_share_one_register_per_fabrication_value(d, n):
     rounds = fabricate_rounds(cfg, r_choices)
     assert [state.r for state in rounds] == list(r_choices)
     buffers = set()
-    for j, (state, r) in enumerate(zip(rounds, r_choices)):
-        assert state.index == j
+    for state, r in zip(rounds, r_choices):
         assert state.owners == tuple(range(2, n + 1))
         assert [owners for _, owners in state.factors] == [(i,) for i in range(2, n + 1)]
         for register, _ in state.factors:

@@ -13,7 +13,8 @@ the dense loop that keeps every qudit in one register; the registers a
 run builds once and shares; and the one draw of every participant's
 secret digits. read_out, which measures many rounds in lockstep against
 uniforms drawn up front, is pinned to the per-owner measurement chain it
-replaced.
+replaced, and measure, now the one-register case of that kernel, to the
+marginal-then-norm body it had before.
 """
 
 import tracemalloc
@@ -21,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from conftest import random_register, random_secret, run_check
+from conftest import apply_shift, approx_equal, random_register, random_secret, run_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,8 +33,6 @@ from quditsum import (
     ScenarioConfig,
     apply_iqft,
     apply_qft,
-    apply_shift,
-    approx_equal,
     basis_state,
     check_decoys,
     eve_intercept_resend,
@@ -54,6 +53,7 @@ from quditsum.qudit import (
     _apply_single,
     _iqft_matrix,
     _qft_matrix,
+    _sample,
     apply_encode,
     basis_rows,
     encode_matrix,
@@ -81,6 +81,15 @@ def _kept_measure(reg, target, basis, rng):
     factor = _qft_matrix(reg.d)[:, value] if basis is V2 else np.eye(reg.d)[value]
     posterior = kept[:, None, :] * factor[None, :, None] / np.linalg.norm(kept)
     return value, QuditRegister(reg.d, reg.k, posterior.reshape(-1))
+
+
+def _reference_measure(reg, target, basis, rng):
+    """measure before the stacked kernel: the exact law, one draw, the kept slice over its norm."""
+    if basis is V2:
+        reg = apply_iqft(reg, target)
+    value = int(_sample(outcome_distribution(reg, target, V1), rng.random()))
+    kept = reg.amplitudes.reshape(reg.d**target, reg.d, -1)[:, value, :]
+    return value, QuditRegister._trusted(reg.d, reg.k - 1, (kept / np.linalg.norm(kept)).reshape(-1))
 
 
 def _same_state(a, b) -> bool:
@@ -382,6 +391,21 @@ def test_measure_matches_kept_qudit_reference(d, k, seed):
                 assert abs(abs(rest.amplitudes[0]) - 1.0) <= 1e-13
 
 
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 10]), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_measure_matches_marginal_then_norm_reference(d, k, seed):
+    reg = random_register(d, k, np.random.default_rng(seed))
+    for target in range(k):
+        for basis in (V1, V2):
+            ref, fast = np.random.default_rng(seed + target), np.random.default_rng(seed + target)
+            expected, posterior = _reference_measure(reg, target, basis, ref)
+            value, rest = measure(reg, target, basis, fast)
+            assert value == expected
+            assert fast.bit_generator.state == ref.bit_generator.state
+            assert (rest.d, rest.k) == (posterior.d, posterior.k)
+            assert np.max(np.abs(rest.amplitudes - posterior.amplitudes)) <= 1e-12
+
+
 def test_zero_qudit_register_admits_no_operation():
     _, empty = measure(basis_state(5, [3]), 0, V1, np.random.default_rng(0))
     assert empty.k == 0
@@ -562,7 +586,7 @@ def test_read_out_rejects_rounds_it_cannot_stack():
     state = rng.bit_generator.state
     five, three = prepare_rounds(ProtocolConfig(d=5, n=3, m=1))[0], prepare_rounds(ProtocolConfig(d=3, n=3, m=1))[0]
     assert read_out([], [], rng) == [] and rng.bit_generator.state == state
-    with pytest.raises(ValueError, match="^round 0 has d=3, not the first round's d=5$"):
+    with pytest.raises(ValueError, match="^round 1 has d=3, not the first round's d=5$"):
         read_out([five, three], [None, None], rng)
     with pytest.raises(ValueError):
         read_out([five, five], [None], rng)

@@ -1,6 +1,7 @@
 """The README and pyproject.toml agree with the package they describe,
-and the package modules import nothing they leave unused and reach no
-private name of one another outside a short allowlist."""
+the package modules import nothing they leave unused and reach no
+private name of one another outside a short allowlist, and every
+measurement samples its outcome in one place."""
 
 import argparse
 import ast
@@ -105,6 +106,25 @@ def test_unused_import_finder_sees_unused_names():
                                          if p.name != "__init__.py"))
 def test_module_uses_every_name_it_imports(module):
     assert _unused_imports((ROOT / "src" / "quditsum" / module).read_text()) == []
+
+
+def _reads(source: str, name: str) -> int:
+    """Reads of name in a module, bare or as an attribute of any object; its def is not one."""
+    return sum(1 for node in ast.walk(ast.parse(source))
+               if (isinstance(node, ast.Name) and node.id == name)
+               or (isinstance(node, ast.Attribute) and node.attr == name))
+
+
+def test_read_finder_sees_bare_attribute_and_aliased_reads():
+    source = "def _sample(p, u): pass\n_sample(p, u)\nqudit._sample(q, v)\nx = _sample\n_samples(p)\n"
+    assert _reads(source, "_sample") == 3
+
+
+def test_one_kernel_samples_every_measurement():
+    # qudit._sample has one caller, measure_stack: a second sampler could
+    # draw a different outcome from the same uniform
+    sources = [p.read_text() for p in (ROOT / "src" / "quditsum").glob("*.py")]
+    assert sum(_reads(source, "_sample") for source in sources) == 1
 
 
 # the private names one package module may import from another, or read

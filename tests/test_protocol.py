@@ -5,14 +5,13 @@ import re
 
 import numpy as np
 import pytest
-from conftest import random_secret
+from conftest import apply_shift, approx_equal, random_secret
 
 from quditsum import (
     BasisKind,
     ProtocolConfig,
     QuditRegister,
     apply_qft,
-    approx_equal,
     basis_state,
     check_decoys,
     compute_sum,
@@ -84,12 +83,20 @@ def test_prepare_rounds_shares_the_entangled_state():
     cfg = ProtocolConfig(d=10, n=3, m=4)
     rounds = prepare_rounds(cfg)
     assert len(rounds) == 4
-    for j, state in enumerate(rounds):
-        assert state.index == j
+    for state in rounds:
+        assert state is rounds[0]
         assert state.owners == (1, 2, 3)
         ((register, owners),) = state.factors
         assert owners == (1, 2, 3)
         assert approx_equal(register, omega_state(10, 3))
+
+
+def test_prepare_rounds_checks_one_round(monkeypatch):
+    # every position holds the same frozen round, checked once
+    calls, check = [], RoundState.__post_init__
+    monkeypatch.setattr(RoundState, "__post_init__", lambda self: calls.append(check(self)))
+    rounds = prepare_rounds(ProtocolConfig(d=5, n=3, m=4), 10)
+    assert len(rounds) == 10 and len(calls) == 1
 
 
 def test_prepare_rounds_count_override():
@@ -158,18 +165,18 @@ def test_encode_and_measure_on_forged_state_is_deterministic():
     # the attack's fake state IQFT|2> with P2's digit 5 reads out 7, always
     rng = np.random.default_rng(0)
     for _ in range(20):
-        state = RoundState(0, ((fake_particle(10, 2), (2,)),))
+        state = RoundState(((fake_particle(10, 2), (2,)),))
         assert encode_rounds([state], ((0,), (5,)), rng) == {2: [7]}
 
 
 def test_round_factors_name_one_owner_per_qudit():
     with pytest.raises(ValueError, match="^owners names 2 participants for 3 qudits$"):
-        RoundState(0, ((omega_state(5, 3), (1, 2)),))
+        RoundState(((omega_state(5, 3), (1, 2)),))
     with pytest.raises(ValueError, match="^owners names 2 participants for 1 qudits$"):
-        RoundState(0, ((fake_particle(5, 1), (2,)), (fake_particle(5, 1), (3, 4))))
-    state = RoundState(4, ((fake_particle(5, 1), (2,)), (fake_particle(5, 3), (3,))))
+        RoundState(((fake_particle(5, 1), (2,)), (fake_particle(5, 1), (3, 4))))
+    state = RoundState(((fake_particle(5, 1), (2,)), (fake_particle(5, 3), (3,))))
     assert state.owners == (2, 3) and state.d == 5
-    with pytest.raises(ValueError, match="^participant 1 holds no qudit in round 4$"):
+    with pytest.raises(ValueError, match="^participant 1 holds no qudit in the round$"):
         state.intercept(1, BasisKind.V1, np.random.default_rng(0))
 
 
@@ -179,11 +186,11 @@ def test_round_needs_factors_of_one_d_and_each_owner_once():
     cfg = ProtocolConfig(d=5, n=3, m=1, decoy_count=2)
     secrets = ((1,), (2,), (3,))
     cases = [
-        (lambda: RoundState(0, ()), "^round 0 needs one or more factors, all of one d$"),
-        (lambda: RoundState(2, ((fake_particle(5, 1), (2,)), (fake_particle(3, 1), (3,)))),
-         "^round 2 needs one or more factors, all of one d$"),
-        (lambda: RoundState(1, ((omega_state(5, 2), (2, 3)), (fake_particle(5, 0), (3,)))),
-         "^round 1 names a participant twice$"),
+        (lambda: RoundState(()), "^a round needs one or more factors, all of one d$"),
+        (lambda: RoundState(((fake_particle(5, 1), (2,)), (fake_particle(3, 1), (3,)))),
+         "^a round needs one or more factors, all of one d$"),
+        (lambda: RoundState(((omega_state(5, 2), (2, 3)), (fake_particle(5, 0), (3,)))),
+         "^a round names a participant twice$"),
     ]
     for build, message in cases:
         rng = np.random.default_rng(0)
@@ -197,7 +204,7 @@ def test_encode_rejects_foreign_participant_and_bad_digit():
     cfg = ProtocolConfig(d=5, n=2, m=1)
     state = prepare_rounds(cfg)[0]
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="^participant 3 holds no qudit in round 0$"):
+    with pytest.raises(ValueError, match="^participant 3 holds no qudit in the round$"):
         state.intercept(3, BasisKind.V1, rng)
     with pytest.raises(ValueError, match="^shift amount 5 out of range for d=5$"):
         encode_rounds([state], ((5,), (0,)), rng)
@@ -234,7 +241,7 @@ def test_round_operations_leave_their_round_as_it_was(d, n, forged):
         for basis in (BasisKind.V1, BasisKind.V2):
             for i in state.owners:
                 _, after = state.intercept(i, basis, np.random.default_rng(seed))
-                assert (after.index, after.r, after.d, after.owners) == (0, state.r, d, state.owners)
+                assert (after.r, after.d, after.owners) == (state.r, d, state.owners)
         assert state.factors == factors
 
 
@@ -243,7 +250,6 @@ def test_single_encoded_qudit_is_uniform():
     cfg = ProtocolConfig(d=5, n=3, m=1)
     reg = omega_state(5, 3)
     reg = apply_qft(reg, 1)
-    from quditsum import apply_shift
     reg = apply_shift(reg, 1, 3)
     probs = outcome_distribution(reg, 1, BasisKind.V1)
     assert np.allclose(probs, np.full(5, 0.2), atol=1e-12)

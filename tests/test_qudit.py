@@ -4,15 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from conftest import assert_within_4sigma, random_register
+from conftest import apply_shift, approx_equal, assert_within_4sigma, random_register
 
 from quditsum import (
     BasisKind,
     QuditRegister,
     apply_iqft,
     apply_qft,
-    apply_shift,
-    approx_equal,
     basis_state,
     measure,
     omega_state,
