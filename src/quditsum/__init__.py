@@ -29,11 +29,8 @@ from .qudit import (
     BasisKind,
     QuditRegister,
     apply_iqft,
-    apply_qft,
-    basis_state,
     measure,
     omega_state,
-    outcome_distribution,
 )
 from .verification import execute_check, select_checks, v1_pass, v2_pass
 

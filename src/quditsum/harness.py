@@ -31,7 +31,6 @@ import numpy as np
 from .adversary import eve_intercept_resend, fabricate_rounds, recover_secret_digit
 from .protocol import (
     ProtocolConfig,
-    _shared_register,
     check_decoys,
     compute_sum,
     encode_rounds,
@@ -319,13 +318,12 @@ def _secrets_list(secrets) -> list[list[int]]:
     return [list(s) for s in secrets]
 
 
-def _run_trial(cfg: ScenarioConfig, t: int, rng: np.random.Generator) -> tuple[dict, int]:
-    """Draw secrets, then any forging plan; return record and decoy mismatches."""
+def _run_trial(cfg: ScenarioConfig, eta: int, rounds, t: int, rng: np.random.Generator) -> tuple[dict, int]:
+    """Draw secrets, then the forging plan if rounds is None; return record and decoy mismatches."""
     p, sc = cfg.protocol, SCENARIOS[cfg.scenario]
-    eta = cfg.eta if sc.hardened else 0
     secrets = _trial_secrets(cfg, rng)
-    rounds = (fabricate_rounds(p, _trial_plan(cfg, p.m + eta, rng)) if sc.forged
-              else prepare_rounds(p, count=p.m + eta))
+    if rounds is None:
+        rounds = fabricate_rounds(p, _trial_plan(cfg, p.m + eta, rng))
     outcome = run_protocol(p, eta, secrets, rounds, rng, eve=sc.eve)
     record = {"trial": t, "secrets": _secrets_list(secrets)}
     record.update((key, outcome[key]) for key in sc.record)
@@ -376,9 +374,8 @@ _ORACLES = {
 }
 
 
-def _aggregate(cfg: ScenarioConfig, per_trial: list, decoy_mismatches: int) -> tuple[dict, dict]:
+def _aggregate(cfg: ScenarioConfig, eta: int, per_trial: list, decoy_mismatches: int) -> tuple[dict, dict]:
     p, sc = cfg.protocol, SCENARIOS[cfg.scenario]
-    eta = cfg.eta if sc.hardened else 0
     aggregates: dict = {}
     for name in sc.aggregates:
         if name == "mean_decoy_error_rate":
@@ -416,19 +413,20 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 
     Trials are independent by construction (each gets its own derived
     stream), so the per-trial records depend only on the configuration
-    and the master seed, never on execution order or timing. The
-    read-only GHZ register the trials share is released however the run ends.
+    and the master seed, never on execution order or timing. A genuine
+    scenario prepares its m+eta rounds once, and every trial shares them;
+    they go when the run returns or raises, as nothing else holds them.
     """
     t0 = time.perf_counter()
+    p, sc = cfg.protocol, SCENARIOS[cfg.scenario]
+    eta = cfg.eta if sc.hardened else 0
+    shared = None if sc.forged else prepare_rounds(p, count=p.m + eta)
     per_trial, mismatches = [], 0
-    try:
-        for t in range(cfg.trials):
-            record, count = _run_trial(cfg, t, derive_trial_stream(cfg.master_seed, t))
-            per_trial.append(record)
-            mismatches += count
-    finally:
-        _shared_register.cache_clear()
-    aggregates, predictions = _aggregate(cfg, per_trial, mismatches)
+    for t in range(cfg.trials):
+        record, count = _run_trial(cfg, eta, shared, t, derive_trial_stream(cfg.master_seed, t))
+        per_trial.append(record)
+        mismatches += count
+    aggregates, predictions = _aggregate(cfg, eta, per_trial, mismatches)
     return {
         "scenario": cfg.scenario,
         "params": _params_dict(cfg),

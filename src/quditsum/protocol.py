@@ -19,7 +19,7 @@ its uniforms drawn up front.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -184,16 +184,15 @@ def validate_secrets(cfg: ProtocolConfig, secrets) -> None:
                 raise ValueError(f"secret digit {x} of P{idx} out of range for d={cfg.d}")
 
 
-@lru_cache(maxsize=1)
-def _shared_register(d: int, n: int) -> QuditRegister:
-    register = omega_state(d, n)
-    register.amplitudes.setflags(write=False)
-    return register
-
-
 def prepare_rounds(cfg: ProtocolConfig, count: int | None = None) -> list[RoundState]:
-    """Shared states, one per digit position (count overrides cfg.m): one round, on the cached register."""
-    state = RoundState(((_shared_register(cfg.d, cfg.n), tuple(range(1, cfg.n + 1))),))
+    """Shared states, one per digit position (count overrides cfg.m): one round, at every position.
+
+    Each call builds one GHZ register and marks it read-only. No operation
+    mutates its input, so run_scenario calls this once and every trial shares the rounds.
+    """
+    register = omega_state(cfg.d, cfg.n)
+    register.amplitudes.setflags(write=False)
+    state = RoundState(((register, tuple(range(1, cfg.n + 1))),))
     return [state] * (cfg.m if count is None else count)
 
 

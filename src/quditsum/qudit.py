@@ -94,11 +94,6 @@ def _check_cap(d: int, k: int) -> None:
         raise ValueError(f"register dimension {d}**{k} = {dim} exceeds cap {DIM_CAP}")
 
 
-def _check_target(reg: QuditRegister, target: int) -> None:
-    if not 0 <= target < reg.k:
-        raise ValueError(f"target qudit {target} out of range for k={reg.k}")
-
-
 @lru_cache(maxsize=None)
 def _qft_matrix(d: int) -> np.ndarray:
     # Entry (l, r) = exp(2*pi*i * l*r / d) / sqrt(d). Reducing l*r mod d
@@ -129,7 +124,8 @@ def encode_matrix(d: int, s: int) -> np.ndarray:
 
 def _split(reg: QuditRegister, target: int) -> tuple[int, int]:
     """(a, b) such that the amplitudes view as (a, d, b) around the target qudit."""
-    _check_target(reg, target)
+    if not 0 <= target < reg.k:
+        raise ValueError(f"target qudit {target} out of range for k={reg.k}")
     return reg.d**target, reg.d ** (reg.k - target - 1)
 
 
@@ -138,23 +134,6 @@ def _apply_single(reg: QuditRegister, mat: np.ndarray, target: int) -> QuditRegi
     a, b = _split(reg, target)
     out = np.matmul(mat, reg.amplitudes.reshape(a, reg.d, b))
     return QuditRegister._trusted(reg.d, reg.k, out.reshape(-1))
-
-
-def basis_state(d: int, digits) -> QuditRegister:
-    """Computational basis state |digits[0], digits[1], ...>."""
-    digits = tuple(int(x) for x in digits)
-    if not digits:
-        raise ValueError("digit sequence must be non-empty")
-    for x in digits:
-        if not 0 <= x < d:
-            raise ValueError(f"digit {x} out of range for d={d}")
-    _check_cap(d, len(digits))
-    index = 0
-    for x in digits:
-        index = index * d + x
-    amp = np.zeros(d ** len(digits), dtype=np.complex128)
-    amp[index] = 1.0
-    return QuditRegister(d, len(digits), amp)
 
 
 def omega_state(d: int, n: int) -> QuditRegister:
@@ -174,34 +153,9 @@ def omega_state(d: int, n: int) -> QuditRegister:
     return QuditRegister(d, n, amp)
 
 
-def apply_qft(reg: QuditRegister, target: int) -> QuditRegister:
-    """Fourier transform on one qudit: |r> -> sum_l exp(2*pi*i*l*r/d)|l>/sqrt(d)."""
-    return _apply_single(reg, _qft_matrix(reg.d), target)
-
-
 def apply_iqft(reg: QuditRegister, target: int) -> QuditRegister:
     """Inverse Fourier transform on one qudit (conjugate transpose of the QFT)."""
     return _apply_single(reg, _iqft_matrix(reg.d), target)
-
-
-def apply_encode(reg: QuditRegister, target: int, s: int) -> QuditRegister:
-    """Fourier transform on one qudit, then the cyclic shift by s, as one unitary."""
-    return _apply_single(reg, encode_matrix(reg.d, s), target)
-
-
-def outcome_distribution(reg: QuditRegister, target: int, basis: BasisKind) -> np.ndarray:
-    """Exact probability of each outcome when measuring one qudit.
-
-    Returns a length-d vector. For V2 the distribution is computed on the
-    inverse-rotated state, which is the same thing as projecting onto the
-    Fourier basis directly.
-    """
-    a, b = _split(reg, target)
-    if basis is BasisKind.V2:
-        reg = apply_iqft(reg, target)
-    # |x|^2 off the float64 (re, im) view
-    f = reg.amplitudes.view(np.float64).reshape(a, reg.d, 2 * b)
-    return np.einsum("adb,adb->d", f, f)
 
 
 def measure(reg: QuditRegister, target: int, basis: BasisKind,

@@ -1,11 +1,12 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the reference operations no run calls."""
 
 import math
 
 import numpy as np
 
-from quditsum import QuditRegister, execute_check
+from quditsum import BasisKind, QuditRegister, apply_iqft, execute_check
 from quditsum.protocol import read_out
+from quditsum.qudit import _apply_single, _check_cap, _qft_matrix, _split, encode_matrix
 from quditsum.verification import check_rotations
 
 
@@ -14,6 +15,48 @@ def random_register(d: int, k: int, rng: np.random.Generator) -> QuditRegister:
     amp = rng.normal(size=d**k) + 1j * rng.normal(size=d**k)
     amp /= np.linalg.norm(amp)
     return QuditRegister(d, k, amp)
+
+
+def basis_state(d: int, digits) -> QuditRegister:
+    """Computational basis state |digits[0], digits[1], ...>."""
+    digits = tuple(int(x) for x in digits)
+    if not digits:
+        raise ValueError("digit sequence must be non-empty")
+    for x in digits:
+        if not 0 <= x < d:
+            raise ValueError(f"digit {x} out of range for d={d}")
+    _check_cap(d, len(digits))
+    index = 0
+    for x in digits:
+        index = index * d + x
+    amp = np.zeros(d ** len(digits), dtype=np.complex128)
+    amp[index] = 1.0
+    return QuditRegister(d, len(digits), amp)
+
+
+def apply_qft(reg: QuditRegister, target: int) -> QuditRegister:
+    """Fourier transform on one qudit: |r> -> sum_l exp(2*pi*i*l*r/d)|l>/sqrt(d)."""
+    return _apply_single(reg, _qft_matrix(reg.d), target)
+
+
+def apply_encode(reg: QuditRegister, target: int, s: int) -> QuditRegister:
+    """Fourier transform on one qudit, then the cyclic shift by s, as one unitary."""
+    return _apply_single(reg, encode_matrix(reg.d, s), target)
+
+
+def outcome_distribution(reg: QuditRegister, target: int, basis: BasisKind) -> np.ndarray:
+    """Exact probability of each outcome when measuring one qudit.
+
+    Returns a length-d vector. For V2 the distribution is computed on the
+    inverse-rotated state, which is the same thing as projecting onto the
+    Fourier basis directly.
+    """
+    a, b = _split(reg, target)
+    if basis is BasisKind.V2:
+        reg = apply_iqft(reg, target)
+    # |x|^2 off the float64 (re, im) view
+    f = reg.amplitudes.view(np.float64).reshape(a, reg.d, 2 * b)
+    return np.einsum("adb,adb->d", f, f)
 
 
 def apply_shift(reg: QuditRegister, target: int, s: int) -> QuditRegister:

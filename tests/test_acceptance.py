@@ -13,15 +13,16 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from conftest import apply_shift, assert_within_4sigma, random_register, random_secret
+from conftest import (
+    apply_qft, apply_shift, assert_within_4sigma, basis_state, outcome_distribution,
+    random_register, random_secret,
+)
 
 from quditsum import (
     BasisKind,
     ProtocolConfig,
     ScenarioConfig,
     apply_iqft,
-    apply_qft,
-    basis_state,
     check_decoys,
     compute_sum,
     eve_intercept_resend,
@@ -29,7 +30,6 @@ from quditsum import (
     fake_particle,
     insert_decoys,
     omega_state,
-    outcome_distribution,
     prepare_rounds,
     run_protocol,
     run_scenario,

@@ -4,15 +4,16 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import apply_shift, approx_equal, assert_within_4sigma, random_secret
+from conftest import (
+    apply_encode, apply_qft, apply_shift, approx_equal, assert_within_4sigma, basis_state,
+    outcome_distribution, random_secret,
+)
 
 from quditsum import (
     BasisKind,
     ProtocolConfig,
     QuditRegister,
     apply_iqft,
-    apply_qft,
-    basis_state,
     check_decoys,
     compute_sum,
     eve_intercept_resend,
@@ -20,13 +21,12 @@ from quditsum import (
     fake_particle,
     insert_decoys,
     omega_state,
-    outcome_distribution,
     prepare_rounds,
     recover_secret_digit,
     run_protocol,
 )
 from quditsum.harness import _within_band
-from quditsum.qudit import _iqft_matrix, _qft_matrix, apply_encode
+from quditsum.qudit import _iqft_matrix, _qft_matrix
 
 V1, V2 = BasisKind.V1, BasisKind.V2
 

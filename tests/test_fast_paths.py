@@ -22,7 +22,10 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from conftest import apply_shift, approx_equal, random_register, random_secret, run_check
+from conftest import (
+    apply_encode, apply_qft, apply_shift, approx_equal, basis_state, outcome_distribution,
+    random_register, random_secret, run_check,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,21 +35,18 @@ from quditsum import (
     QuditRegister,
     ScenarioConfig,
     apply_iqft,
-    apply_qft,
-    basis_state,
     check_decoys,
     eve_intercept_resend,
     insert_decoys,
     measure,
     omega_state,
-    outcome_distribution,
     prepare_rounds,
     run_protocol,
     run_scenario,
 )
-from quditsum import harness
+from quditsum import harness, protocol
 from quditsum.adversary import fabricate_rounds, fake_particle
-from quditsum.harness import _trial_secrets
+from quditsum.harness import SCENARIOS, _trial_secrets
 from quditsum import qudit
 from quditsum.protocol import RoundState, encode_rounds, read_out
 from quditsum.qudit import (
@@ -54,7 +54,6 @@ from quditsum.qudit import (
     _iqft_matrix,
     _qft_matrix,
     _sample,
-    apply_encode,
     basis_rows,
     encode_matrix,
     measure_rows,
@@ -632,15 +631,35 @@ def test_read_out_of_rounds_over_the_stack_cap_peaks_as_one_round():
 # registers shared across trials
 
 
-def test_prepare_rounds_shares_one_register_per_size():
-    first = prepare_rounds(ProtocolConfig(d=5, n=3, m=2))[0].factors[0][0]
-    again = prepare_rounds(ProtocolConfig(d=5, n=3, m=4, decoy_count=2))[0].factors[0][0]
-    assert again is first
-    assert not first.amplitudes.flags.writeable
-    assert np.array_equal(first.amplitudes, omega_state(5, 3).amplitudes)
-    other = prepare_rounds(ProtocolConfig(d=5, n=4, m=2))[0].factors[0][0]
-    assert other is not first and other.k == 4
-    assert np.array_equal(other.amplitudes, omega_state(5, 4).amplitudes)
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_scenario_run_builds_one_register_its_trials_share(scenario, monkeypatch):
+    # a genuine run builds the GHZ register once, read-only, and hands the
+    # same rounds to every trial; a forging dealer builds none
+    built, seen = [], []
+    real_omega, real_run = protocol.omega_state, harness.run_protocol
+
+    def counting_omega(d, n):
+        built.append(real_omega(d, n))
+        return built[-1]
+
+    def recording_run(cfg, eta, secrets, rounds, rng, eve=False):
+        seen.append(rounds)
+        return real_run(cfg, eta, secrets, rounds, rng, eve=eve)
+
+    monkeypatch.setattr(protocol, "omega_state", counting_omega)
+    monkeypatch.setattr(harness, "run_protocol", recording_run)
+    cfg, sc = ProtocolConfig(d=3, n=4, m=2, decoy_count=2), SCENARIOS[scenario]
+    run_scenario(ScenarioConfig(scenario, cfg, eta=2, trials=3, fake_r=1 if sc.forged else None))
+    assert len(seen) == 3
+    assert all(len(rounds) == cfg.m + (2 if sc.hardened else 0) for rounds in seen)
+    if sc.forged:
+        assert built == []
+        assert all(reg.k == 1 for rounds in seen for state in rounds for reg, _ in state.factors)
+        return
+    [register] = built
+    assert not register.amplitudes.flags.writeable
+    assert np.array_equal(register.amplitudes, omega_state(3, 4).amplitudes)
+    assert all(state.factors == ((register, (1, 2, 3, 4)),) for rounds in seen for state in rounds)
 
 
 @pytest.mark.parametrize("d", [2, 5, 10])

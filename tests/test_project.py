@@ -1,7 +1,8 @@
 """The README and pyproject.toml agree with the package they describe,
-the package modules import nothing they leave unused and reach no
-private name of one another outside a short allowlist, and every
-measurement samples its outcome in one place."""
+the package modules import nothing they leave unused, define nothing
+public that no module reads, and reach no private name of one another
+outside a short allowlist, and every measurement samples its outcome in
+one place."""
 
 import argparse
 import ast
@@ -127,13 +128,27 @@ def test_one_kernel_samples_every_measurement():
     assert sum(_reads(source, "_sample") for source in sources) == 1
 
 
+def _public_defs(source: str) -> list[str]:
+    """Names of the public module-level functions and classes a module defines."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
+def test_every_public_function_has_a_caller_under_src():
+    # the package is what a run calls: a reference only the tests read
+    # belongs in tests/conftest.py
+    sources = [p.read_text() for p in (ROOT / "src" / "quditsum").glob("*.py") if p.name != "__init__.py"]
+    uncalled = [name for source in sources for name in _public_defs(source)
+                if not any(_reads(other, name) for other in sources)]
+    assert uncalled == []
+
+
 # the private names one package module may import from another, or read
 # off a name it imports from one; the |v>/QFT|v> table and the Fourier
 # matrices stay inside qudit otherwise, and only the modules that build
 # registers from rows of them wrap amplitudes without a check
 PRIVATE_IMPORTS_ALLOWED = {"protocol": {"_check_cap", "QuditRegister._trusted"},
-                           "adversary": {"_iqft_matrix", "QuditRegister._trusted"},
-                           "harness": {"_shared_register"}}
+                           "adversary": {"_iqft_matrix", "QuditRegister._trusted"}}
 
 
 def _private_names(source: str) -> list[str]:

@@ -5,27 +5,27 @@ import re
 
 import numpy as np
 import pytest
-from conftest import apply_shift, approx_equal, random_secret
+from conftest import (
+    apply_encode, apply_qft, apply_shift, approx_equal, basis_state, outcome_distribution,
+    random_secret,
+)
 
 from quditsum import (
     BasisKind,
     ProtocolConfig,
     QuditRegister,
-    apply_qft,
-    basis_state,
     check_decoys,
     compute_sum,
     fabricate_rounds,
     fake_particle,
     insert_decoys,
     omega_state,
-    outcome_distribution,
     prepare_rounds,
     run_protocol,
     validate_secrets,
 )
 from quditsum.protocol import RoundState, encode_rounds, read_out
-from quditsum.qudit import apply_encode, encode_matrix
+from quditsum.qudit import encode_matrix
 
 
 def _secrets(digit_rows):

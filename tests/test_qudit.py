@@ -4,17 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from conftest import apply_shift, approx_equal, assert_within_4sigma, random_register
+from conftest import (
+    apply_qft, apply_shift, approx_equal, assert_within_4sigma, basis_state,
+    outcome_distribution, random_register,
+)
 
 from quditsum import (
     BasisKind,
     QuditRegister,
     apply_iqft,
-    apply_qft,
-    basis_state,
     measure,
     omega_state,
-    outcome_distribution,
 )
 
 V1, V2 = BasisKind.V1, BasisKind.V2

@@ -1,24 +1,29 @@
 """Hardened protocol: check selection, check execution, detection power."""
 
+import itertools
 import json
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import assert_within_4sigma, random_secret, run_check
+from conftest import apply_qft, assert_within_4sigma, outcome_distribution, random_secret, run_check
 
 from quditsum import (
     BasisKind,
     ProtocolConfig,
+    QuditRegister,
     compute_sum,
     execute_check,
     fabricate_rounds,
+    fake_particle,
     prepare_rounds,
     run_protocol,
     select_checks,
     v1_pass,
     v2_pass,
 )
+from quditsum.harness import modified_per_check_pass_probability
 from quditsum.verification import check_rotations
 
 
@@ -210,12 +215,42 @@ def test_adaptive_dealer_v2_pass_rate_is_d_to_one_minus_n():
 
 def test_honest_result_on_forged_state_is_uniform_in_v2():
     # exact oracle behind the pass-rate above
-    from quditsum import apply_qft, fake_particle, outcome_distribution
     for d in (2, 5, 10):
         for r in range(d):
             reg = apply_qft(fake_particle(d, r), 0)
             probs = outcome_distribution(reg, 0, BasisKind.V2)
             assert np.allclose(probs, np.full(d, 1 / d), atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dealer_announcement_is_the_best_on_either_check(d, n):
+    # exact pass law of each of the d announcements P1 can make on a forged
+    # round, from the amplitudes each owner reads under check_rotations:
+    # nothing beats execute_check's own, and its mean over the two bases is
+    # the per-check oracle
+    cfg = ProtocolConfig(d=d, n=n, m=1)
+    for r in range(d):
+        state = fabricate_rounds(cfg, (r,))[0]
+        passing = {}
+        for basis in ("V1", "V2"):
+            check = {"position": 0, "chooser": 2, "basis": basis}
+            [rotation] = check_rotations(d, [check])
+            laws = [outcome_distribution(reg if rotation is None else
+                                         QuditRegister(d, 1, rotation @ reg.amplitudes), 0, BasisKind.V1)
+                    for reg, _ in state.factors]
+            best, own = np.zeros(d), 0.0
+            for values in itertools.product(range(d), repeat=n - 1):
+                p = math.prod(law[v] for law, v in zip(laws, values))
+                best += [p * (v1_pass([a, *values], d) if basis == "V1" else v2_pass([a, *values]))
+                         for a in range(d)]
+                own += p * execute_check(state, check, values)["passed"]
+            assert own == pytest.approx(best.max(), abs=1e-15)
+            passing[basis] = own
+        assert passing["V1"] == pytest.approx(1.0, abs=1e-14)
+        assert passing["V2"] == pytest.approx(float(d) ** (1 - n), abs=1e-14)
+        assert (passing["V1"] + passing["V2"]) / 2 == pytest.approx(
+            modified_per_check_pass_probability(d, n), abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
