@@ -4,12 +4,11 @@ run_protocol is the one protocol skeleton. A scenario picks its rounds
 (prepare_rounds or fabricate_rounds), eta (0 for the original protocol)
 and channel (clean, or intercept-resend on every particle).
 
-Each scenario executes a stack of independent trials and writes one JSON
-report holding the per-trial records, aggregate rates with Wilson 95%
-intervals, and exact oracle predictions where the model pins a rate
-down. Aggregates landing outside the exact binomial band of their
-oracle (either tail below the one-sided mass of 4 sigma) get flagged in
-the report.
+A scenario's JSON report is made from run_protocol's records alone: each
+gives one per_trial line and, through _COUNTS, its share of every rate.
+Each rate carries a Wilson 95% interval and its exact oracle; a rate
+outside the oracle's exact binomial band (either tail below the
+one-sided mass of 4 sigma) is flagged in the report.
 
 Every trial draws its randomness from a stream derived from
 (master_seed, trial_index) alone, so a report is reproducible
@@ -151,11 +150,11 @@ def derive_trial_stream(master_seed: int, trial_index: int) -> np.random.Generat
     return np.random.default_rng(seq)
 
 
-def wilson_interval(successes: float, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
+def wilson_interval(successes: float, n: int) -> tuple[float, float]:
+    """Wilson score interval, 95%, for a binomial proportion."""
     if n <= 0:
         raise ValueError(f"need a positive sample count, got n={n}")
-    phat = successes / n
+    phat, z = successes / n, 1.959963984540054
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1.0 - phat) / n + z * z / (4.0 * n * n)) / denom
@@ -188,12 +187,11 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
     failed one are read out too: harmless, as the run then returns and
     nothing reads its generator again.
 
-    The record holds every per_trial key of any scenario, as the report
-    writes it. detected means the run aborted; the keys of the encoding
-    step are None then, and a failed basis check is the last entry of
-    checks. announced holds the rows of P2..Pn, recovered the digits a
-    forging dealer reads off them (None on genuine rounds, as is each
-    entry of fake_r).
+    The record holds the secrets and every per_trial key of any scenario, as the
+    report writes it. detected means the run aborted; the keys of the encoding
+    step are None then, and a failed basis check is the last entry of checks.
+    announced holds the rows of P2..Pn, recovered the digits a forging dealer
+    reads off them (None on genuine rounds, as is each entry of fake_r).
     """
     validate_secrets(cfg, secrets)
     require_int("eta", eta)
@@ -214,7 +212,7 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
             rounds, decoys[i] = eve_intercept_resend(rounds, i, decoys[i], rng)
     mismatches = [check_decoys(expected[i], decoys[i], rng) for i in receivers]
     rates = [c / cfg.decoy_count if cfg.decoy_count else 0.0 for c in mismatches]
-    detected = any(rate > cfg.error_threshold for rate in rates)
+    detected = any(_decoys_abort(c, cfg.decoy_count, cfg.error_threshold) for c in mismatches)
     selected = [] if detected else select_checks(cfg, eta, rng)
     checked = [rounds[check["position"]] for check in selected]
     announced = read_out(checked, check_rotations(cfg.d, selected), rng)
@@ -225,7 +223,7 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
         if detected:
             break
     record = {
-        "fake_r": [state.r for state in rounds],
+        "secrets": [list(s) for s in secrets], "fake_r": [state.r for state in rounds],
         "decoy_error_rates": rates, "decoy_mismatches": sum(mismatches),
         "decoys_checked": len(mismatches) * cfg.decoy_count,
         "checks": checks, "checks_passed": all(c["passed"] for c in checks),
@@ -246,7 +244,7 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
         results[1] = [(k - (cfg.n - 1) * rj) % cfg.d for k, rj in zip(secrets[0], r)]
         recovered = [[recover_secret_digit(v, rj, cfg.d) for v, rj in zip(results[i], r)]
                      for i in receivers]
-        record.update(recovered=recovered, recovery_success=recovered == _secrets_list(secrets[1:]))
+        record.update(recovered=recovered, recovery_success=recovered == record["secrets"][1:])
     digits = compute_sum([results[i] for i in range(1, cfg.n + 1)], cfg.d)
     record.update(announced=[results[i] for i in receivers], sum=digits, announced_sum=digits,
                   sum_correct=digits == compute_sum(secrets, cfg.d))
@@ -255,6 +253,11 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
 
 # ---------------------------------------------------------------------------
 # exact oracle predictions
+
+
+def _decoys_abort(mismatches: int, decoy_count: int, threshold: float) -> bool:
+    """A receiver aborts when its decoy error rate, mismatches/decoy_count, exceeds the threshold."""
+    return mismatches > 0 and mismatches / decoy_count > threshold
 
 
 def eve_per_decoy_error_rate(d: int) -> float:
@@ -290,9 +293,8 @@ def _binom_cdf(k: int, n: int, q: float) -> float:
 def eve_detection_probability(d: int, n: int, decoy_count: int, threshold: float) -> float:
     """Chance some receiver's decoy error rate exceeds the threshold under Eve."""
     q = eve_per_decoy_error_rate(d)
-    allowed = math.floor(threshold * decoy_count + 1e-12)
-    pass_one = _binom_cdf(allowed, decoy_count, q)
-    return 1.0 - pass_one ** (n - 1)
+    allowed = sum(not _decoys_abort(c, decoy_count, threshold) for c in range(1, decoy_count + 1))
+    return 1.0 - _binom_cdf(allowed, decoy_count, q) ** (n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +316,13 @@ def _trial_plan(cfg: ScenarioConfig, rounds: int, rng: np.random.Generator) -> t
     return tuple(int(x) for x in rng.integers(0, cfg.protocol.d, size=rounds))
 
 
-def _secrets_list(secrets) -> list[list[int]]:
-    return [list(s) for s in secrets]
-
-
-def _run_trial(cfg: ScenarioConfig, eta: int, rounds, t: int, rng: np.random.Generator) -> tuple[dict, int]:
-    """Draw secrets, then the forging plan if rounds is None; return record and decoy mismatches."""
-    p, sc = cfg.protocol, SCENARIOS[cfg.scenario]
+def _run_trial(cfg: ScenarioConfig, eta: int, rounds, rng: np.random.Generator) -> dict:
+    """Draw secrets, then the forging plan if rounds is None; return run_protocol's record."""
+    p = cfg.protocol
     secrets = _trial_secrets(cfg, rng)
     if rounds is None:
         rounds = fabricate_rounds(p, _trial_plan(cfg, p.m + eta, rng))
-    outcome = run_protocol(p, eta, secrets, rounds, rng, eve=sc.eve)
-    record = {"trial": t, "secrets": _secrets_list(secrets)}
-    record.update((key, outcome[key]) for key in sc.record)
-    return record, outcome["decoy_mismatches"]
+    return run_protocol(p, eta, secrets, rounds, rng, eve=SCENARIOS[cfg.scenario].eve)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +348,17 @@ def _rate_entry(successes: int, n: int, oracle: float) -> dict:
             "oracle": oracle, "within_4_sigma": _within_band(successes, n, oracle)}
 
 
-# rates that are the share of True among the records whose key is not None
-_BOOLEAN_RATES = {
-    "sum_correct_rate": "sum_correct",
-    "recovery_success_rate": "recovery_success",
-    "detection_rate": "detected",
+def _count(flag) -> tuple[int, int]:
+    return (0, 0) if flag is None else (int(flag), 1)
+
+
+# each rate's (successes, n) in one run_protocol record; a None flag counts for neither
+_COUNTS = {
+    "sum_correct_rate": lambda r: _count(r["sum_correct"]),
+    "recovery_success_rate": lambda r: _count(r["recovery_success"]),
+    "detection_rate": lambda r: _count(r["detected"]),
+    "check_pass_rate": lambda r: (sum(c["passed"] for c in r["checks"]), len(r["checks"])),
+    "mean_decoy_error_rate": lambda r: (r["decoy_mismatches"], r["decoys_checked"]),
 }
 
 # exact value of each rate and prediction as f(protocol, eta, eve on the channel)
@@ -374,24 +375,6 @@ _ORACLES = {
 }
 
 
-def _aggregate(cfg: ScenarioConfig, eta: int, per_trial: list, decoy_mismatches: int) -> tuple[dict, dict]:
-    p, sc = cfg.protocol, SCENARIOS[cfg.scenario]
-    aggregates: dict = {}
-    for name in sc.aggregates:
-        if name == "mean_decoy_error_rate":
-            successes, n = decoy_mismatches, cfg.trials * (p.n - 1) * p.decoy_count
-        elif name == "check_pass_rate":
-            checks = [c["passed"] for r in per_trial for c in r["checks"]]
-            successes, n = sum(checks), len(checks)
-        else:
-            key = _BOOLEAN_RATES[name]
-            values = [r[key] for r in per_trial if r[key] is not None]
-            successes, n = sum(values), len(values)
-        aggregates[name] = _rate_entry(successes, n, _ORACLES[name](p, eta, sc.eve))
-    aggregates["flagged"] = [name for name, entry in aggregates.items() if entry["within_4_sigma"] is False]
-    return aggregates, {name: _ORACLES[name](p, eta, sc.eve) for name in sc.predictions}
-
-
 def _params_dict(cfg: ScenarioConfig) -> dict:
     p = cfg.protocol
     return {
@@ -403,7 +386,7 @@ def _params_dict(cfg: ScenarioConfig) -> dict:
         "eta": cfg.eta,
         "trials": cfg.trials,
         "master_seed": cfg.master_seed,
-        "secrets": _secrets_list(cfg.secrets) if cfg.secrets is not None else None,
+        "secrets": [list(s) for s in cfg.secrets] if cfg.secrets is not None else None,
         "fake_r": cfg.fake_r,
     }
 
@@ -416,23 +399,28 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
     and the master seed, never on execution order or timing. A genuine
     scenario prepares its m+eta rounds once, and every trial shares them;
     they go when the run returns or raises, as nothing else holds them.
+    Each trial's record gives its per_trial line and adds its share of
+    every rate to running counts through _COUNTS; each oracle runs once.
     """
     t0 = time.perf_counter()
     p, sc = cfg.protocol, SCENARIOS[cfg.scenario]
     eta = cfg.eta if sc.hardened else 0
     shared = None if sc.forged else prepare_rounds(p, count=p.m + eta)
-    per_trial, mismatches = [], 0
+    per_trial, counts = [], {name: [0, 0] for name in sc.aggregates}
     for t in range(cfg.trials):
-        record, count = _run_trial(cfg, eta, shared, t, derive_trial_stream(cfg.master_seed, t))
-        per_trial.append(record)
-        mismatches += count
-    aggregates, predictions = _aggregate(cfg, eta, per_trial, mismatches)
+        record = _run_trial(cfg, eta, shared, derive_trial_stream(cfg.master_seed, t))
+        per_trial.append({"trial": t, **{key: record[key] for key in ("secrets", *sc.record)}})
+        for name, total in counts.items():
+            total[:] = map(sum, zip(total, _COUNTS[name](record)))
+    oracles = {name: _ORACLES[name](p, eta, sc.eve) for name in {*sc.aggregates, *sc.predictions}}
+    aggregates = {name: _rate_entry(*counts[name], oracles[name]) for name in sc.aggregates}
+    aggregates["flagged"] = [name for name, entry in aggregates.items() if entry["within_4_sigma"] is False]
     return {
         "scenario": cfg.scenario,
         "params": _params_dict(cfg),
         "per_trial": per_trial,
         "aggregates": aggregates,
-        "oracle_predictions": predictions,
+        "oracle_predictions": {name: oracles[name] for name in sc.predictions},
         "schema_version": SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,
         "duration_seconds": time.perf_counter() - t0,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .protocol import ProtocolConfig, RoundState
-from .qudit import BasisKind, encode_matrix
+from .qudit import encode_matrix
 
 
 def v1_pass(values, d: int) -> bool:
@@ -50,10 +50,16 @@ def select_checks(cfg: ProtocolConfig, eta: int, rng: np.random.Generator) -> li
     return sorted(checks, key=lambda c: c["position"])
 
 
+def _is_v1(check: dict) -> bool:
+    if check["basis"] not in ("V1", "V2"):
+        raise ValueError(f"unknown basis {check['basis']!r}; known: V1, V2")
+    return check["basis"] == "V1"
+
+
 def check_rotations(d: int, checks) -> list:
     """Each check's read_out rotation: the QFT on V1; none on V2, where the QFT and the V2 basis cancel."""
     # encoding the digit 0 is the QFT alone
-    return [encode_matrix(d, 0) if BasisKind(check["basis"]) is BasisKind.V1 else None for check in checks]
+    return [encode_matrix(d, 0) if _is_v1(check) else None for check in checks]
 
 
 def execute_check(state: RoundState, check: dict, values) -> dict:
@@ -66,7 +72,7 @@ def execute_check(state: RoundState, check: dict, values) -> dict:
     check, which always passes, and a fixed value on a Fourier-image
     check, where nothing beats blind luck.
     """
-    v1 = BasisKind(check["basis"]) is BasisKind.V1
+    v1 = _is_v1(check)
     d, owners, values = state.d, state.owners, list(values)
     if 1 not in owners:
         # any fixed value does equally well on a Fourier-image check

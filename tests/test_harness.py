@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 
@@ -22,7 +23,10 @@ from quditsum import (
 from quditsum import qudit
 from quditsum.cli import main
 from quditsum.harness import (
+    _COUNTS,
+    _ORACLES,
     SCENARIOS,
+    _binom_cdf,
     _rate_entry,
     eve_detection_probability,
     eve_per_decoy_error_rate,
@@ -99,6 +103,18 @@ def test_oracle_formula_values():
     # threshold 0: one recipient passes only with zero errors
     assert eve_detection_probability(2, 2, 4, 0.0) == pytest.approx(1 - 0.75**4)
     assert eve_detection_probability(2, 3, 4, 0.0) == pytest.approx(1 - 0.75**8)
+
+
+def test_eve_oracle_tolerates_exactly_what_a_receiver_tolerates():
+    # a receiver aborts when mismatches/decoys exceeds the threshold: c
+    # mismatches pass at threshold c/decoys and abort one ulp below it
+    q = eve_per_decoy_error_rate(5)
+    for decoys in range(1, 65):
+        for c in range(1, decoys + 1):
+            at = eve_detection_probability(5, 2, decoys, c / decoys)
+            below = eve_detection_probability(5, 2, decoys, math.nextafter(c / decoys, 0))
+            assert at == 1 - _binom_cdf(c, decoys, q), (decoys, c)
+            assert below == 1 - _binom_cdf(c - 1, decoys, q), (decoys, c)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +221,22 @@ def test_eve_decoy_scenario_report():
     assert doc["aggregates"]["mean_decoy_error_rate"]["n"] == 60 * 2 * 8
 
 
+def test_eve_decoy_report_at_a_threshold_one_ulp_below_a_half(tmp_path, capsys):
+    # 2 decoys at a threshold just under 1/2: one mismatch aborts, so a
+    # receiver passes only with none (0.6**2) and Eve is caught at 1 - 0.36**2
+    out = tmp_path / "r.json"
+    assert main(["run", "--scenario", "eve-decoy", "--d", "5", "--n", "3", "--m", "1", "--decoys", "2",
+                 "--threshold", "0.49999999999999994", "--trials", "400", "--seed", "7",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    text = json.dumps(doc["per_trial"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ca5add97782d12c8a6b62b791312bb64a31542fcae4116383da23f7a915736a3")
+    assert doc["aggregates"]["flagged"] == []
+    assert doc["aggregates"]["detection_rate"]["oracle"] == pytest.approx(1 - 0.36**2, abs=1e-15)
+    assert "outside 4 sigma" not in capsys.readouterr().out
+
+
 def test_fixed_secrets_and_fake_r_are_honored():
     secrets = ((4, 1), (5, 0), (6, 2))
     doc = run_scenario(_cfg("iqft-attack", trials=5, d=10, secrets=secrets, fake_r=2))
@@ -253,6 +285,14 @@ def test_run_protocol_returns_the_record_every_scenario_reads(scenario):
             assert keys <= set(record)
             assert _json_native(record)
             assert json.loads(json.dumps(record)) == record
+            assert record["secrets"] == [list(s) for s in secrets]
+            for name in sc.aggregates:
+                successes, n = _COUNTS[name](record)
+                assert type(successes) is int and type(n) is int
+                assert 0 <= successes <= n, name
+    # every rate the report counts has a count and an oracle, every prediction an oracle
+    assert set(sc.aggregates) <= set(_COUNTS) & set(_ORACLES)
+    assert set(sc.predictions) <= set(_ORACLES)
 
 
 def test_run_protocol_record_after_a_decoy_abort():
