@@ -2,12 +2,13 @@
 
 Two adversaries matter here. The first is a malicious dealer P1 who
 replaces every shared entangled state with inverse-Fourier product
-states: the honest encoding (Fourier rotation, shift by the digit,
-computational readout) then collapses each fake particle to the basis
-state |(r + digit) mod d> with certainty, so every announced result
-hands P1 the digit once he subtracts his own fabrication value r. The
-decoys stay genuine, so the transmission check of the original protocol
-sees a clean channel and the theft leaves no trace there.
+states, keeping one fake particle for himself: the honest encoding
+(Fourier rotation, shift by the digit, computational readout) then
+collapses each fake particle to the basis state |(r + digit) mod d> with
+certainty, so every announced result hands P1 the digit once he
+subtracts his own fabrication value r. The decoys stay genuine, so the
+transmission check of the original protocol sees a clean channel and the
+theft leaves no trace there.
 
 The second is an outside eavesdropper running intercept-resend in a
 uniformly random basis. She learns announced-basis values at the price
@@ -43,15 +44,19 @@ def recover_secret_digit(announced: int, r: int, d: int) -> int:
 def fabricate_rounds(cfg: ProtocolConfig, r_choices) -> list[RoundState]:
     """Build the dealer's forged round for every fabrication value.
 
-    Round j holds one fake particle per recipient (2..n), each its own
-    one-qudit factor, all built from r_choices[j]; P1 keeps no qudit of
-    it. Every r must be an int in [0, d); the types are checked first,
-    since True would pass the range check and index the IQFT matrix as
-    a mask.
+    Round j is n one-qudit factors built from r = r_choices[j]: IQFT|r>
+    for each recipient 2..n and IQFT|-(n-1)r> for P1. Read out like any
+    round, P1's qudit gives his best announcement: -(n-1)r on a
+    computational check, which always passes; a uniform digit on a
+    Fourier-image check, as good as any fixed one; k_1 - (n-1)r once
+    encoded, cancelling the offsets in the sum. Every r must be an int in
+    [0, d), checked by type first: True would pass the range check and
+    index the IQFT matrix as a mask.
     """
     for r in r_choices:
         require_int("fabrication value", r)
-    return [RoundState(tuple((fake_particle(cfg.d, r), (i,)) for i in range(2, cfg.n + 1)), r=r)
+    return [RoundState(tuple((fake_particle(cfg.d, r if i > 1 else -(cfg.n - 1) * r % cfg.d), (i,))
+                             for i in range(1, cfg.n + 1)), r=r)
             for r in r_choices]
 
 
@@ -61,12 +66,13 @@ def eve_intercept_resend(rounds, receiver: int, decoys: np.ndarray, rng: np.rand
     The receiver's qudit of each round travels first, then the (N, d)
     array of decoy rows. Each payload qudit is intercepted: the receiver
     holds instead the basis state Eve observed, |v> or QFT|v>, as a
-    one-qudit factor of its own. Returns (rounds, rows): the rounds as the
-    receiver gets them and the decoy rows she resends, the same way.
+    one-qudit factor of its own. Every basis bit is drawn first, then a
+    uniform per payload qudit as she measures it, then one per decoy.
+    Returns (rounds, rows): the rounds as the receiver gets them and the
+    decoy rows she resends, the same way.
     """
-    resent = [state.intercept(receiver, BasisKind.V2 if rng.integers(2) else BasisKind.V1, rng)[1]
-              for state in rounds]
-    # per decoy, a basis bit and then the uniform measure would take
-    draws = np.array([(rng.integers(2), rng.random()) for _ in range(len(decoys))]).reshape(-1, 2)
-    v2 = draws[:, 0] == 1
-    return resent, basis_rows(decoys.shape[1], measure_rows(decoys, v2, draws[:, 1]), v2)
+    bits = rng.integers(2, size=len(rounds) + len(decoys))
+    resent = [state.intercept(receiver, BasisKind.V2 if bit else BasisKind.V1, rng)[1]
+              for state, bit in zip(rounds, bits)]
+    v2 = bits[len(rounds):] == 1
+    return resent, basis_rows(decoys.shape[1], measure_rows(decoys, v2, rng.random(len(decoys))), v2)

@@ -41,7 +41,7 @@ from .protocol import (
 )
 from .verification import check_rotations, execute_check, select_checks
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.2.0"
 SCHEMA_VERSION = 1
 
 
@@ -176,8 +176,8 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
                  eve: bool = False) -> dict:
     """One run of the summation protocol, original (eta=0) or hardened; returns its record.
 
-    rounds are the m+eta states the dealer hands out, genuine (held by
-    1..n) or forged (held by 2..n), of d levels each. With eve=True an
+    rounds are the m+eta states the dealer hands out, genuine or forged,
+    each held by P1..Pn, of d levels each. With eve=True an
     intercept-resend eavesdropper measures every particle on every
     channel, the payload before the decoys. Every receiver then checks its
     decoys and the run aborts if any error rate exceeds the threshold.
@@ -191,7 +191,8 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
     report writes it. detected means the run aborted; the keys of the encoding
     step are None then, and a failed basis check is the last entry of checks.
     announced holds the rows of P2..Pn, recovered the digits a forging dealer
-    reads off them (None on genuine rounds, as is each entry of fake_r).
+    reads off them when every surviving round is forged (None otherwise, as is
+    the fake_r entry of a genuine round).
     """
     validate_secrets(cfg, secrets)
     require_int("eta", eta)
@@ -201,12 +202,11 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
     if len(rounds) != total:
         raise ValueError(f"got {len(rounds)} rounds, need m+eta={total}")
     receivers = range(2, cfg.n + 1)
-    fits = (tuple(range(1, cfg.n + 1)), tuple(receivers))
     for j, state in enumerate(rounds):
-        if state.d != cfg.d or state.owners not in fits:
+        if state.d != cfg.d or state.owners != (1, *receivers):
             raise ValueError(f"round {j} does not fit d={cfg.d}, n={cfg.n}")
 
-    decoys, expected = insert_decoys(cfg, rng, payload_len=total)
+    decoys, expected = insert_decoys(cfg, rng)
     if eve:
         for i in receivers:
             rounds, decoys[i] = eve_intercept_resend(rounds, i, decoys[i], rng)
@@ -214,11 +214,10 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
     rates = [c / cfg.decoy_count if cfg.decoy_count else 0.0 for c in mismatches]
     detected = any(_decoys_abort(c, cfg.decoy_count, cfg.error_threshold) for c in mismatches)
     selected = [] if detected else select_checks(cfg, eta, rng)
-    checked = [rounds[check["position"]] for check in selected]
-    announced = read_out(checked, check_rotations(cfg.d, selected), rng)
+    announced = read_out([rounds[c["position"]] for c in selected], check_rotations(cfg.d, selected), rng)
     checks = []
-    for state, check, values in zip(checked, selected, announced):
-        checks.append(execute_check(state, check, values))
+    for check, values in zip(selected, announced):
+        checks.append(execute_check(check, values, cfg.d))
         detected = not checks[-1]["passed"]
         if detected:
             break
@@ -237,15 +236,13 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.
     checked = {c["position"] for c in checks}
     surviving = [state for pos, state in enumerate(rounds) if pos not in checked]
     results = encode_rounds(surviving, secrets, rng)
-    if 1 not in results:
-        # the forging dealer publishes R1 = k_1 - (n-1) r, which cancels
-        # the fabrication offsets in the sum, and subtracts r from the rest
-        r = [state.r for state in surviving]
-        results[1] = [(k - (cfg.n - 1) * rj) % cfg.d for k, rj in zip(secrets[0], r)]
+    r = [state.r for state in surviving]
+    if None not in r:
+        # the forging dealer subtracts r from every announced digit
         recovered = [[recover_secret_digit(v, rj, cfg.d) for v, rj in zip(results[i], r)]
                      for i in receivers]
         record.update(recovered=recovered, recovery_success=recovered == record["secrets"][1:])
-    digits = compute_sum([results[i] for i in range(1, cfg.n + 1)], cfg.d)
+    digits = compute_sum(results.values(), cfg.d)
     record.update(announced=[results[i] for i in receivers], sum=digits, announced_sum=digits,
                   sum_correct=digits == compute_sum(secrets, cfg.d))
     return record
@@ -268,9 +265,9 @@ def eve_per_decoy_error_rate(d: int) -> float:
 def modified_per_check_pass_probability(d: int, n: int) -> float:
     """Chance the forging dealer survives one basis check: 1/2 + d^(1-n)/2.
 
-    Computational checks always pass (the dealer announces -(n-1)r mod d
-    first), Fourier-image checks pass only when all n-1 honest results,
-    each uniform, hit the dealer's announced value.
+    Computational checks always pass (the dealer reads -(n-1)r mod d off
+    his own qudit), Fourier-image checks pass only when all n readouts,
+    each uniform, agree.
     """
     return 0.5 + 0.5 * float(d) ** (1 - n)
 

@@ -81,8 +81,8 @@ class RoundState:
 
     owners[q] holds qudit q of its register, each participant at most one
     qudit, and every factor has the same d. A genuine round is the shared
-    register held by 1..n; a forged round is one fake particle per
-    recipient 2..n, built from the fabrication value r (None if genuine).
+    register held by 1..n; a forged round is one fake particle for each of
+    1..n, built from the fabrication value r (None if genuine).
     A round is a value: it never changes, so one may fill many positions.
     """
 
@@ -196,26 +196,20 @@ def prepare_rounds(cfg: ProtocolConfig, count: int | None = None) -> list[RoundS
     return [state] * (cfg.m if count is None else count)
 
 
-def insert_decoys(cfg: ProtocolConfig, rng: np.random.Generator, payload_len: int | None = None):
+def insert_decoys(cfg: ProtocolConfig, rng: np.random.Generator):
     """Draw the decoys guarding each transmitted sequence.
 
     Every decoy carries a uniform value prepared in a uniform basis,
-    either |r> or QFT|r>. Returns ({recipient: rows}, {recipient:
-    (values, v2)}) for recipients 2..n: rows is the (decoy_count, d)
-    array of decoy states, values what each should read and v2 marks
-    those prepared in the Fourier basis.
+    either |r> or QFT|r>: one (n-1, decoy_count) draw of values, then one
+    of basis bits, a row per recipient. Returns ({recipient: rows},
+    {recipient: (values, v2)}) for recipients 2..n: rows is the
+    (decoy_count, d) array of decoy states, values what each should read
+    and v2 marks those prepared in the Fourier basis.
     """
-    payload = cfg.m if payload_len is None else payload_len
-    d, count = cfg.d, cfg.decoy_count
-    decoys, expected = {}, {}
-    for i in range(2, cfg.n + 1):
-        # the slots among the payload are never read; drawing them keeps every trial's stream
-        rng.choice(payload + count, size=count, replace=False)
-        # value and basis bit of each decoy in turn, one draw per entry
-        draws = rng.integers(0, np.tile([d, 2], count))
-        values, v2 = draws[0::2], draws[1::2] == 1
-        decoys[i], expected[i] = basis_rows(d, values, v2), (values, v2)
-    return decoys, expected
+    size = (cfg.n - 1, cfg.decoy_count)
+    values, v2 = rng.integers(cfg.d, size=size), rng.integers(2, size=size) == 1
+    receivers = range(2, cfg.n + 1)
+    return dict(zip(receivers, basis_rows(cfg.d, values, v2))), dict(zip(receivers, zip(values, v2)))
 
 
 def check_decoys(expected, rows: np.ndarray, rng: np.random.Generator) -> int:

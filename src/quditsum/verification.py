@@ -9,14 +9,14 @@ result first. Genuine shared states pass both checks with certainty:
 computational results sum to 0 mod d, Fourier-image results all agree.
 The forged product states cannot satisfy the second condition better
 than blind luck, so each Fourier-image check catches the dealer with
-probability 1 - d^(1-n) no matter what he announces.
+probability 1 - d^(1-n) whatever he announces, his own readout included.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .protocol import ProtocolConfig, RoundState
+from .protocol import ProtocolConfig
 from .qudit import encode_matrix
 
 
@@ -62,19 +62,11 @@ def check_rotations(d: int, checks) -> list:
     return [encode_matrix(d, 0) if _is_v1(check) else None for check in checks]
 
 
-def execute_check(state: RoundState, check: dict, values) -> dict:
+def execute_check(check: dict, values, d: int) -> dict:
     """Return the check's record: the announced values and the verdict.
 
-    values are the owners' readouts of the checked round, in participant
-    order, so P1 goes first on a genuine round. On a forged round P1 holds
-    nothing and announces first, before and so regardless of the honest
-    results, whatever serves him best: -(n-1)*r mod d on a computational
-    check, which always passes, and a fixed value on a Fourier-image
-    check, where nothing beats blind luck.
+    values are the readouts of P1..Pn of the checked round, in that
+    order: P1 announces first, before and so regardless of the others.
     """
-    v1 = _is_v1(check)
-    d, owners, values = state.d, state.owners, list(values)
-    if 1 not in owners:
-        # any fixed value does equally well on a Fourier-image check
-        values.insert(0, (-len(owners) * state.r) % d if v1 else 0)
-    return {**check, "announced": values, "passed": v1_pass(values, d) if v1 else v2_pass(values)}
+    values = list(values)
+    return {**check, "announced": values, "passed": v1_pass(values, d) if _is_v1(check) else v2_pass(values)}

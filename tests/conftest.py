@@ -95,4 +95,4 @@ def random_secret(d: int, m: int, rng: np.random.Generator) -> tuple[int, ...]:
 
 def run_check(state, check: dict, rng: np.random.Generator) -> dict:
     """One check as run_protocol runs it: the round read out with the check's rotation, then the verdict."""
-    return execute_check(state, check, read_out([state], check_rotations(state.d, [check]), rng)[0])
+    return execute_check(check, read_out([state], check_rotations(state.d, [check]), rng)[0], state.d)

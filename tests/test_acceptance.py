@@ -174,16 +174,17 @@ def test_c07_modified_soundness_against_adaptive_dealer():
         for r in range(d):
             fab_cfg = ProtocolConfig(d=d, n=n, m=1)
             fab = fabricate_rounds(fab_cfg, (r,))[0]
-            assert len(fab.factors) == n - 1
-            v2_pass_prob = 1.0
-            for register, _ in fab.factors:
+            assert len(fab.factors) == n
+            v2_laws = []
+            for (register, (i,)) in fab.factors:
                 after = apply_qft(register, 0)
                 v1_probs = outcome_distribution(after, 0, V1)
-                # deterministic honest result r, announced sum cancels to 0
-                assert abs(v1_probs[r] - 1.0) < 1e-12
-                v2_probs = outcome_distribution(after, 0, V2)
-                assert np.allclose(v2_probs, 1 / d, atol=1e-12)
-                v2_pass_prob *= v2_probs[0]  # dealer announces 0
+                # deterministic results: -(n-1)r for P1, r for the rest, so the sum cancels to 0
+                assert abs(v1_probs[r if i > 1 else (-(n - 1) * r) % d] - 1.0) < 1e-12
+                v2_laws.append(outcome_distribution(after, 0, V2))
+                assert np.allclose(v2_laws[-1], 1 / d, atol=1e-12)
+            # all n uniform readouts agree
+            v2_pass_prob = sum(math.prod(law[a] for law in v2_laws) for a in range(d))
             assert abs(v2_pass_prob - d ** (1 - n)) < 1e-12
 
         # empirical detection rate over 10^4 trials

@@ -275,20 +275,23 @@ def test_eve_sum_correct_rate_closed_form_from_amplitudes(d, n, sampled):
 @pytest.mark.parametrize("d", [2, 5, 10])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_fabricate_rounds_share_one_register_per_fabrication_value(d, n):
-    # each forged factor is a one-qudit, read-only fake_particle(d, r): a view
-    # of row r of the cached IQFT matrix, so rounds of equal r share one buffer
+    # each forged factor is a one-qudit, read-only fake_particle: a view of
+    # row r of the cached IQFT matrix (row -(n-1)r for P1's), so rounds of
+    # equal r share one buffer per row
     cfg = ProtocolConfig(d=d, n=n, m=1)
     r_choices = tuple(int(x) for x in np.random.default_rng(d * n).integers(0, d, size=3 * d))
     rounds = fabricate_rounds(cfg, r_choices)
     assert [state.r for state in rounds] == list(r_choices)
     buffers = set()
     for state, r in zip(rounds, r_choices):
-        assert state.owners == tuple(range(2, n + 1))
-        assert [owners for _, owners in state.factors] == [(i,) for i in range(2, n + 1)]
-        for register, _ in state.factors:
+        assert state.owners == tuple(range(1, n + 1))
+        assert [owners for _, owners in state.factors] == [(i,) for i in range(1, n + 1)]
+        for (register, (i,)) in state.factors:
+            row = r if i > 1 else (-(n - 1) * r) % d
             assert (register.d, register.k) == (d, 1)
-            assert np.array_equal(register.amplitudes, fake_particle(d, r).amplitudes)
+            assert np.array_equal(register.amplitudes, fake_particle(d, row).amplitudes)
             assert register.amplitudes.base is _iqft_matrix(d)
             assert not register.amplitudes.flags.writeable
-            buffers.add((r, register.amplitudes.ctypes.data))
-    assert len(buffers) == len({r for r, _ in buffers}) == len(set(r_choices))
+            buffers.add((row, register.amplitudes.ctypes.data))
+    assert len(buffers) == len({row for row, _ in buffers})
+    assert {row for row, _ in buffers} == {*r_choices, *((-(n - 1) * r) % d for r in r_choices)}

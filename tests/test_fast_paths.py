@@ -106,18 +106,16 @@ def _dense(state):
     return QuditRegister(state.d, len(owners), psi.reshape(-1))
 
 
-def _reference_insert_decoys(cfg, rng, payload_len):
-    """One decoy at a time after the slot draw: value draw, basis draw, register."""
+def _reference_insert_decoys(cfg, rng):
+    """One draw per decoy: every receiver's values, then every receiver's bases; then the registers."""
+    receivers = range(2, cfg.n + 1)
+    values = {i: [int(rng.integers(cfg.d)) for _ in range(cfg.decoy_count)] for i in receivers}
+    bases = {i: [_basis(int(rng.integers(2))) for _ in range(cfg.decoy_count)] for i in receivers}
     registers, records = {}, {}
-    for i in range(2, cfg.n + 1):
-        rng.choice(payload_len + cfg.decoy_count, size=cfg.decoy_count, replace=False)
-        registers[i], records[i] = [], []
-        for _ in range(cfg.decoy_count):
-            value = int(rng.integers(cfg.d))
-            basis = _basis(int(rng.integers(2)))
-            reg = basis_state(cfg.d, [value])
-            registers[i].append(apply_qft(reg, 0) if basis is V2 else reg)
-            records[i].append((value, basis))
+    for i in receivers:
+        records[i] = list(zip(values[i], bases[i]))
+        registers[i] = [apply_qft(basis_state(cfg.d, [value]), 0) if basis is V2 else basis_state(cfg.d, [value])
+                        for value, basis in records[i]]
     return registers, records
 
 
@@ -135,7 +133,9 @@ def _reference_check_decoys(records, received, rng):
 
 
 def _reference_eve(particles, rng):
-    return [_kept_measure(reg, q, _basis(int(rng.integers(2))), rng)[1] for reg, q in particles]
+    """Every particle's basis bit first, then one measurement per particle in order."""
+    bases = [_basis(int(rng.integers(2))) for _ in particles]
+    return [_kept_measure(reg, q, basis, rng)[1] for (reg, q), basis in zip(particles, bases)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,8 +190,8 @@ def test_measure_draws_what_generator_choice_draws(d):
 def test_decoys_match_scalar_loops(eve, d, n, count, seed):
     cfg = ProtocolConfig(d=d, n=n, m=2, decoy_count=count)
     ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref_regs, ref_recs = _reference_insert_decoys(cfg, ref, payload_len=5)
-    rows, expected = insert_decoys(cfg, fast, payload_len=5)
+    ref_regs, ref_recs = _reference_insert_decoys(cfg, ref)
+    rows, expected = insert_decoys(cfg, fast)
     assert sorted(rows) == sorted(expected) == sorted(ref_recs)
     for i in expected:
         values, v2 = expected[i]
@@ -313,8 +313,6 @@ def _reference_check(state, check, rng):
     """Rotate each owner's qudit of the dense round, then measure it in the announced basis."""
     d, basis = state.d, BasisKind(check["basis"])
     values = []
-    if 1 not in state.owners:
-        values.append((-len(state.owners) * state.r) % d if basis is V1 else 0)
     reg = _dense(state)
     for q in range(reg.k):
         value, reg = _kept_measure(apply_qft(reg, q), q, basis, rng)
@@ -448,8 +446,6 @@ def _reference_full_check(state, check, rng):
     """The check on the dense register: QFT on V1 checks, zero-filled posteriors."""
     d, basis = state.d, BasisKind(check["basis"])
     values = []
-    if 1 not in state.owners:
-        values.append((-len(state.owners) * state.r) % d if basis is V1 else 0)
     reg = _dense(state)
     for q in range(reg.k):
         if basis is V1:
@@ -483,8 +479,7 @@ def _reference_eve_then_encode(rounds, secrets, rng):
     """
     regs = [_dense(state) for state in rounds]
     for i in range(2, len(secrets) + 1):
-        for j, state in enumerate(rounds):
-            regs[j] = _kept_measure(regs[j], state.owners.index(i), _basis(int(rng.integers(2))), rng)[1]
+        regs = _reference_eve([(reg, state.owners.index(i)) for reg, state in zip(regs, rounds)], rng)
     after_eve, results = list(regs), {}
     for j, state in enumerate(rounds):
         for q, i in enumerate(state.owners):
@@ -599,7 +594,7 @@ def test_read_out_is_the_same_for_every_stack_cap(cap, monkeypatch):
     gen = np.random.default_rng(cap)
     rounds = prepare_rounds(cfg, count=3) + fabricate_rounds(cfg, (0, 2))
     rounds += [rounds[0].intercept(2, V2, gen)[1], rounds[3].intercept(3, V1, gen)[1]]
-    rotations = [None, _qft_matrix(3), [encode_matrix(3, 1)] * 3, None, [encode_matrix(3, 2)] * 2, None, None]
+    rotations = [None, _qft_matrix(3), [encode_matrix(3, 1)] * 3, None, [encode_matrix(3, 2)] * 3, None, None]
     ref = np.random.default_rng(7)
     expected = [_per_owner_read_out(state, rotation, ref) for state, rotation in zip(rounds, rotations)]
     assert read_out(rounds, rotations, np.random.default_rng(7)) == expected
@@ -666,20 +661,20 @@ def test_scenario_run_builds_one_register_its_trials_share(scenario, monkeypatch
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_forged_registers_are_shared_across_calls(d, n):
     # every fake particle of r, in any call, is a read-only view of row r
-    # of the one cached IQFT matrix, and the factors multiply out to the
-    # dense forged register bit for bit
+    # of the one cached IQFT matrix (row -(n-1)r for P1's), and the n
+    # factors multiply out to the dense forged register bit for bit
     cfg = ProtocolConfig(d=d, n=n, m=3)
     first = fabricate_rounds(cfg, (0, d - 1, 0))
     second = fabricate_rounds(cfg, (d - 1, 1 % d, 0))
     for state in first + second:
-        particle = fake_particle(d, state.r).amplitudes
-        assert [owners for _, owners in state.factors] == [(i,) for i in range(2, n + 1)]
-        for register, _ in state.factors:
+        particles = [fake_particle(d, row).amplitudes for row in [(-(n - 1) * state.r) % d] + [state.r] * (n - 1)]
+        assert [owners for _, owners in state.factors] == [(i,) for i in range(1, n + 1)]
+        for (register, _), particle in zip(state.factors, particles, strict=True):
             assert register.k == 1 and register.amplitudes.base is _iqft_matrix(d)
             assert np.array_equal(register.amplitudes, particle)
             assert np.shares_memory(register.amplitudes, particle)
             assert not register.amplitudes.flags.writeable
-        assert np.array_equal(_dense(state).amplitudes, reduce(np.kron, [particle] * (n - 1)))
+        assert np.array_equal(_dense(state).amplitudes, reduce(np.kron, particles))
 
 
 def test_scenario_run_releases_the_registers_its_trials_shared():

@@ -14,6 +14,7 @@ from quditsum import (
     ScenarioConfig,
     derive_trial_stream,
     fabricate_rounds,
+    fake_particle,
     prepare_rounds,
     run_protocol,
     run_scenario,
@@ -33,6 +34,7 @@ from quditsum.harness import (
     modified_detection_probability,
     modified_per_check_pass_probability,
 )
+from quditsum.protocol import RoundState
 
 
 def _cfg(scenario, trials=20, seed=7, **kw):
@@ -231,7 +233,7 @@ def test_eve_decoy_report_at_a_threshold_one_ulp_below_a_half(tmp_path, capsys):
     doc = json.loads(out.read_text())
     text = json.dumps(doc["per_trial"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ca5add97782d12c8a6b62b791312bb64a31542fcae4116383da23f7a915736a3")
+        "87ec0eebc1f6da35356a1558f394363b1cb54b6b6f081afd79273aaa2f582d86")
     assert doc["aggregates"]["flagged"] == []
     assert doc["aggregates"]["detection_rate"]["oracle"] == pytest.approx(1 - 0.36**2, abs=1e-15)
     assert "outside 4 sigma" not in capsys.readouterr().out
@@ -308,17 +310,38 @@ def test_run_protocol_record_after_a_decoy_abort():
             assert record[key] is None
 
 
-@pytest.mark.parametrize("d, n, forged", [(3, 3, False), (5, 4, False), (5, 2, True), (3, 3, True)])
+@pytest.mark.parametrize("d, n, forged", [(3, 3, False), (5, 4, False), (5, 2, True), (3, 3, True),
+                                          (5, 3, "without-P1")])
 def test_run_protocol_rejects_rounds_that_do_not_fit(d, n, forged):
-    # rounds dealt for other sizes must fail before the first draw: run on,
-    # they write a wrong record or break mid-run after the decoys
+    # rounds dealt for other sizes, or a forged round that leaves P1 out,
+    # must fail before the first draw: run on, they write a wrong record or
+    # break mid-run after the decoys
     other = ProtocolConfig(d=d, n=n, m=1)
     rounds = fabricate_rounds(other, (1,)) if forged else prepare_rounds(other)
+    if forged == "without-P1":
+        rounds = [RoundState(tuple((fake_particle(d, 1), (i,)) for i in range(2, n + 1)), r=1)]
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=r"^round 0 does not fit d=5, n=3$"):
         run_protocol(ProtocolConfig(d=5, n=3, m=1, decoy_count=2), 0, ((1,), (2,), (3,)), rounds, rng)
     assert rng.bit_generator.state == state
+
+
+def test_run_protocol_sums_a_mix_of_genuine_and_forged_rounds():
+    # every round is held by P1..Pn, so genuine and forged rounds mix in one
+    # list: the sum is right, the forged round still gives its digits away,
+    # and nothing is reported recovered unless every surviving round is forged
+    cfg = ProtocolConfig(d=5, n=3, m=2, decoy_count=4)
+    rounds = prepare_rounds(cfg, count=1) + fabricate_rounds(cfg, (2,))
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        secrets = tuple(tuple(int(x) for x in row) for row in rng.integers(0, 5, size=(3, 2)))
+        record = run_protocol(cfg, 0, secrets, rounds, rng)
+        assert record["fake_r"] == [None, 2]
+        assert record["sum"] == [sum(column) % 5 for column in zip(*secrets)]
+        assert record["sum_correct"] is True
+        assert [row[1] for row in record["announced"]] == [(2 + k[1]) % 5 for k in secrets[1:]]
+        assert record["recovered"] is None and record["recovery_success"] is None
 
 
 def test_reports_are_reproducible_bit_for_bit():
@@ -338,9 +361,9 @@ def test_reports_are_reproducible_bit_for_bit():
 GOLDEN_DIGESTS = {
     "honest": "23cbd088b48090dc6640e539f29c6c8538a73b1cea9a822563632b2053a8d291",
     "iqft-attack": "74b60b8c71c7d46b1e916d285921f645a6355c5587b5c3742d3573a9182fe5f1",
-    "modified-honest": "15e81155841ebd78c8ba4a2f0a0ff4ac29599a10c0b78d548ff6e5ea3fda80ac",
-    "modified-attack": "c0d1954ab408b4934205a43973993f88086e575e2f4b54abb4898b0ef20610fb",
-    "eve-decoy": "b89dbe20bf33a1155bb928b5ec3891bcf8ca7287907c57daae90db4d1a915b60",
+    "modified-honest": "1b01c950393c3eb29f4707300d0ea1a1d55cd6d4c3d425dcd16447b2446754d0",
+    "modified-attack": "8d0b058ca6cb6bfab7ee1fc6b4615cafc3d9772b80d4a65890af4d733aec36ce",
+    "eve-decoy": "af31ccac9858f18391d514f7749f68452382ead66b32d67d39919c0f419429fa",
 }
 
 
@@ -357,9 +380,9 @@ def test_per_trial_golden_digest(scenario):
 GOLDEN_DIGESTS_WIDE = {
     "honest": "03f9ba93b2320ea2bdbe6dc944b9540f2105ed890b4db90cd2f5f285b55c6b2c",
     "iqft-attack": "68407d525fe6dc40d4f1a0c3b7550e2d00d6a7a0a700d7d2e35e57e3f790590e",
-    "modified-honest": "cfbf284c49eaa479b917e6f86d7d8ecc55b5f5e26db6e700e606a253c490454a",
-    "modified-attack": "a1eebbd7e9d1c8804d20bcc4be65e56fcb1a1bbc8daf999b7c3ccbd12551a90d",
-    "eve-decoy": "8cc523c76945449de7833402920bc1656f819de7ba094fdfa0c6bd6c02a7bbc8",
+    "modified-honest": "9e11c52e28af544d4c62ca6b1a7b42c428ea955b4eeabaa615aed1d89c55d489",
+    "modified-attack": "e9fe2d78697a1d12881b796bb3fcc3fd5354aca3470b1b230a81ac8013d47ca4",
+    "eve-decoy": "e1d88a442e06cb3409d2d3c503c028d5e8a83312b584a3455ffe42891a95424f",
 }
 
 
@@ -395,16 +418,16 @@ REPORT_CONFIGS = {
     "no-decoys": (ProtocolConfig(d=3, n=3, m=1, decoy_count=0), 2, 30),
 }
 GOLDEN_REPORT_DIGESTS = {
-    ("small-mix-0.3", "honest"): "d3e5c256035a8057c96914e8c012b37d4fdc60b04faf887a1932c1d507fcbf33",
-    ("small-mix-0.3", "iqft-attack"): "84999205ee11153c1862d13aa36f0dbeea8797e73e20fc84ddaa70394302295b",
-    ("small-mix-0.3", "modified-honest"): "3475ae192556978721a35fa7e40c37acd69846b3c50c8d8ba0805f7ce3eada57",
-    ("small-mix-0.3", "modified-attack"): "67e7c0e1589bc70908d1dd4cc92eb305b4208d120125d3ca792d77c14097b3b9",
-    ("small-mix-0.3", "eve-decoy"): "6d4cad5a94fac817e0ffea71284bc8ff7807c31b1329c0450077ac12315fc682",
-    ("no-decoys", "honest"): "f67a69d8ec98b4fec586395048ca1f1d6ba01bcd7d380fc42c9b01f129f473b4",
-    ("no-decoys", "iqft-attack"): "58c08fa9d763f3f19104d59d75722f641f729c389161e473531028efb0cf46d6",
-    ("no-decoys", "modified-honest"): "b6c8d8169193d8e3594a3d4343ec76bd42bcf146b5d1c0b44d40a91948b3eaa5",
-    ("no-decoys", "modified-attack"): "b970de91d1bbe904339c66cda425f0de4f5d6f2ed8a30a8000f32e073568a0fb",
-    ("no-decoys", "eve-decoy"): "b9d85f595f42575f41e12496d53abcde73083fc992b5acd810d63aae24729af3",
+    ("small-mix-0.3", "honest"): "b332be9ec1950545f4d9e7a521d641eeb81a807a7a5910db7a6bcce21c236bb1",
+    ("small-mix-0.3", "iqft-attack"): "2bb951504d9626a4ea66f387c6934fc5e74a9399129583b78dbc2f787eea4e94",
+    ("small-mix-0.3", "modified-honest"): "32ff61d17dce2f189e8bd2844fe9b26bda3f451749254dd9a3e1fc7e30bc4c52",
+    ("small-mix-0.3", "modified-attack"): "3984571c6d96b8ca46da208b27591c67b4842fdd88cf4cb3b29b5d4c104b99ab",
+    ("small-mix-0.3", "eve-decoy"): "d7ab5f90bf379167119620f3bef6eb9e1768ecc127169d1c6d2c048c7ec95f5d",
+    ("no-decoys", "honest"): "956abf9eabdd0673392622e03354c223f0d1cc137bc80d0c0dee9ccbf459550c",
+    ("no-decoys", "iqft-attack"): "60affa6cb8bc76a61f3b6d438fc6b43052e1d3de2515fefda3769936f19f5e41",
+    ("no-decoys", "modified-honest"): "16bfec557a2cb8d505b7e46347fc386acd9f6a7109b179d543e1af3a8300b444",
+    ("no-decoys", "modified-attack"): "19b92755074528d78b09d2d09dea024b39135a6562d8bd6f95d0f33970e27c6c",
+    ("no-decoys", "eve-decoy"): "e72489e96ee6204559c3ccc4c826ed092398710f9729f8354fe15540a690fb72",
 }
 
 
@@ -441,39 +464,39 @@ WIDE_REGISTER_SCENARIOS = ("honest", "modified-honest", "eve-decoy")
 # SHA-256 over each run's report text, minus its duration_seconds line,
 # followed by its stdout with the elapsed time and the report path masked
 DETERMINISM_DIGESTS = {
-    ("small-mix", "honest"): "4988b100c9d854781b87269591ea2c1feb1156b8e16aa0f5d1842d4362f13101",
-    ("small-mix", "iqft-attack"): "b654a3d944c9e17930007e316574a696c8e167c0a3ceae9851e2a4c8abb25044",
-    ("small-mix", "modified-honest"): "49fe0df3f0510ac81e83c9db8c1d2c93d756d2e2c200e410b3f7da01e4404291",
-    ("small-mix", "modified-attack"): "7f74c044fe7b7f8794599686883c0203ffac77f57cbc1a97f37bb38a7acafede",
-    ("small-mix", "eve-decoy"): "1d8ce7220ed91079ddc76fb1cf0accc8b7424caa735c9f11731c839734b1f092",
-    ("d7-n4", "honest"): "fd65214aa32f9f98a6e536887ec00112e3a6dda837831ed657b17b416b7e8ebe",
-    ("d7-n4", "iqft-attack"): "3a9c1fbd78c85ebca36600c01866c4e4144406e2427584e2fd8a56cba62b3086",
-    ("d7-n4", "modified-honest"): "2845131e1ae09f07d94bb06b6a1a30e05fcc4218eb5e50e8a0cbe60f3ba2da53",
-    ("d7-n4", "modified-attack"): "999edc59d3499f16c2b811c5d6378fa8408cb75902344ac51302a85a74b35317",
-    ("d7-n4", "eve-decoy"): "df705bc511746e1fe8e36730c95351579101dbee288f111801a0f2529b9c1af5",
-    ("d2-n2", "honest"): "ef6c5108adb5ba63a332bb7981ebd6387108bf7c5dca53e006e109b982e775ef",
-    ("d2-n2", "iqft-attack"): "993b7494c0a2031ec4fa5470c796ac1cee241006fb126ce4d1cc1eec0751e8cc",
-    ("d2-n2", "modified-honest"): "2322b644271da3efb073a0c15e0503887f1b10687984dd0f1c534949342305b3",
-    ("d2-n2", "modified-attack"): "cbd6612573649904a1a4f1fdfb6072e7a3c4ff05dbb2d650a49c18ef40ccb1b1",
-    ("d2-n2", "eve-decoy"): "958f96be303a8662bf67f9debd9a6ec5b76604f577328363fad10ae3c8fc92d6",
-    ("d10-n5", "honest"): "85fa3a26a43cabac7468d71017c3730c09c4fd60ce7dead66c249e0350be7c3b",
-    ("d10-n5", "iqft-attack"): "b598d3d6415c1abff2ad5f714c5fc17a90d53b8a496f2bc75bcbc518750e7065",
-    ("d10-n5", "modified-honest"): "c4163e286fafa1a67af0219c1d5135b404ba32e4930ce205068fd8bd88ff59f1",
-    ("d10-n5", "modified-attack"): "71f95941c47fb5c4e08d33dd2a65061a78dda26a3483080fa0a04581f7b2e305",
-    ("d10-n5", "eve-decoy"): "f153a7f32533b8c857a716c38318e64f19aaa45f5b789f0999a5218b3b07037a",
-    ("no-decoys", "honest"): "85d10ec6b1cd18327aa25d57d51709d9fdd6b1dc37d5ce0ed93b65385a89baf6",
-    ("no-decoys", "iqft-attack"): "7440bdffbe6996db425436439f617749fc4756abf8663ba149b57d0a623de238",
-    ("no-decoys", "modified-honest"): "ce3c99d59432bd594e4cf257ea0d06e3c6391ceefd89f619f7e483b04dde4b1e",
-    ("no-decoys", "modified-attack"): "620ddee3038470bbd958be8c2b31b61888f3e07ac7cc68e11a5fb4733860d487",
-    ("no-decoys", "eve-decoy"): "3966413525d6b40913e2ca8a487acf65c70fac846565dea1f87d30429f7249b0",
-    ("fixed-secrets", "honest"): "45ec203e37caae907c27132d2535ed3c7c818f607dd7a7ccd9293fb91ae99182",
-    ("fixed-secrets", "iqft-attack"): "a31c8a0a824534ea8e4c75f49270c09ba2e6749e4dc1c2f7332e9c256ed6c809",
-    ("fixed-secrets", "modified-honest"): "3a0d99d903cad9e2513b8478fa6d12d637d9c9c4fefbecb05f42fadc22af9a23",
-    ("fixed-secrets", "modified-attack"): "bba29aeabf9249a474a411b666c0a138bb82034c4179f904c7fd8740042b786f",
-    ("fixed-secrets", "eve-decoy"): "3da4835badfd9a0b339bc1ed5f85d22b3b92920254b30e234b50e5fe5b086dba",
-    ("wide-register", "honest"): "df0525de8609870162818e4b39074ea86f27bc02bb19b352b2d7c929bd2eb777",
-    ("wide-register", "modified-honest"): "2e263122eb981a3f10e8639ec130887a3b5090795a14224acd9c57377ba8f20d",
-    ("wide-register", "eve-decoy"): "8c998d69ee43f56736e8a1c6c202d113c137aff64953ec3e6c419478ff1bb460",
+    ("small-mix", "honest"): "a0ff7c7e23964ef8da8996b6f74a223d8032c3be6cdf7aa9a38c8b61ab89a53a",
+    ("small-mix", "iqft-attack"): "62dd68385ad50b4048564cafd23e6ba38bfe2ef17089881bd5959dd6d2760dbb",
+    ("small-mix", "modified-honest"): "8267a9a6d3966fd43405edbd878273a61bdeb40ebe0b2ece9356b6c9a7a502d4",
+    ("small-mix", "modified-attack"): "e486816d91add7f2e21a60f2869fed0c5f64699c2e7b7226abacc105f421bd30",
+    ("small-mix", "eve-decoy"): "5c006c632bba168120c61c6ac81d4a173b8e1cad1307e8ab28ab33f9ca4756aa",
+    ("d7-n4", "honest"): "4c9312f7169d8a00672d75f6e6b05f608aa5c5121f609d86f1755c4b1a65f45d",
+    ("d7-n4", "iqft-attack"): "f9790dfb86c0c17e8db11c0be6e1e847fef6c4bdba4aacdc54e22e1e89a0dbfb",
+    ("d7-n4", "modified-honest"): "925389ed50d642acb6a1577cc528507a66d41aa6c77244c4a3669cea2384d30c",
+    ("d7-n4", "modified-attack"): "c80b22a57b50ac8167e033ae9cdda101577a5ca22aeed654a0205d830a372d19",
+    ("d7-n4", "eve-decoy"): "ea1178929c52dead41cff18fff39998b4f84e8c190cc99f1ed51e841cc20dbb3",
+    ("d2-n2", "honest"): "977e415a5aa1601e980d13cd368c5a1d97001440629da3d0ce5eece18ce8efaf",
+    ("d2-n2", "iqft-attack"): "d4f449ceb6efcc854a4c4ce3529b9b1cdc816d7d6ed65e74f8e3c30a82ddb76e",
+    ("d2-n2", "modified-honest"): "32fc5187ddcd82aa2fee03f02284c44e75954888fa94568fc6fed29dd2479291",
+    ("d2-n2", "modified-attack"): "39d3a1b7d5442cf834c1bae81426a992ff23c27c5da3e676ad7f9e44324d2af0",
+    ("d2-n2", "eve-decoy"): "ae717f7c6ef125d272492fc4c546fecb25220b683c1c698a56d0b974ba1bed1b",
+    ("d10-n5", "honest"): "60f6758bfa9ab25d14952c2ae50e043b487ef67ead81756ea76e4561499f7d40",
+    ("d10-n5", "iqft-attack"): "f4672045f1bb4ad85019c2ce3824f4fd5b0e90896ec84bad854fb8a507341a17",
+    ("d10-n5", "modified-honest"): "1cab8dee66349b7202603b28da54cbe899b5257c6968d327d092cad5447b1529",
+    ("d10-n5", "modified-attack"): "74bec0ac826535a42249fdb4ba441375b7b826ec1125f4bdd4e4e2dcfb053511",
+    ("d10-n5", "eve-decoy"): "8d53df578e7fac59cc3e83cd057d7c570545a7c88445ace75102ef204a65baec",
+    ("no-decoys", "honest"): "aa7af074ff82f719d3d0ec7bbedfaf460d8d0aa50c538a81445cc7bfd1feb7f1",
+    ("no-decoys", "iqft-attack"): "74f5283ee2a4d4ccda726490e4f3c5cf10134e5bd69fd7e2158ecaf87bbdcf1c",
+    ("no-decoys", "modified-honest"): "3ee1c9c4aa44e5db9e9b28948597613879f4c3bbc1ad8c17352698112270b9dc",
+    ("no-decoys", "modified-attack"): "61d55b3317e46e91712c8bceb1d61aa8f95168afbf43e386a7c6b465866f43bd",
+    ("no-decoys", "eve-decoy"): "981eb2260e7759f7036f9fae2bf4ec304b4b2b63cdfe52fe255e3afb147d517f",
+    ("fixed-secrets", "honest"): "da04c24779d34ddad2d016c1df4f0246eb4aff87091f829a4c6b775ab2a61d64",
+    ("fixed-secrets", "iqft-attack"): "6c2628ad5a31fd61399c529d4bbc7fdfa6d70ef4d0c2d68e5748154471388763",
+    ("fixed-secrets", "modified-honest"): "93244d70023c1019afa7e4966086e1c7c53a1c0f269fe311de85abc59e950a1a",
+    ("fixed-secrets", "modified-attack"): "a9d236b0b054da9d9f438d5d2dcb428f2549c7d04ba66352ae5587b2eccde489",
+    ("fixed-secrets", "eve-decoy"): "9403f7b119a1a5e013903c9405521708401a516605f763c422954f1330d0bf09",
+    ("wide-register", "honest"): "a2681fe342f70de0cbf2c007dc0f76ef80c89e6c6cea849ef96c1441695766e5",
+    ("wide-register", "modified-honest"): "391dd1c68e1411bd09ccc1c86984d24dd112c5ec3827eed42ec96a005c11fdc3",
+    ("wide-register", "eve-decoy"): "761154779d01af1527d55a31a1c84ce6633f6effa16bc728a3c291a6f5d1fda2",
 }
 
 
@@ -619,17 +642,19 @@ def test_cli_without_command_exits_2(capsys):
 
 
 def test_band_accepts_seed_209_small_mix_detection():
-    # 16 of 20 forgeries detected against an oracle of 0.9802: the lower
-    # tail is 5.8e-4, unusual but well inside the 4 sigma tail mass
+    # 18 of 20 forgeries detected against an oracle of 0.9802: the lower
+    # tail is 0.059, well inside the 4 sigma tail mass
     cfg = ScenarioConfig("modified-attack", ProtocolConfig(d=5, n=3, m=4, decoy_count=16),
                          eta=6, trials=20, master_seed=209)
     aggregates = run_scenario(cfg)["aggregates"]
-    assert aggregates["detection_rate"]["value"] == 0.8
+    assert aggregates["detection_rate"]["value"] == 0.9
     assert aggregates["detection_rate"]["within_4_sigma"] is True
     assert aggregates["flagged"] == []
 
 
 def test_band_flags_low_tail_and_missed_certainty():
+    # 16 of 20 has a lower tail of 5.8e-4: unusual but inside the band
+    assert _rate_entry(16, 20, modified_detection_probability(5, 3, 6))["within_4_sigma"] is True
     assert _rate_entry(14, 20, 0.9802)["within_4_sigma"] is False
     assert _rate_entry(19, 20, 1.0)["within_4_sigma"] is False
     assert _rate_entry(0, 20, 0.0)["within_4_sigma"] is True

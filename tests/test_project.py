@@ -1,8 +1,8 @@
 """The README and pyproject.toml agree with the package they describe,
 the package modules import nothing they leave unused, define nothing
 public that no module reads, and reach no private name of one another
-outside a short allowlist, and every measurement samples its outcome in
-one place."""
+outside a short allowlist, every measurement samples its outcome in one
+place, and no random draw is thrown away."""
 
 import argparse
 import ast
@@ -126,6 +126,26 @@ def test_one_kernel_samples_every_measurement():
     # draw a different outcome from the same uniform
     sources = [p.read_text() for p in (ROOT / "src" / "quditsum").glob("*.py")]
     assert sum(_reads(source, "_sample") for source in sources) == 1
+
+
+def _discarded_draws(source: str) -> list[int]:
+    """Lines of the statements that are a bare rng.<method>(...) call, its result thrown away."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and isinstance(node.value.func.value, ast.Name) and node.value.func.value.id == "rng"]
+
+
+def test_discarded_draw_finder_sees_bare_calls():
+    source = "rng.choice(5, size=2)\nx = rng.random()\nf(rng.integers(2))\nif x:\n    rng.random(3)\nother.random()\n"
+    assert _discarded_draws(source) == [1, 5]
+
+
+def test_no_draw_is_discarded():
+    # a draw nobody reads only moves every later draw of the stream
+    found = [f"{p.name}:{line}" for p in sorted((ROOT / "src" / "quditsum").glob("*.py"))
+             for line in _discarded_draws(p.read_text())]
+    assert found == []
 
 
 def _public_defs(source: str) -> list[str]:

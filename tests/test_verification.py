@@ -157,12 +157,11 @@ def test_honest_check_v2_all_agree(d, n):
 
 
 def test_execute_check_rejects_unknown_basis():
-    state = prepare_rounds(ProtocolConfig(d=3, n=3, m=1))[0]
     check = {"position": 0, "chooser": 2, "basis": "V3"}
     with pytest.raises(ValueError, match="V3"):
         check_rotations(3, [check])
     with pytest.raises(ValueError, match="V3"):
-        execute_check(state, check, [0, 0, 0])
+        execute_check(check, [0, 0, 0], 3)
 
 
 @pytest.mark.parametrize("forged", [False, True])
@@ -186,8 +185,8 @@ def test_check_record_is_the_check_plus_its_transcript(forged, basis):
 
 
 def test_adaptive_dealer_always_passes_v1():
-    # the dealer knows r and announces -(n-1) r mod d before anyone else;
-    # the honest results are deterministic, so this never fails
+    # the dealer reads -(n-1) r mod d off his own qudit and announces it
+    # first; the honest results are deterministic, so this never fails
     rng = np.random.default_rng(4)
     for d, n in [(2, 2), (5, 3), (10, 4)]:
         cfg = ProtocolConfig(d=d, n=n, m=1)
@@ -200,8 +199,8 @@ def test_adaptive_dealer_always_passes_v1():
 
 
 def test_adaptive_dealer_v2_pass_rate_is_d_to_one_minus_n():
-    # honest Fourier-image results on a forged |r> are uniform i.i.d.;
-    # the dealer announces first, so nothing beats d^(1-n)
+    # every Fourier-image readout of a forged round, the dealer's too, is
+    # uniform i.i.d.; he announces first, so nothing beats d^(1-n)
     d, n, trials = 5, 3, 4000
     cfg = ProtocolConfig(d=d, n=n, m=1)
     rng = np.random.default_rng(55)
@@ -227,24 +226,26 @@ def test_honest_result_on_forged_state_is_uniform_in_v2():
 def test_dealer_announcement_is_the_best_on_either_check(d, n):
     # exact pass law of each of the d announcements P1 can make on a forged
     # round, from the amplitudes each owner reads under check_rotations:
-    # nothing beats execute_check's own, and its mean over the two bases is
-    # the per-check oracle
+    # nothing beats announcing the readout of his own factor, and its mean
+    # over the two bases is the per-check oracle. His factor is independent
+    # of the others, so any announcement is a mixture of fixed ones
     cfg = ProtocolConfig(d=d, n=n, m=1)
     for r in range(d):
         state = fabricate_rounds(cfg, (r,))[0]
+        assert [owners for _, owners in state.factors] == [(i,) for i in range(1, n + 1)]
         passing = {}
         for basis in ("V1", "V2"):
             check = {"position": 0, "chooser": 2, "basis": basis}
             [rotation] = check_rotations(d, [check])
-            laws = [outcome_distribution(reg if rotation is None else
-                                         QuditRegister(d, 1, rotation @ reg.amplitudes), 0, BasisKind.V1)
-                    for reg, _ in state.factors]
+            dealer, *laws = [outcome_distribution(reg if rotation is None else
+                                                  QuditRegister(d, 1, rotation @ reg.amplitudes), 0, BasisKind.V1)
+                             for reg, _ in state.factors]
             best, own = np.zeros(d), 0.0
             for values in itertools.product(range(d), repeat=n - 1):
                 p = math.prod(law[v] for law, v in zip(laws, values))
                 best += [p * (v1_pass([a, *values], d) if basis == "V1" else v2_pass([a, *values]))
                          for a in range(d)]
-                own += p * execute_check(state, check, values)["passed"]
+                own += sum(p * dealer[a] * execute_check(check, [a, *values], d)["passed"] for a in range(d))
             assert own == pytest.approx(best.max(), abs=1e-15)
             passing[basis] = own
         assert passing["V1"] == pytest.approx(1.0, abs=1e-14)
