@@ -51,13 +51,15 @@ def fabricate_rounds(cfg: ProtocolConfig, r_choices) -> list[RoundState]:
     Fourier-image check, as good as any fixed one; k_1 - (n-1)r once
     encoded, cancelling the offsets in the sum. Every r must be an int in
     [0, d), checked by type first: True would pass the range check and
-    index the IQFT matrix as a mask.
+    index the IQFT matrix as a mask. A round is a value, so each
+    distinct r is built once per call and fills all of its positions.
     """
     for r in r_choices:
         require_int("fabrication value", r)
-    return [RoundState(tuple((fake_particle(cfg.d, r if i > 1 else -(cfg.n - 1) * r % cfg.d), (i,))
-                             for i in range(1, cfg.n + 1)), r=r)
-            for r in r_choices]
+    built = {r: RoundState(tuple((fake_particle(cfg.d, r if i > 1 else -(cfg.n - 1) * r % cfg.d), (i,))
+                                 for i in range(1, cfg.n + 1)), r=r)
+             for r in dict.fromkeys(r_choices)}
+    return [built[r] for r in r_choices]
 
 
 def eve_intercept_resend(rounds, receiver: int, decoys: np.ndarray, rng: np.random.Generator):

@@ -1,8 +1,10 @@
 """Protocol engine and seeded Monte Carlo runner for the five scenarios.
 
-run_protocol is the one protocol skeleton. A scenario picks its rounds
-(prepare_rounds or fabricate_rounds), eta (0 for the original protocol)
-and channel (clean, or intercept-resend on every particle).
+run_protocol is the one protocol engine: it runs a chunk of trials in
+lockstep, one decoy check and two read-outs for the chunk. A scenario
+picks its rounds (prepare_rounds or fabricate_rounds), eta (0 for the
+original protocol) and channel (clean, or intercept-resend on every
+particle).
 
 A scenario's JSON report is made from run_protocol's records alone: each
 gives one per_trial line and, through _COUNTS, its share of every rate.
@@ -11,9 +13,10 @@ outside the oracle's exact binomial band (either tail below the
 one-sided mass of 4 sigma) is flagged in the report.
 
 Every trial draws its randomness from a stream derived from
-(master_seed, trial_index) alone, so a report is reproducible
-bit-for-bit (apart from the wall-clock duration) and any single trial
-can be replayed without rerunning its predecessors.
+(master_seed, trial_index) alone, in the same order whatever chunk it
+runs in, so a report is reproducible bit-for-bit (apart from the
+wall-clock duration) and any single trial can be replayed without
+rerunning its predecessors.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import qudit
 from .adversary import eve_intercept_resend, fabricate_rounds, recover_secret_digit
 from .protocol import (
     ProtocolConfig,
@@ -172,80 +176,112 @@ def wilson_interval(successes: float, n: int) -> tuple[float, float]:
 # the protocol engine
 
 
-def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rng: np.random.Generator,
-                 eve: bool = False) -> dict:
-    """One run of the summation protocol, original (eta=0) or hardened; returns its record.
+def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rngs, eve: bool = False) -> list[dict]:
+    """A chunk of trials of the summation protocol, original (eta=0) or hardened, in lockstep; one record each.
 
-    rounds are the m+eta states the dealer hands out, genuine or forged,
-    each held by P1..Pn, of d levels each. With eve=True an
+    Trial t hands out rounds[t], the m+eta states the dealer made, genuine
+    or forged, each held by P1..Pn, of d levels each; it encodes
+    secrets[t] and draws from rngs[t] alone, in the order a lone trial
+    draws. Each trial inserts its decoys and, with eve=True, an
     intercept-resend eavesdropper measures every particle on every
-    channel, the payload before the decoys. Every receiver then checks its
-    decoys and the run aborts if any error rate exceeds the threshold.
-    Next eta positions are burnt on basis checks, aborting at the first
-    failure, and the m surviving rounds carry the secrets. One read_out
-    serves all checks and one all surviving rounds, so the checks after a
-    failed one are read out too: harmless, as the run then returns and
-    nothing reads its generator again.
+    channel, the payload before the decoys. One check_decoys call then
+    checks every receiver's decoys of every trial, and a trial aborts if
+    any error rate exceeds the threshold. Each trial left draws eta check
+    positions; one read_out serves every trial's checks, and a trial's
+    checks are judged in position order up to its first failure, which
+    aborts it. The checks after a failed one are read out too: harmless,
+    as that trial's generator is not read again. One last read_out
+    encodes the m unchecked rounds of every trial that passed. An abort
+    is a flag per trial: an aborted trial draws nothing more, and the
+    others go on.
 
-    The record holds the secrets and every per_trial key of any scenario, as the
+    A record holds the secrets and every per_trial key of any scenario, as the
     report writes it. detected means the run aborted; the keys of the encoding
     step are None then, and a failed basis check is the last entry of checks.
     announced holds the rows of P2..Pn, recovered the digits a forging dealer
     reads off them when every surviving round is forged (None otherwise, as is
     the fake_r entry of a genuine round).
     """
-    validate_secrets(cfg, secrets)
     require_int("eta", eta)
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    total = cfg.m + eta
-    if len(rounds) != total:
-        raise ValueError(f"got {len(rounds)} rounds, need m+eta={total}")
-    receivers = range(2, cfg.n + 1)
-    for j, state in enumerate(rounds):
-        if state.d != cfg.d or state.owners != (1, *receivers):
-            raise ValueError(f"round {j} does not fit d={cfg.d}, n={cfg.n}")
+    if not 0 < len(secrets) == len(rounds) == len(rngs):
+        raise ValueError(f"need secrets, rounds and a stream for each of one or more trials: "
+                         f"got {len(secrets)}, {len(rounds)} and {len(rngs)}")
+    total, receivers = cfg.m + eta, range(2, cfg.n + 1)
+    for trial_secrets, trial_rounds in zip(secrets, rounds):
+        validate_secrets(cfg, trial_secrets)
+        if len(trial_rounds) != total:
+            raise ValueError(f"got {len(trial_rounds)} rounds, need m+eta={total}")
+        for j, state in enumerate(trial_rounds):
+            if state.d != cfg.d or state.owners != (1, *receivers):
+                raise ValueError(f"round {j} does not fit d={cfg.d}, n={cfg.n}")
 
-    decoys, expected = insert_decoys(cfg, rng)
-    if eve:
-        for i in receivers:
-            rounds, decoys[i] = eve_intercept_resend(rounds, i, decoys[i], rng)
-    mismatches = [check_decoys(expected[i], decoys[i], rng) for i in receivers]
-    rates = [c / cfg.decoy_count if cfg.decoy_count else 0.0 for c in mismatches]
-    detected = any(_decoys_abort(c, cfg.decoy_count, cfg.error_threshold) for c in mismatches)
-    selected = [] if detected else select_checks(cfg, eta, rng)
-    announced = read_out([rounds[c["position"]] for c in selected], check_rotations(cfg.d, selected), rng)
-    checks = []
-    for check, values in zip(selected, announced):
-        checks.append(execute_check(check, values, cfg.d))
-        detected = not checks[-1]["passed"]
-        if detected:
-            break
-    record = {
-        "secrets": [list(s) for s in secrets], "fake_r": [state.r for state in rounds],
-        "decoy_error_rates": rates, "decoy_mismatches": sum(mismatches),
-        "decoys_checked": len(mismatches) * cfg.decoy_count,
-        "checks": checks, "checks_passed": all(c["passed"] for c in checks),
-        "checks_executed": len(checks), "detected": detected,
-        "announced": None, "recovered": None, "recovery_success": None,
-        "sum": None, "announced_sum": None, "sum_correct": None,
-    }
-    if detected:
-        return record
+    rounds, rows, values, v2, u = list(rounds), [], [], [], []
+    for t, rng in enumerate(rngs):
+        decoys, expected = insert_decoys(cfg, rng)
+        if eve:
+            for i in receivers:
+                rounds[t], decoys[i] = eve_intercept_resend(rounds[t], i, decoys[i], rng)
+        rows.append([decoys[i] for i in receivers])
+        values.append([expected[i][0] for i in receivers])
+        v2.append([expected[i][1] for i in receivers])
+        u.append(rng.random((cfg.n - 1, cfg.decoy_count)))
+    mismatches = check_decoys((np.array(values), np.array(v2)), np.array(rows), np.array(u)).tolist()
+    detected = [any(_decoys_abort(c, cfg.decoy_count, cfg.error_threshold) for c in row) for row in mismatches]
 
-    checked = {c["position"] for c in checks}
-    surviving = [state for pos, state in enumerate(rounds) if pos not in checked]
-    results = encode_rounds(surviving, secrets, rng)
-    r = [state.r for state in surviving]
-    if None not in r:
-        # the forging dealer subtracts r from every announced digit
-        recovered = [[recover_secret_digit(v, rj, cfg.d) for v, rj in zip(results[i], r)]
-                     for i in receivers]
-        record.update(recovered=recovered, recovery_success=recovered == record["secrets"][1:])
-    digits = compute_sum(results.values(), cfg.d)
-    record.update(announced=[results[i] for i in receivers], sum=digits, announced_sum=digits,
-                  sum_correct=digits == compute_sum(secrets, cfg.d))
-    return record
+    selected = [[] if aborted else select_checks(cfg, eta, rng) for aborted, rng in zip(detected, rngs)]
+    announced = iter(read_out([rounds[t][c["position"]] for t, trial in enumerate(selected) for c in trial],
+                              check_rotations(cfg.d, [c for trial in selected for c in trial]),
+                              _uniforms(rngs, [cfg.n * len(trial) for trial in selected])))
+    checks = [[] for _ in rngs]
+    for t, trial in enumerate(selected):
+        for check, readout in zip(trial, [next(announced) for _ in trial]):
+            checks[t].append(execute_check(check, readout, cfg.d))
+            if not checks[t][-1]["passed"]:
+                detected[t] = True
+                break
+
+    # each trial left encodes its unchecked rounds; participant i's digits of every such trial form one row
+    live = [t for t, aborted in enumerate(detected) if not aborted]
+    surviving = {}
+    for t in live:
+        checked = {c["position"] for c in checks[t]}
+        surviving[t] = [state for pos, state in enumerate(rounds[t]) if pos not in checked]
+    results = encode_rounds([state for t in live for state in surviving[t]],
+                            [[x for t in live for x in secrets[t][i]] for i in range(cfg.n)],
+                            _uniforms([rngs[t] for t in live], [cfg.n * cfg.m] * len(live)))
+    strings = {t: [results[i][k * cfg.m:(k + 1) * cfg.m] for i in range(1, cfg.n + 1)] for k, t in enumerate(live)}
+
+    records = []
+    for t, trial_secrets in enumerate(secrets):
+        rates = [c / cfg.decoy_count if cfg.decoy_count else 0.0 for c in mismatches[t]]
+        record = {
+            "secrets": [list(s) for s in trial_secrets], "fake_r": [state.r for state in rounds[t]],
+            "decoy_error_rates": rates, "decoy_mismatches": sum(mismatches[t]),
+            "decoys_checked": len(mismatches[t]) * cfg.decoy_count,
+            "checks": checks[t], "checks_passed": all(c["passed"] for c in checks[t]),
+            "checks_executed": len(checks[t]), "detected": detected[t],
+            "announced": None, "recovered": None, "recovery_success": None,
+            "sum": None, "announced_sum": None, "sum_correct": None,
+        }
+        records.append(record)
+        if detected[t]:
+            continue
+        r = [state.r for state in surviving[t]]
+        if None not in r:
+            # the forging dealer subtracts r from every announced digit
+            recovered = [[recover_secret_digit(v, rj, cfg.d) for v, rj in zip(row, r)] for row in strings[t][1:]]
+            record.update(recovered=recovered, recovery_success=recovered == record["secrets"][1:])
+        digits = compute_sum(strings[t], cfg.d)
+        record.update(announced=strings[t][1:], sum=digits, announced_sum=digits,
+                      sum_correct=digits == compute_sum(trial_secrets, cfg.d))
+    return records
+
+
+def _uniforms(rngs, counts) -> np.ndarray:
+    """counts[k] uniforms from rngs[k], for each k in turn, joined."""
+    return np.concatenate([np.empty(0), *(rng.random(count) for rng, count in zip(rngs, counts))])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +331,7 @@ def eve_detection_probability(d: int, n: int, decoy_count: int, threshold: float
 
 
 # ---------------------------------------------------------------------------
-# per-trial runners
+# per-trial draws before the engine
 
 
 def _trial_secrets(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
@@ -303,23 +339,14 @@ def _trial_secrets(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[tuple
         return cfg.secrets
     p = cfg.protocol
     # one (n, m) draw: the same digits and generator state as n draws of m digits
-    return tuple(tuple(int(x) for x in row) for row in rng.integers(0, p.d, size=(p.n, p.m)))
+    return tuple(map(tuple, rng.integers(0, p.d, size=(p.n, p.m)).tolist()))
 
 
 def _trial_plan(cfg: ScenarioConfig, rounds: int, rng: np.random.Generator) -> tuple[int, ...]:
     """The forging dealer's fabrication value r for each round."""
     if cfg.fake_r is not None:
         return (cfg.fake_r,) * rounds
-    return tuple(int(x) for x in rng.integers(0, cfg.protocol.d, size=rounds))
-
-
-def _run_trial(cfg: ScenarioConfig, eta: int, rounds, rng: np.random.Generator) -> dict:
-    """Draw secrets, then the forging plan if rounds is None; return run_protocol's record."""
-    p = cfg.protocol
-    secrets = _trial_secrets(cfg, rng)
-    if rounds is None:
-        rounds = fabricate_rounds(p, _trial_plan(cfg, p.m + eta, rng))
-    return run_protocol(p, eta, secrets, rounds, rng, eve=SCENARIOS[cfg.scenario].eve)
+    return tuple(rng.integers(0, cfg.protocol.d, size=rounds).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -393,22 +420,35 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 
     Trials are independent by construction (each gets its own derived
     stream), so the per-trial records depend only on the configuration
-    and the master seed, never on execution order or timing. A genuine
-    scenario prepares its m+eta rounds once, and every trial shares them;
-    they go when the run returns or raises, as nothing else holds them.
-    Each trial's record gives its per_trial line and adds its share of
-    every rate to running counts through _COUNTS; each oracle runs once.
+    and the master seed, never on execution order, chunking or timing.
+    The trials run through run_protocol in chunks whose rounds hold at
+    most qudit.STACK_CAP amplitudes: max(1, STACK_CAP // (d**n (m+eta)))
+    trials each. A genuine scenario prepares its m+eta rounds once, and
+    every trial shares them; they go when the run returns or raises, as
+    nothing else holds them. A forging dealer's rounds are fabricated once
+    per chunk, from its trials' plans joined. Each trial's record gives
+    its per_trial line and adds its share of every rate to running counts
+    through _COUNTS; each oracle runs once.
     """
     t0 = time.perf_counter()
     p, sc = cfg.protocol, SCENARIOS[cfg.scenario]
     eta = cfg.eta if sc.hardened else 0
-    shared = None if sc.forged else prepare_rounds(p, count=p.m + eta)
+    total = p.m + eta
+    shared = None if sc.forged else prepare_rounds(p, count=total)
+    chunk = max(1, qudit.STACK_CAP // (p.d**p.n * total))
     per_trial, counts = [], {name: [0, 0] for name in sc.aggregates}
-    for t in range(cfg.trials):
-        record = _run_trial(cfg, eta, shared, derive_trial_stream(cfg.master_seed, t))
-        per_trial.append({"trial": t, **{key: record[key] for key in ("secrets", *sc.record)}})
-        for name, total in counts.items():
-            total[:] = map(sum, zip(total, _COUNTS[name](record)))
+    for first in range(0, cfg.trials, chunk):
+        rngs = [derive_trial_stream(cfg.master_seed, t) for t in range(first, min(first + chunk, cfg.trials))]
+        secrets = [_trial_secrets(cfg, rng) for rng in rngs]
+        if shared is None:
+            forged = fabricate_rounds(p, [r for rng in rngs for r in _trial_plan(cfg, total, rng)])
+            rounds = [forged[k * total:(k + 1) * total] for k in range(len(rngs))]
+        else:
+            rounds = [shared] * len(rngs)
+        for t, record in enumerate(run_protocol(p, eta, secrets, rounds, rngs, eve=sc.eve), start=first):
+            per_trial.append({"trial": t, **{key: record[key] for key in ("secrets", *sc.record)}})
+            for name, count in counts.items():
+                count[:] = map(sum, zip(count, _COUNTS[name](record)))
     oracles = {name: _ORACLES[name](p, eta, sc.eve) for name in {*sc.aggregates, *sc.predictions}}
     aggregates = {name: _rate_entry(*counts[name], oracles[name]) for name in sc.aggregates}
     aggregates["flagged"] = [name for name, entry in aggregates.items() if entry["within_4_sigma"] is False]

@@ -12,8 +12,9 @@ guarantees the announced digits sum to the digit-wise sum of all the
 secrets while each single announcement stays uniformly distributed.
 
 Participants are numbered 1-based; P1..Pn hold the qudits of a genuine
-round's shared register in order. read_out reads many rounds in lockstep,
-its uniforms drawn up front.
+round's shared register in order. read_out reads many rounds in lockstep
+and check_decoys many decoy sequences at once, each against the
+uniforms its caller drew.
 """
 
 from __future__ import annotations
@@ -124,17 +125,18 @@ class RoundState:
         return value, RoundState((*factors, (particle, (participant,))), self.r)
 
 
-def read_out(rounds, rotations, rng: np.random.Generator) -> list[list[int]]:
+def read_out(rounds, rotations, u: np.ndarray) -> list[list[int]]:
     """Every owner's V1 readout of every round in participant order, one list per round.
 
     rotations[j] is None or the d x d unitary (one for all, or one per
-    owner) the owners of rounds[j] apply first. One rng.random draw up
-    front gives every owner its uniform, in round then participant order
-    as a per-owner loop draws them. Factors of equal qudit count are
-    stacked, up to qudit.STACK_CAP amplitudes, and read one qudit a step.
+    owner) the owners of rounds[j] apply first. u holds the uniform of
+    every owner, in round then participant order, as the caller drew
+    them. Factors of equal qudit count are stacked, up to
+    qudit.STACK_CAP amplitudes, and read one qudit a step.
     """
     owners = [state.owners for state in rounds]
-    u = rng.random(sum(map(len, owners)))
+    if len(u) != sum(map(len, owners)):
+        raise ValueError(f"got {len(u)} uniforms for {sum(map(len, owners))} owners")
     d = rounds[0].d if rounds else 2
     mats, rotated = np.zeros((len(u), d, d), dtype=np.complex128), np.zeros(len(u), dtype=bool)
     mats[:, range(d), range(d)] = 1
@@ -212,32 +214,40 @@ def insert_decoys(cfg: ProtocolConfig, rng: np.random.Generator):
     return dict(zip(receivers, basis_rows(cfg.d, values, v2))), dict(zip(receivers, zip(values, v2)))
 
 
-def check_decoys(expected, rows: np.ndarray, rng: np.random.Generator) -> int:
-    """Measure each received decoy row in its preparation basis.
+def check_decoys(expected, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Measure each received decoy row in its preparation basis; count each sequence's mismatches.
 
-    expected is the (values, v2) pair insert_decoys recorded. Returns the
-    number of mismatches: 0 exactly when the channel was untouched, since
-    both |r> and QFT|r> are eigenstates of their own measurement. All
-    decoys are measured as one array, against one uniform each in order.
+    expected is the (values, v2) pair insert_decoys recorded for one
+    receiver, of shape (N,), or such pairs stacked to shape (..., N).
+    rows holds the (..., N, d) received rows and u the uniform the
+    caller drew for each, in order. Returns the (...) mismatch counts:
+    0 exactly where the channel was untouched, since both |r> and
+    QFT|r> are eigenstates of their own measurement. All decoys are
+    measured as one array.
     """
     values, v2 = expected
-    if np.ndim(rows) != 2:
-        raise ValueError(f"decoys must be an (N, d) array of rows, got shape {np.shape(rows)}")
-    if len(rows) != len(values):
-        raise ValueError(f"got {len(rows)} decoy rows for {len(values)} expected values")
-    return int(np.count_nonzero(measure_rows(rows, v2, rng.random(len(values))) != values))
+    rows, shape = np.asarray(rows), np.shape(values)
+    if rows.shape[:-1] != shape:
+        raise ValueError(f"decoys must be an array of rows, one per value: got shape {rows.shape} "
+                         f"for {np.size(values)} expected values of shape {shape}")
+    if np.shape(u) != shape:
+        raise ValueError(f"got uniforms of shape {np.shape(u)} for expected values of shape {shape}")
+    d = rows.shape[-1]
+    outcomes = measure_rows(rows.reshape(-1, d), np.reshape(v2, -1), np.reshape(u, -1)).reshape(shape)
+    return np.count_nonzero(outcomes != values, axis=-1)
 
 
-def encode_rounds(rounds, secrets, rng: np.random.Generator) -> dict[int, list[int]]:
+def encode_rounds(rounds, secrets, u: np.ndarray) -> dict[int, list[int]]:
     """Encode every owner's digit (QFT, then the shift by it) and read every round out.
 
     secrets[i-1] belongs to participant i; digit j goes on the j-th round
-    of the list. Only participants holding a qudit get a result string.
+    of the list. u holds every owner's uniform, as read_out takes them.
+    Only participants holding a qudit get a result string.
     """
     rotations = [[encode_matrix(state.d, secrets[i - 1][j]) for i in state.owners]
                  for j, state in enumerate(rounds)]
     results: dict[int, list[int]] = {}
-    for state, values in zip(rounds, read_out(rounds, rotations, rng)):
+    for state, values in zip(rounds, read_out(rounds, rotations, u)):
         for i, value in zip(state.owners, values):
             results.setdefault(i, []).append(value)
     return results

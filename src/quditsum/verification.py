@@ -37,16 +37,18 @@ def select_checks(cfg: ProtocolConfig, eta: int, rng: np.random.Generator) -> li
     Positions are distinct, drawn uniformly from the m+eta prepared
     states. Shares are balanced across the n-1 choosers, remainders going
     to the lowest-indexed ones. Each chooser picks an independent uniform
-    basis, "V1" or "V2", per check, chooser by chooser. Returned as
-    {"position", "chooser", "basis"} records in execution (position) order.
+    basis, "V1" or "V2", per check, chooser by chooser, all in one draw
+    of eta bits. Returned as {"position", "chooser", "basis"} records in
+    execution (position) order.
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
     positions = rng.choice(cfg.m + eta, size=eta, replace=False)
     base, rem = divmod(eta, cfg.n - 1)
     choosers = [c for c in range(2, cfg.n + 1) for _ in range(base + (1 if c - 2 < rem else 0))]
-    checks = [{"position": int(pos), "chooser": chooser, "basis": "V2" if rng.integers(2) else "V1"}
-              for pos, chooser in zip(positions, choosers)]
+    bases = rng.integers(2, size=eta)
+    checks = [{"position": int(pos), "chooser": chooser, "basis": "V2" if bit else "V1"}
+              for pos, chooser, bit in zip(positions, choosers, bases)]
     return sorted(checks, key=lambda c: c["position"])
 
 

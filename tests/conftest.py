@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from quditsum import BasisKind, QuditRegister, apply_iqft, execute_check
+from quditsum import BasisKind, QuditRegister, apply_iqft, execute_check, run_protocol
 from quditsum.protocol import read_out
 from quditsum.qudit import _apply_single, _check_cap, _qft_matrix, _split, encode_matrix
 from quditsum.verification import check_rotations
@@ -93,6 +93,17 @@ def random_secret(d: int, m: int, rng: np.random.Generator) -> tuple[int, ...]:
     return tuple(int(x) for x in rng.integers(0, d, size=m))
 
 
+def owner_uniforms(rounds, rng: np.random.Generator) -> np.ndarray:
+    """One uniform per owner of every round, in the order read_out reads them."""
+    return rng.random(sum(len(state.owners) for state in rounds))
+
+
 def run_check(state, check: dict, rng: np.random.Generator) -> dict:
     """One check as run_protocol runs it: the round read out with the check's rotation, then the verdict."""
-    return execute_check(check, read_out([state], check_rotations(state.d, [check]), rng)[0], state.d)
+    return execute_check(check, read_out([state], check_rotations(state.d, [check]), owner_uniforms([state], rng))[0],
+                         state.d)
+
+
+def run_one(cfg, eta: int, secrets, rounds, rng: np.random.Generator, eve: bool = False) -> dict:
+    """One trial through the lockstep engine: a chunk of one."""
+    return run_protocol(cfg, eta, [secrets], [rounds], [rng], eve)[0]

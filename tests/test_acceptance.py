@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from conftest import (
     apply_qft, apply_shift, assert_within_4sigma, basis_state, outcome_distribution,
-    random_register, random_secret,
+    random_register, random_secret, run_one,
 )
 
 from quditsum import (
@@ -31,7 +31,6 @@ from quditsum import (
     insert_decoys,
     omega_state,
     prepare_rounds,
-    run_protocol,
     run_scenario,
 )
 from quditsum.cli import main
@@ -55,11 +54,11 @@ def test_c01_worked_example_exact():
         cfg = ProtocolConfig(d=10, n=3, m=1)
         secrets = ((4,), (5,), (6,))
 
-        honest = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), np.random.default_rng(0))
+        honest = run_one(cfg, 0, secrets, prepare_rounds(cfg), np.random.default_rng(0))
         assert honest["sum"] == [5]
 
         forged = fabricate_rounds(cfg, (2,))
-        attack = run_protocol(cfg, 0, secrets, forged, np.random.default_rng(1))
+        attack = run_one(cfg, 0, secrets, forged, np.random.default_rng(1))
         assert attack["announced"] == [[7], [8]]  # P2, P3
         assert attack["recovered"] == [[5], [6]]
         assert attack["recovered"] == [list(secrets[i - 1]) for i in (2, 3)]
@@ -106,7 +105,7 @@ def test_c04_honest_sum_always_correct():
                     for rep in range(6):
                         rng = np.random.default_rng((d, n, m, rep))
                         secrets = tuple(random_secret(d, m, rng) for _ in range(n))
-                        result = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), rng)
+                        result = run_one(cfg, 0, secrets, prepare_rounds(cfg), rng)
                         expected = compute_sum(secrets, d)
                         assert result["sum"] == expected
                         trials += 1
@@ -122,7 +121,7 @@ def test_c05_attack_complete_and_stealthy():
                 rng = np.random.default_rng((5, d, n, m, rep))
                 secrets = tuple(random_secret(d, m, rng) for _ in range(n))
                 forged = fabricate_rounds(cfg, tuple(int(x) for x in rng.integers(0, d, size=m)))
-                result = run_protocol(cfg, 0, secrets, forged, rng)
+                result = run_one(cfg, 0, secrets, forged, rng)
                 successes += result["recovered"] == [list(secrets[i - 1]) for i in range(2, n + 1)]
                 assert result["decoy_error_rates"] == [0.0] * (n - 1)
             assert successes == 100
@@ -155,7 +154,7 @@ def test_c06_modified_honest_completeness():
         for t in range(1000):
             rng = np.random.default_rng((6, t))
             secrets = tuple(random_secret(5, 1, rng) for _ in range(3))
-            result = run_protocol(cfg, 10, secrets, prepare_rounds(cfg, count=11), rng)
+            result = run_one(cfg, 10, secrets, prepare_rounds(cfg, count=11), rng)
             assert not result["detected"]
             assert all(oc["passed"] for oc in result["checks"])
             checks_seen += len(result["checks"])
@@ -213,7 +212,7 @@ def test_c08_eve_disturbance_rate():
                 rng = np.random.default_rng((8, d, rep))
                 rows, expected_values = insert_decoys(cfg, rng)
                 _, resent = eve_intercept_resend([], 2, rows[2], rng)
-                mismatches += check_decoys(expected_values[2], resent, rng)
+                mismatches += check_decoys(expected_values[2], resent, rng.random(len(resent)))
                 checked += cfg.decoy_count
             assert checked >= 10_000
             expected = 0.5 * (1.0 - 1.0 / d)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     apply_encode, apply_qft, apply_shift, approx_equal, assert_within_4sigma, basis_state,
-    outcome_distribution, random_secret,
+    outcome_distribution, random_secret, run_one,
 )
 
 from quditsum import (
@@ -23,7 +23,6 @@ from quditsum import (
     omega_state,
     prepare_rounds,
     recover_secret_digit,
-    run_protocol,
 )
 from quditsum.harness import _within_band
 from quditsum.qudit import _iqft_matrix, _qft_matrix
@@ -37,7 +36,7 @@ def _secrets(rows):
 
 def _attack(cfg, secrets, r_choices, rng):
     """The forging dealer against the original protocol; returns the run's record."""
-    return run_protocol(cfg, 0, secrets, fabricate_rounds(cfg, r_choices), rng)
+    return run_one(cfg, 0, secrets, fabricate_rounds(cfg, r_choices), rng)
 
 
 def _uniform_r(d, rounds, rng):
@@ -202,7 +201,7 @@ def test_eve_disturbance_matches_oracle(d):
     for _ in range(60):
         rows, expected = insert_decoys(cfg, rng)
         _, resent = eve_intercept_resend([], 2, rows[2], rng)
-        mismatches += check_decoys(expected[2], resent, rng)
+        mismatches += check_decoys(expected[2], resent, rng.random(len(resent)))
         checked += cfg.decoy_count
     assert_within_4sigma(mismatches / checked, 0.5 * (1 - 1 / d), checked)
 
@@ -219,7 +218,7 @@ def test_eve_sum_correct_rate_matches_closed_form(d, n, m):
     trials, correct = 800, 0
     for _ in range(trials):
         secrets = tuple(random_secret(d, m, rng) for _ in range(n))
-        record = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), rng, eve=True)
+        record = run_one(cfg, 0, secrets, prepare_rounds(cfg), rng, eve=True)
         assert record["detected"] is False
         correct += record["sum_correct"]
     assert _within_band(correct, trials, oracle), (correct / trials, oracle)
@@ -277,7 +276,7 @@ def test_eve_sum_correct_rate_closed_form_from_amplitudes(d, n, sampled):
 def test_fabricate_rounds_share_one_register_per_fabrication_value(d, n):
     # each forged factor is a one-qudit, read-only fake_particle: a view of
     # row r of the cached IQFT matrix (row -(n-1)r for P1's), so rounds of
-    # equal r share one buffer per row
+    # equal r share one buffer per row, and indeed are one round
     cfg = ProtocolConfig(d=d, n=n, m=1)
     r_choices = tuple(int(x) for x in np.random.default_rng(d * n).integers(0, d, size=3 * d))
     rounds = fabricate_rounds(cfg, r_choices)
@@ -295,3 +294,10 @@ def test_fabricate_rounds_share_one_register_per_fabrication_value(d, n):
             buffers.add((row, register.amplitudes.ctypes.data))
     assert len(buffers) == len({row for row, _ in buffers})
     assert {row for row, _ in buffers} == {*r_choices, *((-(n - 1) * r) % d for r in r_choices)}
+    # one round per distinct r, at every position of that r, bit for bit the round built alone
+    assert len({id(state) for state in rounds}) == len(set(r_choices))
+    for state, r in zip(rounds, r_choices):
+        assert state is rounds[r_choices.index(r)]
+        alone = fabricate_rounds(cfg, (r,))[0]
+        assert [owners for _, owners in state.factors] == [owners for _, owners in alone.factors]
+        assert all(np.array_equal(a.amplitudes, b.amplitudes) for (a, _), (b, _) in zip(state.factors, alone.factors))

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 from conftest import (
     apply_encode, apply_qft, apply_shift, approx_equal, basis_state, outcome_distribution,
-    random_register, random_secret, run_check,
+    owner_uniforms, random_register, random_secret, run_check, run_one,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,7 +41,6 @@ from quditsum import (
     measure,
     omega_state,
     prepare_rounds,
-    run_protocol,
     run_scenario,
 )
 from quditsum import harness, protocol
@@ -205,7 +204,10 @@ def test_decoys_match_scalar_loops(eve, d, n, count, seed):
             resent, rows[i] = eve_intercept_resend([], i, rows[i], fast)
             assert resent == [] and rows[i].shape == (count, d)
             assert all(approx_equal(QuditRegister(d, 1, a), b) for a, b in zip(rows[i], ref_regs[i]))
-    counts = [check_decoys(expected[i], rows[i], fast) for i in sorted(expected)]
+    # every receiver's sequence in one stacked call, as a run checks them
+    receivers = sorted(expected)
+    counts = check_decoys((np.array([expected[i][0] for i in receivers]), np.array([expected[i][1] for i in receivers])),
+                          np.array([rows[i] for i in receivers]), fast.random((n - 1, count))).tolist()
     assert counts == [_reference_check_decoys(ref_recs[i], ref_regs[i], ref) for i in sorted(expected)]
     assert fast.bit_generator.state == ref.bit_generator.state
     if eve and count >= 40:
@@ -355,7 +357,7 @@ def test_rounds_share_one_read_only_register_that_runs_leave_alone(eve):
         shared = rounds[0].factors[0][0]
         before = shared.amplitudes.copy()
         assert all(state.factors == ((shared, (1, 2, 3)),) for state in rounds)
-        run_protocol(cfg, 2, secrets, rounds, np.random.default_rng(seed), eve=eve)
+        run_one(cfg, 2, secrets, rounds, np.random.default_rng(seed), eve=eve)
         assert np.array_equal(shared.amplitudes, before)
         assert not shared.amplitudes.flags.writeable
         with pytest.raises(ValueError):
@@ -464,7 +466,7 @@ def test_shrinking_chains_match_full_register_reference(forged):
         rounds = fabricate_rounds(cfg, r_choices) if forged else prepare_rounds(cfg)
         secrets = [random_secret(5, 2, gen) for _ in range(cfg.n)]
         ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert encode_rounds(rounds, secrets, fast) == _reference_encode_rounds(rounds, secrets, ref)
+        assert encode_rounds(rounds, secrets, owner_uniforms(rounds, fast)) == _reference_encode_rounds(rounds, secrets, ref)
         assert fast.bit_generator.state == ref.bit_generator.state
         check = {"position": 0, "chooser": 2, "basis": _basis(seed % 2).value}
         outcome = run_check(rounds[0], check, fast)
@@ -505,7 +507,7 @@ def test_factor_rounds_under_eve_match_dense_reference(d, n, forged):
             rounds, _ = eve_intercept_resend(rounds, i, np.zeros((0, d), dtype=np.complex128), fast)
         for state, reg in zip(rounds, after_eve):
             assert _same_state(_dense(state), reg)
-        assert encode_rounds(rounds, secrets, fast) == expected
+        assert encode_rounds(rounds, secrets, owner_uniforms(rounds, fast)) == expected
         assert fast.bit_generator.state == ref.bit_generator.state
 
 
@@ -571,19 +573,19 @@ def test_read_out_matches_per_owner_chain(d, n, seed, kinds):
                           }[rotation])
     ref, fast = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     expected = [_per_owner_read_out(state, rotation, ref) for state, rotation in zip(rounds, rotations)]
-    assert read_out(rounds, rotations, fast) == expected
+    assert read_out(rounds, rotations, owner_uniforms(rounds, fast)) == expected
     assert fast.bit_generator.state == ref.bit_generator.state
 
 
 def test_read_out_rejects_rounds_it_cannot_stack():
-    rng = np.random.default_rng(0)
-    state = rng.bit_generator.state
     five, three = prepare_rounds(ProtocolConfig(d=5, n=3, m=1))[0], prepare_rounds(ProtocolConfig(d=3, n=3, m=1))[0]
-    assert read_out([], [], rng) == [] and rng.bit_generator.state == state
+    assert read_out([], [], np.empty(0)) == []
+    with pytest.raises(ValueError, match="^got 2 uniforms for 3 owners$"):
+        read_out([five], [None], np.zeros(2))
     with pytest.raises(ValueError, match="^round 1 has d=3, not the first round's d=5$"):
-        read_out([five, three], [None, None], rng)
+        read_out([five, three], [None, None], np.zeros(6))
     with pytest.raises(ValueError):
-        read_out([five, five], [None], rng)
+        read_out([five, five], [None], np.zeros(6))
 
 
 @pytest.mark.parametrize("cap", [1, 6, 54])
@@ -597,9 +599,9 @@ def test_read_out_is_the_same_for_every_stack_cap(cap, monkeypatch):
     rotations = [None, _qft_matrix(3), [encode_matrix(3, 1)] * 3, None, [encode_matrix(3, 2)] * 3, None, None]
     ref = np.random.default_rng(7)
     expected = [_per_owner_read_out(state, rotation, ref) for state, rotation in zip(rounds, rotations)]
-    assert read_out(rounds, rotations, np.random.default_rng(7)) == expected
+    assert read_out(rounds, rotations, owner_uniforms(rounds, np.random.default_rng(7))) == expected
     monkeypatch.setattr(qudit, "STACK_CAP", cap)
-    assert read_out(rounds, rotations, np.random.default_rng(7)) == expected
+    assert read_out(rounds, rotations, owner_uniforms(rounds, np.random.default_rng(7))) == expected
 
 
 def test_read_out_of_rounds_over_the_stack_cap_peaks_as_one_round():
@@ -612,7 +614,7 @@ def test_read_out_of_rounds_over_the_stack_cap_peaks_as_one_round():
     def peak(count):
         tracemalloc.start()
         try:
-            read_out(rounds[:count], [rotation] * count, np.random.default_rng(0))
+            read_out(rounds[:count], [rotation] * count, np.random.default_rng(0).random(5 * count))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -637,9 +639,9 @@ def test_scenario_run_builds_one_register_its_trials_share(scenario, monkeypatch
         built.append(real_omega(d, n))
         return built[-1]
 
-    def recording_run(cfg, eta, secrets, rounds, rng, eve=False):
-        seen.append(rounds)
-        return real_run(cfg, eta, secrets, rounds, rng, eve=eve)
+    def recording_run(cfg, eta, secrets, rounds, rngs, eve=False):
+        seen.extend(rounds)
+        return real_run(cfg, eta, secrets, rounds, rngs, eve=eve)
 
     monkeypatch.setattr(protocol, "omega_state", counting_omega)
     monkeypatch.setattr(harness, "run_protocol", recording_run)
@@ -692,17 +694,18 @@ def test_scenario_run_releases_the_registers_its_trials_shared():
 
 @pytest.mark.parametrize("scenario", ["honest", "iqft-attack"])
 def test_interrupted_scenario_run_releases_the_registers_its_trials_shared(scenario, monkeypatch):
-    # a run stopped between trials must not hold its registers, up to 2^22
-    # amplitudes, until the next run
+    # a run stopped between chunks of trials must not hold its registers,
+    # up to 2^22 amplitudes, until the next run
     seen, real = [], harness.run_protocol
 
-    def interrupt_second_trial(cfg, eta, secrets, rounds, rng, eve=False):
-        seen.append(rounds[0].factors[0][0])
+    def interrupt_second_chunk(cfg, eta, secrets, rounds, rngs, eve=False):
+        seen.append(rounds[0][0].factors[0][0])
         if len(seen) == 2:
             raise KeyboardInterrupt
-        return real(cfg, eta, secrets, rounds, rng, eve=eve)
+        return real(cfg, eta, secrets, rounds, rngs, eve=eve)
 
-    monkeypatch.setattr(harness, "run_protocol", interrupt_second_trial)
+    monkeypatch.setattr(harness, "run_protocol", interrupt_second_chunk)
+    monkeypatch.setattr(qudit, "STACK_CAP", 1)  # one trial per chunk
     cfg = ProtocolConfig(d=3, n=3, m=2, decoy_count=2)
     forged = scenario == "iqft-attack"
     with pytest.raises(KeyboardInterrupt):

@@ -5,9 +5,14 @@ import json
 import math
 import os
 import re
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import run_one
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditsum import (
     ProtocolConfig,
@@ -21,7 +26,7 @@ from quditsum import (
     wilson_interval,
     write_report,
 )
-from quditsum import qudit
+from quditsum import harness, protocol, qudit
 from quditsum.cli import main
 from quditsum.harness import (
     _COUNTS,
@@ -167,7 +172,7 @@ def test_scenario_config_validation():
     secrets, rounds = ((1, 2), (3, 4), (0, 1)), prepare_rounds(proto, count=3)
     for eta in (1.0, True, np.int64(1)):
         with pytest.raises(ValueError, match=f"^eta must be an int, got {re.escape(repr(eta))}$"):
-            run_protocol(proto, eta, secrets, rounds, np.random.default_rng(0))
+            run_one(proto, eta, secrets, rounds, np.random.default_rng(0))
 
 
 def test_honest_scenario_report():
@@ -283,7 +288,7 @@ def test_run_protocol_returns_the_record_every_scenario_reads(scenario):
             secrets = tuple(tuple(int(x) for x in row) for row in rng.integers(0, 5, size=(3, 2)))
             rounds = (fabricate_rounds(p, tuple(int(x) for x in rng.integers(0, 5, size=2 + eta)))
                       if sc.forged else prepare_rounds(p, count=2 + eta))
-            record = run_protocol(p, eta, secrets, rounds, rng, eve=sc.eve)
+            record = run_one(p, eta, secrets, rounds, rng, eve=sc.eve)
             assert keys <= set(record)
             assert _json_native(record)
             assert json.loads(json.dumps(record)) == record
@@ -299,7 +304,7 @@ def test_run_protocol_returns_the_record_every_scenario_reads(scenario):
 
 def test_run_protocol_record_after_a_decoy_abort():
     p = ProtocolConfig(d=5, n=3, m=2, decoy_count=8)  # threshold 0
-    records = [run_protocol(p, 2, ((1, 2), (3, 4), (0, 1)), prepare_rounds(p, count=4),
+    records = [run_one(p, 2, ((1, 2), (3, 4), (0, 1)), prepare_rounds(p, count=4),
                             np.random.default_rng(seed), eve=True) for seed in range(10)]
     aborted = [r for r in records if r["decoy_mismatches"] > 0]
     assert aborted
@@ -323,7 +328,7 @@ def test_run_protocol_rejects_rounds_that_do_not_fit(d, n, forged):
     rng = np.random.default_rng(1)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=r"^round 0 does not fit d=5, n=3$"):
-        run_protocol(ProtocolConfig(d=5, n=3, m=1, decoy_count=2), 0, ((1,), (2,), (3,)), rounds, rng)
+        run_one(ProtocolConfig(d=5, n=3, m=1, decoy_count=2), 0, ((1,), (2,), (3,)), rounds, rng)
     assert rng.bit_generator.state == state
 
 
@@ -336,12 +341,111 @@ def test_run_protocol_sums_a_mix_of_genuine_and_forged_rounds():
     for seed in range(20):
         rng = np.random.default_rng(seed)
         secrets = tuple(tuple(int(x) for x in row) for row in rng.integers(0, 5, size=(3, 2)))
-        record = run_protocol(cfg, 0, secrets, rounds, rng)
+        record = run_one(cfg, 0, secrets, rounds, rng)
         assert record["fake_r"] == [None, 2]
         assert record["sum"] == [sum(column) % 5 for column in zip(*secrets)]
         assert record["sum_correct"] is True
         assert [row[1] for row in record["announced"]] == [(2 + k[1]) % 5 for k in secrets[1:]]
         assert record["recovered"] is None and record["recovery_success"] is None
+
+
+# ---------------------------------------------------------------------------
+# trials in lockstep
+
+
+def _chunk_against_lone_trials(cfg, eta, kinds, seed, eve):
+    """Run one chunk of trials, one per kind of rounds, and each trial alone on a fresh copy of its stream.
+
+    Asserts each trial's record and final generator state are the same
+    both ways; returns the chunk's records.
+    """
+    total, gen = cfg.m + eta, np.random.default_rng(seed)
+    genuine = prepare_rounds(cfg, count=total)
+    secrets, rounds = [], []
+    for kind in kinds:
+        forged = fabricate_rounds(cfg, [int(x) for x in gen.integers(cfg.d, size=total)])
+        pick = {"genuine": [False] * total, "forged": [True] * total, "mixed": gen.integers(2, size=total)}[kind]
+        rounds.append([f if p else g for f, g, p in zip(forged, genuine, pick)])
+        secrets.append(tuple(tuple(int(x) for x in row) for row in gen.integers(cfg.d, size=(cfg.n, cfg.m))))
+    rngs = [np.random.default_rng([seed, t]) for t in range(len(kinds))]
+    records = run_protocol(cfg, eta, secrets, rounds, rngs, eve=eve)
+    assert len(records) == len(kinds)
+    for t, record in enumerate(records):
+        alone = np.random.default_rng([seed, t])
+        assert json.dumps(record) == json.dumps(run_one(cfg, eta, secrets[t], rounds[t], alone, eve=eve))
+        assert rngs[t].bit_generator.state == alone.bit_generator.state
+    return records
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from([2, 3, 5]), n=st.sampled_from([2, 3, 4]), eta=st.integers(0, 4),
+       decoys=st.integers(0, 4), threshold=st.sampled_from([0.0, 0.3]), eve=st.booleans(),
+       kinds=st.lists(st.sampled_from(["genuine", "forged", "mixed"]), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_chunk_of_trials_gives_each_its_lone_record_and_stream(d, n, eta, decoys, threshold, eve, kinds, seed):
+    cfg = ProtocolConfig(d=d, n=n, m=2, decoy_count=decoys, error_threshold=threshold)
+    _chunk_against_lone_trials(cfg, eta, kinds, seed, eve)
+
+
+def test_one_chunk_mixes_decoy_aborts_failed_checks_and_encoded_trials():
+    # an abort is a flag per trial: the trials after it in the chunk go on
+    cfg = ProtocolConfig(d=3, n=3, m=2, decoy_count=4, error_threshold=0.3)
+    records = _chunk_against_lone_trials(cfg, 2, ["genuine", "forged", "mixed"] * 6, 5, eve=True)
+    decoy_abort = [max(r["decoy_error_rates"]) > 0.3 for r in records]
+    failed_check = [bool(r["checks"]) and not r["checks"][-1]["passed"] for r in records]
+    encoded = [r["sum"] is not None for r in records]
+    assert [sum(ends) for ends in zip(decoy_abort, failed_check, encoded)] == [1] * len(records)
+    assert any(decoy_abort) and any(failed_check) and any(encoded)
+    assert [r["detected"] for r in records] == [not e for e in encoded]
+
+
+def test_run_protocol_needs_secrets_rounds_and_a_stream_per_trial():
+    cfg = ProtocolConfig(d=3, n=2, m=1, decoy_count=2)
+    message = "^need secrets, rounds and a stream for each of one or more trials: got {}, {} and {}$"
+    with pytest.raises(ValueError, match=message.format(2, 1, 1)):
+        run_protocol(cfg, 0, [((1,), (2,))] * 2, [prepare_rounds(cfg)], [np.random.default_rng(0)])
+    with pytest.raises(ValueError, match=message.format(0, 0, 0)):
+        run_protocol(cfg, 0, [], [], [])
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+@pytest.mark.parametrize("d, n, m, eta, trials, chunks", [(5, 3, 4, 6, 20, 1), (10, 5, 1, 2, 4, 4)])
+def test_a_run_makes_two_read_outs_and_one_decoy_check_per_chunk(scenario, d, n, m, eta, trials, chunks,
+                                                                 monkeypatch):
+    # at small-mix sizes all 20 trials fit one chunk; a round over
+    # qudit.STACK_CAP makes each trial a chunk of its own
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(protocol, "read_out", counted("read_out", protocol.read_out))
+    monkeypatch.setattr(harness, "read_out", counted("read_out", harness.read_out))
+    monkeypatch.setattr(harness, "check_decoys", counted("check_decoys", harness.check_decoys))
+    run_scenario(ScenarioConfig(scenario, ProtocolConfig(d=d, n=n, m=m, decoy_count=16), eta=eta, trials=trials))
+    assert chunks <= calls["read_out"] <= 2 * chunks and calls["check_decoys"] == chunks
+
+
+def test_a_run_over_the_stack_cap_peaks_as_one_trial():
+    # 10^5 amplitudes per round is over the cap, so each trial is a chunk
+    # of its own and a run of four holds no more than a run of one
+    cfg = ProtocolConfig(d=10, n=5, m=1, decoy_count=2)
+    assert cfg.d**cfg.n > qudit.STACK_CAP
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            run_scenario(ScenarioConfig("modified-honest", cfg, eta=2, trials=trials))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)  # first-call allocations outside the run
+    one = peak(1)
+    assert peak(4) <= 1.1 * one
 
 
 def test_reports_are_reproducible_bit_for_bit():

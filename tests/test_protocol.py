@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import (
     apply_encode, apply_qft, apply_shift, approx_equal, basis_state, outcome_distribution,
-    random_secret,
+    owner_uniforms, random_secret, run_one,
 )
 
 from quditsum import (
@@ -21,7 +21,6 @@ from quditsum import (
     insert_decoys,
     omega_state,
     prepare_rounds,
-    run_protocol,
     validate_secrets,
 )
 from quditsum.protocol import RoundState, encode_rounds, read_out
@@ -133,7 +132,7 @@ def test_zero_decoys_allowed():
     assert rows[2].shape == (0, 5) and len(expected[3][0]) == 0
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert check_decoys(expected[2], rows[2], rng) == 0
+    assert check_decoys(expected[2], rows[2], rng.random(0)) == 0
     assert rng.bit_generator.state == before
 
 
@@ -143,7 +142,7 @@ def test_check_decoys_clean_channel_is_exactly_zero():
         rng = np.random.default_rng(seed)
         rows, expected = insert_decoys(cfg, rng)
         for i in (2, 3):
-            assert check_decoys(expected[i], rows[i], rng) == 0
+            assert check_decoys(expected[i], rows[i], rng.random(cfg.decoy_count)) == 0
 
 
 def test_check_decoys_rejects_length_mismatch():
@@ -151,10 +150,10 @@ def test_check_decoys_rejects_length_mismatch():
     rng = np.random.default_rng(0)
     rows, expected = insert_decoys(cfg, rng)
     with pytest.raises(ValueError, match="3 expected"):
-        check_decoys(expected[2], rows[2][:-1], rng)
+        check_decoys(expected[2], rows[2][:-1], rng.random(3))
     for bad in (rows[2][0], rows[2][:, :, None]):
         with pytest.raises(ValueError, match="array of rows"):
-            check_decoys(expected[2], bad, rng)
+            check_decoys(expected[2], bad, rng.random(3))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +165,7 @@ def test_encode_and_measure_on_forged_state_is_deterministic():
     rng = np.random.default_rng(0)
     for _ in range(20):
         state = RoundState(((fake_particle(10, 2), (2,)),))
-        assert encode_rounds([state], ((0,), (5,)), rng) == {2: [7]}
+        assert encode_rounds([state], ((0,), (5,)), owner_uniforms([state], rng)) == {2: [7]}
 
 
 def test_round_factors_name_one_owner_per_qudit():
@@ -196,7 +195,7 @@ def test_round_needs_factors_of_one_d_and_each_owner_once():
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         with pytest.raises(ValueError, match=message):
-            run_protocol(cfg, 0, secrets, [build()], rng)
+            run_one(cfg, 0, secrets, [build()], rng)
         assert rng.bit_generator.state == before
 
 
@@ -207,7 +206,7 @@ def test_encode_rejects_foreign_participant_and_bad_digit():
     with pytest.raises(ValueError, match="^participant 3 holds no qudit in the round$"):
         state.intercept(3, BasisKind.V1, rng)
     with pytest.raises(ValueError, match="^shift amount 5 out of range for d=5$"):
-        encode_rounds([state], ((5,), (0,)), rng)
+        encode_rounds([state], ((5,), (0,)), owner_uniforms([state], rng))
 
 
 def test_encoded_results_sum_to_secret_total():
@@ -218,7 +217,8 @@ def test_encoded_results_sum_to_secret_total():
         cfg = ProtocolConfig(d=d, n=n, m=1)
         for _ in range(10):
             digits = [int(x) for x in rng.integers(0, d, size=n)]
-            values = read_out(prepare_rounds(cfg), [[encode_matrix(d, s) for s in digits]], rng)[0]
+            rounds = prepare_rounds(cfg)
+            values = read_out(rounds, [[encode_matrix(d, s) for s in digits]], owner_uniforms(rounds, rng))[0]
             assert len(values) == n and sum(values) % d == sum(digits) % d
 
 
@@ -234,9 +234,9 @@ def test_round_operations_leave_their_round_as_it_was(d, n, forged):
     for seed in range(10):
         for rotation in (None, [encode_matrix(d, i % d) for i in state.owners]):
             first, again = np.random.default_rng(seed), np.random.default_rng(seed)
-            values = read_out([state], [rotation], first)[0]
+            values = read_out([state], [rotation], owner_uniforms([state], first))[0]
             assert len(values) == len(state.owners)
-            assert read_out([state], [rotation], again)[0] == values
+            assert read_out([state], [rotation], owner_uniforms([state], again))[0] == values
             assert first.bit_generator.state == again.bit_generator.state
         for basis in (BasisKind.V1, BasisKind.V2):
             for i in state.owners:
@@ -318,7 +318,7 @@ def test_worked_example_digits():
     cfg = ProtocolConfig(d=10, n=3, m=1)
     secrets = _secrets([[4], [5], [6]])
     for seed in range(50):
-        result = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), np.random.default_rng(seed))
+        result = run_one(cfg, 0, secrets, prepare_rounds(cfg), np.random.default_rng(seed))
         assert result["sum"] == [5]
 
 
@@ -331,7 +331,7 @@ def test_honest_sum_correct_across_grid():
                 cfg = ProtocolConfig(d=d, n=n, m=m, decoy_count=4)
                 rng = np.random.default_rng(1000 + trial)
                 secrets = tuple(random_secret(d, m, rng) for _ in range(n))
-                result = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), rng)
+                result = run_one(cfg, 0, secrets, prepare_rounds(cfg), rng)
                 expected = compute_sum(secrets, d)
                 assert result["sum"] == expected
                 trial += 1
@@ -340,7 +340,7 @@ def test_honest_sum_correct_across_grid():
 def test_announcements_state_results_then_sum():
     cfg = ProtocolConfig(d=5, n=4, m=2)
     secrets = _secrets([[1, 2], [3, 4], [0, 0], [2, 1]])
-    result = run_protocol(cfg, 0, secrets, prepare_rounds(cfg), np.random.default_rng(3))
+    result = run_one(cfg, 0, secrets, prepare_rounds(cfg), np.random.default_rng(3))
     assert len(result["announced"]) == 3  # P2..P4; P1 only publishes the sum
     assert all(len(row) == 2 for row in result["announced"])
     assert result["sum"] == compute_sum(secrets, 5)
@@ -349,5 +349,5 @@ def test_announcements_state_results_then_sum():
 def test_run_rejects_wrong_secrets():
     cfg = ProtocolConfig(d=5, n=3, m=2)
     with pytest.raises(ValueError):
-        run_protocol(cfg, 0, _secrets([[1, 2], [3, 4]]), prepare_rounds(cfg),
+        run_one(cfg, 0, _secrets([[1, 2], [3, 4]]), prepare_rounds(cfg),
                      np.random.default_rng(0))

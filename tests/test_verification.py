@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import apply_qft, assert_within_4sigma, outcome_distribution, random_secret, run_check
+from conftest import apply_qft, assert_within_4sigma, outcome_distribution, random_secret, run_check, run_one
 
 from quditsum import (
     BasisKind,
@@ -18,7 +18,6 @@ from quditsum import (
     fabricate_rounds,
     fake_particle,
     prepare_rounds,
-    run_protocol,
     select_checks,
     v1_pass,
     v2_pass,
@@ -38,7 +37,7 @@ def _hardened(cfg, eta, secrets, rng, forged=False):
         rounds = fabricate_rounds(cfg, tuple(int(x) for x in rng.integers(0, cfg.d, size=total)))
     else:
         rounds = prepare_rounds(cfg, count=total)
-    return run_protocol(cfg, eta, secrets, rounds, rng)
+    return run_one(cfg, eta, secrets, rounds, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +126,16 @@ def test_select_checks_draws_as_the_cursor_loop():
                 assert fast.bit_generator.state == ref.bit_generator.state
                 assert all(list(c) == ["position", "chooser", "basis"] for c in checks)
                 assert json.loads(json.dumps(checks)) == checks
+
+
+def test_one_draw_of_basis_bits_is_the_scalar_draws():
+    # select_checks draws its eta chooser bases in one call, where it drew
+    # one rng.integers(2) per check: the same bits and the same stream after
+    for seed in range(200):
+        for eta in range(13):
+            ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert fast.integers(2, size=eta).tolist() == [int(ref.integers(2)) for _ in range(eta)]
+            assert fast.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
@@ -329,5 +338,5 @@ def test_modified_plan_length_must_cover_checks():
     # run_protocol rejects len(rounds) != m+eta
     cfg = ProtocolConfig(d=5, n=3, m=1)
     with pytest.raises(ValueError):
-        run_protocol(cfg, 4, _secrets([[1], [2], [3]]), fabricate_rounds(cfg, (1,)),
+        run_one(cfg, 4, _secrets([[1], [2], [3]]), fabricate_rounds(cfg, (1,)),
                      np.random.default_rng(0))
