@@ -1,10 +1,11 @@
 """Protocol engine and seeded Monte Carlo runner for the five scenarios.
 
 run_protocol is the one protocol engine: it runs a chunk of trials in
-lockstep, one decoy check and two read-outs for the chunk. A scenario
-picks its rounds (prepare_rounds or fabricate_rounds), eta (0 for the
-original protocol) and channel (clean, or intercept-resend on every
-particle).
+lockstep, one decoy check and two read-outs for the chunk, the checks'
+then the encoding's; a trial's result strings are the columns of its own
+m encoded readouts. A scenario picks its rounds (prepare_rounds or
+fabricate_rounds), eta (0 for the original protocol) and channel (clean,
+or intercept-resend on every particle).
 
 A scenario's JSON report is made from run_protocol's records alone: each
 gives one per_trial line and, through _COUNTS, its share of every rate.
@@ -36,7 +37,6 @@ from .protocol import (
     ProtocolConfig,
     check_decoys,
     compute_sum,
-    encode_rounds,
     insert_decoys,
     prepare_rounds,
     read_out,
@@ -191,9 +191,10 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rngs, eve: bool
     checks are judged in position order up to its first failure, which
     aborts it. The checks after a failed one are read out too: harmless,
     as that trial's generator is not read again. One last read_out
-    encodes the m unchecked rounds of every trial that passed. An abort
-    is a flag per trial: an aborted trial draws nothing more, and the
-    others go on.
+    encodes the m unchecked rounds of every trial that passed, in position
+    order; participant i's result string is column i of its m readouts.
+    An abort is a flag per trial: an aborted trial draws nothing more, and
+    the others go on.
 
     A record holds the secrets and every per_trial key of any scenario, as the
     report writes it. detected means the run aborted; the keys of the encoding
@@ -242,16 +243,16 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rngs, eve: bool
                 detected[t] = True
                 break
 
-    # each trial left encodes its unchecked rounds; participant i's digits of every such trial form one row
+    # each trial left encodes its unchecked rounds in position order; its strings are the columns of their readouts
     live = [t for t, aborted in enumerate(detected) if not aborted]
     surviving = {}
     for t in live:
         checked = {c["position"] for c in checks[t]}
         surviving[t] = [state for pos, state in enumerate(rounds[t]) if pos not in checked]
-    results = encode_rounds([state for t in live for state in surviving[t]],
-                            [[x for t in live for x in secrets[t][i]] for i in range(cfg.n)],
-                            _uniforms([rngs[t] for t in live], [cfg.n * cfg.m] * len(live)))
-    strings = {t: [results[i][k * cfg.m:(k + 1) * cfg.m] for i in range(1, cfg.n + 1)] for k, t in enumerate(live)}
+    rotations = [[qudit.encode_matrix(cfg.d, s[j]) for s in secrets[t]] for t in live for j in range(cfg.m)]
+    readouts = iter(read_out([state for t in live for state in surviving[t]], rotations,
+                             _uniforms([rngs[t] for t in live], [cfg.n * cfg.m] * len(live))))
+    strings = {t: [list(row) for row in zip(*[next(readouts) for _ in range(cfg.m)])] for t in live}
 
     records = []
     for t, trial_secrets in enumerate(secrets):

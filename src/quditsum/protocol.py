@@ -12,8 +12,9 @@ guarantees the announced digits sum to the digit-wise sum of all the
 secrets while each single announcement stays uniformly distributed.
 
 Participants are numbered 1-based; P1..Pn hold the qudits of a genuine
-round's shared register in order. read_out reads many rounds in lockstep
-and check_decoys many decoy sequences at once, each against the
+round's shared register in order. read_out reads many rounds in lockstep,
+each owner's qudit rotated first if asked (encode_matrix of its digit, to
+encode), and check_decoys many decoy sequences at once, each against the
 uniforms its caller drew.
 """
 
@@ -30,7 +31,6 @@ from .qudit import (
     QuditRegister,
     _check_cap,
     basis_rows,
-    encode_matrix,
     measure,
     measure_rows,
     measure_stack,
@@ -155,9 +155,10 @@ def read_out(rounds, rotations, u: np.ndarray) -> list[list[int]]:
     for k, members in groups.items():
         size = max(1, qudit.STACK_CAP // d**k)
         for first in range(0, len(members), size):
-            stack = members[first:first + size]
-            # a lone register is read as a view, without a copy
-            psi = stack[0][0][None] if len(stack) == 1 else np.stack([a for a, _ in stack])
+            stack, a = members[first:first + size], members[first][0]
+            # a register shared by the whole stack, a lone one too, is read as a view, without a copy
+            psi = (np.broadcast_to(a, (len(stack), a.size)) if all(b is a for b, _ in stack)
+                   else np.stack([b for b, _ in stack]))
             for s in np.array([slots for _, slots in stack]).T:
                 # a stack nobody rotates skips the identity matmul
                 values[s], psi = measure_stack(psi.reshape(len(s), 1, d, -1), u[s],
@@ -235,22 +236,6 @@ def check_decoys(expected, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
     d = rows.shape[-1]
     outcomes = measure_rows(rows.reshape(-1, d), np.reshape(v2, -1), np.reshape(u, -1)).reshape(shape)
     return np.count_nonzero(outcomes != values, axis=-1)
-
-
-def encode_rounds(rounds, secrets, u: np.ndarray) -> dict[int, list[int]]:
-    """Encode every owner's digit (QFT, then the shift by it) and read every round out.
-
-    secrets[i-1] belongs to participant i; digit j goes on the j-th round
-    of the list. u holds every owner's uniform, as read_out takes them.
-    Only participants holding a qudit get a result string.
-    """
-    rotations = [[encode_matrix(state.d, secrets[i - 1][j]) for i in state.owners]
-                 for j, state in enumerate(rounds)]
-    results: dict[int, list[int]] = {}
-    for state, values in zip(rounds, read_out(rounds, rotations, u)):
-        for i, value in zip(state.owners, values):
-            results.setdefault(i, []).append(value)
-    return results
 
 
 def compute_sum(results, d: int) -> list[int]:

@@ -47,7 +47,7 @@ from quditsum import harness, protocol
 from quditsum.adversary import fabricate_rounds, fake_particle
 from quditsum.harness import SCENARIOS, _trial_secrets
 from quditsum import qudit
-from quditsum.protocol import RoundState, encode_rounds, read_out
+from quditsum.protocol import RoundState, read_out
 from quditsum.qudit import (
     _apply_single,
     _iqft_matrix,
@@ -433,14 +433,21 @@ def test_measure_v2_matches_rotate_measure_rotate_back(d, k, seed):
         assert np.max(np.abs(rest.amplitudes - expected.reshape(-1))) <= 1e-13
 
 
+def _encode_and_read_out(rounds, secrets, rng):
+    """Every owner's readout of every round, each digit encoded first, as run_protocol's encoding read-out."""
+    rotations = [[encode_matrix(state.d, secrets[i - 1][j]) for i in state.owners] for j, state in enumerate(rounds)]
+    return read_out(rounds, rotations, owner_uniforms(rounds, rng))
+
+
 def _reference_encode_rounds(rounds, secrets, rng):
-    """Encode and read out on the dense register, zero-filled posterior kept."""
-    results = {}
+    """Encode and read out on the dense register, zero-filled posterior kept; one list per round."""
+    results = []
     for j, state in enumerate(rounds):
         reg = _dense(state)
+        results.append([])
         for q, i in enumerate(state.owners):
             value, reg = _kept_measure(apply_encode(reg, q, secrets[i - 1][j]), q, V1, rng)
-            results.setdefault(i, []).append(value)
+            results[j].append(value)
     return results
 
 
@@ -466,7 +473,7 @@ def test_shrinking_chains_match_full_register_reference(forged):
         rounds = fabricate_rounds(cfg, r_choices) if forged else prepare_rounds(cfg)
         secrets = [random_secret(5, 2, gen) for _ in range(cfg.n)]
         ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert encode_rounds(rounds, secrets, owner_uniforms(rounds, fast)) == _reference_encode_rounds(rounds, secrets, ref)
+        assert _encode_and_read_out(rounds, secrets, fast) == _reference_encode_rounds(rounds, secrets, ref)
         assert fast.bit_generator.state == ref.bit_generator.state
         check = {"position": 0, "chooser": 2, "basis": _basis(seed % 2).value}
         outcome = run_check(rounds[0], check, fast)
@@ -477,16 +484,17 @@ def test_shrinking_chains_match_full_register_reference(forged):
 def _reference_eve_then_encode(rounds, secrets, rng):
     """Eve on every receiver's qudit, then every owner's readout, on dense kept-qudit registers.
 
-    Returns the registers as Eve leaves them and each owner's readouts.
+    Returns the registers as Eve leaves them and each owner's readouts, one list per round.
     """
     regs = [_dense(state) for state in rounds]
     for i in range(2, len(secrets) + 1):
         regs = _reference_eve([(reg, state.owners.index(i)) for reg, state in zip(regs, rounds)], rng)
-    after_eve, results = list(regs), {}
+    after_eve, results = list(regs), []
     for j, state in enumerate(rounds):
+        results.append([])
         for q, i in enumerate(state.owners):
             value, regs[j] = _kept_measure(apply_encode(regs[j], q, secrets[i - 1][j]), q, V1, rng)
-            results.setdefault(i, []).append(value)
+            results[j].append(value)
     return after_eve, results
 
 
@@ -507,7 +515,7 @@ def test_factor_rounds_under_eve_match_dense_reference(d, n, forged):
             rounds, _ = eve_intercept_resend(rounds, i, np.zeros((0, d), dtype=np.complex128), fast)
         for state, reg in zip(rounds, after_eve):
             assert _same_state(_dense(state), reg)
-        assert encode_rounds(rounds, secrets, owner_uniforms(rounds, fast)) == expected
+        assert _encode_and_read_out(rounds, secrets, fast) == expected
         assert fast.bit_generator.state == ref.bit_generator.state
 
 
@@ -622,6 +630,28 @@ def test_read_out_of_rounds_over_the_stack_cap_peaks_as_one_round():
     peak(1)  # first-call allocations outside the read-out
     one = peak(1)
     assert peak(4) <= 1.1 * one
+
+
+def test_read_out_of_one_register_shared_by_a_stack_reads_it_as_a_view():
+    # 120 rounds sharing one d=5, n=3 register read as a broadcast view of
+    # it; 120 copies of it are first stacked into one array, a stack more
+    shared = prepare_rounds(ProtocolConfig(d=5, n=3, m=1), count=120)
+    register = shared[0].factors[0][0]
+    copies = [RoundState(((QuditRegister(5, 3, register.amplitudes.copy()), (1, 2, 3)),)) for _ in shared]
+    rotations = [[encode_matrix(5, s) for s in (1, 2, 3)]] * 120
+
+    def peak(rounds):
+        tracemalloc.start()
+        try:
+            values = read_out(rounds, rotations, np.random.default_rng(0).random(360))
+            return values, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(shared)  # first-call allocations outside the read-out
+    (values, view), (copied, stacked) = peak(shared), peak(copies)
+    assert values == copied
+    assert stacked - view >= 120 * 125 * 16 / 2
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,15 @@ from quditsum import (
     derive_trial_stream,
     fabricate_rounds,
     fake_particle,
+    insert_decoys,
     prepare_rounds,
     run_protocol,
     run_scenario,
+    select_checks,
     wilson_interval,
     write_report,
 )
-from quditsum import harness, protocol, qudit
+from quditsum import harness, qudit
 from quditsum.cli import main
 from quditsum.harness import (
     _COUNTS,
@@ -399,6 +401,26 @@ def test_one_chunk_mixes_decoy_aborts_failed_checks_and_encoded_trials():
     assert [r["detected"] for r in records] == [not e for e in encoded]
 
 
+def test_a_trial_draws_in_the_documented_order():
+    # its decoys and their uniforms, its checks and every check's uniforms,
+    # then its encoding's uniforms only if it got that far
+    cfg, eta = ProtocolConfig(d=3, n=3, m=2, decoy_count=0), 3
+    secrets, endings = ((0, 1), (2, 0), (1, 1)), set()
+    for seed in range(40):
+        for rounds in (prepare_rounds(cfg, count=5), fabricate_rounds(cfg, [seed % 3] * 5)):
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            record = run_one(cfg, eta, secrets, rounds, rng)
+            insert_decoys(cfg, replay)
+            replay.random((cfg.n - 1, cfg.decoy_count))
+            select_checks(cfg, eta, replay)
+            replay.random(cfg.n * eta)
+            if record["sum"] is not None:
+                replay.random(cfg.n * cfg.m)
+            assert rng.bit_generator.state == replay.bit_generator.state
+            endings.add(record["sum"] is None)
+    assert endings == {True, False}
+
+
 def test_run_protocol_needs_secrets_rounds_and_a_stream_per_trial():
     cfg = ProtocolConfig(d=3, n=2, m=1, decoy_count=2)
     message = "^need secrets, rounds and a stream for each of one or more trials: got {}, {} and {}$"
@@ -422,7 +444,6 @@ def test_a_run_makes_two_read_outs_and_one_decoy_check_per_chunk(scenario, d, n,
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(protocol, "read_out", counted("read_out", protocol.read_out))
     monkeypatch.setattr(harness, "read_out", counted("read_out", harness.read_out))
     monkeypatch.setattr(harness, "check_decoys", counted("check_decoys", harness.check_decoys))
     run_scenario(ScenarioConfig(scenario, ProtocolConfig(d=d, n=n, m=m, decoy_count=16), eta=eta, trials=trials))

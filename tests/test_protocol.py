@@ -23,7 +23,7 @@ from quditsum import (
     prepare_rounds,
     validate_secrets,
 )
-from quditsum.protocol import RoundState, encode_rounds, read_out
+from quditsum.protocol import RoundState, read_out
 from quditsum.qudit import encode_matrix
 
 
@@ -165,7 +165,7 @@ def test_encode_and_measure_on_forged_state_is_deterministic():
     rng = np.random.default_rng(0)
     for _ in range(20):
         state = RoundState(((fake_particle(10, 2), (2,)),))
-        assert encode_rounds([state], ((0,), (5,)), owner_uniforms([state], rng)) == {2: [7]}
+        assert read_out([state], [[encode_matrix(10, 5)]], owner_uniforms([state], rng)) == [[7]]
 
 
 def test_round_factors_name_one_owner_per_qudit():
@@ -206,7 +206,7 @@ def test_encode_rejects_foreign_participant_and_bad_digit():
     with pytest.raises(ValueError, match="^participant 3 holds no qudit in the round$"):
         state.intercept(3, BasisKind.V1, rng)
     with pytest.raises(ValueError, match="^shift amount 5 out of range for d=5$"):
-        encode_rounds([state], ((5,), (0,)), owner_uniforms([state], rng))
+        read_out([state], [[encode_matrix(5, 5), encode_matrix(5, 0)]], owner_uniforms([state], rng))
 
 
 def test_encoded_results_sum_to_secret_total():
