@@ -14,7 +14,8 @@ The second is an outside eavesdropper running intercept-resend in a
 uniformly random basis. She learns announced-basis values at the price
 of disturbing half the decoys she guesses wrong, which is exactly what
 the decoy check is built to catch. Fake and resent particles are
-one-qudit factors of their rounds.
+one-qudit factors of their rounds. Her draws never depend on what she
+reads, so she intercepts a whole chunk of trials per receiver at once.
 """
 
 from __future__ import annotations
@@ -62,19 +63,26 @@ def fabricate_rounds(cfg: ProtocolConfig, r_choices) -> list[RoundState]:
     return [built[r] for r in r_choices]
 
 
-def eve_intercept_resend(rounds, receiver: int, decoys: np.ndarray, rng: np.random.Generator):
-    """Measure every particle in transit to the receiver in a uniformly random basis.
+def eve_intercept_resend(rounds, receiver: int, decoys: np.ndarray, bits: np.ndarray, u: np.ndarray):
+    """Measure every particle in transit to the receiver, over a chunk of T trials, in the drawn bases.
 
-    The receiver's qudit of each round travels first, then the (N, d)
-    array of decoy rows. Each payload qudit is intercepted: the receiver
-    holds instead the basis state Eve observed, |v> or QFT|v>, as a
-    one-qudit factor of its own. Every basis bit is drawn first, then a
-    uniform per payload qudit as she measures it, then one per decoy.
-    Returns (rounds, rows): the rounds as the receiver gets them and the
-    decoy rows she resends, the same way.
+    rounds holds the T trials' rounds flat, in trial order, and decoys
+    their (T*D, d) rows. Row t of the (T, R + D) arrays bits and u is trial
+    t's basis bit (1 for V2) and uniform for each of its R payload qudits,
+    then each of its D decoys. The receiver gets instead of each qudit the
+    basis state Eve read, |v> or QFT|v>, as a one-qudit factor of its own.
+    Positions holding one round in one basis are measured together, and
+    each value gives one round. Returns the rounds and rows she resends.
     """
-    bits = rng.integers(2, size=len(rounds) + len(decoys))
-    resent = [state.intercept(receiver, BasisKind.V2 if bit else BasisKind.V1, rng)[1]
-              for state, bit in zip(rounds, bits)]
-    v2 = bits[len(rounds):] == 1
-    return resent, basis_rows(decoys.shape[1], measure_rows(decoys, v2, rng.random(len(decoys))), v2)
+    split = len(rounds) // len(bits)
+    payload_u, groups = u[:, :split].reshape(-1), {}
+    for j, (state, bit) in enumerate(zip(rounds, bits[:, :split].reshape(-1).tolist())):
+        groups.setdefault((id(state), bit), []).append(j)
+    resent = list(rounds)
+    for (_, bit), positions in groups.items():
+        values, after = rounds[positions[0]].intercept(receiver, BasisKind.V2 if bit else BasisKind.V1,
+                                                       payload_u[positions])
+        for j, value in zip(positions, values.tolist()):
+            resent[j] = after[value]
+    v2 = bits[:, split:].reshape(-1) == 1
+    return resent, basis_rows(decoys.shape[1], measure_rows(decoys, v2, u[:, split:].reshape(-1)), v2)

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .harness import SCENARIOS, ScenarioConfig, run_scenario, write_report
 from .protocol import ProtocolConfig
 
 
+@lru_cache(maxsize=None)  # built on a first main call, not at import, then shared by every later one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quditsum",

@@ -182,9 +182,10 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rngs, eve: bool
     Trial t hands out rounds[t], the m+eta states the dealer made, genuine
     or forged, each held by P1..Pn, of d levels each; it encodes
     secrets[t] and draws from rngs[t] alone, in the order a lone trial
-    draws. Each trial inserts its decoys and, with eve=True, an
-    intercept-resend eavesdropper measures every particle on every
-    channel, the payload before the decoys. One check_decoys call then
+    draws. Each trial inserts its decoys and, with eve=True, draws for each
+    channel in turn an intercept-resend eavesdropper's basis bits, then her
+    uniforms, for the payload then the decoys; she then measures the whole
+    chunk per receiver. One check_decoys call then
     checks every receiver's decoys of every trial, and a trial aborts if
     any error rate exceeds the threshold. Each trial left draws eta check
     positions; one read_out serves every trial's checks, and a trial's
@@ -218,17 +219,25 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rngs, eve: bool
             if state.d != cfg.d or state.owners != (1, *receivers):
                 raise ValueError(f"round {j} does not fit d={cfg.d}, n={cfg.n}")
 
-    rounds, rows, values, v2, u = list(rounds), [], [], [], []
+    shape = (cfg.n - 1, len(rngs), total + cfg.decoy_count)  # Eve's draws: (T, R + D) per receiver
+    rows, values, v2, u, bits, eve_u = [], [], [], [], np.zeros(shape, dtype=np.int64), np.zeros(shape)
     for t, rng in enumerate(rngs):
         decoys, expected = insert_decoys(cfg, rng)
-        if eve:
-            for i in receivers:
-                rounds[t], decoys[i] = eve_intercept_resend(rounds[t], i, decoys[i], rng)
+        for k in range(cfg.n - 1 if eve else 0):
+            bits[k, t], eve_u[k, t] = rng.integers(2, size=shape[2]), rng.random(shape[2])
         rows.append([decoys[i] for i in receivers])
         values.append([expected[i][0] for i in receivers])
         v2.append([expected[i][1] for i in receivers])
         u.append(rng.random((cfg.n - 1, cfg.decoy_count)))
-    mismatches = check_decoys((np.array(values), np.array(v2)), np.array(rows), np.array(u)).tolist()
+    rows = np.array(rows)
+    if eve:
+        # each receiver's intercepts span the chunk; receiver i+1 gets the rounds receiver i's left
+        flat = [state for trial in rounds for state in trial]
+        for k, i in enumerate(receivers):
+            flat, resent = eve_intercept_resend(flat, i, rows[:, k].reshape(-1, cfg.d), bits[k], eve_u[k])
+            rows[:, k] = resent.reshape(rows[:, k].shape)
+        rounds = [flat[t * total:(t + 1) * total] for t in range(len(rngs))]
+    mismatches = check_decoys((np.array(values), np.array(v2)), rows, np.array(u)).tolist()
     detected = [any(_decoys_abort(c, cfg.decoy_count, cfg.error_threshold) for c in row) for row in mismatches]
 
     selected = [[] if aborted else select_checks(cfg, eta, rng) for aborted, rng in zip(detected, rngs)]
@@ -402,18 +411,9 @@ _ORACLES = {
 
 def _params_dict(cfg: ScenarioConfig) -> dict:
     p = cfg.protocol
-    return {
-        "d": p.d,
-        "n": p.n,
-        "m": p.m,
-        "decoy_count": p.decoy_count,
-        "error_threshold": p.error_threshold,
-        "eta": cfg.eta,
-        "trials": cfg.trials,
-        "master_seed": cfg.master_seed,
-        "secrets": [list(s) for s in cfg.secrets] if cfg.secrets is not None else None,
-        "fake_r": cfg.fake_r,
-    }
+    return {"d": p.d, "n": p.n, "m": p.m, "decoy_count": p.decoy_count, "error_threshold": p.error_threshold,
+            "eta": cfg.eta, "trials": cfg.trials, "master_seed": cfg.master_seed,
+            "secrets": [list(s) for s in cfg.secrets] if cfg.secrets is not None else None, "fake_r": cfg.fake_r}
 
 
 def run_scenario(cfg: ScenarioConfig) -> dict:

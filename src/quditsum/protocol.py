@@ -110,19 +110,20 @@ class RoundState:
         return tuple(sorted(p for _, owners in self.factors for p in owners))
 
     def intercept(self, participant: int, basis: BasisKind,
-                  rng: np.random.Generator) -> tuple[int, "RoundState"]:
-        """Measure one owner's qudit; return the value v and the round with |v> or QFT|v> in its place."""
+                  u: np.ndarray) -> tuple[np.ndarray, dict[int, "RoundState"]]:
+        """Measure one owner's qudit per uniform in u: the values, {v: round with |v> or QFT|v> in its place}."""
         for f, (register, owners) in enumerate(self.factors):
             if participant in owners:
                 break
         else:
             raise ValueError(f"participant {participant} holds no qudit in the round")
         q = owners.index(participant)
-        value, rest = measure(register, q, basis, rng)
-        kept = owners[:q] + owners[q + 1:]
-        particle = QuditRegister._trusted(self.d, 1, basis_rows(self.d, value, basis is BasisKind.V2))
-        factors = self.factors[:f] + (((rest, kept),) if kept else ()) + self.factors[f + 1:]
-        return value, RoundState((*factors, (particle, (participant,))), self.r)
+        values, rests = measure(register, q, basis, u)
+        kept, head, tail = owners[:q] + owners[q + 1:], self.factors[:f], self.factors[f + 1:]
+        rows = basis_rows(self.d, list(rests), basis is BasisKind.V2)
+        return values, {v: RoundState((*head, *(((rest, kept),) if kept else ()), *tail,
+                                        (QuditRegister._trusted(self.d, 1, row), (participant,))), self.r)
+                        for (v, rest), row in zip(rests.items(), rows)}
 
 
 def read_out(rounds, rotations, u: np.ndarray) -> list[list[int]]:

@@ -15,8 +15,9 @@ Two measurement bases appear throughout: V1 is the computational basis
 {|0>, ..., |d-1>} and V2 is its Fourier image {QFT|0>, ..., QFT|d-1>}.
 Every measurement (V2 on the inverse-rotated target) is measure_stack,
 reading one qudit of each register of a stack against uniforms drawn up
-front. A lone particle, a decoy or one an eavesdropper sends on, is one
-of the 2d states |v> or QFT|v>: one row of basis_rows.
+front, or one register against many. A lone particle, a decoy or one an
+eavesdropper sends on, is one of the 2d states |v> or QFT|v>: one row of
+basis_rows.
 """
 
 from __future__ import annotations
@@ -159,17 +160,19 @@ def apply_iqft(reg: QuditRegister, target: int) -> QuditRegister:
 
 
 def measure(reg: QuditRegister, target: int, basis: BasisKind,
-            rng: np.random.Generator) -> tuple[int, QuditRegister]:
-    """Projective measurement of one qudit in the given basis; the qudit leaves the register.
+            u: np.ndarray) -> tuple[np.ndarray, dict[int, QuditRegister]]:
+    """Measure one qudit of the register once per uniform in u, in the given basis; the qudit leaves.
 
-    Returns the value and the register of the other k-1 qudits. V2
-    samples the computational digit of the inverse-rotated target.
+    Returns the values and {value: register of the other k-1 qudits} for
+    every value drawn. V2 samples the computational digit of the
+    inverse-rotated target.
     """
     if basis is BasisKind.V2:
         reg = apply_iqft(reg, target)
     a, b = _split(reg, target)
-    values, kept = measure_stack(reg.amplitudes.reshape(1, a, reg.d, b), rng.random(1))
-    return int(values[0]), QuditRegister._trusted(reg.d, reg.k - 1, kept.reshape(-1))
+    values, kept = measure_stack(reg.amplitudes.reshape(1, a, reg.d, b), u)
+    return values, {int(v): QuditRegister._trusted(reg.d, reg.k - 1, kept[g].reshape(-1))
+                    for v, g in zip(*np.unique(values, return_index=True))}
 
 
 def _sample(probs: np.ndarray, u) -> np.ndarray:
@@ -200,7 +203,8 @@ def measure_stack(psi: np.ndarray, u: np.ndarray,
 
     psi's last axis is contiguous. Register g first gets the unitary mats[g]
     on that qudit unless mats is None, then is measured against u[g].
-    Returns the G values and the (G, a, b) normalized rests.
+    Returns the G values and the (G, a, b) normalized rests. A (1, a, d, b)
+    psi is one register against all G uniforms, its distribution computed once.
     """
     if mats is not None:
         psi = np.matmul(mats[:, None], psi)
@@ -218,7 +222,7 @@ def measure_stack(psi: np.ndarray, u: np.ndarray,
 def measure_rows(rows: np.ndarray, v2: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Measure N lone qudits, one per row of an (N, d) array, in V2 where v2[i].
 
-    u[i] is the uniform measure would draw for row i. Returns the
+    u[i] is the uniform its caller drew for row i. Returns the
     outcomes; each row collapses to basis_rows(d, outcomes, v2) up to phase.
     """
     rows = np.asarray(rows, dtype=np.complex128)

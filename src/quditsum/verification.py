@@ -43,6 +43,8 @@ def select_checks(cfg: ProtocolConfig, eta: int, rng: np.random.Generator) -> li
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
+    if eta == 0:  # both draws would be empty and leave the generator as it is
+        return []
     positions = rng.choice(cfg.m + eta, size=eta, replace=False)
     base, rem = divmod(eta, cfg.n - 1)
     choosers = [c for c in range(2, cfg.n + 1) for _ in range(base + (1 if c - 2 < rem else 0))]

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from quditsum import BasisKind, QuditRegister, apply_iqft, execute_check, run_protocol
+from quditsum import BasisKind, QuditRegister, apply_iqft, eve_intercept_resend, execute_check, measure, run_protocol
 from quditsum.protocol import read_out
 from quditsum.qudit import _apply_single, _check_cap, _qft_matrix, _split, encode_matrix
 from quditsum.verification import check_rotations
@@ -107,3 +107,26 @@ def run_check(state, check: dict, rng: np.random.Generator) -> dict:
 def run_one(cfg, eta: int, secrets, rounds, rng: np.random.Generator, eve: bool = False) -> dict:
     """One trial through the lockstep engine: a chunk of one."""
     return run_protocol(cfg, eta, [secrets], [rounds], [rng], eve)[0]
+
+
+def measure_one(reg: QuditRegister, target: int, basis: BasisKind, rng: np.random.Generator):
+    """One measurement against one uniform drawn from rng: (int value, rest register)."""
+    values, rests = measure(reg, target, basis, rng.random(1))
+    return int(values[0]), rests[int(values[0])]
+
+
+def intercept_one(state, participant: int, basis: BasisKind, rng: np.random.Generator):
+    """One intercept against one uniform drawn from rng: (int value, the round as the participant gets it)."""
+    values, after = state.intercept(participant, basis, rng.random(1))
+    return int(values[0]), after[int(values[0])]
+
+
+def eve_one_trial(rounds, receiver: int, decoys: np.ndarray, rng: np.random.Generator):
+    """Eve on one trial's particles bound for the receiver, drawing as run_protocol does.
+
+    Her basis bits for the rounds then the decoys in one call, then her
+    uniforms the same way in a second: a chunk of one trial.
+    """
+    count = len(rounds) + len(decoys)
+    bits, u = rng.integers(2, size=count), rng.random(count)
+    return eve_intercept_resend(rounds, receiver, decoys, bits[None], u[None])

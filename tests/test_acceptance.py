@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from conftest import (
-    apply_qft, apply_shift, assert_within_4sigma, basis_state, outcome_distribution,
+    apply_qft, apply_shift, assert_within_4sigma, basis_state, eve_one_trial, outcome_distribution,
     random_register, random_secret, run_one,
 )
 
@@ -25,7 +25,6 @@ from quditsum import (
     apply_iqft,
     check_decoys,
     compute_sum,
-    eve_intercept_resend,
     fabricate_rounds,
     fake_particle,
     insert_decoys,
@@ -211,7 +210,7 @@ def test_c08_eve_disturbance_rate():
             for rep in range(100):
                 rng = np.random.default_rng((8, d, rep))
                 rows, expected_values = insert_decoys(cfg, rng)
-                _, resent = eve_intercept_resend([], 2, rows[2], rng)
+                _, resent = eve_one_trial([], 2, rows[2], rng)
                 mismatches += check_decoys(expected_values[2], resent, rng.random(len(resent)))
                 checked += cfg.decoy_count
             assert checked >= 10_000

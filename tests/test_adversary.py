@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     apply_encode, apply_qft, apply_shift, approx_equal, assert_within_4sigma, basis_state,
-    outcome_distribution, random_secret, run_one,
+    eve_one_trial, outcome_distribution, random_secret, run_one,
 )
 
 from quditsum import (
@@ -16,7 +16,6 @@ from quditsum import (
     apply_iqft,
     check_decoys,
     compute_sum,
-    eve_intercept_resend,
     fabricate_rounds,
     fake_particle,
     insert_decoys,
@@ -177,7 +176,7 @@ def test_eve_intercept_resend_returns_basis_states():
     cfg = ProtocolConfig(d=5, n=3, m=5)
     rounds = prepare_rounds(cfg) + fabricate_rounds(cfg, _uniform_r(5, 5, rng))
     rows = np.array([basis_state(5, [int(rng.integers(5))]).amplitudes for _ in range(20)])
-    resent, resent_rows = eve_intercept_resend(rounds, 3, rows, rng)
+    resent, resent_rows = eve_one_trial(rounds, 3, rows, rng)
     assert len(resent) == 10 and resent_rows.shape == (20, 5)
     particles = []
     for state, after in zip(rounds, resent):
@@ -200,7 +199,7 @@ def test_eve_disturbance_matches_oracle(d):
     checked = 0
     for _ in range(60):
         rows, expected = insert_decoys(cfg, rng)
-        _, resent = eve_intercept_resend([], 2, rows[2], rng)
+        _, resent = eve_one_trial([], 2, rows[2], rng)
         mismatches += check_decoys(expected[2], resent, rng.random(len(resent)))
         checked += cfg.decoy_count
     assert_within_4sigma(mismatches / checked, 0.5 * (1 - 1 / d), checked)

@@ -14,7 +14,9 @@ run builds once and shares; and the one draw of every participant's
 secret digits. read_out, which measures many rounds in lockstep against
 uniforms drawn up front, is pinned to the per-owner measurement chain it
 replaced, and measure, now the one-register case of that kernel, to the
-marginal-then-norm body it had before.
+marginal-then-norm body it had before. Eve, who intercepts a chunk of
+trials per receiver with one measurement per distinct round and basis,
+is pinned to the per-round intercept chain she ran before.
 """
 
 import tracemalloc
@@ -23,8 +25,8 @@ from functools import reduce
 import numpy as np
 import pytest
 from conftest import (
-    apply_encode, apply_qft, apply_shift, approx_equal, basis_state, outcome_distribution,
-    owner_uniforms, random_register, random_secret, run_check, run_one,
+    apply_encode, apply_qft, apply_shift, approx_equal, basis_state, eve_one_trial, intercept_one, measure_one,
+    outcome_distribution, owner_uniforms, random_register, random_secret, run_check, run_one,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,7 +129,7 @@ def _reference_decoy_rows(d, values, v2):
 
 
 def _reference_check_decoys(records, received, rng):
-    return sum(measure(reg, 0, basis, rng)[0] != value
+    return sum(measure_one(reg, 0, basis, rng)[0] != value
                for (value, basis), reg in zip(records, received))
 
 
@@ -176,7 +178,7 @@ def test_measure_draws_what_generator_choice_draws(d):
         reg = random_register(d, 2, gen)
         target, basis = int(gen.integers(2)), _basis(int(gen.integers(2)))
         probs = outcome_distribution(reg, target, basis)
-        assert measure(reg, target, basis, fast)[0] == int(ref.choice(d, p=probs / probs.sum()))
+        assert measure_one(reg, target, basis, fast)[0] == int(ref.choice(d, p=probs / probs.sum()))
     assert fast.bit_generator.state == ref.bit_generator.state
 
 
@@ -201,7 +203,7 @@ def test_decoys_match_scalar_loops(eve, d, n, count, seed):
     if eve:
         for i in expected:
             ref_regs[i] = _reference_eve([(r, 0) for r in ref_regs[i]], ref)
-            resent, rows[i] = eve_intercept_resend([], i, rows[i], fast)
+            resent, rows[i] = eve_one_trial([], i, rows[i], fast)
             assert resent == [] and rows[i].shape == (count, d)
             assert all(approx_equal(QuditRegister(d, 1, a), b) for a, b in zip(rows[i], ref_regs[i]))
     # every receiver's sequence in one stacked call, as a run checks them
@@ -225,7 +227,7 @@ def test_eve_on_payload_and_lone_decoys_matches_reference():
             particles = [(_dense(state), state.owners.index(receiver)) for state in rounds]
             expected = _reference_eve(particles + [(reg, 0) for reg in decoys], ref)
             rows = np.array([reg.amplitudes for reg in decoys], dtype=np.complex128).reshape(count, 5)
-            resent, resent_rows = eve_intercept_resend(rounds, receiver, rows, fast)
+            resent, resent_rows = eve_one_trial(rounds, receiver, rows, fast)
             for state, after, posterior in zip(rounds, resent, expected):
                 assert after.owners == state.owners
                 assert (after.factors[-1][0].k, after.factors[-1][1]) == (1, (receiver,))
@@ -235,17 +237,108 @@ def test_eve_on_payload_and_lone_decoys_matches_reference():
             assert fast.bit_generator.state == ref.bit_generator.state
 
 
+def _per_round_eve(rounds, receiver, decoys, rng):
+    """Eve as she ran before the chunk kernel: every basis bit, then one intercept per round, then the decoys."""
+    bits = rng.integers(2, size=len(rounds) + len(decoys))
+    resent = [intercept_one(state, receiver, _basis(bit), rng)[1] for state, bit in zip(rounds, bits)]
+    v2 = bits[len(rounds):] == 1
+    return resent, basis_rows(decoys.shape[1], measure_rows(decoys, v2, rng.random(len(decoys))), v2)
+
+
+@settings(max_examples=120, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 10]), n=st.sampled_from([2, 3, 4]), kind=st.sampled_from(["genuine", "forged", "mixed"]),
+       trials=st.integers(1, 4), count=st.integers(1, 4), decoys=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+def test_chunk_eve_matches_per_round_intercept_chain(d, n, kind, trials, count, decoys, seed):
+    # a chunk's trials draw as run_protocol does, then Eve intercepts the
+    # whole chunk per receiver; each trial's per-round chain must read the
+    # same values, resend the same decoy rows and leave its stream alike
+    gen = np.random.default_rng(seed)
+    cfg = ProtocolConfig(d=d, n=n, m=count, decoy_count=decoys)
+    genuine = prepare_rounds(cfg)
+    rounds = []
+    for _ in range(trials):
+        forged = fabricate_rounds(cfg, gen.integers(d, size=count).tolist())
+        pick = {"genuine": [False] * count, "forged": [True] * count, "mixed": gen.integers(2, size=count)}[kind]
+        rounds.append([f if p else g for f, g, p in zip(forged, genuine, pick)])
+    rows = [{i: basis_rows(d, gen.integers(d, size=decoys), gen.integers(2, size=decoys) == 1)
+             for i in range(2, n + 1)} for _ in range(trials)]
+    refs = [np.random.default_rng([seed, t]) for t in range(trials)]
+    fasts = [np.random.default_rng([seed, t]) for t in range(trials)]
+    expected_rounds, expected_rows = [list(trial) for trial in rounds], [dict(trial) for trial in rows]
+    for t, ref in enumerate(refs):
+        for i in range(2, n + 1):
+            expected_rounds[t], expected_rows[t][i] = _per_round_eve(expected_rounds[t], i, expected_rows[t][i], ref)
+    draws = {i: [] for i in range(2, n + 1)}
+    for fast in fasts:
+        for i in draws:
+            draws[i].append((fast.integers(2, size=count + decoys), fast.random(count + decoys)))
+    flat = [state for trial in rounds for state in trial]
+    for i, drawn in draws.items():
+        bits, u = (np.array(column) for column in zip(*drawn))
+        flat, resent = eve_intercept_resend(flat, i, np.concatenate([trial[i] for trial in rows]), bits, u)
+        assert np.array_equal(resent, np.concatenate([trial[i] for trial in expected_rows]))
+    expected = [state for trial in expected_rounds for state in trial]
+    for got, want in zip(flat, expected, strict=True):
+        assert [owners for _, owners in got.factors] == [owners for _, owners in want.factors]
+        assert all(np.array_equal(a.amplitudes, b.amplitudes) for (a, _), (b, _) in zip(got.factors, want.factors))
+    assert [ref.bit_generator.state for ref in refs] == [fast.bit_generator.state for fast in fasts]
+    reader = np.random.default_rng(seed + 1).random(sum(len(state.owners) for state in flat))
+    assert read_out(flat, [None] * len(flat), reader) == read_out(expected, [None] * len(expected), reader)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 10]), k=st.integers(1, 4), draws=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_measure_against_many_uniforms_is_each_alone(d, k, draws, seed):
+    gen = np.random.default_rng(seed)
+    reg, u = random_register(d, k, gen), gen.random(draws)
+    for target in range(k):
+        for basis in (V1, V2):
+            values, rests = measure(reg, target, basis, u)
+            assert sorted(rests) == sorted(set(values.tolist()))
+            for g, value in enumerate(values.tolist()):
+                alone, rest = measure(reg, target, basis, u[g:g + 1])
+                assert alone.tolist() == [value] and list(rest) == [value]
+                assert (rests[value].d, rests[value].k) == (d, k - 1)
+                assert np.array_equal(rests[value].amplitudes, rest[value].amplitudes)
+
+
+def test_measure_against_one_uniform_builds_one_rest():
+    # a d=10, n=5 register read once keeps one 10^4-amplitude rest, not
+    # one per level: what a wide register's intercept holds. The marginal's
+    # einsum adds fixed buffers of 2^17 bytes; a V2 read rotates a copy first
+    reg = omega_state(10, 5)
+    rest_bytes = reg.amplitudes.nbytes // 10
+
+    def peak(basis, target, u):
+        tracemalloc.start()
+        try:
+            values, rests = measure(reg, target, basis, np.array(u))
+            return values, rests, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for basis, rotated in ((V1, 0), (V2, reg.amplitudes.nbytes)):
+        peak(basis, 0, [0.5])  # first-call allocations outside the measurement
+        for target in range(5):
+            values, rests, one = peak(basis, target, [0.5])
+            assert list(rests) == values.tolist() and rests[values[0]].amplitudes.nbytes == rest_bytes
+            assert rest_bytes <= one - rotated < 1.5 * rest_bytes + 2**17
+            # two values drawn keep a rest each
+            values, rests, two = peak(basis, target, [0.05, 0.95])
+            assert values.tolist() == [0, 9] and two - one >= 0.9 * rest_bytes
+
+
 def test_measurement_checks_the_norm_of_trusted_registers():
     reg = QuditRegister._trusted(3, 1, np.array([1.5**0.5, 0, 0], dtype=np.complex128))
     rng = np.random.default_rng(0)
     for basis in (V1, V2):
         with pytest.raises(ValueError, match="not normalized"):
-            measure(reg, 0, basis, rng)
+            measure_one(reg, 0, basis, rng)
     with pytest.raises(ValueError, match="not normalized"):
         measure_rows(reg.amplitudes[None, :], np.array([False]), np.array([0.5]))
     nan = QuditRegister._trusted(2, 1, np.array([np.nan, 0], dtype=np.complex128))
     with pytest.raises(ValueError, match="not normalized"):
-        measure(nan, 0, V1, rng)
+        measure_one(nan, 0, V1, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +397,7 @@ def test_measure_computational_matches_zero_fill_reference(d, k):
         sel = (slice(None),) * target + (expected,)
         collapsed[sel] = psi[sel]
         collapsed = collapsed / np.linalg.norm(collapsed)
-        value, rest = measure(reg, target, V1, fast)
+        value, rest = measure_one(reg, target, V1, fast)
         assert value == expected
         assert (rest.d, rest.k) == (d, k - 1)
         assert np.max(np.abs(rest.amplitudes - collapsed[sel].reshape(-1))) <= 1e-13
@@ -378,7 +471,7 @@ def test_measure_matches_kept_qudit_reference(d, k, seed):
         for basis in (V1, V2):
             ref, fast = np.random.default_rng(seed + target), np.random.default_rng(seed + target)
             expected, posterior = _kept_measure(reg, target, basis, ref)
-            value, rest = measure(reg, target, basis, fast)
+            value, rest = measure_one(reg, target, basis, fast)
             assert value == expected
             assert fast.bit_generator.state == ref.bit_generator.state
             assert (rest.d, rest.k) == (d, k - 1)
@@ -398,7 +491,7 @@ def test_measure_matches_marginal_then_norm_reference(d, k, seed):
         for basis in (V1, V2):
             ref, fast = np.random.default_rng(seed + target), np.random.default_rng(seed + target)
             expected, posterior = _reference_measure(reg, target, basis, ref)
-            value, rest = measure(reg, target, basis, fast)
+            value, rest = measure_one(reg, target, basis, fast)
             assert value == expected
             assert fast.bit_generator.state == ref.bit_generator.state
             assert (rest.d, rest.k) == (posterior.d, posterior.k)
@@ -406,11 +499,11 @@ def test_measure_matches_marginal_then_norm_reference(d, k, seed):
 
 
 def test_zero_qudit_register_admits_no_operation():
-    _, empty = measure(basis_state(5, [3]), 0, V1, np.random.default_rng(0))
+    _, empty = measure_one(basis_state(5, [3]), 0, V1, np.random.default_rng(0))
     assert empty.k == 0
     rng = np.random.default_rng(1)
-    for op in (lambda: apply_qft(empty, 0), lambda: measure(empty, 0, V1, rng),
-               lambda: measure(empty, 0, V2, rng)):
+    for op in (lambda: apply_qft(empty, 0), lambda: measure_one(empty, 0, V1, rng),
+               lambda: measure_one(empty, 0, V2, rng)):
         with pytest.raises(ValueError):
             op()
     with pytest.raises(ValueError, match="at least 1 qudit"):
@@ -424,7 +517,7 @@ def test_measure_v2_matches_rotate_measure_rotate_back(d, k, seed):
     for target in range(k):
         ref, fast = np.random.default_rng(seed + target), np.random.default_rng(seed + target)
         value, collapsed = _kept_measure(apply_iqft(reg, target), target, V1, ref)
-        got, rest = measure(reg, target, V2, fast)
+        got, rest = measure_one(reg, target, V2, fast)
         assert got == value
         assert fast.bit_generator.state == ref.bit_generator.state
         # rotated back, the target holds QFT|v>; what it multiplies is the rest
@@ -512,7 +605,7 @@ def test_factor_rounds_under_eve_match_dense_reference(d, n, forged):
         ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
         after_eve, expected = _reference_eve_then_encode(rounds, secrets, ref)
         for i in range(2, n + 1):
-            rounds, _ = eve_intercept_resend(rounds, i, np.zeros((0, d), dtype=np.complex128), fast)
+            rounds, _ = eve_one_trial(rounds, i, np.zeros((0, d), dtype=np.complex128), fast)
         for state, reg in zip(rounds, after_eve):
             assert _same_state(_dense(state), reg)
         assert _encode_and_read_out(rounds, secrets, fast) == expected
@@ -532,7 +625,7 @@ def test_intercept_replaces_each_qudit(forged):
         participant = owners.pop(len(owners) // 2)
         order.append(participant)
         v2 = len(owners) % 2 == 1
-        value, state = state.intercept(participant, V2 if v2 else V1, rng)
+        value, state = intercept_one(state, participant, V2 if v2 else V1, rng)
         assert state.owners == holders
         assert sum(reg.k for reg, _ in state.factors) == len(holders)
         particle, held_by = state.factors[-1]
@@ -554,7 +647,7 @@ def _per_owner_read_out(state, rotation, rng):
         q = held.index(p)
         if rotation is not None:
             register = _apply_single(register, rotation if np.ndim(rotation) == 2 else rotation[idx], q)
-        value, rest = measure(register, q, V1, rng)
+        value, rest = measure_one(register, q, V1, rng)
         factors[f:f + 1] = [(rest, held[:q] + held[q + 1:])] if len(held) > 1 else []
         values.append(value)
     return values
@@ -574,7 +667,7 @@ def test_read_out_matches_per_owner_chain(d, n, seed, kinds):
         state = fabricate_rounds(cfg, (int(gen.integers(d)),))[0] if forged else prepare_rounds(cfg)[0]
         if eve:
             for i in gen.permutation(state.owners)[:int(gen.integers(1, len(state.owners) + 1))]:
-                state = state.intercept(int(i), _basis(int(gen.integers(2))), gen)[1]
+                state = intercept_one(state, int(i), _basis(int(gen.integers(2))), gen)[1]
         rounds.append(state)
         rotations.append({"none": None, "qft": _qft_matrix(d),
                           "encode": [encode_matrix(d, int(s)) for s in gen.integers(d, size=len(state.owners))]
@@ -603,7 +696,7 @@ def test_read_out_is_the_same_for_every_stack_cap(cap, monkeypatch):
     cfg = ProtocolConfig(d=3, n=3, m=1, decoy_count=0)
     gen = np.random.default_rng(cap)
     rounds = prepare_rounds(cfg, count=3) + fabricate_rounds(cfg, (0, 2))
-    rounds += [rounds[0].intercept(2, V2, gen)[1], rounds[3].intercept(3, V1, gen)[1]]
+    rounds += [intercept_one(rounds[0], 2, V2, gen)[1], intercept_one(rounds[3], 3, V1, gen)[1]]
     rotations = [None, _qft_matrix(3), [encode_matrix(3, 1)] * 3, None, [encode_matrix(3, 2)] * 3, None, None]
     ref = np.random.default_rng(7)
     expected = [_per_owner_read_out(state, rotation, ref) for state, rotation in zip(rounds, rotations)]

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -28,7 +30,7 @@ from quditsum import (
     wilson_interval,
     write_report,
 )
-from quditsum import harness, qudit
+from quditsum import cli, harness, protocol, qudit
 from quditsum.cli import main
 from quditsum.harness import (
     _COUNTS,
@@ -450,6 +452,28 @@ def test_a_run_makes_two_read_outs_and_one_decoy_check_per_chunk(scenario, d, n,
     assert chunks <= calls["read_out"] <= 2 * chunks and calls["check_decoys"] == chunks
 
 
+def test_eve_measures_each_distinct_round_once_per_basis(monkeypatch):
+    # a 20-trial small-mix eve-decoy run: receiver 2 meets the one shared
+    # round in two bases; receiver 3 at most the 2d rounds that left, in two
+    calls, receiver = Counter(), []
+    real_eve, real_measure = harness.eve_intercept_resend, protocol.measure
+
+    def eve(rounds, i, *args):
+        receiver.append(i)
+        return real_eve(rounds, i, *args)
+
+    def counted(*args):
+        calls[receiver[-1]] += 1
+        return real_measure(*args)
+
+    monkeypatch.setattr(harness, "eve_intercept_resend", eve)
+    monkeypatch.setattr(protocol, "measure", counted)
+    run_scenario(ScenarioConfig("eve-decoy", ProtocolConfig(d=5, n=3, m=4, decoy_count=16), eta=6, trials=20,
+                                master_seed=1))
+    assert receiver == [2, 3]
+    assert 0 < calls[2] <= 2 and 0 < calls[3] <= 4 * 5
+
+
 def test_a_run_over_the_stack_cap_peaks_as_one_trial():
     # 10^5 amplitudes per round is over the cap, so each trial is a chunk
     # of its own and a run of four holds no more than a run of one
@@ -755,6 +779,27 @@ def test_cli_checks_output_directory_before_running(tmp_path, monkeypatch, capsy
         assert main(["run", "--scenario", "honest", "--out", target]) == 3
         assert "error:" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["existing-dir"]
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, capsys):
+    # not at import: a fresh interpreter that imports the CLI has built none
+    probe = "import quditsum.cli as c; print(c.build_parser.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                          check=True).stdout.split() == ["0"]
+    # then one parser serves runs with different arguments, and a listing between them
+    cli.build_parser.cache_clear()
+    runs = [("honest", ["--d", "3", "--n", "2", "--m", "1", "--trials", "3", "--seed", "4"],
+             ScenarioConfig("honest", ProtocolConfig(d=3, n=2, m=1), eta=6, trials=3, master_seed=4)),
+            ("eve-decoy", ["--d", "5", "--n", "3", "--m", "2", "--decoys", "4", "--trials", "2", "--seed", "9"],
+             ScenarioConfig("eve-decoy", ProtocolConfig(d=5, n=3, m=2, decoy_count=4), eta=6, trials=2, master_seed=9))]
+    for k, (scenario, args, cfg) in enumerate(runs):
+        out = tmp_path / f"{scenario}.json"
+        assert main(["run", "--scenario", scenario, *args, "--out", str(out)]) == 0
+        if k == 0:
+            assert main(["--list-scenarios"]) == 0 and "eve-decoy" in capsys.readouterr().out
+        assert {**json.loads(out.read_text()), "duration_seconds": 0} == {**run_scenario(cfg), "duration_seconds": 0}
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_cli_without_command_exits_2(capsys):

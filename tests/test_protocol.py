@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 from conftest import (
-    apply_encode, apply_qft, apply_shift, approx_equal, basis_state, outcome_distribution,
+    apply_encode, apply_qft, apply_shift, approx_equal, basis_state, intercept_one, outcome_distribution,
     owner_uniforms, random_secret, run_one,
 )
 
@@ -176,7 +176,7 @@ def test_round_factors_name_one_owner_per_qudit():
     state = RoundState(((fake_particle(5, 1), (2,)), (fake_particle(5, 3), (3,))))
     assert state.owners == (2, 3) and state.d == 5
     with pytest.raises(ValueError, match="^participant 1 holds no qudit in the round$"):
-        state.intercept(1, BasisKind.V1, np.random.default_rng(0))
+        intercept_one(state, 1, BasisKind.V1, np.random.default_rng(0))
 
 
 def test_round_needs_factors_of_one_d_and_each_owner_once():
@@ -204,7 +204,7 @@ def test_encode_rejects_foreign_participant_and_bad_digit():
     state = prepare_rounds(cfg)[0]
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="^participant 3 holds no qudit in the round$"):
-        state.intercept(3, BasisKind.V1, rng)
+        intercept_one(state, 3, BasisKind.V1, rng)
     with pytest.raises(ValueError, match="^shift amount 5 out of range for d=5$"):
         read_out([state], [[encode_matrix(5, 5), encode_matrix(5, 0)]], owner_uniforms([state], rng))
 
@@ -240,7 +240,7 @@ def test_round_operations_leave_their_round_as_it_was(d, n, forged):
             assert first.bit_generator.state == again.bit_generator.state
         for basis in (BasisKind.V1, BasisKind.V2):
             for i in state.owners:
-                _, after = state.intercept(i, basis, np.random.default_rng(seed))
+                _, after = intercept_one(state, i, basis, np.random.default_rng(seed))
                 assert (after.r, after.d, after.owners) == (state.r, d, state.owners)
         assert state.factors == factors
 

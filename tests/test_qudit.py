@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (
-    apply_qft, apply_shift, approx_equal, assert_within_4sigma, basis_state,
+    apply_qft, apply_shift, approx_equal, assert_within_4sigma, basis_state, measure_one,
     outcome_distribution, random_register,
 )
 
@@ -221,10 +221,10 @@ def test_encoded_entangled_support_sums_to_digit_total(d, n):
 def test_measure_computational_eigenstate():
     # the measured qudit leaves; the last one leaves a unit amplitude
     rng = np.random.default_rng(0)
-    value, rest = measure(basis_state(7, [4]), 0, V1, rng)
+    value, rest = measure_one(basis_state(7, [4]), 0, V1, rng)
     assert value == 4
     assert rest.k == 0 and abs(abs(rest.amplitudes[0]) - 1.0) < 1e-12
-    value, rest = measure(basis_state(7, [4, 2, 6]), 1, V1, rng)
+    value, rest = measure_one(basis_state(7, [4, 2, 6]), 1, V1, rng)
     assert value == 2
     assert approx_equal(rest, basis_state(7, [4, 6]))
 
@@ -233,7 +233,7 @@ def test_measure_collapses_entangled_pair():
     rng = np.random.default_rng(1)
     seen = set()
     for _ in range(40):
-        value, rest = measure(omega_state(2, 2), 0, V1, rng)
+        value, rest = measure_one(omega_state(2, 2), 0, V1, rng)
         seen.add(value)
         assert approx_equal(rest, basis_state(2, [value]))
     assert seen == {0, 1}
@@ -265,7 +265,7 @@ def test_fourier_basis_measurement_projects():
     for r in range(4):
         for s in range(4):
             reg = apply_qft(basis_state(4, [r, s]), 0)
-            value, rest = measure(reg, 0, V2, rng)
+            value, rest = measure_one(reg, 0, V2, rng)
             assert value == r
             assert approx_equal(rest, basis_state(4, [s]))
 
@@ -276,12 +276,12 @@ def test_fourier_basis_measurement_repeats():
     rng = np.random.default_rng(3)
     for _ in range(10):
         reg = random_register(5, 2, rng)
-        first, rest = measure(reg, 1, V2, rng)
+        first, rest = measure_one(reg, 1, V2, rng)
         resent = apply_qft(basis_state(5, [first]), 0)
         projected = reg.amplitudes.reshape(5, 5) @ resent.amplitudes.conj()
         assert approx_equal(rest, QuditRegister(5, 1, projected / np.linalg.norm(projected)), tol=1e-12)
         assert abs(outcome_distribution(resent, 0, V2)[first] - 1.0) < 1e-9
-        assert measure(resent, 0, V2, rng)[0] == first
+        assert measure_one(resent, 0, V2, rng)[0] == first
 
 
 def test_measure_agrees_with_outcome_distribution():
@@ -293,7 +293,7 @@ def test_measure_agrees_with_outcome_distribution():
         probs = outcome_distribution(reg, 0, basis)
         counts = np.zeros(4)
         for _ in range(samples):
-            counts[measure(reg, 0, basis, rng)[0]] += 1
+            counts[measure_one(reg, 0, basis, rng)[0]] += 1
         for v in range(4):
             assert_within_4sigma(counts[v] / samples, probs[v], samples)
 
@@ -302,7 +302,7 @@ def test_measure_posterior_is_normalized():
     rng = np.random.default_rng(13)
     for _ in range(20):
         reg = random_register(3, 3, rng)
-        _, posterior = measure(reg, int(rng.integers(3)), V2 if rng.integers(2) else V1, rng)
+        _, posterior = measure_one(reg, int(rng.integers(3)), V2 if rng.integers(2) else V1, rng)
         assert abs(np.sum(np.abs(posterior.amplitudes) ** 2) - 1.0) < 1e-9
 
 

@@ -69,6 +69,19 @@ def test_select_checks_empty():
     assert rng.bit_generator.state == before  # no checks draw nothing
 
 
+def test_select_checks_returns_before_drawing_at_eta_zero():
+    # the two draws it skips are empty, and empty draws leave the stream
+    # where it was, so skipping them moves no digest
+    for total in range(1, 51):
+        cfg = ProtocolConfig(d=5, n=3, m=total)
+        rng, skipped = np.random.default_rng(total), np.random.default_rng(total)
+        before = rng.bit_generator.state
+        assert select_checks(cfg, 0, rng) == []
+        assert rng.bit_generator.state == before
+        assert skipped.choice(total, size=0, replace=False).size == skipped.integers(2, size=0).size == 0
+        assert skipped.bit_generator.state == before
+
+
 def test_select_checks_even_split():
     cfg = ProtocolConfig(d=5, n=3, m=2)
     checks = select_checks(cfg, 6, np.random.default_rng(1))
