@@ -63,26 +63,32 @@ def fabricate_rounds(cfg: ProtocolConfig, r_choices) -> list[RoundState]:
     return [built[r] for r in r_choices]
 
 
-def eve_intercept_resend(rounds, receiver: int, decoys: np.ndarray, bits: np.ndarray, u: np.ndarray):
+def eve_intercept_resend(rounds, receiver: int, decoys, bits: np.ndarray, u: np.ndarray, d: int):
     """Measure every particle in transit to the receiver, over a chunk of T trials, in the drawn bases.
 
-    rounds holds the T trials' rounds flat, in trial order, and decoys
-    their (T*D, d) rows. Row t of the (T, R + D) arrays bits and u is trial
-    t's basis bit (1 for V2) and uniform for each of its R payload qudits,
-    then each of its D decoys. The receiver gets instead of each qudit the
-    basis state Eve read, |v> or QFT|v>, as a one-qudit factor of its own.
-    Positions holding one round in one basis are measured together, and
-    each value gives one round. Returns the rounds and rows she resends.
+    rounds holds the T trials' rounds flat, in trial order, and decoys the
+    (values, v2) pair of their T*D decoys, each of d levels. Row t of the
+    (T, R + D) arrays bits and u is trial t's basis bit (1 for V2) and
+    uniform for each of its R payload qudits, then each of its D decoys.
+    The receiver gets instead of each qudit the basis state Eve read, |v>
+    or QFT|v>, in a round as a one-qudit factor of its own. Positions
+    holding one round in one basis are measured together, and each value
+    gives one round. Returns the rounds and the resent decoys' (values, v2).
     """
-    split = len(rounds) // len(bits)
+    values, v2 = decoys
+    trials, split = len(bits), len(rounds) // max(len(bits), 1)
+    shape = (trials, split + len(values) // max(trials, 1))
+    if {np.shape(bits), np.shape(u)} != {shape} or trials * shape[1] != len(rounds) + len(values):
+        raise ValueError(f"bits and u must share one shape (T, R + D) for {len(rounds)} rounds and {len(values)} "
+                         f"decoys over T trials: got {np.shape(bits)} and {np.shape(u)}")
     payload_u, groups = u[:, :split].reshape(-1), {}
     for j, (state, bit) in enumerate(zip(rounds, bits[:, :split].reshape(-1).tolist())):
         groups.setdefault((id(state), bit), []).append(j)
     resent = list(rounds)
     for (_, bit), positions in groups.items():
-        values, after = rounds[positions[0]].intercept(receiver, BasisKind.V2 if bit else BasisKind.V1,
-                                                       payload_u[positions])
-        for j, value in zip(positions, values.tolist()):
+        read, after = rounds[positions[0]].intercept(receiver, BasisKind.V2 if bit else BasisKind.V1,
+                                                     payload_u[positions])
+        for j, value in zip(positions, read.tolist()):
             resent[j] = after[value]
-    v2 = bits[:, split:].reshape(-1) == 1
-    return resent, basis_rows(decoys.shape[1], measure_rows(decoys, v2, u[:, split:].reshape(-1)), v2)
+    bases = bits[:, split:].reshape(-1) == 1
+    return resent, (measure_rows(basis_rows(d, values, v2), bases, u[:, split:].reshape(-1)), bases)

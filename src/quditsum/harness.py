@@ -182,12 +182,12 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rngs, eve: bool
     Trial t hands out rounds[t], the m+eta states the dealer made, genuine
     or forged, each held by P1..Pn, of d levels each; it encodes
     secrets[t] and draws from rngs[t] alone, in the order a lone trial
-    draws. Each trial inserts its decoys and, with eve=True, draws for each
-    channel in turn an intercept-resend eavesdropper's basis bits, then her
-    uniforms, for the payload then the decoys; she then measures the whole
-    chunk per receiver. One check_decoys call then
-    checks every receiver's decoys of every trial, and a trial aborts if
-    any error rate exceeds the threshold. Each trial left draws eta check
+    draws. Each trial draws its decoys as (value, basis) pairs and, with
+    eve=True, for each channel in turn an intercept-resend eavesdropper's
+    basis bits, then her uniforms, for the payload then the decoys; she then
+    reads the whole chunk per receiver and resends pairs. One check_decoys
+    call measures every receiver's decoys of every trial, and a trial aborts
+    if any error rate exceeds the threshold. Each trial left draws eta check
     positions; one read_out serves every trial's checks, and a trial's
     checks are judged in position order up to its first failure, which
     aborts it. The checks after a failed one are read out too: harmless,
@@ -220,24 +220,22 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rngs, eve: bool
                 raise ValueError(f"round {j} does not fit d={cfg.d}, n={cfg.n}")
 
     shape = (cfg.n - 1, len(rngs), total + cfg.decoy_count)  # Eve's draws: (T, R + D) per receiver
-    rows, values, v2, u, bits, eve_u = [], [], [], [], np.zeros(shape, dtype=np.int64), np.zeros(shape)
+    decoys, u, bits, eve_u = [], [], np.zeros(shape, dtype=np.int64), np.zeros(shape)
     for t, rng in enumerate(rngs):
-        decoys, expected = insert_decoys(cfg, rng)
+        decoys.append([list(part.values()) for part in insert_decoys(cfg, rng)])
         for k in range(cfg.n - 1 if eve else 0):
             bits[k, t], eve_u[k, t] = rng.integers(2, size=shape[2]), rng.random(shape[2])
-        rows.append([decoys[i] for i in receivers])
-        values.append([expected[i][0] for i in receivers])
-        v2.append([expected[i][1] for i in receivers])
         u.append(rng.random((cfg.n - 1, cfg.decoy_count)))
-    rows = np.array(rows)
+    expected = received = [np.array(a).swapaxes(0, 1) for a in zip(*decoys)]  # (n-1, T, D): receiver, trial, decoy
     if eve:
         # each receiver's intercepts span the chunk; receiver i+1 gets the rounds receiver i's left
-        flat = [state for trial in rounds for state in trial]
+        flat, received = [state for trial in rounds for state in trial], [a.copy() for a in expected]
         for k, i in enumerate(receivers):
-            flat, resent = eve_intercept_resend(flat, i, rows[:, k].reshape(-1, cfg.d), bits[k], eve_u[k])
-            rows[:, k] = resent.reshape(rows[:, k].shape)
+            pair = [a[k].reshape(-1) for a in expected]
+            flat, resent = eve_intercept_resend(flat, i, pair, bits[k], eve_u[k], cfg.d)
+            received[0][k], received[1][k] = (a.reshape(len(rngs), -1) for a in resent)
         rounds = [flat[t * total:(t + 1) * total] for t in range(len(rngs))]
-    mismatches = check_decoys((np.array(values), np.array(v2)), rows, np.array(u)).tolist()
+    mismatches = check_decoys(cfg.d, expected, received, np.array(u).swapaxes(0, 1)).T.tolist()
     detected = [any(_decoys_abort(c, cfg.decoy_count, cfg.error_threshold) for c in row) for row in mismatches]
 
     selected = [[] if aborted else select_checks(cfg, eta, rng) for aborted, rng in zip(detected, rngs)]

@@ -15,7 +15,7 @@ Participants are numbered 1-based; P1..Pn hold the qudits of a genuine
 round's shared register in order. read_out reads many rounds in lockstep,
 each owner's qudit rotated first if asked (encode_matrix of its digit, to
 encode), and check_decoys many decoy sequences at once, each against the
-uniforms its caller drew.
+uniforms its caller drew. A decoy is its (value, basis) pair until then.
 """
 
 from __future__ import annotations
@@ -205,38 +205,34 @@ def insert_decoys(cfg: ProtocolConfig, rng: np.random.Generator):
 
     Every decoy carries a uniform value prepared in a uniform basis,
     either |r> or QFT|r>: one (n-1, decoy_count) draw of values, then one
-    of basis bits, a row per recipient. Returns ({recipient: rows},
-    {recipient: (values, v2)}) for recipients 2..n: rows is the
-    (decoy_count, d) array of decoy states, values what each should read
-    and v2 marks those prepared in the Fourier basis.
+    of basis bits, a row per recipient. Returns ({recipient: values},
+    {recipient: v2}) for recipients 2..n: what each decoy should read, and
+    which were prepared in the Fourier basis. No state is built here.
     """
     size = (cfg.n - 1, cfg.decoy_count)
     values, v2 = rng.integers(cfg.d, size=size), rng.integers(2, size=size) == 1
-    receivers = range(2, cfg.n + 1)
-    return dict(zip(receivers, basis_rows(cfg.d, values, v2))), dict(zip(receivers, zip(values, v2)))
+    return tuple(dict(zip(range(2, cfg.n + 1), a)) for a in (values, v2))
 
 
-def check_decoys(expected, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Measure each received decoy row in its preparation basis; count each sequence's mismatches.
+def check_decoys(d: int, expected, received, u) -> np.ndarray:
+    """Measure each received decoy in its preparation basis; count each sequence's mismatches.
 
-    expected is the (values, v2) pair insert_decoys recorded for one
-    receiver, of shape (N,), or such pairs stacked to shape (..., N).
-    rows holds the (..., N, d) received rows and u the uniform the
-    caller drew for each, in order. Returns the (...) mismatch counts:
-    0 exactly where the channel was untouched, since both |r> and
-    QFT|r> are eigenstates of their own measurement. All decoys are
-    measured as one array.
+    expected is the (values, v2) pair insert_decoys drew, received that of
+    the basis states that arrived (expected itself on a clean channel) and
+    u the uniform the caller drew for each decoy: all of one shape (..., N),
+    every value in [0, d). The received states are built with one basis_rows
+    call and measured as one array. Returns the (...) mismatch counts: 0
+    exactly where the channel was untouched, since both |r> and QFT|r> are
+    eigenstates of their own measurement.
     """
-    values, v2 = expected
-    rows, shape = np.asarray(rows), np.shape(values)
-    if rows.shape[:-1] != shape:
-        raise ValueError(f"decoys must be an array of rows, one per value: got shape {rows.shape} "
-                         f"for {np.size(values)} expected values of shape {shape}")
-    if np.shape(u) != shape:
-        raise ValueError(f"got uniforms of shape {np.shape(u)} for expected values of shape {shape}")
-    d = rows.shape[-1]
-    outcomes = measure_rows(rows.reshape(-1, d), np.reshape(v2, -1), np.reshape(u, -1)).reshape(shape)
-    return np.count_nonzero(outcomes != values, axis=-1)
+    values, v2, got, got_v2, u = arrays = [np.asarray(a) for a in (*expected, *received, u)]
+    if any(a.shape != values.shape for a in arrays):
+        raise ValueError(f"expected, received and uniforms must share one shape: got {[a.shape for a in arrays]}")
+    for name, a in (("expected", values), ("received", got)):
+        if ((a < 0) | (a >= d)).any():
+            raise ValueError(f"{name} decoy value {a[(a < 0) | (a >= d)][0]} out of range for d={d}")
+    outcomes = measure_rows(basis_rows(d, got, got_v2).reshape(-1, d), v2.reshape(-1), u.reshape(-1))
+    return np.count_nonzero(outcomes.reshape(values.shape) != values, axis=-1)
 
 
 def compute_sum(results, d: int) -> list[int]:

@@ -15,9 +15,9 @@ Two measurement bases appear throughout: V1 is the computational basis
 {|0>, ..., |d-1>} and V2 is its Fourier image {QFT|0>, ..., QFT|d-1>}.
 Every measurement (V2 on the inverse-rotated target) is measure_stack,
 reading one qudit of each register of a stack against uniforms drawn up
-front, or one register against many. A lone particle, a decoy or one an
-eavesdropper sends on, is one of the 2d states |v> or QFT|v>: one row of
-basis_rows.
+front, or one register against many. A decoy, kept as its (v, basis) pair,
+and a particle an eavesdropper puts in a round are |v> or QFT|v>: rows of
+basis_rows, built for a decoy only by the measurement that reads it.
 """
 
 from __future__ import annotations

@@ -121,12 +121,13 @@ def intercept_one(state, participant: int, basis: BasisKind, rng: np.random.Gene
     return int(values[0]), after[int(values[0])]
 
 
-def eve_one_trial(rounds, receiver: int, decoys: np.ndarray, rng: np.random.Generator):
+def eve_one_trial(rounds, receiver: int, decoys, rng: np.random.Generator, d: int):
     """Eve on one trial's particles bound for the receiver, drawing as run_protocol does.
 
-    Her basis bits for the rounds then the decoys in one call, then her
-    uniforms the same way in a second: a chunk of one trial.
+    decoys is the (values, v2) pair of the trial's decoys. Her basis bits
+    for the rounds then the decoys in one call, then her uniforms the same
+    way in a second: a chunk of one trial.
     """
-    count = len(rounds) + len(decoys)
+    count = len(rounds) + len(decoys[0])
     bits, u = rng.integers(2, size=count), rng.random(count)
-    return eve_intercept_resend(rounds, receiver, decoys, bits[None], u[None])
+    return eve_intercept_resend(rounds, receiver, decoys, bits[None], u[None], d)

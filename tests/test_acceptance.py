@@ -209,9 +209,10 @@ def test_c08_eve_disturbance_rate():
             checked = 0
             for rep in range(100):
                 rng = np.random.default_rng((8, d, rep))
-                rows, expected_values = insert_decoys(cfg, rng)
-                _, resent = eve_one_trial([], 2, rows[2], rng)
-                mismatches += check_decoys(expected_values[2], resent, rng.random(len(resent)))
+                values, v2 = insert_decoys(cfg, rng)
+                pair = values[2], v2[2]
+                _, resent = eve_one_trial([], 2, pair, rng, d)
+                mismatches += check_decoys(d, pair, resent, rng.random(cfg.decoy_count))
                 checked += cfg.decoy_count
             assert checked >= 10_000
             expected = 0.5 * (1.0 - 1.0 / d)

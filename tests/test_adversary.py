@@ -16,6 +16,7 @@ from quditsum import (
     apply_iqft,
     check_decoys,
     compute_sum,
+    eve_intercept_resend,
     fabricate_rounds,
     fake_particle,
     insert_decoys,
@@ -24,7 +25,7 @@ from quditsum import (
     recover_secret_digit,
 )
 from quditsum.harness import _within_band
-from quditsum.qudit import _iqft_matrix, _qft_matrix
+from quditsum.qudit import _iqft_matrix, _qft_matrix, basis_rows
 
 V1, V2 = BasisKind.V1, BasisKind.V2
 
@@ -175,9 +176,9 @@ def test_eve_intercept_resend_returns_basis_states():
     rng = np.random.default_rng(8)
     cfg = ProtocolConfig(d=5, n=3, m=5)
     rounds = prepare_rounds(cfg) + fabricate_rounds(cfg, _uniform_r(5, 5, rng))
-    rows = np.array([basis_state(5, [int(rng.integers(5))]).amplitudes for _ in range(20)])
-    resent, resent_rows = eve_one_trial(rounds, 3, rows, rng)
-    assert len(resent) == 10 and resent_rows.shape == (20, 5)
+    values = np.array([int(rng.integers(5)) for _ in range(20)])
+    resent, (read, bases) = eve_one_trial(rounds, 3, (values, np.zeros(20, dtype=bool)), rng, 5)
+    assert len(resent) == 10 and read.shape == bases.shape == (20,)
     particles = []
     for state, after in zip(rounds, resent):
         # the receiver's qudit left its register; the resent particle is a factor of its own
@@ -186,9 +187,38 @@ def test_eve_intercept_resend_returns_basis_states():
         assert after.factors[-1][1] == (3,)
         particles.append(after.factors[-1][0])
     table = np.concatenate([np.eye(5, dtype=np.complex128), _qft_matrix(5)])
-    for row in [reg.amplitudes for reg in particles] + list(resent_rows):
+    for row in [reg.amplitudes for reg in particles] + list(basis_rows(5, read, bases)):
         # each resent particle is exactly |v> or QFT|v> for some v
         assert any(np.array_equal(row, state) for state in table)
+
+
+@pytest.mark.parametrize("rounds,decoys,shapes", [
+    # five rounds and (1, 4) draws: the fifth round would pass un-intercepted
+    (5, 0, [(1, 4), (1, 4)]),
+    (5, 0, [(1, 5), (1, 6)]),
+    (5, 3, [(1, 8), (2, 4)]),
+    (4, 4, [(2, 3), (2, 3)]),
+    (5, 0, [(0, 5), (0, 5)]),
+    (0, 3, [(2, 1), (2, 1)]),
+])
+def test_eve_intercept_resend_rejects_draws_that_do_not_fit(rounds, decoys, shapes):
+    cfg = ProtocolConfig(d=5, n=3, m=rounds or 1)
+    pair = np.zeros(decoys, dtype=np.int64), np.zeros(decoys, dtype=bool)
+    bits, u = (np.zeros(shape) for shape in shapes)
+    with pytest.raises(ValueError, match=r"shape \(T, R \+ D\)"):
+        eve_intercept_resend(prepare_rounds(cfg)[:rounds], 2, pair, bits.astype(np.int64), u, 5)
+
+
+def test_eve_intercept_resend_reads_decoy_pairs():
+    rounds = prepare_rounds(ProtocolConfig(d=5, n=3, m=2))
+    bits, u = np.zeros((1, 5), dtype=np.int64), np.full((1, 5), 0.5)
+    resent, (read, bases) = eve_intercept_resend(rounds, 2, (np.arange(3), np.zeros(3, dtype=bool)), bits, u, 5)
+    # a V1 read of |v> is v, whatever the uniform
+    assert len(resent) == 2 and read.tolist() == [0, 1, 2] and not bases.any()
+    # so is a V2 read of QFT|v>, with no rounds at all
+    pair = np.arange(3), np.ones(3, dtype=bool)
+    _, (read, bases) = eve_intercept_resend([], 2, pair, bits[:, :3] + 1, u[:, :3], 5)
+    assert read.tolist() == [0, 1, 2] and bases.all()
 
 
 @pytest.mark.parametrize("d", [2, 10])
@@ -198,9 +228,10 @@ def test_eve_disturbance_matches_oracle(d):
     mismatches = 0
     checked = 0
     for _ in range(60):
-        rows, expected = insert_decoys(cfg, rng)
-        _, resent = eve_one_trial([], 2, rows[2], rng)
-        mismatches += check_decoys(expected[2], resent, rng.random(len(resent)))
+        values, v2 = insert_decoys(cfg, rng)
+        pair = values[2], v2[2]
+        _, resent = eve_one_trial([], 2, pair, rng, d)
+        mismatches += check_decoys(d, pair, resent, rng.random(cfg.decoy_count))
         checked += cfg.decoy_count
     assert_within_4sigma(mismatches / checked, 0.5 * (1 - 1 / d), checked)
 

@@ -1,6 +1,6 @@
 """The fast paths against the reference computations they replace.
 
-Each receiver's decoys are one array of rows from preparation through
+Each receiver's decoys are (value, basis) pairs from preparation through
 Eve to the check, measured with one uniform per decoy drawn in the
 order the per-particle loop would draw it. These tests reproduce those
 loops and require identical outcomes, expected values and final
@@ -192,25 +192,29 @@ def test_decoys_match_scalar_loops(eve, d, n, count, seed):
     cfg = ProtocolConfig(d=d, n=n, m=2, decoy_count=count)
     ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
     ref_regs, ref_recs = _reference_insert_decoys(cfg, ref)
-    rows, expected = insert_decoys(cfg, fast)
-    assert sorted(rows) == sorted(expected) == sorted(ref_recs)
-    for i in expected:
-        values, v2 = expected[i]
-        assert rows[i].shape == (count, d)
-        assert list(zip(values.tolist(), map(_basis, v2))) == ref_recs[i]
-        assert np.array_equal(rows[i], np.array([r.amplitudes for r in ref_regs[i]]).reshape(count, d))
+    values, v2 = insert_decoys(cfg, fast)
+    assert sorted(values) == sorted(v2) == sorted(ref_recs)
+    received = {}
+    for i in values:
+        assert values[i].shape == v2[i].shape == (count,)
+        assert list(zip(values[i].tolist(), map(_basis, v2[i]))) == ref_recs[i]
+        # the pair is the state the reference built
+        assert np.array_equal(basis_rows(d, values[i], v2[i]),
+                              np.array([r.amplitudes for r in ref_regs[i]]).reshape(count, d))
+        received[i] = values[i], v2[i]
     assert fast.bit_generator.state == ref.bit_generator.state
     if eve:
-        for i in expected:
+        for i in values:
             ref_regs[i] = _reference_eve([(r, 0) for r in ref_regs[i]], ref)
-            resent, rows[i] = eve_one_trial([], i, rows[i], fast)
-            assert resent == [] and rows[i].shape == (count, d)
-            assert all(approx_equal(QuditRegister(d, 1, a), b) for a, b in zip(rows[i], ref_regs[i]))
+            resent, received[i] = eve_one_trial([], i, received[i], fast, d)
+            assert resent == [] and received[i][0].shape == received[i][1].shape == (count,)
+            assert all(approx_equal(QuditRegister(d, 1, a), b) for a, b in zip(basis_rows(d, *received[i]), ref_regs[i]))
     # every receiver's sequence in one stacked call, as a run checks them
-    receivers = sorted(expected)
-    counts = check_decoys((np.array([expected[i][0] for i in receivers]), np.array([expected[i][1] for i in receivers])),
-                          np.array([rows[i] for i in receivers]), fast.random((n - 1, count))).tolist()
-    assert counts == [_reference_check_decoys(ref_recs[i], ref_regs[i], ref) for i in sorted(expected)]
+    receivers = sorted(values)
+    counts = check_decoys(d, (np.array([values[i] for i in receivers]), np.array([v2[i] for i in receivers])),
+                          [np.array(a) for a in zip(*(received[i] for i in receivers))],
+                          fast.random((n - 1, count))).tolist()
+    assert counts == [_reference_check_decoys(ref_recs[i], ref_regs[i], ref) for i in receivers]
     assert fast.bit_generator.state == ref.bit_generator.state
     if eve and count >= 40:
         assert sum(counts) > 0
@@ -222,27 +226,28 @@ def test_eve_on_payload_and_lone_decoys_matches_reference():
     rounds = prepare_rounds(cfg, count=2) + fabricate_rounds(cfg, (3, 0))
     for receiver in (2, 3):
         for count in (0, 8):
-            decoys = [random_register(5, 1, gen) for _ in range(count)]
+            # the decoys are random (value, basis) pairs, the reference their dense states
+            values, v2 = gen.integers(5, size=count), gen.integers(2, size=count) == 1
+            decoys = [apply_qft(basis_state(5, [v]), 0) if b else basis_state(5, [v]) for v, b in zip(values, v2)]
             ref, fast = np.random.default_rng(9 + count), np.random.default_rng(9 + count)
             particles = [(_dense(state), state.owners.index(receiver)) for state in rounds]
             expected = _reference_eve(particles + [(reg, 0) for reg in decoys], ref)
-            rows = np.array([reg.amplitudes for reg in decoys], dtype=np.complex128).reshape(count, 5)
-            resent, resent_rows = eve_one_trial(rounds, receiver, rows, fast)
+            resent, (read, bases) = eve_one_trial(rounds, receiver, (values, v2), fast, 5)
             for state, after, posterior in zip(rounds, resent, expected):
                 assert after.owners == state.owners
                 assert (after.factors[-1][0].k, after.factors[-1][1]) == (1, (receiver,))
                 assert _same_state(_dense(after), posterior)
-            assert resent_rows.shape == (count, 5)
-            assert all(approx_equal(QuditRegister(5, 1, a), b) for a, b in zip(resent_rows, expected[4:]))
+            assert read.shape == bases.shape == (count,)
+            assert all(approx_equal(QuditRegister(5, 1, a), b) for a, b in zip(basis_rows(5, read, bases), expected[4:]))
             assert fast.bit_generator.state == ref.bit_generator.state
 
 
 def _per_round_eve(rounds, receiver, decoys, rng):
     """Eve as she ran before the chunk kernel: every basis bit, then one intercept per round, then the decoys."""
-    bits = rng.integers(2, size=len(rounds) + len(decoys))
+    bits = rng.integers(2, size=len(rounds) + len(decoys[0]))
     resent = [intercept_one(state, receiver, _basis(bit), rng)[1] for state, bit in zip(rounds, bits)]
     v2 = bits[len(rounds):] == 1
-    return resent, basis_rows(decoys.shape[1], measure_rows(decoys, v2, rng.random(len(decoys))), v2)
+    return resent, (measure_rows(basis_rows(rounds[0].d, *decoys), v2, rng.random(len(v2))), v2)
 
 
 @settings(max_examples=120, deadline=None)
@@ -251,7 +256,7 @@ def _per_round_eve(rounds, receiver, decoys, rng):
 def test_chunk_eve_matches_per_round_intercept_chain(d, n, kind, trials, count, decoys, seed):
     # a chunk's trials draw as run_protocol does, then Eve intercepts the
     # whole chunk per receiver; each trial's per-round chain must read the
-    # same values, resend the same decoy rows and leave its stream alike
+    # same values, resend the same decoy pairs and leave its stream alike
     gen = np.random.default_rng(seed)
     cfg = ProtocolConfig(d=d, n=n, m=count, decoy_count=decoys)
     genuine = prepare_rounds(cfg)
@@ -260,14 +265,14 @@ def test_chunk_eve_matches_per_round_intercept_chain(d, n, kind, trials, count, 
         forged = fabricate_rounds(cfg, gen.integers(d, size=count).tolist())
         pick = {"genuine": [False] * count, "forged": [True] * count, "mixed": gen.integers(2, size=count)}[kind]
         rounds.append([f if p else g for f, g, p in zip(forged, genuine, pick)])
-    rows = [{i: basis_rows(d, gen.integers(d, size=decoys), gen.integers(2, size=decoys) == 1)
-             for i in range(2, n + 1)} for _ in range(trials)]
+    pairs = [{i: (gen.integers(d, size=decoys), gen.integers(2, size=decoys) == 1)
+              for i in range(2, n + 1)} for _ in range(trials)]
     refs = [np.random.default_rng([seed, t]) for t in range(trials)]
     fasts = [np.random.default_rng([seed, t]) for t in range(trials)]
-    expected_rounds, expected_rows = [list(trial) for trial in rounds], [dict(trial) for trial in rows]
+    expected_rounds, expected_pairs = [list(trial) for trial in rounds], [dict(trial) for trial in pairs]
     for t, ref in enumerate(refs):
         for i in range(2, n + 1):
-            expected_rounds[t], expected_rows[t][i] = _per_round_eve(expected_rounds[t], i, expected_rows[t][i], ref)
+            expected_rounds[t], expected_pairs[t][i] = _per_round_eve(expected_rounds[t], i, expected_pairs[t][i], ref)
     draws = {i: [] for i in range(2, n + 1)}
     for fast in fasts:
         for i in draws:
@@ -275,8 +280,10 @@ def test_chunk_eve_matches_per_round_intercept_chain(d, n, kind, trials, count, 
     flat = [state for trial in rounds for state in trial]
     for i, drawn in draws.items():
         bits, u = (np.array(column) for column in zip(*drawn))
-        flat, resent = eve_intercept_resend(flat, i, np.concatenate([trial[i] for trial in rows]), bits, u)
-        assert np.array_equal(resent, np.concatenate([trial[i] for trial in expected_rows]))
+        flat, resent = eve_intercept_resend(flat, i, [np.concatenate(a) for a in zip(*(trial[i] for trial in pairs))],
+                                            bits, u, d)
+        for got, want in zip(resent, zip(*(trial[i] for trial in expected_pairs)), strict=True):
+            assert np.array_equal(got, np.concatenate(want))
     expected = [state for trial in expected_rounds for state in trial]
     for got, want in zip(flat, expected, strict=True):
         assert [owners for _, owners in got.factors] == [owners for _, owners in want.factors]
@@ -605,7 +612,7 @@ def test_factor_rounds_under_eve_match_dense_reference(d, n, forged):
         ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
         after_eve, expected = _reference_eve_then_encode(rounds, secrets, ref)
         for i in range(2, n + 1):
-            rounds, _ = eve_one_trial(rounds, i, np.zeros((0, d), dtype=np.complex128), fast)
+            rounds, _ = eve_one_trial(rounds, i, (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)), fast, d)
         for state, reg in zip(rounds, after_eve):
             assert _same_state(_dense(state), reg)
         assert _encode_and_read_out(rounds, secrets, fast) == expected

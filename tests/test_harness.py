@@ -452,6 +452,18 @@ def test_a_run_makes_two_read_outs_and_one_decoy_check_per_chunk(scenario, d, n,
     assert chunks <= calls["read_out"] <= 2 * chunks and calls["check_decoys"] == chunks
 
 
+@pytest.mark.parametrize("scenario", [name for name, sc in SCENARIOS.items() if not sc.eve])
+@pytest.mark.parametrize("d, n, m, eta, trials, chunks", [(5, 3, 4, 6, 20, 1), (10, 5, 1, 2, 4, 4)])
+def test_a_clean_run_builds_decoy_states_once_per_chunk(scenario, d, n, m, eta, trials, chunks, monkeypatch):
+    # the engine carries each decoy as its (value, basis) pair; only the
+    # check builds the states, with one basis_rows call for the chunk
+    calls, real = [], protocol.basis_rows
+    monkeypatch.setattr(protocol, "basis_rows", lambda *args: calls.append(args) or real(*args))
+    run_scenario(ScenarioConfig(scenario, ProtocolConfig(d=d, n=n, m=m, decoy_count=16), eta=eta, trials=trials))
+    assert len(calls) == chunks
+    assert not {"basis_rows", "measure_rows"} & set(vars(harness))
+
+
 def test_eve_measures_each_distinct_round_once_per_basis(monkeypatch):
     # a 20-trial small-mix eve-decoy run: receiver 2 meets the one shared
     # round in two bases; receiver 3 at most the 2d rounds that left, in two

@@ -6,14 +6,13 @@ import re
 import numpy as np
 import pytest
 from conftest import (
-    apply_encode, apply_qft, apply_shift, approx_equal, basis_state, intercept_one, outcome_distribution,
+    apply_encode, apply_qft, apply_shift, approx_equal, intercept_one, outcome_distribution,
     owner_uniforms, random_secret, run_one,
 )
 
 from quditsum import (
     BasisKind,
     ProtocolConfig,
-    QuditRegister,
     check_decoys,
     compute_sum,
     fabricate_rounds,
@@ -23,6 +22,7 @@ from quditsum import (
     prepare_rounds,
     validate_secrets,
 )
+from quditsum import protocol
 from quditsum.protocol import RoundState, read_out
 from quditsum.qudit import encode_matrix
 
@@ -106,33 +106,29 @@ def test_prepare_rounds_count_override():
 def test_insert_decoys_shapes_and_records():
     cfg = ProtocolConfig(d=7, n=4, m=5, decoy_count=12)
     rng = np.random.default_rng(42)
-    rows, expected = insert_decoys(cfg, rng)
-    assert set(rows) == set(expected) == {2, 3, 4}
+    values, v2 = insert_decoys(cfg, rng)
+    assert set(values) == set(v2) == {2, 3, 4}
     for i in (2, 3, 4):
-        values, v2 = expected[i]
-        assert rows[i].shape == (12, 7) and values.shape == v2.shape == (12,)
-        for row, value, fourier in zip(rows[i], values, v2):
-            assert 0 <= value < 7
-            state = basis_state(7, [int(value)])
-            if fourier:
-                state = apply_qft(state, 0)
-            assert approx_equal(QuditRegister(7, 1, row), state)
+        # a decoy is its (value, basis) pair: no state is built before a measurement
+        assert values[i].shape == v2[i].shape == (12,)
+        assert values[i].dtype.kind == "i" and v2[i].dtype == bool
+        assert ((0 <= values[i]) & (values[i] < 7)).all()
 
 
 def test_insert_decoys_uses_both_bases():
     cfg = ProtocolConfig(d=2, n=2, m=1, decoy_count=40)
-    _, expected = insert_decoys(cfg, np.random.default_rng(1))
-    _, v2 = expected[2]
-    assert v2.any() and not v2.all()
+    _, v2 = insert_decoys(cfg, np.random.default_rng(1))
+    assert v2[2].any() and not v2[2].all()
 
 
 def test_zero_decoys_allowed():
     cfg = ProtocolConfig(d=5, n=3, m=1, decoy_count=0)
-    rows, expected = insert_decoys(cfg, np.random.default_rng(0))
-    assert rows[2].shape == (0, 5) and len(expected[3][0]) == 0
+    values, v2 = insert_decoys(cfg, np.random.default_rng(0))
+    assert values[2].shape == v2[2].shape == (0,) and len(values[3]) == 0
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
-    assert check_decoys(expected[2], rows[2], rng.random(0)) == 0
+    pair = values[2], v2[2]
+    assert check_decoys(5, pair, pair, rng.random(0)) == 0
     assert rng.bit_generator.state == before
 
 
@@ -140,20 +136,41 @@ def test_check_decoys_clean_channel_is_exactly_zero():
     cfg = ProtocolConfig(d=10, n=3, m=4, decoy_count=20)
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        rows, expected = insert_decoys(cfg, rng)
+        values, v2 = insert_decoys(cfg, rng)
         for i in (2, 3):
-            assert check_decoys(expected[i], rows[i], rng.random(cfg.decoy_count)) == 0
+            pair = values[i], v2[i]
+            assert check_decoys(cfg.d, pair, pair, rng.random(cfg.decoy_count)) == 0
 
 
 def test_check_decoys_rejects_length_mismatch():
     cfg = ProtocolConfig(d=5, n=2, m=1, decoy_count=3)
     rng = np.random.default_rng(0)
-    rows, expected = insert_decoys(cfg, rng)
-    with pytest.raises(ValueError, match="3 expected"):
-        check_decoys(expected[2], rows[2][:-1], rng.random(3))
-    for bad in (rows[2][0], rows[2][:, :, None]):
-        with pytest.raises(ValueError, match="array of rows"):
-            check_decoys(expected[2], bad, rng.random(3))
+    values, v2 = insert_decoys(cfg, rng)
+    pair = values[2], v2[2]
+    with pytest.raises(ValueError, match="share one shape"):
+        check_decoys(5, pair, (values[2][:-1], v2[2][:-1]), rng.random(3))
+    with pytest.raises(ValueError, match="share one shape"):
+        check_decoys(5, pair, pair, rng.random(2))
+    for bad in (values[2][0], values[2][:, None]):
+        with pytest.raises(ValueError, match="share one shape"):
+            check_decoys(5, pair, (bad, v2[2]), rng.random(3))
+    with pytest.raises(ValueError, match="share one shape"):
+        check_decoys(5, (values[2], v2[2][:-1]), pair, rng.random(3))
+
+
+@pytest.mark.parametrize("bad", [7, -1])
+@pytest.mark.parametrize("side", ["expected", "received"])
+@pytest.mark.parametrize("fourier", [False, True])
+def test_check_decoys_rejects_values_outside_the_alphabet(bad, side, fourier, monkeypatch):
+    # a value outside [0, d) is no decoy: basis_rows would wrap -1 to QFT|d-1>
+    # or give a zero row, and the check would count it as a plain mismatch
+    good, v2 = np.array([0, 4, 2]), np.full(3, fourier)
+    pairs = {"expected": (good, v2), "received": (good, v2), side: (np.array([0, 4, bad]), v2)}
+    measured = []
+    monkeypatch.setattr(protocol, "measure_rows", lambda *args: measured.append(args))
+    with pytest.raises(ValueError, match=f"^{side} decoy value {bad} out of range for d=5$"):
+        check_decoys(5, pairs["expected"], pairs["received"], np.full(3, 0.5))
+    assert measured == []
 
 
 # ---------------------------------------------------------------------------
