@@ -139,31 +139,36 @@ def read_out(rounds, rotations, u: np.ndarray) -> list[list[int]]:
     if len(u) != sum(map(len, owners)):
         raise ValueError(f"got {len(u)} uniforms for {sum(map(len, owners))} owners")
     d = rounds[0].d if rounds else 2
-    mats, rotated = np.zeros((len(u), d, d), dtype=np.complex128), np.zeros(len(u), dtype=bool)
-    mats[:, range(d), range(d)] = 1
-    groups, start = {}, 0
+    # row 1 + i of mats is slot i's rotation, written only where it rotates; row 0 the identity of the rest
+    mats, rotated = np.empty((len(u) + 1, d, d), dtype=np.complex128), np.zeros(len(u), dtype=bool)
+    mats[0], groups, start = np.eye(d), {}, 0
     for j, (state, rotation, held) in enumerate(zip(rounds, rotations, owners, strict=True)):
         if state.d != d:
             raise ValueError(f"round {j} has d={state.d}, not the first round's d={d}")
         end = start + len(held)
         if rotation is not None:
-            mats[start:end], rotated[start:end] = rotation, True
+            mats[start + 1:end + 1], rotated[start:end] = rotation, True
         slot = dict(zip(held, range(start, end)))
         for register, factor_owners in state.factors:
-            groups.setdefault(register.k, []).append((register.amplitudes, [slot[p] for p in factor_owners]))
+            groups.setdefault(register.k, []).append((register, [slot[p] for p in factor_owners]))
         start = end
+    index = np.arange(1, len(u) + 1) * rotated  # slot i's row of mats
     values = np.empty(len(u), dtype=np.int64)
     for k, members in groups.items():
         size = max(1, qudit.STACK_CAP // d**k)
         for first in range(0, len(members), size):
-            stack, a = members[first:first + size], members[first][0]
+            stack, register = members[first:first + size], members[first][0]
+            shared = all(other is register for other, _ in stack)
             # a register shared by the whole stack, a lone one too, is read as a view, without a copy
-            psi = (np.broadcast_to(a, (len(stack), a.size)) if all(b is a for b, _ in stack)
-                   else np.stack([b for b, _ in stack]))
+            psi = (np.broadcast_to(register.amplitudes, (len(stack), d**k)) if shared
+                   else np.stack([other.amplitudes for other, _ in stack]))
+            # a read-only one, as prepare_rounds makes, gives its first step's law from its cached reduced state
+            rho = register.first_qudit_state if shared and not register.amplitudes.flags.writeable else None
             for s in np.array([slots for _, slots in stack]).T:
                 # a stack nobody rotates skips the identity matmul
                 values[s], psi = measure_stack(psi.reshape(len(s), 1, d, -1), u[s],
-                                               mats[s] if rotated[s].any() else None)
+                                               mats[index[s]] if rotated[s].any() else None, rho)
+                rho = None
     flat = iter(values.tolist())
     return [[next(flat) for _ in held] for held in owners]
 

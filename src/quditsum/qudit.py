@@ -15,9 +15,12 @@ Two measurement bases appear throughout: V1 is the computational basis
 {|0>, ..., |d-1>} and V2 is its Fourier image {QFT|0>, ..., QFT|d-1>}.
 Every measurement (V2 on the inverse-rotated target) is measure_stack,
 reading one qudit of each register of a stack against uniforms drawn up
-front, or one register against many. A decoy, kept as its (v, basis) pair,
-and a particle an eavesdropper puts in a round are |v> or QFT|v>: rows of
-basis_rows, built for a decoy only by the measurement that reads it.
+front, or one register against many. Reading qudit 0 of one register the
+whole stack shares, it takes the law from the register's cached reduced
+state (first_qudit_state) and never rotates the register. A decoy, kept
+as its (v, basis) pair, and a particle an eavesdropper puts in a round
+are |v> or QFT|v>: rows of basis_rows, built for a decoy only by the
+measurement that reads it.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -73,7 +76,7 @@ class QuditRegister:
             raise ValueError(
                 f"amplitude vector has length {amp.size}, expected {self.d}**{self.k}"
             )
-        norm_sq = float(np.sum(np.abs(amp) ** 2))
+        norm_sq = float(np.vdot(amp, amp).real)
         if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN counts as bad
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
         self.amplitudes = amp
@@ -84,6 +87,16 @@ class QuditRegister:
         reg = object.__new__(cls)
         reg.d, reg.k, reg.amplitudes = d, k, amplitudes
         return reg
+
+    @cached_property
+    def first_qudit_state(self) -> np.ndarray:
+        """Reduced state of qudit 0, the d x d psi psi^dagger of the amplitudes viewed as (d, rest).
+
+        Summed over column blocks of at most STACK_CAP amplitudes, so the register is never
+        copied whole; computed at first read and kept with the register, which must not change.
+        """
+        psi, step = self.amplitudes.reshape(self.d, -1), max(1, STACK_CAP // self.d)
+        return sum(psi[:, j:j + step] @ psi[:, j:j + step].conj().T for j in range(0, psi.shape[1], step))
 
     def __repr__(self) -> str:  # amplitudes are too long to echo
         return f"QuditRegister(d={self.d}, k={self.k})"
@@ -171,8 +184,9 @@ def measure(reg: QuditRegister, target: int, basis: BasisKind,
         reg = apply_iqft(reg, target)
     a, b = _split(reg, target)
     values, kept = measure_stack(reg.amplitudes.reshape(1, a, reg.d, b), u)
-    return values, {int(v): QuditRegister._trusted(reg.d, reg.k - 1, kept[g].reshape(-1))
-                    for v, g in zip(*np.unique(values, return_index=True))}
+    distinct, first = np.unique(values, return_index=True)  # each rest indexed out: it keeps no other alive
+    return values, {int(v): QuditRegister._trusted(reg.d, reg.k - 1, rest.reshape(-1))
+                    for v, rest in zip(distinct, kept[first])}
 
 
 def _sample(probs: np.ndarray, u) -> np.ndarray:
@@ -197,23 +211,31 @@ def basis_rows(d: int, values, v2) -> np.ndarray:
     return np.where(np.asarray(v2)[..., None], _qft_matrix(d)[values], computational)
 
 
-def measure_stack(psi: np.ndarray, u: np.ndarray,
-                  mats: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def measure_stack(psi: np.ndarray, u: np.ndarray, mats: np.ndarray | None = None,
+                  rho: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Measure axis 2 of the (G, a, d, b) stack psi in V1: one qudit per register, which leaves it.
 
     psi's last axis is contiguous. Register g first gets the unitary mats[g]
     on that qudit unless mats is None, then is measured against u[g].
     Returns the G values and the (G, a, b) normalized rests. A (1, a, d, b)
     psi is one register against all G uniforms, its distribution computed once.
+    rho, if given, is the d x d reduced state of axis 2 of the one register
+    every member of psi views (a == 1). Register g's law is then
+    diag(U rho U^dagger) for U = mats[g], and its rest row values[g] of U
+    times the register as (d, b): a d*b read, where rotating first costs d*d*b.
     """
-    if mats is not None:
-        psi = np.matmul(mats[:, None], psi)
-    # |x|^2 off the float64 (re, im) view
-    f = psi.view(np.float64)
-    probs = np.einsum("gadb,gadb->gd", f, f)
+    if rho is not None:
+        rows = np.broadcast_to(np.eye(len(rho)), (len(psi), *rho.shape)) if mats is None else mats
+        probs = ((rows @ rho) * rows.conj()).sum(axis=-1).real
+    else:
+        if mats is not None:
+            psi = np.matmul(mats[:, None], psi)
+        # |x|^2 off the float64 (re, im) view
+        f = psi.view(np.float64)
+        probs = np.einsum("gadb,gadb->gd", f, f)
     values = _sample(probs, u)
     g = np.arange(len(psi))
-    kept = psi[g, :, values]
+    kept = psi[g, :, values] if rho is None else (rows[g, values] @ psi[0, 0])[:, None]
     # the kept slice's squared norm is its outcome's probability
     kept /= np.sqrt(probs[g, values])[:, None, None]
     return values, kept

@@ -14,13 +14,16 @@ run builds once and shares; and the one draw of every participant's
 secret digits. read_out, which measures many rounds in lockstep against
 uniforms drawn up front, is pinned to the per-owner measurement chain it
 replaced, and measure, now the one-register case of that kernel, to the
-marginal-then-norm body it had before. Eve, who intercepts a chunk of
+marginal-then-norm body it had before. Its first step on a register a
+whole stack shares, which reads the law off the register's reduced state
+instead of rotating it, is pinned to rotate-then-marginal. Eve, who intercepts a chunk of
 trials per receiver with one measurement per distinct round and basis,
 is pinned to the per-round intercept chain she ran before.
 """
 
 import tracemalloc
-from functools import reduce
+import weakref
+from functools import cached_property, reduce
 
 import numpy as np
 import pytest
@@ -58,6 +61,7 @@ from quditsum.qudit import (
     basis_rows,
     encode_matrix,
     measure_rows,
+    measure_stack,
 )
 from quditsum.verification import v1_pass, v2_pass
 
@@ -752,6 +756,71 @@ def test_read_out_of_one_register_shared_by_a_stack_reads_it_as_a_view():
     (values, view), (copied, stacked) = peak(shared), peak(copies)
     assert values == copied
     assert stacked - view >= 120 * 125 * 16 / 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(2, 6), k=st.integers(1, 4), ghz=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["identity", "iqft", "encode"]), min_size=1, max_size=4))
+def test_first_step_from_the_reduced_state_matches_rotate_then_marginal(d, k, ghz, seed, kinds):
+    # each rotation of one shared register read at u = 0.0 and at the
+    # midpoint of every outcome's CDF step: the law diag(U rho U^dagger), the
+    # value and the rest as the dense rotate-then-marginal path gives them
+    gen = np.random.default_rng(seed)
+    register = omega_state(d, k) if ghz and k > 1 else random_register(d, k, gen)
+    rho = register.first_qudit_state
+    unitaries = [{"identity": np.eye(d), "iqft": _iqft_matrix(d)}.get(kind, None) for kind in kinds]
+    unitaries = [encode_matrix(d, int(gen.integers(d))) if mat is None else mat for mat in unitaries]
+    members = []  # (rotation, identity?, uniform, value, rest) of each member of the stack
+    for kind, mat in zip(kinds, unitaries):
+        rotated = _apply_single(register, mat, 0).amplitudes.reshape(d, -1)
+        law = np.sum(np.abs(rotated) ** 2, axis=1)
+        assert np.allclose(np.diag(mat @ rho @ mat.conj().T).real, law, rtol=0, atol=1e-12)
+        for v, uv in [(0, 0.0), *zip(range(d), np.cumsum(law) - law / 2)]:
+            members.append((mat, kind == "identity", uv, v, rotated[v] / np.sqrt(law[v])))
+    # a mixed stack with its rotations, and its identity members alone without any, as read_out hands them over
+    for stack, mats in [(members, np.array([m[0] for m in members])), ([m for m in members if m[1]], None)]:
+        if not stack:
+            continue
+        psi = np.broadcast_to(register.amplitudes, (len(stack), d**k)).reshape(len(stack), 1, d, -1)
+        values, kept = measure_stack(psi, np.array([m[2] for m in stack]), mats, rho)
+        assert values.tolist() == [m[3] for m in stack]
+        assert kept.shape == (len(stack), 1, d ** (k - 1))
+        assert np.allclose(kept[:, 0], [m[4] for m in stack], rtol=0, atol=1e-12)
+
+
+def _counting_first_qudit_state(monkeypatch) -> list:
+    """Record a weak reference to each register whose reduced state is built, while monkeypatch lasts."""
+    built, real = [], QuditRegister.__dict__["first_qudit_state"].func
+
+    def counting(register):
+        built.append(weakref.ref(register))
+        return real(register)
+
+    prop = cached_property(counting)
+    prop.__set_name__(QuditRegister, "first_qudit_state")
+    monkeypatch.setattr(QuditRegister, "first_qudit_state", prop)
+    return built
+
+
+@pytest.mark.parametrize("scenario", ["honest", "modified-honest", "eve-decoy"])
+def test_wide_run_builds_the_reduced_state_once_and_releases_the_register(scenario, monkeypatch):
+    # four trials, a chunk each, read the one prepared 10^6-amplitude register
+    # (modified-honest three times a trial): its reduced state is built at the
+    # first read and lives on the register, which dies when the run returns.
+    # Eve measures every round before anyone reads it: then nothing is shared.
+    built, prepared, real = _counting_first_qudit_state(monkeypatch), [], harness.prepare_rounds
+
+    def recording(cfg, count=None):
+        rounds = real(cfg, count)
+        prepared.append(weakref.ref(rounds[0].factors[0][0]))
+        return rounds
+
+    monkeypatch.setattr(harness, "prepare_rounds", recording)
+    report = run_scenario(ScenarioConfig(scenario, ProtocolConfig(d=10, n=6, m=1, decoy_count=16), eta=2,
+                                         trials=4, master_seed=1))
+    assert len(report["per_trial"]) == 4
+    assert len(prepared) == 1 and prepared[0]() is None
+    assert len(built) == (0 if scenario == "eve-decoy" else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -555,6 +555,23 @@ def test_per_trial_golden_digest_wide(scenario):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS_WIDE[scenario]
 
 
+# The same at the wide-register benchmark's sizes: 1e6-amplitude rounds,
+# each read alone, whose first step reads the shared register's reduced state.
+GOLDEN_DIGESTS_N6 = {
+    "honest": "af50635cb644546c6640c8734db30cfeb99bdc17967f8d91506aa35fb390de8a",
+    "modified-honest": "b3f5ac2f51dfdd888b5e72f8bf138caa59ca61c3fc2af1c5784ac6f1bcb3fb9d",
+    "eve-decoy": "786549d4bec1f47083aa2e16e3e222c8533d08a2b1a58108a6740f0ff380f40c",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_DIGESTS_N6))
+def test_per_trial_golden_digest_n6(scenario):
+    cfg = ScenarioConfig(scenario, ProtocolConfig(d=10, n=6, m=1, decoy_count=16),
+                         eta=2, trials=4, master_seed=1)
+    text = json.dumps(run_scenario(cfg)["per_trial"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS_N6[scenario]
+
+
 @pytest.mark.parametrize("cap", [1, 2**22])
 @pytest.mark.parametrize("scenario", sorted(GOLDEN_DIGESTS))
 def test_per_trial_golden_digests_hold_for_every_stack_cap(cap, scenario, monkeypatch):

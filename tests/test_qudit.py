@@ -15,6 +15,7 @@ from quditsum import (
     apply_iqft,
     measure,
     omega_state,
+    qudit,
 )
 
 V1, V2 = BasisKind.V1, BasisKind.V2
@@ -51,6 +52,15 @@ def test_register_rejects_unnormalized():
     for amplitudes in ([1.0, 1.0], [math.nan, 0.0], [math.inf, 0.0], [-math.inf, 0.0]):
         with pytest.raises(ValueError, match="not normalized"):
             QuditRegister(2, 1, np.array(amplitudes))
+
+
+def test_register_copies_the_callers_array():
+    # a caller's array is never aliased, whatever its dtype
+    for amplitudes in (np.array([0.6, 0.8]), np.array([0.6, 0.8j])):
+        reg = QuditRegister(2, 1, amplitudes)
+        assert not np.shares_memory(reg.amplitudes, amplitudes)
+        amplitudes[0] = 1.0
+        assert reg.amplitudes[0] == 0.6
 
 
 def test_register_rejects_wrong_length():
@@ -237,6 +247,33 @@ def test_measure_collapses_entangled_pair():
         seen.add(value)
         assert approx_equal(rest, basis_state(2, [value]))
     assert seen == {0, 1}
+
+
+def test_measure_keeps_only_the_rests_it_returns():
+    # 32 uniforms that all read 0 leave one rest, which holds one (a, b)
+    # slice and not the 32 a kept array of the stack would
+    reg = omega_state(10, 5)
+    values, rests = measure(reg, 2, V1, np.linspace(0.0, 0.09, 32))
+    assert values.tolist() == [0] * 32 and list(rests) == [0]
+    assert rests[0].amplitudes.base.size == 10**4
+    assert approx_equal(rests[0], basis_state(10, [0] * 4))
+    # one rest per distinct value, none holding more than d * a * b amplitudes
+    values, rests = measure(random_register(3, 4, np.random.default_rng(3)), 1, V2, np.linspace(0.0, 0.99, 32))
+    assert sorted(rests) == sorted(set(values.tolist()))
+    assert all(rest.amplitudes.base.size <= 3 * 3 * 9 for rest in rests.values())
+
+
+@pytest.mark.parametrize("cap", [1, 7, 2**16])
+def test_first_qudit_state_is_the_reduced_state_over_any_block_size(cap, monkeypatch):
+    # psi psi^dagger of the (d, rest) view, summed one column at a time, two
+    # at a time, or whole at d=3; kept on the register once built
+    monkeypatch.setattr(qudit, "STACK_CAP", cap)
+    reg = random_register(3, 4, np.random.default_rng(cap))
+    psi = reg.amplitudes.reshape(3, -1)
+    assert np.allclose(reg.first_qudit_state, psi @ psi.conj().T, rtol=0, atol=1e-12)
+    assert reg.first_qudit_state is reg.first_qudit_state
+    ghz = omega_state(5, 3).first_qudit_state
+    assert np.allclose(ghz, np.eye(5) / 5, rtol=0, atol=1e-15)
 
 
 def test_outcome_distribution_examples():
