@@ -13,15 +13,16 @@ Each rate carries a Wilson 95% interval and its exact oracle; a rate
 outside the oracle's exact binomial band (either tail below the
 one-sided mass of 4 sigma) is flagged in the report.
 
-Every trial draws its randomness from a stream derived from
-(master_seed, trial_index) alone, in the same order whatever chunk it
-runs in, so a report is reproducible bit-for-bit (apart from the
-wall-clock duration) and any single trial can be replayed without
-rerunning its predecessors.
+Trial i reads its randomness from words [i K, (i+1) K) of one
+counter-based stream keyed by master_seed, each draw a named slice of
+them (trial_layout), whatever chunk it runs in. So a report is
+reproducible bit-for-bit (apart from the wall-clock duration) and any
+single trial can be replayed without rerunning its predecessors.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -42,10 +43,12 @@ from .protocol import (
     read_out,
     require_int,
     validate_secrets,
+    word_digits,
+    word_uniforms,
 )
 from .verification import check_rotations, execute_check, select_checks
 
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.3.0"
 SCHEMA_VERSION = 1
 
 
@@ -137,21 +140,40 @@ class ScenarioConfig:
                 raise ValueError(f"fake_r {self.fake_r} out of range for d={self.protocol.d}")
 
 
-def derive_trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Independent random stream for one trial.
+def derive_trial_stream(master_seed: int, trial_index: int, trials: int, width: int) -> np.ndarray:
+    """The (trials, width) uint64 block of words of trials trial_index, trial_index + 1, ...
 
-    The derivation is the keyed hash built into numpy's SeedSequence: the
-    master seed is the entropy input and the trial index is the spawn
-    key. A (master_seed, trial_index) pair always yields the same stream,
-    independent of how many trials ran before it, and streams for
-    different indices are statistically independent.
+    Trial t owns words [t width, (t+1) width) of the Philox4x64 stream keyed by master_seed (Salmon,
+    Moraes, Dror and Shaw, SC 2011), whose counter counts blocks of 4 words: one advance reaches it.
     """
-    if not 0 <= master_seed < 2**64:
-        raise ValueError(f"master_seed must lie in [0, 2**64), got {master_seed}")
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    seq = np.random.SeedSequence(master_seed, spawn_key=(trial_index,))
-    return np.random.default_rng(seq)
+    if not (0 <= master_seed < 2**64 and trial_index >= 0 and trials >= 0 and width % 4 == 0):
+        raise ValueError(f"need master_seed in [0, 2**64), trial_index and trials >= 0 and width a multiple of 4: "
+                         f"got {master_seed}, {trial_index}, {trials} and {width}")
+    stream = np.random.Philox(key=master_seed)
+    stream.advance(trial_index * width // 4)
+    return stream.random_raw(trials * width).reshape(trials, width)
+
+
+def trial_layout(cfg: ProtocolConfig, eta: int) -> tuple[dict[str, slice], int]:
+    """Where each draw of a trial lies among its K words, and K, a multiple of 4.
+
+    Every scenario reads its slices and leaves the others unread, so one (seed, trial) deals them all
+    the same secrets and decoys.
+    """
+    n, total, decoys = cfg.n, cfg.m + eta, (cfg.n - 1) * cfg.decoy_count
+    eve = (n - 1) * (total + cfg.decoy_count)
+    sizes = {"secrets": n * cfg.m, "plan": total, "decoys": 2 * decoys, "decoy_u": decoys, "eve_bits": eve,
+             "eve_u": eve, "checks": total + eta, "check_u": n * eta, "encode_u": n * cfg.m}
+    ends = list(itertools.accumulate(sizes.values()))
+    return {name: slice(end - size, end) for (name, size), end in zip(sizes.items(), ends)}, -(-ends[-1] // 4) * 4
+
+
+def _trial_secrets(cfg: ScenarioConfig, words: np.ndarray) -> np.ndarray:
+    """Each trial's (n, m) secret digits: the fixed secrets, or a digit per word of its secrets slice."""
+    p = cfg.protocol
+    if cfg.secrets is not None:
+        return np.broadcast_to(np.array(cfg.secrets), (len(words), p.n, p.m))
+    return word_digits(words, p.d).reshape(-1, p.n, p.m)
 
 
 def wilson_interval(successes: float, n: int) -> tuple[float, float]:
@@ -176,98 +198,94 @@ def wilson_interval(successes: float, n: int) -> tuple[float, float]:
 # the protocol engine
 
 
-def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rngs, eve: bool = False) -> list[dict]:
+def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, words, eve: bool = False) -> list[dict]:
     """A chunk of trials of the summation protocol, original (eta=0) or hardened, in lockstep; one record each.
 
-    Trial t hands out rounds[t], the m+eta states the dealer made, genuine
-    or forged, each held by P1..Pn, of d levels each; it encodes
-    secrets[t] and draws from rngs[t] alone, in the order a lone trial
-    draws. Each trial draws its decoys as (value, basis) pairs and, with
-    eve=True, for each channel in turn an intercept-resend eavesdropper's
-    basis bits, then her uniforms, for the payload then the decoys; she then
-    reads the whole chunk per receiver and resends pairs. One check_decoys
-    call measures every receiver's decoys of every trial, and a trial aborts
-    if any error rate exceeds the threshold. Each trial left draws eta check
-    positions; one read_out serves every trial's checks, and a trial's
-    checks are judged in position order up to its first failure, which
-    aborts it. The checks after a failed one are read out too: harmless,
-    as that trial's generator is not read again. One last read_out
-    encodes the m unchecked rounds of every trial that passed, in position
-    order; participant i's result string is column i of its m readouts.
-    An abort is a flag per trial: an aborted trial draws nothing more, and
-    the others go on.
+    Trial t hands out rounds[t], the m+eta states the dealer made, genuine or forged, each held by
+    P1..Pn, encodes the (n, m) digits secrets[t] and reads every draw from its slice (trial_layout) of
+    row t of the (T, K) uint64 block words. With eve=True an intercept-resend eavesdropper reads the
+    whole chunk per receiver and resends pairs. One check_decoys call checks every trial's decoys; a
+    trial aborts if any error rate exceeds the threshold. One read_out serves the eta checks of every
+    trial left, judged in position order up to the first failure, which aborts the trial (the checks
+    after it are read out too, harmlessly). One last read_out encodes the m unchecked rounds of every
+    trial left, in position order; participant i's result string is column i of their readouts. An
+    abort is a flag per trial: that trial reads no more of its words, and the others go on.
 
-    A record holds the secrets and every per_trial key of any scenario, as the
-    report writes it. detected means the run aborted; the keys of the encoding
-    step are None then, and a failed basis check is the last entry of checks.
-    announced holds the rows of P2..Pn, recovered the digits a forging dealer
-    reads off them when every surviving round is forged (None otherwise, as is
-    the fake_r entry of a genuine round).
+    A record holds the secrets and every per_trial key of any scenario, as the report writes it.
+    detected means the run aborted; the keys of the encoding step are None then, and a failed basis
+    check is the last entry of checks. announced holds the rows of P2..Pn, recovered the digits a
+    forging dealer reads off them when every surviving round is forged (None otherwise, as is the
+    fake_r entry of a genuine round).
     """
     require_int("eta", eta)
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    if not 0 < len(secrets) == len(rounds) == len(rngs):
+    secrets, words, (layout, width) = np.asarray(secrets), np.asarray(words), trial_layout(cfg, eta)
+    if not 0 < len(secrets) == len(rounds) == len(words):
         raise ValueError(f"need secrets, rounds and a stream for each of one or more trials: "
-                         f"got {len(secrets)}, {len(rounds)} and {len(rngs)}")
-    total, receivers = cfg.m + eta, range(2, cfg.n + 1)
-    for trial_secrets, trial_rounds in zip(secrets, rounds):
-        validate_secrets(cfg, trial_secrets)
+                         f"got {len(secrets)}, {len(rounds)} and {len(words)}")
+    trials, total, receivers = len(words), cfg.m + eta, range(2, cfg.n + 1)
+    if (words.shape != (trials, width) or words.dtype != np.uint64 or secrets.shape != (trials, cfg.n, cfg.m)
+            or secrets.dtype.kind not in "iu" or ((secrets < 0) | (secrets >= cfg.d)).any()):
+        raise ValueError(f"need a ({trials}, {width}) block of uint64 words and each trial's n={cfg.n} secret "
+                         f"strings of m={cfg.m} int digits mod d={cfg.d}")
+    for trial_rounds in {id(trial_rounds): trial_rounds for trial_rounds in rounds}.values():
         if len(trial_rounds) != total:
             raise ValueError(f"got {len(trial_rounds)} rounds, need m+eta={total}")
         for j, state in enumerate(trial_rounds):
             if state.d != cfg.d or state.owners != (1, *receivers):
                 raise ValueError(f"round {j} does not fit d={cfg.d}, n={cfg.n}")
 
-    shape = (cfg.n - 1, len(rngs), total + cfg.decoy_count)  # Eve's draws: (T, R + D) per receiver
-    decoys, u, bits, eve_u = [], [], np.zeros(shape, dtype=np.int64), np.zeros(shape)
-    for t, rng in enumerate(rngs):
-        decoys.append([list(part.values()) for part in insert_decoys(cfg, rng)])
-        for k in range(cfg.n - 1 if eve else 0):
-            bits[k, t], eve_u[k, t] = rng.integers(2, size=shape[2]), rng.random(shape[2])
-        u.append(rng.random((cfg.n - 1, cfg.decoy_count)))
-    expected = received = [np.array(a).swapaxes(0, 1) for a in zip(*decoys)]  # (n-1, T, D): receiver, trial, decoy
+    def per_receiver(name):  # the named slice of every trial's words as (n-1, T, ...): receiver, trial, ...
+        return words[:, layout[name]].reshape(trials, cfg.n - 1, -1).swapaxes(0, 1)
+
+    dealt = [insert_decoys(cfg, row) for row in words[:, layout["decoys"]]]
+    # (n-1, T, D): receiver, trial, decoy
+    expected = received = [np.array([list(pair[k].values()) for pair in dealt]).swapaxes(0, 1) for k in (0, 1)]
     if eve:
         # each receiver's intercepts span the chunk; receiver i+1 gets the rounds receiver i's left
         flat, received = [state for trial in rounds for state in trial], [a.copy() for a in expected]
         for k, i in enumerate(receivers):
             pair = [a[k].reshape(-1) for a in expected]
-            flat, resent = eve_intercept_resend(flat, i, pair, bits[k], eve_u[k], cfg.d)
-            received[0][k], received[1][k] = (a.reshape(len(rngs), -1) for a in resent)
-        rounds = [flat[t * total:(t + 1) * total] for t in range(len(rngs))]
-    mismatches = check_decoys(cfg.d, expected, received, np.array(u).swapaxes(0, 1)).T.tolist()
+            flat, resent = eve_intercept_resend(flat, i, pair, per_receiver("eve_bits")[k] >> 63,
+                                                word_uniforms(per_receiver("eve_u")[k]), cfg.d)
+            received[0][k], received[1][k] = (a.reshape(trials, -1) for a in resent)
+        rounds = [flat[t * total:(t + 1) * total] for t in range(trials)]
+    mismatches = check_decoys(cfg.d, expected, received, word_uniforms(per_receiver("decoy_u"))).T.tolist()
     detected = [any(_decoys_abort(c, cfg.decoy_count, cfg.error_threshold) for c in row) for row in mismatches]
 
-    selected = [[] if aborted else select_checks(cfg, eta, rng) for aborted, rng in zip(detected, rngs)]
-    announced = iter(read_out([rounds[t][c["position"]] for t, trial in enumerate(selected) for c in trial],
-                              check_rotations(cfg.d, [c for trial in selected for c in trial]),
-                              _uniforms(rngs, [cfg.n * len(trial) for trial in selected])))
-    checks = [[] for _ in rngs]
-    for t, trial in enumerate(selected):
-        for check, readout in zip(trial, [next(announced) for _ in trial]):
+    live = [t for t, aborted in enumerate(detected) if not aborted]
+    selected = select_checks(cfg, eta, words[live, layout["checks"]])
+    readouts = read_out([rounds[t][c["position"]] for t, trial in zip(live, selected) for c in trial],
+                        check_rotations(cfg.d, [c for trial in selected for c in trial]),
+                        word_uniforms(words[live, layout["check_u"]]).reshape(-1))
+    checks = [[] for _ in range(trials)]
+    for k, (t, trial) in enumerate(zip(live, selected)):
+        for check, readout in zip(trial, readouts[k * eta:(k + 1) * eta]):
             checks[t].append(execute_check(check, readout, cfg.d))
             if not checks[t][-1]["passed"]:
                 detected[t] = True
                 break
 
     # each trial left encodes its unchecked rounds in position order; its strings are the columns of their readouts
-    live = [t for t, aborted in enumerate(detected) if not aborted]
-    surviving = {}
-    for t in live:
-        checked = {c["position"] for c in checks[t]}
-        surviving[t] = [state for pos, state in enumerate(rounds[t]) if pos not in checked]
-    rotations = [[qudit.encode_matrix(cfg.d, s[j]) for s in secrets[t]] for t in live for j in range(cfg.m)]
-    readouts = iter(read_out([state for t in live for state in surviving[t]], rotations,
-                             _uniforms([rngs[t] for t in live], [cfg.n * cfg.m] * len(live))))
-    strings = {t: [list(row) for row in zip(*[next(readouts) for _ in range(cfg.m)])] for t in live}
+    live, digits = [t for t in live if not detected[t]], secrets.tolist()
+    surviving = {t: [rounds[t][pos] for pos in sorted(set(range(total)) - {c["position"] for c in checks[t]})]
+                 for t in live}
+    # round j of a trial: participant i applies encode_matrix of its digit j, from a table of the digits used
+    used, index = np.unique(secrets[live].swapaxes(1, 2), return_inverse=True)
+    rotations = np.array([qudit.encode_matrix(cfg.d, s) for s in used.tolist()])[index.reshape(-1, cfg.n)]
+    readouts = read_out([state for t in live for state in surviving[t]], rotations,
+                        word_uniforms(words[live, layout["encode_u"]]).reshape(-1))
+    strings = np.array(readouts, dtype=np.int64).reshape(len(live), cfg.m, cfg.n).swapaxes(1, 2)
+    encoded = dict(zip(live, zip(strings[:, 1:].tolist(), compute_sum(strings, cfg.d),
+                                 compute_sum(secrets[live], cfg.d))))
 
     records = []
-    for t, trial_secrets in enumerate(secrets):
-        rates = [c / cfg.decoy_count if cfg.decoy_count else 0.0 for c in mismatches[t]]
+    for t in range(trials):
         record = {
-            "secrets": [list(s) for s in trial_secrets], "fake_r": [state.r for state in rounds[t]],
-            "decoy_error_rates": rates, "decoy_mismatches": sum(mismatches[t]),
-            "decoys_checked": len(mismatches[t]) * cfg.decoy_count,
+            "secrets": digits[t], "fake_r": [state.r for state in rounds[t]],
+            "decoy_error_rates": [c / cfg.decoy_count if cfg.decoy_count else 0.0 for c in mismatches[t]],
+            "decoy_mismatches": sum(mismatches[t]), "decoys_checked": len(mismatches[t]) * cfg.decoy_count,
             "checks": checks[t], "checks_passed": all(c["passed"] for c in checks[t]),
             "checks_executed": len(checks[t]), "detected": detected[t],
             "announced": None, "recovered": None, "recovery_success": None,
@@ -276,20 +294,15 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, rngs, eve: bool
         records.append(record)
         if detected[t]:
             continue
+        announced, digit_sum, true_sum = encoded[t]
         r = [state.r for state in surviving[t]]
         if None not in r:
             # the forging dealer subtracts r from every announced digit
-            recovered = [[recover_secret_digit(v, rj, cfg.d) for v, rj in zip(row, r)] for row in strings[t][1:]]
-            record.update(recovered=recovered, recovery_success=recovered == record["secrets"][1:])
-        digits = compute_sum(strings[t], cfg.d)
-        record.update(announced=strings[t][1:], sum=digits, announced_sum=digits,
-                      sum_correct=digits == compute_sum(trial_secrets, cfg.d))
+            recovered = [[recover_secret_digit(v, rj, cfg.d) for v, rj in zip(row, r)] for row in announced]
+            record.update(recovered=recovered, recovery_success=recovered == digits[t][1:])
+        record.update(announced=announced, sum=digit_sum, announced_sum=digit_sum,
+                      sum_correct=digit_sum == true_sum)
     return records
-
-
-def _uniforms(rngs, counts) -> np.ndarray:
-    """counts[k] uniforms from rngs[k], for each k in turn, joined."""
-    return np.concatenate([np.empty(0), *(rng.random(count) for rng, count in zip(rngs, counts))])
 
 
 # ---------------------------------------------------------------------------
@@ -336,25 +349,6 @@ def eve_detection_probability(d: int, n: int, decoy_count: int, threshold: float
     q = eve_per_decoy_error_rate(d)
     allowed = sum(not _decoys_abort(c, decoy_count, threshold) for c in range(1, decoy_count + 1))
     return 1.0 - _binom_cdf(allowed, decoy_count, q) ** (n - 1)
-
-
-# ---------------------------------------------------------------------------
-# per-trial draws before the engine
-
-
-def _trial_secrets(cfg: ScenarioConfig, rng: np.random.Generator) -> tuple[tuple[int, ...], ...]:
-    if cfg.secrets is not None:
-        return cfg.secrets
-    p = cfg.protocol
-    # one (n, m) draw: the same digits and generator state as n draws of m digits
-    return tuple(map(tuple, rng.integers(0, p.d, size=(p.n, p.m)).tolist()))
-
-
-def _trial_plan(cfg: ScenarioConfig, rounds: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """The forging dealer's fabrication value r for each round."""
-    if cfg.fake_r is not None:
-        return (cfg.fake_r,) * rounds
-    return tuple(rng.integers(0, cfg.protocol.d, size=rounds).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -417,34 +411,33 @@ def _params_dict(cfg: ScenarioConfig) -> dict:
 def run_scenario(cfg: ScenarioConfig) -> dict:
     """Run every trial of the scenario and return the report, as write_report writes it.
 
-    Trials are independent by construction (each gets its own derived
-    stream), so the per-trial records depend only on the configuration
-    and the master seed, never on execution order, chunking or timing.
-    The trials run through run_protocol in chunks whose rounds hold at
-    most qudit.STACK_CAP amplitudes: max(1, STACK_CAP // (d**n (m+eta)))
-    trials each. A genuine scenario prepares its m+eta rounds once, and
-    every trial shares them; they go when the run returns or raises, as
-    nothing else holds them. A forging dealer's rounds are fabricated once
-    per chunk, from its trials' plans joined. Each trial's record gives
-    its per_trial line and adds its share of every rate to running counts
-    through _COUNTS; each oracle runs once.
+    Each trial reads only its own words of the stream, so the per-trial records depend only on the
+    configuration and the master seed, never on execution order, chunking or timing. The trials run
+    through run_protocol in chunks whose rounds hold at most qudit.STACK_CAP amplitudes:
+    max(1, STACK_CAP // (d**n (m+eta))) trials each, their words one derive_trial_stream block. A
+    genuine scenario prepares its m+eta rounds once, and every trial shares them; they go when the
+    run returns or raises, as nothing else holds them. A forging dealer's rounds are fabricated once
+    per chunk, from its trials' plans joined. Each trial's record gives its per_trial line and adds
+    its share of every rate to running counts through _COUNTS; each oracle runs once.
     """
     t0 = time.perf_counter()
     p, sc = cfg.protocol, SCENARIOS[cfg.scenario]
     eta = cfg.eta if sc.hardened else 0
-    total = p.m + eta
+    total, (layout, width) = p.m + eta, trial_layout(p, eta)
     shared = None if sc.forged else prepare_rounds(p, count=total)
     chunk = max(1, qudit.STACK_CAP // (p.d**p.n * total))
     per_trial, counts = [], {name: [0, 0] for name in sc.aggregates}
     for first in range(0, cfg.trials, chunk):
-        rngs = [derive_trial_stream(cfg.master_seed, t) for t in range(first, min(first + chunk, cfg.trials))]
-        secrets = [_trial_secrets(cfg, rng) for rng in rngs]
-        if shared is None:
-            forged = fabricate_rounds(p, [r for rng in rngs for r in _trial_plan(cfg, total, rng)])
-            rounds = [forged[k * total:(k + 1) * total] for k in range(len(rngs))]
+        words = derive_trial_stream(cfg.master_seed, first, min(chunk, cfg.trials - first), width)
+        secrets = _trial_secrets(cfg, words[:, layout["secrets"]])
+        if shared is None:  # the forging dealer's value r for each round, of each trial in turn
+            plan = ([cfg.fake_r] * (len(words) * total) if cfg.fake_r is not None
+                    else word_digits(words[:, layout["plan"]], p.d).reshape(-1).tolist())
+            forged = fabricate_rounds(p, plan)
+            rounds = [forged[k * total:(k + 1) * total] for k in range(len(words))]
         else:
-            rounds = [shared] * len(rngs)
-        for t, record in enumerate(run_protocol(p, eta, secrets, rounds, rngs, eve=sc.eve), start=first):
+            rounds = [shared] * len(words)
+        for t, record in enumerate(run_protocol(p, eta, secrets, rounds, words, eve=sc.eve), start=first):
             per_trial.append({"trial": t, **{key: record[key] for key in ("secrets", *sc.record)}})
             for name, count in counts.items():
                 count[:] = map(sum, zip(count, _COUNTS[name](record)))

@@ -205,30 +205,35 @@ def prepare_rounds(cfg: ProtocolConfig, count: int | None = None) -> list[RoundS
     return [state] * (cfg.m if count is None else count)
 
 
-def insert_decoys(cfg: ProtocolConfig, rng: np.random.Generator):
-    """Draw the decoys guarding each transmitted sequence.
+def word_digits(words: np.ndarray, d: int) -> np.ndarray:
+    """Digit (w*d) >> 64 of each 64-bit word w, Lemire's multiply-shift: exact via w's halves for d < 2^32."""
+    return ((words >> 32) * d + ((words & 0xFFFFFFFF) * d >> 32) >> 32).astype(np.int64)
 
-    Every decoy carries a uniform value prepared in a uniform basis,
-    either |r> or QFT|r>: one (n-1, decoy_count) draw of values, then one
-    of basis bits, a row per recipient. Returns ({recipient: values},
-    {recipient: v2}) for recipients 2..n: what each decoy should read, and
-    which were prepared in the Fourier basis. No state is built here.
+
+def word_uniforms(words: np.ndarray) -> np.ndarray:
+    """(w >> 11) * 2^-53 of each 64-bit word w: the uniform Generator.random makes of it."""
+    return (words >> 11) * 2.0**-53
+
+
+def insert_decoys(cfg: ProtocolConfig, words: np.ndarray):
+    """The decoys guarding each transmitted sequence, from 2 (n-1) decoy_count words of one trial.
+
+    Every decoy carries a uniform value in a uniform basis, |r> or QFT|r>: the first (n-1, decoy_count)
+    words give the values mod d, the next as many the bases (a top bit set is V2), a row per recipient.
+    Returns ({recipient: values}, {recipient: v2}) for recipients 2..n. No state is built here.
     """
-    size = (cfg.n - 1, cfg.decoy_count)
-    values, v2 = rng.integers(cfg.d, size=size), rng.integers(2, size=size) == 1
-    return tuple(dict(zip(range(2, cfg.n + 1), a)) for a in (values, v2))
+    values, bases = np.reshape(words, (2, cfg.n - 1, cfg.decoy_count))
+    return tuple(dict(zip(range(2, cfg.n + 1), a)) for a in (word_digits(values, cfg.d), bases >> 63 == 1))
 
 
 def check_decoys(d: int, expected, received, u) -> np.ndarray:
     """Measure each received decoy in its preparation basis; count each sequence's mismatches.
 
-    expected is the (values, v2) pair insert_decoys drew, received that of
-    the basis states that arrived (expected itself on a clean channel) and
-    u the uniform the caller drew for each decoy: all of one shape (..., N),
-    every value in [0, d). The received states are built with one basis_rows
-    call and measured as one array. Returns the (...) mismatch counts: 0
-    exactly where the channel was untouched, since both |r> and QFT|r> are
-    eigenstates of their own measurement.
+    expected is the (values, v2) pair insert_decoys dealt, received that of the basis states that
+    arrived (expected itself on a clean channel) and u the uniform the caller drew for each decoy: all
+    of one shape (..., N), every value in [0, d). |r> and QFT|r> are eigenstates of their own
+    measurement, so a decoy that arrived as sent reads its value; the others are built with one
+    basis_rows call and measured as one array. Returns the (...) mismatch counts.
     """
     values, v2, got, got_v2, u = arrays = [np.asarray(a) for a in (*expected, *received, u)]
     if any(a.shape != values.shape for a in arrays):
@@ -236,20 +241,19 @@ def check_decoys(d: int, expected, received, u) -> np.ndarray:
     for name, a in (("expected", values), ("received", got)):
         if ((a < 0) | (a >= d)).any():
             raise ValueError(f"{name} decoy value {a[(a < 0) | (a >= d)][0]} out of range for d={d}")
-    outcomes = measure_rows(basis_rows(d, got, got_v2).reshape(-1, d), v2.reshape(-1), u.reshape(-1))
-    return np.count_nonzero(outcomes.reshape(values.shape) != values, axis=-1)
+    # at u == 0.0 the float inverse CDF of an unchanged decoy may stop below its value (see the README)
+    measured, outcomes = (got != values) | (got_v2 != v2) | (u == 0.0), values.copy()
+    if measured.any():
+        rows = basis_rows(d, got[measured], got_v2[measured])
+        outcomes[measured] = measure_rows(rows, v2[measured], u[measured])
+    return np.count_nonzero(outcomes != values, axis=-1)
 
 
-def compute_sum(results, d: int) -> list[int]:
-    """Digit-wise sum of the announced result strings, reduced mod d."""
-    rows = [list(r) for r in results]
-    if not rows:
-        raise ValueError("need at least one result string")
-    m = len(rows[0])
-    for row in rows:
-        if len(row) != m:
-            raise ValueError("result strings differ in length")
-        for x in row:
-            if not 0 <= x < d:
-                raise ValueError(f"result digit {x} out of range for d={d}")
-    return [sum(col) % d for col in zip(*rows)]
+def compute_sum(results, d: int) -> list:
+    """Digit-wise sum mod d of the result strings, the rows of (n, m) results, or of each (n, m) block."""
+    rows = np.asarray(results)
+    if rows.ndim < 2 or rows.shape[-2] == 0 or rows.dtype.kind not in "iu":
+        raise ValueError(f"need one or more result strings of int digits, got shape {rows.shape}, {rows.dtype}")
+    if ((rows < 0) | (rows >= d)).any():
+        raise ValueError(f"result digit {rows[(rows < 0) | (rows >= d)][0]} out of range for d={d}")
+    return (rows.sum(axis=-2) % d).tolist()

@@ -31,27 +31,29 @@ def v2_pass(values) -> bool:
     return all(v == values[0] for v in values)
 
 
-def select_checks(cfg: ProtocolConfig, eta: int, rng: np.random.Generator) -> list[dict]:
-    """Randomly assign eta check positions to the receiving participants.
+def select_checks(cfg: ProtocolConfig, eta: int, words: np.ndarray) -> list[list[dict]]:
+    """Randomly assign eta check positions to the receiving participants, for each row of words.
 
-    Positions are distinct, drawn uniformly from the m+eta prepared
-    states. Shares are balanced across the n-1 choosers, remainders going
-    to the lowest-indexed ones. Each chooser picks an independent uniform
-    basis, "V1" or "V2", per check, chooser by chooser, all in one draw
-    of eta bits. Returned as {"position", "chooser", "basis"} records in
-    execution (position) order.
+    A row is a trial's m+eta position keys, then eta basis words. The eta smallest keys pick distinct
+    uniform positions among the m+eta prepared states; in key order, which is random, they go to the
+    n-1 choosers in balanced shares, remainders to the lowest-indexed ones, and the k-th is a "V2"
+    check if the top bit of basis word k is set, else "V1". Returns each row's {"position",
+    "chooser", "basis"} records in execution (position) order.
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
-    if eta == 0:  # both draws would be empty and leave the generator as it is
-        return []
-    positions = rng.choice(cfg.m + eta, size=eta, replace=False)
+    total = cfg.m + eta
+    if np.shape(words)[1:] != (total + eta,):
+        raise ValueError(f"need rows of m+2*eta={total + eta} words, got shape {np.shape(words)}")
+    positions = np.argsort(words[:, :total], axis=1, kind="stable")[:, :eta]
     base, rem = divmod(eta, cfg.n - 1)
-    choosers = [c for c in range(2, cfg.n + 1) for _ in range(base + (1 if c - 2 < rem else 0))]
-    bases = rng.integers(2, size=eta)
-    checks = [{"position": int(pos), "chooser": chooser, "basis": "V2" if bit else "V1"}
-              for pos, chooser, bit in zip(positions, choosers, bases)]
-    return sorted(checks, key=lambda c: c["position"])
+    choosers = np.repeat(np.arange(2, cfg.n + 1), [base + (c < rem) for c in range(cfg.n - 1)])
+    # the k-th smallest key's check belongs to choosers[k] and reads basis word k; then sort by position
+    order = np.argsort(positions, axis=1)
+    picked = [np.take_along_axis(a, order, axis=1).tolist()
+              for a in (positions, np.broadcast_to(choosers, positions.shape), words[:, total:] >> 63)]
+    return [[{"position": pos, "chooser": chooser, "basis": "V2" if bit else "V1"}
+             for pos, chooser, bit in zip(*row)] for row in zip(*picked)]
 
 
 def _is_v1(check: dict) -> bool:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from quditsum import BasisKind, QuditRegister, apply_iqft, eve_intercept_resend, execute_check, measure, run_protocol
+from quditsum.harness import trial_layout
 from quditsum.protocol import read_out
 from quditsum.qudit import _apply_single, _check_cap, _qft_matrix, _split, encode_matrix
 from quditsum.verification import check_rotations
@@ -104,9 +105,19 @@ def run_check(state, check: dict, rng: np.random.Generator) -> dict:
                          state.d)
 
 
+def words_block(cfg, eta: int, rng: np.random.Generator, trials: int = 1) -> np.ndarray:
+    """A (trials, K) block of uint64 words drawn from rng, K the width of the configuration's trial_layout."""
+    return rng.integers(0, 2**64, size=(trials, trial_layout(cfg, eta)[1]), dtype=np.uint64)
+
+
+def decoy_words(cfg, rng: np.random.Generator) -> np.ndarray:
+    """The 2 (n-1) decoy_count words insert_decoys reads for one trial, drawn from rng."""
+    return rng.integers(0, 2**64, size=2 * (cfg.n - 1) * cfg.decoy_count, dtype=np.uint64)
+
+
 def run_one(cfg, eta: int, secrets, rounds, rng: np.random.Generator, eve: bool = False) -> dict:
-    """One trial through the lockstep engine: a chunk of one."""
-    return run_protocol(cfg, eta, [secrets], [rounds], [rng], eve)[0]
+    """One trial through the lockstep engine, its words drawn from rng: a chunk of one."""
+    return run_protocol(cfg, eta, [secrets], [rounds], words_block(cfg, eta, rng), eve)[0]
 
 
 def measure_one(reg: QuditRegister, target: int, basis: BasisKind, rng: np.random.Generator):

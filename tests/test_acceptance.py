@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 from conftest import (
-    apply_qft, apply_shift, assert_within_4sigma, basis_state, eve_one_trial, outcome_distribution,
+    apply_qft, apply_shift, assert_within_4sigma, basis_state, decoy_words, eve_one_trial, outcome_distribution,
     random_register, random_secret, run_one,
 )
 
@@ -209,7 +209,7 @@ def test_c08_eve_disturbance_rate():
             checked = 0
             for rep in range(100):
                 rng = np.random.default_rng((8, d, rep))
-                values, v2 = insert_decoys(cfg, rng)
+                values, v2 = insert_decoys(cfg, decoy_words(cfg, rng))
                 pair = values[2], v2[2]
                 _, resent = eve_one_trial([], 2, pair, rng, d)
                 mismatches += check_decoys(d, pair, resent, rng.random(cfg.decoy_count))

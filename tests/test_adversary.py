@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     apply_encode, apply_qft, apply_shift, approx_equal, assert_within_4sigma, basis_state,
-    eve_one_trial, outcome_distribution, random_secret, run_one,
+    decoy_words, eve_one_trial, outcome_distribution, random_secret, run_one,
 )
 
 from quditsum import (
@@ -228,7 +228,7 @@ def test_eve_disturbance_matches_oracle(d):
     mismatches = 0
     checked = 0
     for _ in range(60):
-        values, v2 = insert_decoys(cfg, rng)
+        values, v2 = insert_decoys(cfg, decoy_words(cfg, rng))
         pair = values[2], v2[2]
         _, resent = eve_one_trial([], 2, pair, rng, d)
         mismatches += check_decoys(d, pair, resent, rng.random(cfg.decoy_count))

@@ -28,7 +28,8 @@ from functools import cached_property, reduce
 import numpy as np
 import pytest
 from conftest import (
-    apply_encode, apply_qft, apply_shift, approx_equal, basis_state, eve_one_trial, intercept_one, measure_one,
+    apply_encode, apply_qft, apply_shift, approx_equal, basis_state, decoy_words, eve_one_trial, intercept_one,
+    measure_one,
     outcome_distribution, owner_uniforms, random_register, random_secret, run_check, run_one,
 )
 from hypothesis import given, settings
@@ -111,11 +112,12 @@ def _dense(state):
     return QuditRegister(state.d, len(owners), psi.reshape(-1))
 
 
-def _reference_insert_decoys(cfg, rng):
-    """One draw per decoy: every receiver's values, then every receiver's bases; then the registers."""
-    receivers = range(2, cfg.n + 1)
-    values = {i: [int(rng.integers(cfg.d)) for _ in range(cfg.decoy_count)] for i in receivers}
-    bases = {i: [_basis(int(rng.integers(2))) for _ in range(cfg.decoy_count)] for i in receivers}
+def _reference_insert_decoys(cfg, words):
+    """One word per decoy: every receiver's values (w*d) >> 64, then every receiver's bases, the top bits; then
+    the registers."""
+    receivers, count, words = range(2, cfg.n + 1), cfg.decoy_count, [int(w) for w in words]
+    values = {i: [words[(i - 2) * count + k] * cfg.d >> 64 for k in range(count)] for i in receivers}
+    bases = {i: [_basis(words[(cfg.n + i - 3) * count + k] >> 63) for k in range(count)] for i in receivers}
     registers, records = {}, {}
     for i in receivers:
         records[i] = list(zip(values[i], bases[i]))
@@ -195,8 +197,9 @@ def test_measure_draws_what_generator_choice_draws(d):
 def test_decoys_match_scalar_loops(eve, d, n, count, seed):
     cfg = ProtocolConfig(d=d, n=n, m=2, decoy_count=count)
     ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref_regs, ref_recs = _reference_insert_decoys(cfg, ref)
-    values, v2 = insert_decoys(cfg, fast)
+    words = decoy_words(cfg, np.random.default_rng((seed, count)))
+    ref_regs, ref_recs = _reference_insert_decoys(cfg, words)
+    values, v2 = insert_decoys(cfg, words)
     assert sorted(values) == sorted(v2) == sorted(ref_recs)
     received = {}
     for i in values:
@@ -920,12 +923,13 @@ def test_interrupted_scenario_run_releases_the_registers_its_trials_shared(scena
 
 @pytest.mark.parametrize("d, ns", [(2, (2, 3, 4, 7)), (5, (2, 3, 4, 7)), (10, (2, 3, 4)), (2048, (2,))])
 def test_secrets_draw_matches_per_participant_draws(d, ns):
-    # one (n, m) integers draw in place of n draws of m digits each
+    # a chunk's (T, n m) secrets words give each trial's n strings of m digits (w*d) >> 64, in row order
     for n in ns:
         for m in range(1, 8):
             cfg = ScenarioConfig("honest", ProtocolConfig(d=d, n=n, m=m))
             for seed in range(5):
-                ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
-                expected = tuple(random_secret(d, m, ref) for _ in range(n))
-                assert _trial_secrets(cfg, fast) == expected
-                assert fast.bit_generator.state == ref.bit_generator.state
+                words = np.random.default_rng(seed).integers(0, 2**64, size=(3, n * m), dtype=np.uint64)
+                expected = [[[w * d >> 64 for w in row[i * m:(i + 1) * m]] for i in range(n)] for row in words.tolist()]
+                assert _trial_secrets(cfg, words).tolist() == expected
+            fixed = ScenarioConfig("honest", ProtocolConfig(d=d, n=n, m=m), secrets=((d - 1,) * m,) * n)
+            assert _trial_secrets(fixed, words).tolist() == [[[d - 1] * m] * n] * 3

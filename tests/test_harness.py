@@ -12,7 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import run_one
+from conftest import run_one, words_block
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +22,9 @@ from quditsum import (
     derive_trial_stream,
     fabricate_rounds,
     fake_particle,
-    insert_decoys,
     prepare_rounds,
     run_protocol,
     run_scenario,
-    select_checks,
     wilson_interval,
     write_report,
 )
@@ -42,6 +40,7 @@ from quditsum.harness import (
     eve_per_decoy_error_rate,
     modified_detection_probability,
     modified_per_check_pass_probability,
+    trial_layout,
 )
 from quditsum.protocol import RoundState
 
@@ -63,26 +62,54 @@ def _cfg(scenario, trials=20, seed=7, **kw):
 
 
 def test_derive_trial_stream_is_deterministic():
-    a = derive_trial_stream(42, 3).integers(0, 1000, size=8)
-    b = derive_trial_stream(42, 3).integers(0, 1000, size=8)
+    a = derive_trial_stream(42, 3, 2, 268)
+    b = derive_trial_stream(42, 3, 2, 268)
+    assert a.shape == (2, 268) and a.dtype == np.uint64
     assert np.array_equal(a, b)
+    # the words are those of numpy's Philox keyed by the seed, trial t's from word t * width on
+    assert np.array_equal(a.reshape(-1), np.random.Philox(key=42).random_raw(5 * 268)[3 * 268:])
 
 
 def test_derive_trial_stream_differs_across_indices_and_seeds():
-    base = derive_trial_stream(42, 0).integers(0, 10**9, size=4)
-    other_index = derive_trial_stream(42, 1).integers(0, 10**9, size=4)
-    other_seed = derive_trial_stream(43, 0).integers(0, 10**9, size=4)
+    base = derive_trial_stream(42, 0, 1, 4)
+    other_index = derive_trial_stream(42, 1, 1, 4)
+    other_seed = derive_trial_stream(43, 0, 1, 4)
     assert not np.array_equal(base, other_index)
     assert not np.array_equal(base, other_seed)
 
 
 def test_derive_trial_stream_validation():
     with pytest.raises(ValueError):
-        derive_trial_stream(-1, 0)
+        derive_trial_stream(-1, 0, 1, 4)
     with pytest.raises(ValueError):
-        derive_trial_stream(2**64, 0)
+        derive_trial_stream(2**64, 0, 1, 4)
     with pytest.raises(ValueError):
-        derive_trial_stream(0, -1)
+        derive_trial_stream(0, -1, 1, 4)
+    with pytest.raises(ValueError, match="multiple of 4"):
+        derive_trial_stream(0, 0, 1, 6)
+
+
+@pytest.mark.parametrize("n, m, eta, decoys", [(2, 1, 0, 0), (3, 4, 6, 16), (3, 2, 3, 4), (4, 3, 5, 8), (6, 1, 2, 16),
+                                                 (7, 5, 1, 3)])
+def test_trial_layout_slices_cover_the_words_once(n, m, eta, decoys):
+    # the slices are disjoint and, in order, cover the words but for under 4 words of padding
+    layout, width = trial_layout(ProtocolConfig(d=5, n=n, m=m, decoy_count=decoys), eta)
+    parts, total = list(layout.values()), m + eta
+    assert [p.start for p in parts] == [0] + [p.stop for p in parts[:-1]]
+    assert width % 4 == 0 and 0 <= width - parts[-1].stop < 4
+    assert {name: p.stop - p.start for name, p in layout.items()} == {
+        "secrets": n * m, "plan": total, "decoys": 2 * (n - 1) * decoys, "decoy_u": (n - 1) * decoys,
+        "eve_bits": (n - 1) * (total + decoys), "eve_u": (n - 1) * (total + decoys), "checks": total + eta,
+        "check_u": n * eta, "encode_u": n * m}
+
+
+def test_one_trial_replays_as_one_advance_and_its_words():
+    # trial 13 of a 20-trial small-mix run reads the same words alone, in its chunk, or after others
+    width = trial_layout(ProtocolConfig(d=5, n=3, m=4, decoy_count=16), 6)[1]
+    assert width == 268
+    alone = derive_trial_stream(1, 13, 1, width)[0]
+    assert np.array_equal(alone, derive_trial_stream(1, 0, 20, width)[13])
+    assert np.array_equal(alone, derive_trial_stream(1, 10, 5, width)[3])
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +201,10 @@ def test_scenario_config_validation():
         with pytest.raises(ValueError, match=f"^fabrication value {r} out of range for d=5$"):
             fabricate_rounds(proto, (1, r))
     secrets, rounds = ((1, 2), (3, 4), (0, 1)), prepare_rounds(proto, count=3)
+    words = words_block(proto, 1, np.random.default_rng(0))
     for eta in (1.0, True, np.int64(1)):
         with pytest.raises(ValueError, match=f"^eta must be an int, got {re.escape(repr(eta))}$"):
-            run_one(proto, eta, secrets, rounds, np.random.default_rng(0))
+            run_protocol(proto, eta, [secrets], [rounds], words)
 
 
 def test_honest_scenario_report():
@@ -242,7 +270,7 @@ def test_eve_decoy_report_at_a_threshold_one_ulp_below_a_half(tmp_path, capsys):
     doc = json.loads(out.read_text())
     text = json.dumps(doc["per_trial"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "87ec0eebc1f6da35356a1558f394363b1cb54b6b6f081afd79273aaa2f582d86")
+        "9942053eabf3c4e46ffc14a6db62d12e2a1b0bbbbe09af589576be30f7cccec6")
     assert doc["aggregates"]["flagged"] == []
     assert doc["aggregates"]["detection_rate"]["oracle"] == pytest.approx(1 - 0.36**2, abs=1e-15)
     assert "outside 4 sigma" not in capsys.readouterr().out
@@ -329,11 +357,10 @@ def test_run_protocol_rejects_rounds_that_do_not_fit(d, n, forged):
     rounds = fabricate_rounds(other, (1,)) if forged else prepare_rounds(other)
     if forged == "without-P1":
         rounds = [RoundState(tuple((fake_particle(d, 1), (i,)) for i in range(2, n + 1)), r=1)]
-    rng = np.random.default_rng(1)
-    state = rng.bit_generator.state
+    cfg = ProtocolConfig(d=5, n=3, m=1, decoy_count=2)
+    words = words_block(cfg, 0, np.random.default_rng(1))
     with pytest.raises(ValueError, match=r"^round 0 does not fit d=5, n=3$"):
-        run_one(ProtocolConfig(d=5, n=3, m=1, decoy_count=2), 0, ((1,), (2,), (3,)), rounds, rng)
-    assert rng.bit_generator.state == state
+        run_protocol(cfg, 0, [((1,), (2,), (3,))], [rounds], words)
 
 
 def test_run_protocol_sums_a_mix_of_genuine_and_forged_rounds():
@@ -358,10 +385,10 @@ def test_run_protocol_sums_a_mix_of_genuine_and_forged_rounds():
 
 
 def _chunk_against_lone_trials(cfg, eta, kinds, seed, eve):
-    """Run one chunk of trials, one per kind of rounds, and each trial alone on a fresh copy of its stream.
+    """Run one chunk of trials, one per kind of rounds, each trial alone on its row of words, and the chunk
+    again with every other trial's words redrawn.
 
-    Asserts each trial's record and final generator state are the same
-    both ways; returns the chunk's records.
+    Asserts each trial's record is the same all three ways; returns the chunk's records.
     """
     total, gen = cfg.m + eta, np.random.default_rng(seed)
     genuine = prepare_rounds(cfg, count=total)
@@ -371,13 +398,15 @@ def _chunk_against_lone_trials(cfg, eta, kinds, seed, eve):
         pick = {"genuine": [False] * total, "forged": [True] * total, "mixed": gen.integers(2, size=total)}[kind]
         rounds.append([f if p else g for f, g, p in zip(forged, genuine, pick)])
         secrets.append(tuple(tuple(int(x) for x in row) for row in gen.integers(cfg.d, size=(cfg.n, cfg.m))))
-    rngs = [np.random.default_rng([seed, t]) for t in range(len(kinds))]
-    records = run_protocol(cfg, eta, secrets, rounds, rngs, eve=eve)
+    words = words_block(cfg, eta, gen, trials=len(kinds))
+    records = run_protocol(cfg, eta, secrets, rounds, words, eve=eve)
     assert len(records) == len(kinds)
     for t, record in enumerate(records):
-        alone = np.random.default_rng([seed, t])
-        assert json.dumps(record) == json.dumps(run_one(cfg, eta, secrets[t], rounds[t], alone, eve=eve))
-        assert rngs[t].bit_generator.state == alone.bit_generator.state
+        alone = run_protocol(cfg, eta, secrets[t:t + 1], rounds[t:t + 1], words[t:t + 1], eve=eve)
+        others = words_block(cfg, eta, gen, trials=len(kinds))
+        others[t] = words[t]
+        beside = run_protocol(cfg, eta, secrets, rounds, others, eve=eve)[t]
+        assert json.dumps(record) == json.dumps(alone[0]) == json.dumps(beside)
     return records
 
 
@@ -394,7 +423,7 @@ def test_a_chunk_of_trials_gives_each_its_lone_record_and_stream(d, n, eta, deco
 def test_one_chunk_mixes_decoy_aborts_failed_checks_and_encoded_trials():
     # an abort is a flag per trial: the trials after it in the chunk go on
     cfg = ProtocolConfig(d=3, n=3, m=2, decoy_count=4, error_threshold=0.3)
-    records = _chunk_against_lone_trials(cfg, 2, ["genuine", "forged", "mixed"] * 6, 5, eve=True)
+    records = _chunk_against_lone_trials(cfg, 2, ["genuine", "forged", "mixed"] * 6, 0, eve=True)
     decoy_abort = [max(r["decoy_error_rates"]) > 0.3 for r in records]
     failed_check = [bool(r["checks"]) and not r["checks"][-1]["passed"] for r in records]
     encoded = [r["sum"] is not None for r in records]
@@ -404,21 +433,25 @@ def test_one_chunk_mixes_decoy_aborts_failed_checks_and_encoded_trials():
 
 
 def test_a_trial_draws_in_the_documented_order():
-    # its decoys and their uniforms, its checks and every check's uniforms,
-    # then its encoding's uniforms only if it got that far
-    cfg, eta = ProtocolConfig(d=3, n=3, m=2, decoy_count=0), 3
+    # the engine reads its decoys and their uniforms, its checks and every
+    # check's uniforms, then its encoding's uniforms only if it got that far:
+    # redrawing any other slice of its words leaves its record as it was
+    cfg, eta = ProtocolConfig(d=3, n=3, m=2, decoy_count=4, error_threshold=1.0), 3
+    layout, width = trial_layout(cfg, eta)
+    assert width == 96 and [(name, part.start, part.stop) for name, part in layout.items()] == [
+        ("secrets", 0, 6), ("plan", 6, 11), ("decoys", 11, 27), ("decoy_u", 27, 35), ("eve_bits", 35, 53),
+        ("eve_u", 53, 71), ("checks", 71, 79), ("check_u", 79, 88), ("encode_u", 88, 94)]
     secrets, endings = ((0, 1), (2, 0), (1, 1)), set()
     for seed in range(40):
+        gen = np.random.default_rng(seed)
         for rounds in (prepare_rounds(cfg, count=5), fabricate_rounds(cfg, [seed % 3] * 5)):
-            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
-            record = run_one(cfg, eta, secrets, rounds, rng)
-            insert_decoys(cfg, replay)
-            replay.random((cfg.n - 1, cfg.decoy_count))
-            select_checks(cfg, eta, replay)
-            replay.random(cfg.n * eta)
-            if record["sum"] is not None:
-                replay.random(cfg.n * cfg.m)
-            assert rng.bit_generator.state == replay.bit_generator.state
+            words = words_block(cfg, eta, gen)
+            record = run_protocol(cfg, eta, [secrets], [rounds], words)[0]
+            unread = ["secrets", "plan", "eve_bits", "eve_u"] + (["encode_u"] if record["sum"] is None else [])
+            for name in unread:
+                redrawn = words.copy()
+                redrawn[:, layout[name]] = words_block(cfg, eta, gen)[:, layout[name]]
+                assert run_protocol(cfg, eta, [secrets], [rounds], redrawn)[0] == record, name
             endings.add(record["sum"] is None)
     assert endings == {True, False}
 
@@ -427,7 +460,7 @@ def test_run_protocol_needs_secrets_rounds_and_a_stream_per_trial():
     cfg = ProtocolConfig(d=3, n=2, m=1, decoy_count=2)
     message = "^need secrets, rounds and a stream for each of one or more trials: got {}, {} and {}$"
     with pytest.raises(ValueError, match=message.format(2, 1, 1)):
-        run_protocol(cfg, 0, [((1,), (2,))] * 2, [prepare_rounds(cfg)], [np.random.default_rng(0)])
+        run_protocol(cfg, 0, [((1,), (2,))] * 2, [prepare_rounds(cfg)], words_block(cfg, 0, np.random.default_rng(0)))
     with pytest.raises(ValueError, match=message.format(0, 0, 0)):
         run_protocol(cfg, 0, [], [], [])
 
@@ -456,11 +489,12 @@ def test_a_run_makes_two_read_outs_and_one_decoy_check_per_chunk(scenario, d, n,
 @pytest.mark.parametrize("d, n, m, eta, trials, chunks", [(5, 3, 4, 6, 20, 1), (10, 5, 1, 2, 4, 4)])
 def test_a_clean_run_builds_decoy_states_once_per_chunk(scenario, d, n, m, eta, trials, chunks, monkeypatch):
     # the engine carries each decoy as its (value, basis) pair; only the
-    # check builds the states, with one basis_rows call for the chunk
+    # check builds the states, with one basis_rows call for the chunk, and
+    # only of the decoys that did not arrive as sent: none on a clean channel
     calls, real = [], protocol.basis_rows
     monkeypatch.setattr(protocol, "basis_rows", lambda *args: calls.append(args) or real(*args))
     run_scenario(ScenarioConfig(scenario, ProtocolConfig(d=d, n=n, m=m, decoy_count=16), eta=eta, trials=trials))
-    assert len(calls) == chunks
+    assert calls == [] and chunks >= 1
     assert not {"basis_rows", "measure_rows"} & set(vars(harness))
 
 
@@ -520,11 +554,11 @@ def test_reports_are_reproducible_bit_for_bit():
 # configuration. Any change to the seeded draw order or to a record's
 # contents moves these; such a change needs a version bump.
 GOLDEN_DIGESTS = {
-    "honest": "23cbd088b48090dc6640e539f29c6c8538a73b1cea9a822563632b2053a8d291",
-    "iqft-attack": "74b60b8c71c7d46b1e916d285921f645a6355c5587b5c3742d3573a9182fe5f1",
-    "modified-honest": "1b01c950393c3eb29f4707300d0ea1a1d55cd6d4c3d425dcd16447b2446754d0",
-    "modified-attack": "8d0b058ca6cb6bfab7ee1fc6b4615cafc3d9772b80d4a65890af4d733aec36ce",
-    "eve-decoy": "af31ccac9858f18391d514f7749f68452382ead66b32d67d39919c0f419429fa",
+    "honest": "ee82fb07e4a898467f4c647a9e08b5049f965e2d7b98b82cafcecfe492c78c78",
+    "iqft-attack": "44fb1b2e7dffe63fc9012eb30960eac059e79fad8ceebbab31dc936d1414c081",
+    "modified-honest": "5e26a7dc732d3fd443d3dd94af96f920c0f9a1c3a04acdee192378dec8621799",
+    "modified-attack": "28431cb4a818f67997d71c73536ef5a107b85c8827dbf4ada3e62f7d7123d8f7",
+    "eve-decoy": "c79b35691a80a0dcc4afe2417c5c9284f248ed84ef677023d8ac6a8397726f61",
 }
 
 
@@ -539,11 +573,11 @@ def test_per_trial_golden_digest(scenario):
 # The same at d=10 on 4-qudit rounds: unitaries and measurements then hit
 # every split of the register around the target qudit, inner and last.
 GOLDEN_DIGESTS_WIDE = {
-    "honest": "03f9ba93b2320ea2bdbe6dc944b9540f2105ed890b4db90cd2f5f285b55c6b2c",
-    "iqft-attack": "68407d525fe6dc40d4f1a0c3b7550e2d00d6a7a0a700d7d2e35e57e3f790590e",
-    "modified-honest": "9e11c52e28af544d4c62ca6b1a7b42c428ea955b4eeabaa615aed1d89c55d489",
-    "modified-attack": "e9fe2d78697a1d12881b796bb3fcc3fd5354aca3470b1b230a81ac8013d47ca4",
-    "eve-decoy": "e1d88a442e06cb3409d2d3c503c028d5e8a83312b584a3455ffe42891a95424f",
+    "honest": "4205bfcbeb7e10f5777ada1e9e338ccd316e698080303ca594df337462362919",
+    "iqft-attack": "b21128480c6120c2ab7c9b4738c801f490eaae0edb6f8e946c694d449970b1f5",
+    "modified-honest": "4573f1df23aeaa9d8a688de0913ab01920df73c5d4ac8b9cc8e859f2e2a922fc",
+    "modified-attack": "3daf0b0fd862c783d477f89d5a9ebb8e9aac5def3b793622dcfe172d14a17047",
+    "eve-decoy": "3ef98ec29fcd0d4071fefbb680a562ffc004697ad6e9cfbfc210617eacf1d321",
 }
 
 
@@ -558,9 +592,9 @@ def test_per_trial_golden_digest_wide(scenario):
 # The same at the wide-register benchmark's sizes: 1e6-amplitude rounds,
 # each read alone, whose first step reads the shared register's reduced state.
 GOLDEN_DIGESTS_N6 = {
-    "honest": "af50635cb644546c6640c8734db30cfeb99bdc17967f8d91506aa35fb390de8a",
-    "modified-honest": "b3f5ac2f51dfdd888b5e72f8bf138caa59ca61c3fc2af1c5784ac6f1bcb3fb9d",
-    "eve-decoy": "786549d4bec1f47083aa2e16e3e222c8533d08a2b1a58108a6740f0ff380f40c",
+    "honest": "4c143ec49ca6a716f8dbef4ecfb67daffe8d819b1ef0a3182f7114ddf4a18e45",
+    "modified-honest": "d778ff594c85606ecc2fffa87032b747c21d4b9a612fdcfff507af8e8a1ea851",
+    "eve-decoy": "8ca57f7b412be32cd4b9db593f0fdcc58b7800ab868e2250efd5c90f09e951fe",
 }
 
 
@@ -596,16 +630,16 @@ REPORT_CONFIGS = {
     "no-decoys": (ProtocolConfig(d=3, n=3, m=1, decoy_count=0), 2, 30),
 }
 GOLDEN_REPORT_DIGESTS = {
-    ("small-mix-0.3", "honest"): "b332be9ec1950545f4d9e7a521d641eeb81a807a7a5910db7a6bcce21c236bb1",
-    ("small-mix-0.3", "iqft-attack"): "2bb951504d9626a4ea66f387c6934fc5e74a9399129583b78dbc2f787eea4e94",
-    ("small-mix-0.3", "modified-honest"): "32ff61d17dce2f189e8bd2844fe9b26bda3f451749254dd9a3e1fc7e30bc4c52",
-    ("small-mix-0.3", "modified-attack"): "3984571c6d96b8ca46da208b27591c67b4842fdd88cf4cb3b29b5d4c104b99ab",
-    ("small-mix-0.3", "eve-decoy"): "d7ab5f90bf379167119620f3bef6eb9e1768ecc127169d1c6d2c048c7ec95f5d",
-    ("no-decoys", "honest"): "956abf9eabdd0673392622e03354c223f0d1cc137bc80d0c0dee9ccbf459550c",
-    ("no-decoys", "iqft-attack"): "60affa6cb8bc76a61f3b6d438fc6b43052e1d3de2515fefda3769936f19f5e41",
-    ("no-decoys", "modified-honest"): "16bfec557a2cb8d505b7e46347fc386acd9f6a7109b179d543e1af3a8300b444",
-    ("no-decoys", "modified-attack"): "19b92755074528d78b09d2d09dea024b39135a6562d8bd6f95d0f33970e27c6c",
-    ("no-decoys", "eve-decoy"): "e72489e96ee6204559c3ccc4c826ed092398710f9729f8354fe15540a690fb72",
+    ("small-mix-0.3", "honest"): "f6fb839db8b1cb39ce0b3e0cb82295efc8cd83a3270d91f5f76d1497fa877ecf",
+    ("small-mix-0.3", "iqft-attack"): "4adaff7d2df0bb39db2601b340477aef5d9b5ff218acdb2f69a0532083802d4e",
+    ("small-mix-0.3", "modified-honest"): "1ce9c5d4dd47edbe488086f3138a552a4bf64226b04de4ab6f7bef961581b0d4",
+    ("small-mix-0.3", "modified-attack"): "faef8c75042ae4f7abe09550aea5668c084aae57089eea13a4d533c556248cd3",
+    ("small-mix-0.3", "eve-decoy"): "dbdf486af4c1683fc193df3983597af2a481b230af2f4c62215ee92a9555ffdd",
+    ("no-decoys", "honest"): "f4865441d8cb6dc776239041266b8ef3ed91c8bda09a8fa4cc22e4507b7b0985",
+    ("no-decoys", "iqft-attack"): "5daae4a03e2345d5560a1a27165186f8749bd7339d3dc7fb919cfda557a99396",
+    ("no-decoys", "modified-honest"): "7d1125789a1ac9f2a32e61b1476d8afebd4c402f0ee93becbcaf91e754dbc081",
+    ("no-decoys", "modified-attack"): "2f8c58bea728ed24e087c7e45ea528f87e66a5e5c914d9622a897d6253209534",
+    ("no-decoys", "eve-decoy"): "0900db95e3669ecaa3fe19bcc4f459e505edeeb2dd5de3addd697fd3d44d2ce0",
 }
 
 
@@ -642,39 +676,39 @@ WIDE_REGISTER_SCENARIOS = ("honest", "modified-honest", "eve-decoy")
 # SHA-256 over each run's report text, minus its duration_seconds line,
 # followed by its stdout with the elapsed time and the report path masked
 DETERMINISM_DIGESTS = {
-    ("small-mix", "honest"): "a0ff7c7e23964ef8da8996b6f74a223d8032c3be6cdf7aa9a38c8b61ab89a53a",
-    ("small-mix", "iqft-attack"): "62dd68385ad50b4048564cafd23e6ba38bfe2ef17089881bd5959dd6d2760dbb",
-    ("small-mix", "modified-honest"): "8267a9a6d3966fd43405edbd878273a61bdeb40ebe0b2ece9356b6c9a7a502d4",
-    ("small-mix", "modified-attack"): "e486816d91add7f2e21a60f2869fed0c5f64699c2e7b7226abacc105f421bd30",
-    ("small-mix", "eve-decoy"): "5c006c632bba168120c61c6ac81d4a173b8e1cad1307e8ab28ab33f9ca4756aa",
-    ("d7-n4", "honest"): "4c9312f7169d8a00672d75f6e6b05f608aa5c5121f609d86f1755c4b1a65f45d",
-    ("d7-n4", "iqft-attack"): "f9790dfb86c0c17e8db11c0be6e1e847fef6c4bdba4aacdc54e22e1e89a0dbfb",
-    ("d7-n4", "modified-honest"): "925389ed50d642acb6a1577cc528507a66d41aa6c77244c4a3669cea2384d30c",
-    ("d7-n4", "modified-attack"): "c80b22a57b50ac8167e033ae9cdda101577a5ca22aeed654a0205d830a372d19",
-    ("d7-n4", "eve-decoy"): "ea1178929c52dead41cff18fff39998b4f84e8c190cc99f1ed51e841cc20dbb3",
-    ("d2-n2", "honest"): "977e415a5aa1601e980d13cd368c5a1d97001440629da3d0ce5eece18ce8efaf",
-    ("d2-n2", "iqft-attack"): "d4f449ceb6efcc854a4c4ce3529b9b1cdc816d7d6ed65e74f8e3c30a82ddb76e",
-    ("d2-n2", "modified-honest"): "32fc5187ddcd82aa2fee03f02284c44e75954888fa94568fc6fed29dd2479291",
-    ("d2-n2", "modified-attack"): "39d3a1b7d5442cf834c1bae81426a992ff23c27c5da3e676ad7f9e44324d2af0",
-    ("d2-n2", "eve-decoy"): "ae717f7c6ef125d272492fc4c546fecb25220b683c1c698a56d0b974ba1bed1b",
-    ("d10-n5", "honest"): "60f6758bfa9ab25d14952c2ae50e043b487ef67ead81756ea76e4561499f7d40",
-    ("d10-n5", "iqft-attack"): "f4672045f1bb4ad85019c2ce3824f4fd5b0e90896ec84bad854fb8a507341a17",
-    ("d10-n5", "modified-honest"): "1cab8dee66349b7202603b28da54cbe899b5257c6968d327d092cad5447b1529",
-    ("d10-n5", "modified-attack"): "74bec0ac826535a42249fdb4ba441375b7b826ec1125f4bdd4e4e2dcfb053511",
-    ("d10-n5", "eve-decoy"): "8d53df578e7fac59cc3e83cd057d7c570545a7c88445ace75102ef204a65baec",
-    ("no-decoys", "honest"): "aa7af074ff82f719d3d0ec7bbedfaf460d8d0aa50c538a81445cc7bfd1feb7f1",
-    ("no-decoys", "iqft-attack"): "74f5283ee2a4d4ccda726490e4f3c5cf10134e5bd69fd7e2158ecaf87bbdcf1c",
-    ("no-decoys", "modified-honest"): "3ee1c9c4aa44e5db9e9b28948597613879f4c3bbc1ad8c17352698112270b9dc",
-    ("no-decoys", "modified-attack"): "61d55b3317e46e91712c8bceb1d61aa8f95168afbf43e386a7c6b465866f43bd",
-    ("no-decoys", "eve-decoy"): "981eb2260e7759f7036f9fae2bf4ec304b4b2b63cdfe52fe255e3afb147d517f",
-    ("fixed-secrets", "honest"): "da04c24779d34ddad2d016c1df4f0246eb4aff87091f829a4c6b775ab2a61d64",
-    ("fixed-secrets", "iqft-attack"): "6c2628ad5a31fd61399c529d4bbc7fdfa6d70ef4d0c2d68e5748154471388763",
-    ("fixed-secrets", "modified-honest"): "93244d70023c1019afa7e4966086e1c7c53a1c0f269fe311de85abc59e950a1a",
-    ("fixed-secrets", "modified-attack"): "a9d236b0b054da9d9f438d5d2dcb428f2549c7d04ba66352ae5587b2eccde489",
-    ("fixed-secrets", "eve-decoy"): "9403f7b119a1a5e013903c9405521708401a516605f763c422954f1330d0bf09",
-    ("wide-register", "honest"): "a2681fe342f70de0cbf2c007dc0f76ef80c89e6c6cea849ef96c1441695766e5",
-    ("wide-register", "modified-honest"): "391dd1c68e1411bd09ccc1c86984d24dd112c5ec3827eed42ec96a005c11fdc3",
-    ("wide-register", "eve-decoy"): "761154779d01af1527d55a31a1c84ce6633f6effa16bc728a3c291a6f5d1fda2",
+    ("small-mix", "honest"): "4b075474aea1a602ea2ccbdeec9495467c5c939cedb49364c5f62a15650a1740",
+    ("small-mix", "iqft-attack"): "a3c5d642f5b3d56dc12e88b45fa3687390e180d5d28cf2dcbc6ed25d6b049bfa",
+    ("small-mix", "modified-honest"): "b02c670f63e897e87cb6798a7e4b07f4648099c07c20d6f71ae600dcdb17dcdf",
+    ("small-mix", "modified-attack"): "f8acd7c76e22c59e0e1152296224b7495109313554ba6252a3cbe11751cef4ac",
+    ("small-mix", "eve-decoy"): "4814c1a2e36a613cd21736f25d572be9942f4c3a6e53b3c9c2f27638025efa17",
+    ("d7-n4", "honest"): "92c5f4a1f07b35ddbd5628a8e1c61d87f236c443f63e950c484351bc15e9c142",
+    ("d7-n4", "iqft-attack"): "b642b4bfb8257fb41b28d5e68179902c3d63963a7fd1805a9456ea1e17c18064",
+    ("d7-n4", "modified-honest"): "22fcbec12772bc423a3ea0a6ebf152b6b31843eaa5ea22fc8f352e9eecfe9f2f",
+    ("d7-n4", "modified-attack"): "78b3acd0d9953f30d85a5f46b641d662b4cbc9e59119c6013132c2554d35fef3",
+    ("d7-n4", "eve-decoy"): "7a55f7be61c2592a806344173e64aded7cc263d5bd3feb4ca48cff270e078d29",
+    ("d2-n2", "honest"): "ef3d5630940a1e8caebb85f5d4290ca858021dce49402cbc21b1a8ef56c44a77",
+    ("d2-n2", "iqft-attack"): "8fcbfd5f8fff120c4253511a50b98eb70191382bc12d5e4f8474c5eb4db4981d",
+    ("d2-n2", "modified-honest"): "295f9ce6710f6f7c37dc2a885c3ae0204834d15525362105fbb380ee7d83d504",
+    ("d2-n2", "modified-attack"): "b83e5bb0784a9900712681089beb1dd99b9653dabce43286c3172be739ef8cdb",
+    ("d2-n2", "eve-decoy"): "c3a14b9db3cb75de167306436df52170606c879ed50bff5cbec7c5f3bd0c6232",
+    ("d10-n5", "honest"): "3a7b22b85398b58734e4a052c954ba3a7eb0e84cbf5e8e5857df069274bd3fa8",
+    ("d10-n5", "iqft-attack"): "335deee068c961e325d395d650f4b02e6aff85157c920062695aad0b581a526b",
+    ("d10-n5", "modified-honest"): "7269fac5a0849ae61fb39aeeab288a7497fbed33401292b8a73a18528ccaa27f",
+    ("d10-n5", "modified-attack"): "edb5e7211c98519f183d383b910f632a7ebc60145719b6a066f769151be0c33f",
+    ("d10-n5", "eve-decoy"): "4f9a7859ddf03537e027fe9205d61a94917746c24a6e6d833e79b5fc2b594162",
+    ("no-decoys", "honest"): "aea3fc567b26a84f77079d3ae89801f351e2a59da8b668b468a2c15f0937bb07",
+    ("no-decoys", "iqft-attack"): "f206f766cc3f5bb47db86b939f8296f479c15a2b9cd090cdcd6d3b342aa5a8d9",
+    ("no-decoys", "modified-honest"): "34d036859b150525392399872a2c8879d82c2e33a0347b92567954552170a132",
+    ("no-decoys", "modified-attack"): "27c29a4bf21e315e4b46cc71e43dbb60a5b88c0032dff9f1d6c16c9f01dbdee6",
+    ("no-decoys", "eve-decoy"): "6ad1cef3f9243052179f873392eef2bc3a3930d72dd188e5b4b3976b89a00371",
+    ("fixed-secrets", "honest"): "2730bb9d9bcd7dfa66e8327ec4ecb537cfbb8c554d588d51f465ec06819c0e42",
+    ("fixed-secrets", "iqft-attack"): "8b9337bd7ec4b32a9cc31eabeb3a87d0ab940206365899c128e25314602ff696",
+    ("fixed-secrets", "modified-honest"): "b917d980261367367eb20f0a167a4824b0ee53cfc7fbb651cc4ed6f1bddaa810",
+    ("fixed-secrets", "modified-attack"): "9f9c7d28e41cc040960963f9bfebce0a81f95d2b01239bc55ea2e38da8c7545a",
+    ("fixed-secrets", "eve-decoy"): "60cd6c24f9bf5b193167eb014cbc85f58565503e761af917eb7d2e5020fb19d6",
+    ("wide-register", "honest"): "cd70eb49db4e0dcbd4783a2e50f706d1ba674b124e1ff9633ea01cf7be183fce",
+    ("wide-register", "modified-honest"): "05858a571e469ccb0c53b6c64e7495da3ec0790ec87b18c19e8b8c6d11d1b92c",
+    ("wide-register", "eve-decoy"): "b72a9dfe9f105fec35fc0392a3b26c241de57f5f7e8837d686f55fd260979981",
 }
 
 
@@ -843,10 +877,12 @@ def test_cli_without_command_exits_2(capsys):
 def test_band_accepts_seed_209_small_mix_detection():
     # 18 of 20 forgeries detected against an oracle of 0.9802: the lower
     # tail is 0.059, well inside the 4 sigma tail mass
+    oracle = modified_detection_probability(5, 3, 6)
+    assert _rate_entry(18, 20, oracle)["within_4_sigma"] is True
     cfg = ScenarioConfig("modified-attack", ProtocolConfig(d=5, n=3, m=4, decoy_count=16),
                          eta=6, trials=20, master_seed=209)
     aggregates = run_scenario(cfg)["aggregates"]
-    assert aggregates["detection_rate"]["value"] == 0.9
+    assert aggregates["detection_rate"]["oracle"] == oracle
     assert aggregates["detection_rate"]["within_4_sigma"] is True
     assert aggregates["flagged"] == []
 

@@ -66,7 +66,7 @@ def test_readme_check_record_keys_are_the_execute_check_keys():
     documented = re.findall(r"^- `([a-z_]+)`", bullets, flags=re.M)
     cfg = quditsum.ProtocolConfig(d=3, n=3, m=1)
     rng = np.random.default_rng(0)
-    check = select_checks(cfg, 1, rng)[0]
+    [[check]] = select_checks(cfg, 1, rng.integers(0, 2**64, size=(1, cfg.m + 2), dtype=np.uint64))
     record = run_check(quditsum.prepare_rounds(cfg, count=2)[check["position"]], check, rng)
     assert documented == list(record)
 

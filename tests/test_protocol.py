@@ -6,15 +6,18 @@ import re
 import numpy as np
 import pytest
 from conftest import (
-    apply_encode, apply_qft, apply_shift, approx_equal, intercept_one, outcome_distribution,
+    apply_encode, apply_qft, apply_shift, approx_equal, decoy_words, intercept_one, outcome_distribution,
     owner_uniforms, random_secret, run_one,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditsum import (
     BasisKind,
     ProtocolConfig,
     check_decoys,
     compute_sum,
+    eve_intercept_resend,
     fabricate_rounds,
     fake_particle,
     insert_decoys,
@@ -24,7 +27,7 @@ from quditsum import (
 )
 from quditsum import protocol
 from quditsum.protocol import RoundState, read_out
-from quditsum.qudit import encode_matrix
+from quditsum.qudit import basis_rows, encode_matrix, measure_rows
 
 
 def _secrets(digit_rows):
@@ -106,7 +109,7 @@ def test_prepare_rounds_count_override():
 def test_insert_decoys_shapes_and_records():
     cfg = ProtocolConfig(d=7, n=4, m=5, decoy_count=12)
     rng = np.random.default_rng(42)
-    values, v2 = insert_decoys(cfg, rng)
+    values, v2 = insert_decoys(cfg, decoy_words(cfg, rng))
     assert set(values) == set(v2) == {2, 3, 4}
     for i in (2, 3, 4):
         # a decoy is its (value, basis) pair: no state is built before a measurement
@@ -117,13 +120,13 @@ def test_insert_decoys_shapes_and_records():
 
 def test_insert_decoys_uses_both_bases():
     cfg = ProtocolConfig(d=2, n=2, m=1, decoy_count=40)
-    _, v2 = insert_decoys(cfg, np.random.default_rng(1))
+    _, v2 = insert_decoys(cfg, decoy_words(cfg, np.random.default_rng(1)))
     assert v2[2].any() and not v2[2].all()
 
 
 def test_zero_decoys_allowed():
     cfg = ProtocolConfig(d=5, n=3, m=1, decoy_count=0)
-    values, v2 = insert_decoys(cfg, np.random.default_rng(0))
+    values, v2 = insert_decoys(cfg, decoy_words(cfg, np.random.default_rng(0)))
     assert values[2].shape == v2[2].shape == (0,) and len(values[3]) == 0
     rng = np.random.default_rng(0)
     before = rng.bit_generator.state
@@ -136,7 +139,7 @@ def test_check_decoys_clean_channel_is_exactly_zero():
     cfg = ProtocolConfig(d=10, n=3, m=4, decoy_count=20)
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        values, v2 = insert_decoys(cfg, rng)
+        values, v2 = insert_decoys(cfg, decoy_words(cfg, rng))
         for i in (2, 3):
             pair = values[i], v2[i]
             assert check_decoys(cfg.d, pair, pair, rng.random(cfg.decoy_count)) == 0
@@ -145,7 +148,7 @@ def test_check_decoys_clean_channel_is_exactly_zero():
 def test_check_decoys_rejects_length_mismatch():
     cfg = ProtocolConfig(d=5, n=2, m=1, decoy_count=3)
     rng = np.random.default_rng(0)
-    values, v2 = insert_decoys(cfg, rng)
+    values, v2 = insert_decoys(cfg, decoy_words(cfg, rng))
     pair = values[2], v2[2]
     with pytest.raises(ValueError, match="share one shape"):
         check_decoys(5, pair, (values[2][:-1], v2[2][:-1]), rng.random(3))
@@ -171,6 +174,78 @@ def test_check_decoys_rejects_values_outside_the_alphabet(bad, side, fourier, mo
     with pytest.raises(ValueError, match=f"^{side} decoy value {bad} out of range for d=5$"):
         check_decoys(5, pairs["expected"], pairs["received"], np.full(3, 0.5))
     assert measured == []
+
+
+# the d of every run the tests make, and a d so large only the secrets draw uses it
+D_USED = (2, 3, 4, 5, 7, 10, 16, 2048)
+
+
+def _full_check(d, expected, received, u):
+    """The check measuring every decoy, unchanged ones too: mismatches per sequence."""
+    (values, v2), (got, got_v2) = expected, received
+    outcomes = measure_rows(basis_rows(d, got.reshape(-1), got_v2.reshape(-1)), v2.reshape(-1), u.reshape(-1))
+    return np.count_nonzero(outcomes.reshape(values.shape) != values, axis=-1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([d for d in D_USED if d <= 16]), sequences=st.integers(1, 3), count=st.integers(0, 12),
+       eve=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_check_decoys_counts_what_measuring_every_decoy_counts(d, sequences, count, eve, seed):
+    # the decoys that arrived as sent are not measured; uniforms of exactly 0.0, 2^-53 and the largest
+    # below 1 are mixed in, and after Eve some decoys keep their pair and some do not
+    rng = np.random.default_rng(seed)
+    values, v2 = rng.integers(d, size=(sequences, count)), rng.integers(2, size=(sequences, count)) == 1
+    received = values, v2
+    if eve:
+        bits, eve_u = rng.integers(2, size=(1, values.size)), rng.random((1, values.size))
+        _, (read, bases) = eve_intercept_resend([], 2, (values.reshape(-1), v2.reshape(-1)), bits, eve_u, d)
+        received = read.reshape(values.shape), bases.reshape(values.shape)
+    u = rng.choice([0.0, 2.0**-53, 1 - 2.0**-53, *rng.random(3)], size=values.shape)
+    assert check_decoys(d, (values, v2), received, u).tolist() == _full_check(d, (values, v2), received, u).tolist()
+
+
+@pytest.mark.parametrize("d", range(2, 65))
+def test_a_decoy_that_arrived_as_sent_reads_its_value_at_every_positive_uniform(d):
+    # the inverse CDF is monotone in u, and every uniform is a multiple of 2^-53 below 1: reading v at
+    # both ends of (0, 1) reads v everywhere between. At u = 0.0 a V2 decoy's float law may stop short
+    values = np.tile(np.arange(d), 2)
+    v2 = np.repeat([False, True], d)
+    rows = basis_rows(d, values, v2)
+    for u in (2.0**-53, 1 - 2.0**-53):
+        assert measure_rows(rows, v2, np.full(2 * d, u)).tolist() == values.tolist()
+
+
+# ---------------------------------------------------------------------------
+# the word transforms
+
+
+EDGE_WORDS = [0, 1, 2**11 - 1, 2**11, 2**32 - 1, 2**32, 2**32 + 1, 2**53, 2**63 - 1, 2**63, 2**64 - 2**11, 2**64 - 1]
+
+
+@pytest.mark.parametrize("d", [*D_USED, 255, 256, 2**31 + 11, 2**32 - 1])
+def test_word_digits_is_the_exact_multiply_shift(d):
+    words = EDGE_WORDS + np.random.default_rng(d % 1000).integers(0, 2**64, size=2000, dtype=np.uint64).tolist()
+    got = protocol.word_digits(np.array(words, dtype=np.uint64), d)
+    assert got.dtype == np.int64 and got.tolist() == [w * d >> 64 for w in words]
+
+
+@pytest.mark.parametrize("d", D_USED)
+def test_every_digit_has_floor_or_ceil_of_2_64_over_d_preimages(d):
+    # the words reading k are [ceil(k 2^64 / d), ceil((k+1) 2^64 / d)); each run's ends read k and k-1
+    starts = [-(-k * 2**64 // d) for k in range(d + 1)]
+    assert {b - a for a, b in zip(starts, starts[1:])} <= {2**64 // d, -(-2**64 // d)}
+    firsts = np.array(starts[:d], dtype=np.uint64)
+    lasts = np.array([b - 1 for b in starts[1:]], dtype=np.uint64)
+    assert protocol.word_digits(firsts, d).tolist() == protocol.word_digits(lasts, d).tolist() == list(range(d))
+
+
+@pytest.mark.parametrize("key", [0, 1, 2**64 - 1])
+def test_word_uniforms_are_what_generator_random_makes_of_the_words(key):
+    words = np.random.Philox(key=key).random_raw(4096)
+    expected = np.random.Generator(np.random.Philox(key=key)).random(4096)
+    assert np.array_equal(protocol.word_uniforms(words), expected)
+    assert protocol.word_uniforms(np.array([0, 2**11 - 1, 2**11, 2**64 - 1], dtype=np.uint64)).tolist() == [
+        0.0, 0.0, 2.0**-53, 1 - 2.0**-53]
 
 
 # ---------------------------------------------------------------------------

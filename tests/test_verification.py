@@ -22,7 +22,7 @@ from quditsum import (
     v1_pass,
     v2_pass,
 )
-from quditsum.harness import modified_per_check_pass_probability
+from quditsum.harness import _within_band, modified_per_check_pass_probability
 from quditsum.verification import check_rotations
 
 
@@ -61,45 +61,43 @@ def test_v2_pass_examples():
 # check selection
 
 
+def _check_words(cfg, eta, rng, trials=1):
+    """Rows of m+eta position keys and eta basis words, as select_checks reads them."""
+    return rng.integers(0, 2**64, size=(trials, cfg.m + 2 * eta), dtype=np.uint64)
+
+
 def test_select_checks_empty():
     cfg = ProtocolConfig(d=5, n=3, m=2)
-    rng = np.random.default_rng(0)
-    before = rng.bit_generator.state
-    assert select_checks(cfg, 0, rng) == []
-    assert rng.bit_generator.state == before  # no checks draw nothing
+    assert select_checks(cfg, 0, _check_words(cfg, 0, np.random.default_rng(0), trials=3)) == [[], [], []]
 
 
 def test_select_checks_returns_before_drawing_at_eta_zero():
-    # the two draws it skips are empty, and empty draws leave the stream
-    # where it was, so skipping them moves no digest
+    # at eta = 0 a row is m keys and no basis word, and whatever the keys hold no check is made
     for total in range(1, 51):
         cfg = ProtocolConfig(d=5, n=3, m=total)
-        rng, skipped = np.random.default_rng(total), np.random.default_rng(total)
-        before = rng.bit_generator.state
-        assert select_checks(cfg, 0, rng) == []
-        assert rng.bit_generator.state == before
-        assert skipped.choice(total, size=0, replace=False).size == skipped.integers(2, size=0).size == 0
-        assert skipped.bit_generator.state == before
+        for words in (np.zeros((2, total), dtype=np.uint64), np.full((2, total), 2**64 - 1, dtype=np.uint64)):
+            assert select_checks(cfg, 0, words) == [[], []]
+    with pytest.raises(ValueError, match="m\\+2\\*eta=5 words"):
+        select_checks(ProtocolConfig(d=5, n=3, m=3), 1, np.zeros((1, 4), dtype=np.uint64))
 
 
 def test_select_checks_even_split():
     cfg = ProtocolConfig(d=5, n=3, m=2)
-    checks = select_checks(cfg, 6, np.random.default_rng(1))
+    [checks] = select_checks(cfg, 6, _check_words(cfg, 6, np.random.default_rng(1)))
     shares = Counter(a["chooser"] for a in checks)
     assert shares == {2: 3, 3: 3}
 
 
 def test_select_checks_remainder_to_lowest_choosers():
     cfg = ProtocolConfig(d=5, n=4, m=2)
-    checks = select_checks(cfg, 7, np.random.default_rng(2))
+    [checks] = select_checks(cfg, 7, _check_words(cfg, 7, np.random.default_rng(2)))
     shares = Counter(a["chooser"] for a in checks)
     assert shares == {2: 3, 3: 2, 4: 2}
 
 
 def test_select_checks_positions_distinct_and_in_range():
     cfg = ProtocolConfig(d=3, n=3, m=4)
-    for seed in range(10):
-        checks = select_checks(cfg, 5, np.random.default_rng(seed))
+    for checks in select_checks(cfg, 5, _check_words(cfg, 5, np.random.default_rng(0), trials=10)):
         positions = [a["position"] for a in checks]
         assert positions == sorted(positions)
         assert len(set(positions)) == 5
@@ -109,20 +107,21 @@ def test_select_checks_positions_distinct_and_in_range():
 
 def test_select_checks_uses_both_bases():
     cfg = ProtocolConfig(d=3, n=2, m=1)
-    checks = select_checks(cfg, 40, np.random.default_rng(3))
+    [checks] = select_checks(cfg, 40, _check_words(cfg, 40, np.random.default_rng(3)))
     assert {a["basis"] for a in checks} == {"V1", "V2"}
 
 
-def _reference_select_checks(cfg, eta, rng):
-    """The cursor/share loop select_checks replaced: each chooser's block of positions in turn."""
-    positions = [int(x) for x in rng.choice(cfg.m + eta, size=eta, replace=False)]
+def _reference_select_checks(cfg, eta, row):
+    """The cursor/share loop over the positions of the eta smallest keys, in key order; a tie goes to the lower position."""
+    total = cfg.m + eta
+    positions = sorted(range(total), key=lambda j: (row[j], j))[:eta]
     base, rem = divmod(eta, cfg.n - 1)
     checks, cursor = [], 0
     for idx, chooser in enumerate(range(2, cfg.n + 1)):
         share = base + (1 if idx < rem else 0)
-        for pos in positions[cursor:cursor + share]:
-            basis = "V1" if int(rng.integers(2)) == 0 else "V2"
-            checks.append({"position": pos, "chooser": chooser, "basis": basis})
+        for k in range(cursor, cursor + share):
+            basis = "V2" if row[total + k] >> 63 else "V1"
+            checks.append({"position": positions[k], "chooser": chooser, "basis": basis})
         cursor += share
     checks.sort(key=lambda c: c["position"])
     return checks
@@ -133,12 +132,24 @@ def test_select_checks_draws_as_the_cursor_loop():
         for eta in range(21):
             for seed in range(5):
                 cfg = ProtocolConfig(d=2, n=n, m=1 + seed)
-                ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
-                checks = select_checks(cfg, eta, fast)
-                assert checks == _reference_select_checks(cfg, eta, ref)
-                assert fast.bit_generator.state == ref.bit_generator.state
-                assert all(list(c) == ["position", "chooser", "basis"] for c in checks)
-                assert json.loads(json.dumps(checks)) == checks
+                words = _check_words(cfg, eta, np.random.default_rng(seed), trials=3)
+                words[2, :cfg.m + eta] %= 3  # keys that tie
+                got = select_checks(cfg, eta, words)
+                assert got == [_reference_select_checks(cfg, eta, row) for row in words.tolist()]
+                for checks in got:
+                    assert all(list(c) == ["position", "chooser", "basis"] for c in checks)
+                    assert json.loads(json.dumps(checks)) == checks
+
+
+def test_select_checks_draws_every_assignment_alike():
+    # m+eta = 4, eta = 2, n = 3: the 12 ordered (P2's, P3's) position pairs, each with 4 basis pairs, are
+    # equally likely, as a draw without replacement makes them; 48 cells, 4800 rows, exact binomial bands
+    cfg, rows = ProtocolConfig(d=2, n=3, m=2), 4800
+    cells = Counter()
+    for checks in select_checks(cfg, 2, _check_words(cfg, 2, np.random.default_rng(12), trials=rows)):
+        cells[tuple(sorted((c["chooser"], c["position"], c["basis"]) for c in checks))] += 1
+    assert len(cells) == 48
+    assert all(_within_band(count, rows, 1 / 48) for count in cells.values())
 
 
 def test_one_draw_of_basis_bits_is_the_scalar_draws():
