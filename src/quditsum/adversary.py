@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .protocol import ProtocolConfig, RoundState, require_int
-from .qudit import BasisKind, QuditRegister, _iqft_matrix, basis_rows, measure_rows
+from .qudit import BasisKind, QuditRegister, _iqft_matrix, measure_pairs
 
 
 def fake_particle(d: int, r: int) -> QuditRegister:
@@ -91,4 +91,4 @@ def eve_intercept_resend(rounds, receiver: int, decoys, bits: np.ndarray, u: np.
         for j, value in zip(positions, read.tolist()):
             resent[j] = after[value]
     bases = bits[:, split:].reshape(-1) == 1
-    return resent, (measure_rows(basis_rows(d, values, v2), bases, u[:, split:].reshape(-1)), bases)
+    return resent, (measure_pairs(d, values, v2, bases, u[:, split:].reshape(-1)), bases)

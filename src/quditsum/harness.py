@@ -157,8 +157,8 @@ def derive_trial_stream(master_seed: int, trial_index: int, trials: int, width: 
 def trial_layout(cfg: ProtocolConfig, eta: int) -> tuple[dict[str, slice], int]:
     """Where each draw of a trial lies among its K words, and K, a multiple of 4.
 
-    Every scenario reads its slices and leaves the others unread, so one (seed, trial) deals them all
-    the same secrets and decoys.
+    Every scenario reads its slices and leaves the others unread, so one (seed, trial) deals the same secrets
+    and decoys to every scenario of one eta: the original protocol's at eta = 0, the hardened ones' at the run's.
     """
     n, total, decoys = cfg.n, cfg.m + eta, (cfg.n - 1) * cfg.decoy_count
     eve = (n - 1) * (total + cfg.decoy_count)
@@ -258,7 +258,7 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, words, eve: boo
     selected = select_checks(cfg, eta, words[live, layout["checks"]])
     readouts = read_out([rounds[t][c["position"]] for t, trial in zip(live, selected) for c in trial],
                         check_rotations(cfg.d, [c for trial in selected for c in trial]),
-                        word_uniforms(words[live, layout["check_u"]]).reshape(-1))
+                        word_uniforms(words[live, layout["check_u"]]).reshape(-1, cfg.n)).tolist()
     checks = [[] for _ in range(trials)]
     for k, (t, trial) in enumerate(zip(live, selected)):
         for check, readout in zip(trial, readouts[k * eta:(k + 1) * eta]):
@@ -271,12 +271,11 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, words, eve: boo
     live, digits = [t for t in live if not detected[t]], secrets.tolist()
     surviving = {t: [rounds[t][pos] for pos in sorted(set(range(total)) - {c["position"] for c in checks[t]})]
                  for t in live}
-    # round j of a trial: participant i applies encode_matrix of its digit j, from a table of the digits used
-    used, index = np.unique(secrets[live].swapaxes(1, 2), return_inverse=True)
-    rotations = np.array([qudit.encode_matrix(cfg.d, s) for s in used.tolist()])[index.reshape(-1, cfg.n)]
-    readouts = read_out([state for t in live for state in surviving[t]], rotations,
-                        word_uniforms(words[live, layout["encode_u"]]).reshape(-1))
-    strings = np.array(readouts, dtype=np.int64).reshape(len(live), cfg.m, cfg.n).swapaxes(1, 2)
+    # round j of a trial: participant i applies encode_matrix of its digit j
+    readouts = read_out([state for t in live for state in surviving[t]],
+                        qudit.encode_matrix(cfg.d, secrets[live].swapaxes(1, 2).reshape(-1, cfg.n)),
+                        word_uniforms(words[live, layout["encode_u"]]).reshape(-1, cfg.n))
+    strings = readouts.reshape(len(live), cfg.m, cfg.n).swapaxes(1, 2)
     encoded = dict(zip(live, zip(strings[:, 1:].tolist(), compute_sum(strings, cfg.d),
                                  compute_sum(secrets[live], cfg.d))))
 

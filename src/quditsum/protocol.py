@@ -32,7 +32,7 @@ from .qudit import (
     _check_cap,
     basis_rows,
     measure,
-    measure_rows,
+    measure_pairs,
     measure_stack,
     omega_state,
 )
@@ -126,51 +126,43 @@ class RoundState:
                         for (v, rest), row in zip(rests.items(), rows)}
 
 
-def read_out(rounds, rotations, u: np.ndarray) -> list[list[int]]:
-    """Every owner's V1 readout of every round in participant order, one list per round.
+def read_out(rounds, mats, u: np.ndarray) -> np.ndarray:
+    """Every owner's V1 readout of every round: the (R, n) values, row j those of rounds[j].
 
-    rotations[j] is None or the d x d unitary (one for all, or one per
-    owner) the owners of rounds[j] apply first. u holds the uniform of
-    every owner, in round then participant order, as the caller drew
-    them. Factors of equal qudit count are stacked, up to
+    Every round is held by P1..Pn and u holds the (R, n) uniforms, row j those of rounds[j]'s owners
+    in participant order. mats is None or broadcasts to (R, n, d, d): owner i of round j applies
+    mats[j, i - 1] to its qudit first. Factors of equal qudit count are stacked, up to
     qudit.STACK_CAP amplitudes, and read one qudit a step.
     """
-    owners = [state.owners for state in rounds]
-    if len(u) != sum(map(len, owners)):
-        raise ValueError(f"got {len(u)} uniforms for {sum(map(len, owners))} owners")
-    d = rounds[0].d if rounds else 2
-    # row 1 + i of mats is slot i's rotation, written only where it rotates; row 0 the identity of the rest
-    mats, rotated = np.empty((len(u) + 1, d, d), dtype=np.complex128), np.zeros(len(u), dtype=bool)
-    mats[0], groups, start = np.eye(d), {}, 0
-    for j, (state, rotation, held) in enumerate(zip(rounds, rotations, owners, strict=True)):
-        if state.d != d:
-            raise ValueError(f"round {j} has d={state.d}, not the first round's d={d}")
-        end = start + len(held)
-        if rotation is not None:
-            mats[start + 1:end + 1], rotated[start:end] = rotation, True
-        slot = dict(zip(held, range(start, end)))
-        for register, factor_owners in state.factors:
-            groups.setdefault(register.k, []).append((register, [slot[p] for p in factor_owners]))
-        start = end
-    index = np.arange(1, len(u) + 1) * rotated  # slot i's row of mats
-    values = np.empty(len(u), dtype=np.int64)
+    n = np.shape(u)[-1] if np.ndim(u) == 2 else -1
+    if np.shape(u) != (len(rounds), n):
+        raise ValueError(f"need a (rounds, n) array of uniforms for {len(rounds)} rounds, got shape {np.shape(u)}")
+    d, held, groups = rounds[0].d if rounds else 2, tuple(range(1, n + 1)), {}
+    for j, state in enumerate(rounds):
+        if state.d != d or state.owners != held:
+            raise ValueError(f"round {j} is not held by P1..P{n} at the first round's d={d}")
+        for register, owners in state.factors:
+            groups.setdefault(register.k, []).append((register, j, owners))
+    if mats is not None and rounds:
+        mats = np.broadcast_to(mats, (len(rounds), n, d, d))
+    values = np.empty((len(rounds), n), dtype=np.int64)
     for k, members in groups.items():
         size = max(1, qudit.STACK_CAP // d**k)
+        # member g of a group is owner columns[g, q] of round rows[g] at its qudit q
+        rows, columns = np.array([j for _, j, _ in members]), np.array([owners for _, _, owners in members]) - 1
         for first in range(0, len(members), size):
-            stack, register = members[first:first + size], members[first][0]
-            shared = all(other is register for other, _ in stack)
+            stack, register, at = members[first:first + size], members[first][0], rows[first:first + size]
+            shared = all(other is register for other, _, _ in stack)
             # a register shared by the whole stack, a lone one too, is read as a view, without a copy
             psi = (np.broadcast_to(register.amplitudes, (len(stack), d**k)) if shared
-                   else np.stack([other.amplitudes for other, _ in stack]))
+                   else np.stack([other.amplitudes for other, _, _ in stack]))
             # a read-only one, as prepare_rounds makes, gives its first step's law from its cached reduced state
             rho = register.first_qudit_state if shared and not register.amplitudes.flags.writeable else None
-            for s in np.array([slots for _, slots in stack]).T:
-                # a stack nobody rotates skips the identity matmul
-                values[s], psi = measure_stack(psi.reshape(len(s), 1, d, -1), u[s],
-                                               mats[index[s]] if rotated[s].any() else None, rho)
+            for col in columns[first:first + size].T:
+                values[at, col], psi = measure_stack(psi.reshape(len(at), 1, d, -1), u[at, col],
+                                                     None if mats is None else mats[at, col], rho)
                 rho = None
-    flat = iter(values.tolist())
-    return [[next(flat) for _ in held] for held in owners]
+    return values
 
 
 def require_int(name: str, value) -> None:
@@ -231,9 +223,8 @@ def check_decoys(d: int, expected, received, u) -> np.ndarray:
 
     expected is the (values, v2) pair insert_decoys dealt, received that of the basis states that
     arrived (expected itself on a clean channel) and u the uniform the caller drew for each decoy: all
-    of one shape (..., N), every value in [0, d). |r> and QFT|r> are eigenstates of their own
-    measurement, so a decoy that arrived as sent reads its value; the others are built with one
-    basis_rows call and measured as one array. Returns the (...) mismatch counts.
+    of one shape (..., N), every value in [0, d). Every decoy is read by one measure_pairs call.
+    Returns the (...) mismatch counts.
     """
     values, v2, got, got_v2, u = arrays = [np.asarray(a) for a in (*expected, *received, u)]
     if any(a.shape != values.shape for a in arrays):
@@ -241,12 +232,7 @@ def check_decoys(d: int, expected, received, u) -> np.ndarray:
     for name, a in (("expected", values), ("received", got)):
         if ((a < 0) | (a >= d)).any():
             raise ValueError(f"{name} decoy value {a[(a < 0) | (a >= d)][0]} out of range for d={d}")
-    # at u == 0.0 the float inverse CDF of an unchanged decoy may stop below its value (see the README)
-    measured, outcomes = (got != values) | (got_v2 != v2) | (u == 0.0), values.copy()
-    if measured.any():
-        rows = basis_rows(d, got[measured], got_v2[measured])
-        outcomes[measured] = measure_rows(rows, v2[measured], u[measured])
-    return np.count_nonzero(outcomes != values, axis=-1)
+    return np.count_nonzero(measure_pairs(d, got, got_v2, v2, u) != values, axis=-1)
 
 
 def compute_sum(results, d: int) -> list:

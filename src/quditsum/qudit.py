@@ -19,8 +19,8 @@ front, or one register against many. Reading qudit 0 of one register the
 whole stack shares, it takes the law from the register's cached reduced
 state (first_qudit_state) and never rotates the register. A decoy, kept
 as its (v, basis) pair, and a particle an eavesdropper puts in a round
-are |v> or QFT|v>: rows of basis_rows, built for a decoy only by the
-measurement that reads it.
+are |v> or QFT|v>: rows of basis_rows, built for a decoy only by
+measure_pairs, when it reads the decoy in the other basis.
 """
 
 from __future__ import annotations
@@ -125,15 +125,13 @@ def _iqft_matrix(d: int) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=None)
-def encode_matrix(d: int, s: int) -> np.ndarray:
-    """The encoding unitary, the Fourier transform followed by the cyclic shift by s."""
-    if not 0 <= s < d:
-        raise ValueError(f"shift amount {s} out of range for d={d}")
+def encode_matrix(d: int, s) -> np.ndarray:
+    """The encoding unitary, the Fourier transform followed by the cyclic shift by s; one per entry of an array s."""
+    s = np.asarray(s)
+    if ((s < 0) | (s >= d)).any():
+        raise ValueError(f"shift amount {s[(s < 0) | (s >= d)][0]} out of range for d={d}")
     # row l of S·QFT is row l - s of the QFT
-    mat = np.roll(_qft_matrix(d), s, axis=0)
-    mat.setflags(write=False)
-    return mat
+    return _qft_matrix(d)[(np.arange(d) - s[..., None]) % d]
 
 
 def _split(reg: QuditRegister, target: int) -> tuple[int, int]:
@@ -241,13 +239,18 @@ def measure_stack(psi: np.ndarray, u: np.ndarray, mats: np.ndarray | None = None
     return values, kept
 
 
-def measure_rows(rows: np.ndarray, v2: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Measure N lone qudits, one per row of an (N, d) array, in V2 where v2[i].
+def measure_pairs(d: int, values, v2, bases, u) -> np.ndarray:
+    """Measure lone qudits |values>, or QFT|values> where v2, in V2 where bases, each against its uniform u.
 
-    u[i] is the uniform its caller drew for row i. Returns the
-    outcomes; each row collapses to basis_rows(d, outcomes, v2) up to phase.
+    All four share one shape, which the outcomes keep. |v> and QFT|v> are eigenstates of their own
+    measurement and read v at every u > 0 (see the README); the others, and those at u = 0.0, are
+    measured as one stack.
     """
-    rows = np.asarray(rows, dtype=np.complex128)
-    # IQFT|x> of a row x is x @ IQFT.T
-    rows = np.where(np.asarray(v2)[:, None], rows @ _iqft_matrix(rows.shape[1]).T, rows)
-    return measure_stack(rows[:, None, :, None], u)[0]
+    values, v2, bases, u = (np.asarray(a) for a in (values, v2, bases, u))
+    measured, outcomes = (v2 != bases) | (u == 0.0), values.copy()
+    if measured.any():
+        rows = basis_rows(d, values[measured], v2[measured])
+        # IQFT|x> of a row x is x @ IQFT.T
+        rows = np.where(bases[measured][:, None], rows @ _iqft_matrix(d).T, rows)
+        outcomes[measured] = measure_stack(rows[:, None, :, None], u[measured])[0]
+    return outcomes

@@ -62,10 +62,11 @@ def _is_v1(check: dict) -> bool:
     return check["basis"] == "V1"
 
 
-def check_rotations(d: int, checks) -> list:
-    """Each check's read_out rotation: the QFT on V1; none on V2, where the QFT and the V2 basis cancel."""
-    # encoding the digit 0 is the QFT alone
-    return [encode_matrix(d, 0) if _is_v1(check) else None for check in checks]
+def check_rotations(d: int, checks) -> np.ndarray | None:
+    """The checks' (C, 1, d, d) read_out rotations: the QFT on V1, none on V2, where the QFT and V2 cancel."""
+    v1 = np.array([_is_v1(check) for check in checks], dtype=bool)
+    # encoding the digit 0 is the QFT alone; the identity stands for none, and None if no check is V1
+    return np.where(v1[:, None, None, None], encode_matrix(d, 0), np.eye(d)) if v1.any() else None
 
 
 def execute_check(check: dict, values, d: int) -> dict:

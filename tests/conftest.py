@@ -7,7 +7,9 @@ import numpy as np
 from quditsum import BasisKind, QuditRegister, apply_iqft, eve_intercept_resend, execute_check, measure, run_protocol
 from quditsum.harness import trial_layout
 from quditsum.protocol import read_out
-from quditsum.qudit import _apply_single, _check_cap, _qft_matrix, _split, encode_matrix
+from quditsum.qudit import (
+    _apply_single, _check_cap, _iqft_matrix, _qft_matrix, _split, basis_rows, encode_matrix, measure_stack,
+)
 from quditsum.verification import check_rotations
 
 
@@ -70,6 +72,15 @@ def apply_shift(reg: QuditRegister, target: int, s: int) -> QuditRegister:
     return QuditRegister(reg.d, reg.k, np.roll(psi, s, axis=1))
 
 
+def measure_every_pair(d: int, values, v2, bases, u) -> np.ndarray:
+    """measure_pairs without its skip: every |values[i]> or QFT|values[i]> built, rotated by the IQFT where bases[i]
+    and measured; one shape in, the outcomes out."""
+    values, v2, bases, u = (np.asarray(a) for a in (values, v2, bases, u))
+    rows = basis_rows(d, values.reshape(-1), v2.reshape(-1))
+    rows = np.where(bases.reshape(-1, 1), rows @ _iqft_matrix(d).T, rows)
+    return measure_stack(rows[:, None, :, None], u.reshape(-1))[0].reshape(values.shape)
+
+
 def approx_equal(a: QuditRegister, b: QuditRegister, tol: float = 1e-9) -> bool:
     """State equality up to global phase: |<a|b>| >= 1 - tol."""
     if a.d != b.d or a.k != b.k:
@@ -95,14 +106,14 @@ def random_secret(d: int, m: int, rng: np.random.Generator) -> tuple[int, ...]:
 
 
 def owner_uniforms(rounds, rng: np.random.Generator) -> np.ndarray:
-    """One uniform per owner of every round, in the order read_out reads them."""
-    return rng.random(sum(len(state.owners) for state in rounds))
+    """The (R, n) uniforms of the owners P1..Pn of every round, drawn in round then participant order."""
+    return rng.random((len(rounds), len(rounds[0].owners)))
 
 
 def run_check(state, check: dict, rng: np.random.Generator) -> dict:
     """One check as run_protocol runs it: the round read out with the check's rotation, then the verdict."""
-    return execute_check(check, read_out([state], check_rotations(state.d, [check]), owner_uniforms([state], rng))[0],
-                         state.d)
+    readout = read_out([state], check_rotations(state.d, [check]), owner_uniforms([state], rng))[0]
+    return execute_check(check, readout.tolist(), state.d)
 
 
 def words_block(cfg, eta: int, rng: np.random.Generator, trials: int = 1) -> np.ndarray:

@@ -21,6 +21,7 @@ trials per receiver with one measurement per distinct round and basis,
 is pinned to the per-round intercept chain she ran before.
 """
 
+import re
 import tracemalloc
 import weakref
 from functools import cached_property, reduce
@@ -29,7 +30,7 @@ import numpy as np
 import pytest
 from conftest import (
     apply_encode, apply_qft, apply_shift, approx_equal, basis_state, decoy_words, eve_one_trial, intercept_one,
-    measure_one,
+    measure_every_pair, measure_one,
     outcome_distribution, owner_uniforms, random_register, random_secret, run_check, run_one,
 )
 from hypothesis import given, settings
@@ -61,7 +62,7 @@ from quditsum.qudit import (
     _sample,
     basis_rows,
     encode_matrix,
-    measure_rows,
+    measure_pairs,
     measure_stack,
 )
 from quditsum.verification import v1_pass, v2_pass
@@ -148,17 +149,16 @@ def _reference_eve(particles, rng):
 @settings(max_examples=60, deadline=None)
 @given(d=st.sampled_from([2, 3, 5, 10, 16]), count=st.integers(0, 12),
        seed=st.integers(0, 2**32 - 1))
-def test_measure_rows_matches_measure_loop(d, count, seed):
+def test_measure_pairs_matches_measure_loop(d, count, seed):
     gen = np.random.default_rng(seed)
-    regs = [random_register(d, 1, gen) for _ in range(count)]
-    v2 = gen.integers(2, size=count) == 1
+    values, v2, bases = gen.integers(d, size=count), gen.integers(2, size=count) == 1, gen.integers(2, size=count) == 1
+    regs = [QuditRegister(d, 1, row) for row in basis_rows(d, values, v2)]
     ref, fast = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    expected = [_kept_measure(reg, 0, _basis(b), ref) for reg, b in zip(regs, v2)]
-    rows = np.array([reg.amplitudes for reg in regs], dtype=np.complex128).reshape(count, d)
-    values = measure_rows(rows, v2, fast.random(count))
-    assert values.tolist() == [value for value, _ in expected]
-    # each row collapsed to the basis state it read, up to phase
-    for row, (_, reg) in zip(basis_rows(d, values, v2), expected):
+    expected = [_kept_measure(reg, 0, _basis(b), ref) for reg, b in zip(regs, bases)]
+    outcomes = measure_pairs(d, values, v2, bases, fast.random(count))
+    assert outcomes.tolist() == [value for value, _ in expected]
+    # each pair collapsed to the basis state it read, up to phase
+    for row, (_, reg) in zip(basis_rows(d, outcomes, bases), expected):
         assert approx_equal(QuditRegister(d, 1, row), reg)
     assert fast.bit_generator.state == ref.bit_generator.state
 
@@ -254,7 +254,7 @@ def _per_round_eve(rounds, receiver, decoys, rng):
     bits = rng.integers(2, size=len(rounds) + len(decoys[0]))
     resent = [intercept_one(state, receiver, _basis(bit), rng)[1] for state, bit in zip(rounds, bits)]
     v2 = bits[len(rounds):] == 1
-    return resent, (measure_rows(basis_rows(rounds[0].d, *decoys), v2, rng.random(len(v2))), v2)
+    return resent, (measure_every_pair(rounds[0].d, *decoys, v2, rng.random(len(v2))), v2)
 
 
 @settings(max_examples=120, deadline=None)
@@ -296,8 +296,8 @@ def test_chunk_eve_matches_per_round_intercept_chain(d, n, kind, trials, count, 
         assert [owners for _, owners in got.factors] == [owners for _, owners in want.factors]
         assert all(np.array_equal(a.amplitudes, b.amplitudes) for (a, _), (b, _) in zip(got.factors, want.factors))
     assert [ref.bit_generator.state for ref in refs] == [fast.bit_generator.state for fast in fasts]
-    reader = np.random.default_rng(seed + 1).random(sum(len(state.owners) for state in flat))
-    assert read_out(flat, [None] * len(flat), reader) == read_out(expected, [None] * len(expected), reader)
+    reader = owner_uniforms(flat, np.random.default_rng(seed + 1))
+    assert np.array_equal(read_out(flat, None, reader), read_out(expected, None, reader))
 
 
 @settings(max_examples=60, deadline=None)
@@ -349,7 +349,7 @@ def test_measurement_checks_the_norm_of_trusted_registers():
         with pytest.raises(ValueError, match="not normalized"):
             measure_one(reg, 0, basis, rng)
     with pytest.raises(ValueError, match="not normalized"):
-        measure_rows(reg.amplitudes[None, :], np.array([False]), np.array([0.5]))
+        measure_stack(reg.amplitudes[None, None, :, None], np.array([0.5]))
     nan = QuditRegister._trusted(2, 1, np.array([np.nan, 0], dtype=np.complex128))
     with pytest.raises(ValueError, match="not normalized"):
         measure_one(nan, 0, V1, rng)
@@ -447,8 +447,9 @@ def test_execute_check_matches_rotate_then_measure_reference(forged, basis):
 def test_apply_encode_is_shift_after_qft(d):
     gen = np.random.default_rng(d)
     reg = random_register(d, 2, gen)
+    # one matrix per shift of an array, each the QFT's rows rolled by its shift, bit for bit
+    assert np.array_equal(encode_matrix(d, np.arange(d)), [np.roll(_qft_matrix(d), s, axis=0) for s in range(d)])
     for s in range(d):
-        assert not encode_matrix(d, s).flags.writeable
         for target in range(2):
             expected = apply_shift(apply_qft(reg, target), target, s).amplitudes
             got = apply_encode(reg, target, s).amplitudes
@@ -542,8 +543,8 @@ def test_measure_v2_matches_rotate_measure_rotate_back(d, k, seed):
 
 def _encode_and_read_out(rounds, secrets, rng):
     """Every owner's readout of every round, each digit encoded first, as run_protocol's encoding read-out."""
-    rotations = [[encode_matrix(state.d, secrets[i - 1][j]) for i in state.owners] for j, state in enumerate(rounds)]
-    return read_out(rounds, rotations, owner_uniforms(rounds, rng))
+    digits = [[secrets[i - 1][j] for i in state.owners] for j, state in enumerate(rounds)]
+    return read_out(rounds, encode_matrix(rounds[0].d, digits), owner_uniforms(rounds, rng)).tolist()
 
 
 def _reference_encode_rounds(rounds, secrets, rng):
@@ -652,6 +653,13 @@ def test_intercept_replaces_each_qudit(forged):
 # rounds read out in lockstep
 
 
+def _stacked(rotations, d, n):
+    """read_out's (R, n, d, d) rotations of rounds each rotated by None, one matrix for all or one per owner."""
+    if all(rotation is None for rotation in rotations):
+        return None
+    return np.array([np.broadcast_to(np.eye(d) if rotation is None else rotation, (n, d, d)) for rotation in rotations])
+
+
 def _per_owner_read_out(state, rotation, rng):
     """The chain read_out replaced: owner by owner, rotate its qudit, measure it, drop it from its factor."""
     factors, values = list(state.factors), []
@@ -688,19 +696,28 @@ def test_read_out_matches_per_owner_chain(d, n, seed, kinds):
                           }[rotation])
     ref, fast = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
     expected = [_per_owner_read_out(state, rotation, ref) for state, rotation in zip(rounds, rotations)]
-    assert read_out(rounds, rotations, owner_uniforms(rounds, fast)) == expected
+    values = read_out(rounds, _stacked(rotations, d, n), fast.random((len(rounds), n)))
+    assert values.dtype == np.int64 and values.shape == (len(rounds), n) and values.tolist() == expected
     assert fast.bit_generator.state == ref.bit_generator.state
 
 
 def test_read_out_rejects_rounds_it_cannot_stack():
     five, three = prepare_rounds(ProtocolConfig(d=5, n=3, m=1))[0], prepare_rounds(ProtocolConfig(d=3, n=3, m=1))[0]
-    assert read_out([], [], np.empty(0)) == []
-    with pytest.raises(ValueError, match="^got 2 uniforms for 3 owners$"):
-        read_out([five], [None], np.zeros(2))
-    with pytest.raises(ValueError, match="^round 1 has d=3, not the first round's d=5$"):
-        read_out([five, three], [None, None], np.zeros(6))
+    assert read_out([], None, np.empty((0, 3))).shape == (0, 3)
+    # u must be (R, n): not flat, not one row per owner of another round count
+    for shape in [(3,), (2, 3), (1, 3, 1)]:
+        with pytest.raises(ValueError, match=rf"^need a \(rounds, n\) array of uniforms for 1 rounds, got shape "
+                                             rf"{re.escape(str(shape))}$"):
+            read_out([five], None, np.zeros(shape))
+    with pytest.raises(ValueError, match="^round 1 is not held by P1..P3 at the first round's d=5$"):
+        read_out([five, three], None, np.zeros((2, 3)))
+    # a round held by P2 and P3 alone, or by more participants than u has columns
+    missing = RoundState(((fake_particle(5, 1), (2,)), (fake_particle(5, 3), (3,))))
+    for rounds, n in [([five, missing], 3), ([missing], 2), ([five], 2)]:
+        with pytest.raises(ValueError, match=f"^round {len(rounds) - 1} is not held by P1..P{n} at"):
+            read_out(rounds, None, np.zeros((len(rounds), n)))
     with pytest.raises(ValueError):
-        read_out([five, five], [None], np.zeros(6))
+        read_out([five, five], np.zeros((3, 3, 5, 5)), np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("cap", [1, 6, 54])
@@ -714,9 +731,10 @@ def test_read_out_is_the_same_for_every_stack_cap(cap, monkeypatch):
     rotations = [None, _qft_matrix(3), [encode_matrix(3, 1)] * 3, None, [encode_matrix(3, 2)] * 3, None, None]
     ref = np.random.default_rng(7)
     expected = [_per_owner_read_out(state, rotation, ref) for state, rotation in zip(rounds, rotations)]
-    assert read_out(rounds, rotations, owner_uniforms(rounds, np.random.default_rng(7))) == expected
+    mats = _stacked(rotations, 3, 3)
+    assert read_out(rounds, mats, owner_uniforms(rounds, np.random.default_rng(7))).tolist() == expected
     monkeypatch.setattr(qudit, "STACK_CAP", cap)
-    assert read_out(rounds, rotations, owner_uniforms(rounds, np.random.default_rng(7))) == expected
+    assert read_out(rounds, mats, owner_uniforms(rounds, np.random.default_rng(7))).tolist() == expected
 
 
 def test_read_out_of_rounds_over_the_stack_cap_peaks_as_one_round():
@@ -724,12 +742,12 @@ def test_read_out_of_rounds_over_the_stack_cap_peaks_as_one_round():
     # of the shared register, so reading four costs no more memory than one
     rounds = prepare_rounds(ProtocolConfig(d=10, n=5, m=4, decoy_count=0))
     assert rounds[0].factors[0][0].amplitudes.size > qudit.STACK_CAP
-    rotation = [encode_matrix(10, s) for s in range(5)]
+    rotation = encode_matrix(10, range(5))
 
     def peak(count):
         tracemalloc.start()
         try:
-            read_out(rounds[:count], [rotation] * count, np.random.default_rng(0).random(5 * count))
+            read_out(rounds[:count], rotation, np.random.default_rng(0).random((count, 5)))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -745,19 +763,19 @@ def test_read_out_of_one_register_shared_by_a_stack_reads_it_as_a_view():
     shared = prepare_rounds(ProtocolConfig(d=5, n=3, m=1), count=120)
     register = shared[0].factors[0][0]
     copies = [RoundState(((QuditRegister(5, 3, register.amplitudes.copy()), (1, 2, 3)),)) for _ in shared]
-    rotations = [[encode_matrix(5, s) for s in (1, 2, 3)]] * 120
+    rotations = encode_matrix(5, [1, 2, 3])
 
     def peak(rounds):
         tracemalloc.start()
         try:
-            values = read_out(rounds, rotations, np.random.default_rng(0).random(360))
+            values = read_out(rounds, rotations, np.random.default_rng(0).random((120, 3)))
             return values, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     peak(shared)  # first-call allocations outside the read-out
     (values, view), (copied, stacked) = peak(shared), peak(copies)
-    assert values == copied
+    assert np.array_equal(values, copied)
     assert stacked - view >= 120 * 125 * 16 / 2
 
 

@@ -112,6 +112,23 @@ def test_one_trial_replays_as_one_advance_and_its_words():
     assert np.array_equal(alone, derive_trial_stream(1, 10, 5, width)[3])
 
 
+def test_one_seed_deals_alike_the_scenarios_of_one_protocol_variant():
+    # honest, iqft-attack and eve-decoy lay out at eta = 0 whatever eta the run names, and the report
+    # echoes it; the hardened two lay out at the run's eta. Each variant's trials replay from its layout
+    p = ProtocolConfig(d=5, n=3, m=4, decoy_count=16)
+    reports = {name: run_scenario(ScenarioConfig(name, p, eta=6, trials=3, master_seed=1)) for name in SCENARIOS}
+    secrets = {name: [t["secrets"] for t in report["per_trial"]] for name, report in reports.items()}
+    assert secrets["honest"] == secrets["iqft-attack"] == secrets["eve-decoy"]
+    assert secrets["modified-honest"] == secrets["modified-attack"]
+    assert secrets["honest"][1][0] == [4, 2, 0, 3] and secrets["modified-honest"][1][0] == [1, 2, 2, 0]
+    assert all(report["params"]["eta"] == 6 for report in reports.values())
+    for name, eta in (("honest", 0), ("modified-honest", 6)):
+        layout, width = trial_layout(p, eta)
+        for t, dealt in enumerate(secrets[name]):
+            words = derive_trial_stream(1, t, 1, width)[0, layout["secrets"]]
+            assert protocol.word_digits(words, p.d).reshape(p.n, p.m).tolist() == dealt
+
+
 # ---------------------------------------------------------------------------
 # wilson interval
 
@@ -491,11 +508,11 @@ def test_a_clean_run_builds_decoy_states_once_per_chunk(scenario, d, n, m, eta, 
     # the engine carries each decoy as its (value, basis) pair; only the
     # check builds the states, with one basis_rows call for the chunk, and
     # only of the decoys that did not arrive as sent: none on a clean channel
-    calls, real = [], protocol.basis_rows
-    monkeypatch.setattr(protocol, "basis_rows", lambda *args: calls.append(args) or real(*args))
+    calls, real = [], qudit.basis_rows
+    monkeypatch.setattr(qudit, "basis_rows", lambda *args: calls.append(args) or real(*args))
     run_scenario(ScenarioConfig(scenario, ProtocolConfig(d=d, n=n, m=m, decoy_count=16), eta=eta, trials=trials))
     assert calls == [] and chunks >= 1
-    assert not {"basis_rows", "measure_rows"} & set(vars(harness))
+    assert not {"basis_rows", "measure_pairs"} & set(vars(harness))
 
 
 def test_eve_measures_each_distinct_round_once_per_basis(monkeypatch):
@@ -537,6 +554,19 @@ def test_a_run_over_the_stack_cap_peaks_as_one_trial():
     peak(1)  # first-call allocations outside the run
     one = peak(1)
     assert peak(4) <= 1.1 * one
+
+
+def test_a_run_frees_what_it_built():
+    # 200 honest trials at d=128, n=2 encode up to 128 distinct digits, a 256 kB matrix each: once the
+    # run returns, only the two d x d Fourier matrices of the per-d cache may stay
+    cfg = ScenarioConfig("honest", ProtocolConfig(d=128, n=2, m=4, decoy_count=16), trials=200, master_seed=1)
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 2**20
 
 
 def test_reports_are_reproducible_bit_for_bit():

@@ -148,6 +148,37 @@ def test_no_draw_is_discarded():
     assert found == []
 
 
+def _caches_keyed_beyond_d(source: str) -> list[str]:
+    """Functions decorated with lru_cache or cache, bare, called or off functools, taking a parameter other than d."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for decorator in node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name in ("lru_cache", "cache"):
+                a = node.args
+                if [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x] not in ([], ["d"]):
+                    found.append(node.name)
+    return found
+
+
+def test_cache_finder_sees_caches_keyed_beyond_d():
+    source = ("@lru_cache(maxsize=None)\ndef a(d): pass\n@functools.lru_cache\ndef b(d, s): pass\n"
+              "@cache\ndef c(n): pass\n@lru_cache()\ndef e(d, *rest): pass\n@cached_property\ndef f(self): pass\n"
+              "@functools.cache\ndef g(*, d): pass\n@lru_cache\ndef h(): pass\n")
+    assert _caches_keyed_beyond_d(source) == ["b", "c", "e"]
+
+
+def test_every_cache_is_keyed_by_d_alone():
+    # a cache keyed by d holds one entry per d, one without parameters (the CLI's parser) one entry;
+    # one keyed by a digit too grows with every digit a run meets
+    found = [f"{p.name}:{name}" for p in sorted((ROOT / "src" / "quditsum").glob("*.py"))
+             for name in _caches_keyed_beyond_d(p.read_text())]
+    assert found == []
+
+
 def _public_defs(source: str) -> list[str]:
     """Names of the public module-level functions and classes a module defines."""
     return [node.name for node in ast.parse(source).body

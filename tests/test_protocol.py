@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 from conftest import (
-    apply_encode, apply_qft, apply_shift, approx_equal, decoy_words, intercept_one, outcome_distribution,
-    owner_uniforms, random_secret, run_one,
+    apply_encode, apply_qft, apply_shift, approx_equal, decoy_words, intercept_one, measure_every_pair,
+    outcome_distribution, owner_uniforms, random_secret, run_one,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +27,7 @@ from quditsum import (
 )
 from quditsum import protocol
 from quditsum.protocol import RoundState, read_out
-from quditsum.qudit import basis_rows, encode_matrix, measure_rows
+from quditsum.qudit import _iqft_matrix, _qft_matrix, encode_matrix, measure_pairs
 
 
 def _secrets(digit_rows):
@@ -170,7 +170,7 @@ def test_check_decoys_rejects_values_outside_the_alphabet(bad, side, fourier, mo
     good, v2 = np.array([0, 4, 2]), np.full(3, fourier)
     pairs = {"expected": (good, v2), "received": (good, v2), side: (np.array([0, 4, bad]), v2)}
     measured = []
-    monkeypatch.setattr(protocol, "measure_rows", lambda *args: measured.append(args))
+    monkeypatch.setattr(protocol, "measure_pairs", lambda *args: measured.append(args))
     with pytest.raises(ValueError, match=f"^{side} decoy value {bad} out of range for d=5$"):
         check_decoys(5, pairs["expected"], pairs["received"], np.full(3, 0.5))
     assert measured == []
@@ -183,8 +183,7 @@ D_USED = (2, 3, 4, 5, 7, 10, 16, 2048)
 def _full_check(d, expected, received, u):
     """The check measuring every decoy, unchanged ones too: mismatches per sequence."""
     (values, v2), (got, got_v2) = expected, received
-    outcomes = measure_rows(basis_rows(d, got.reshape(-1), got_v2.reshape(-1)), v2.reshape(-1), u.reshape(-1))
-    return np.count_nonzero(outcomes.reshape(values.shape) != values, axis=-1)
+    return np.count_nonzero(measure_every_pair(d, got, got_v2, v2, u) != values, axis=-1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -204,15 +203,35 @@ def test_check_decoys_counts_what_measuring_every_decoy_counts(d, sequences, cou
     assert check_decoys(d, (values, v2), received, u).tolist() == _full_check(d, (values, v2), received, u).tolist()
 
 
-@pytest.mark.parametrize("d", range(2, 65))
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([d for d in D_USED if d <= 16]), shape=st.lists(st.integers(0, 5), max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_measure_pairs_is_a_full_measurement_of_every_pair(d, shape, seed):
+    # random pairs read in random bases, each uniform 0.0, 2^-53, the largest below 1 or random: the
+    # pairs read in their own basis and skipped read what measuring them reads
+    rng = np.random.default_rng(seed)
+    values, v2, bases = rng.integers(d, size=shape), rng.integers(2, size=shape) == 1, rng.integers(2, size=shape) == 1
+    u = rng.choice([0.0, 2.0**-53, 1 - 2.0**-53, rng.random()], size=shape)
+    outcomes = measure_pairs(d, values, v2, bases, u)
+    assert outcomes.shape == values.shape
+    assert outcomes.tolist() == measure_every_pair(d, values, v2, bases, u).tolist()
+
+
+@pytest.mark.parametrize("d", [*range(2, 65), 100, 128, 199, 256, 1024, 2048])
 def test_a_decoy_that_arrived_as_sent_reads_its_value_at_every_positive_uniform(d):
     # the inverse CDF is monotone in u, and every uniform is a multiple of 2^-53 below 1: reading v at
-    # both ends of (0, 1) reads v everywhere between. At u = 0.0 a V2 decoy's float law may stop short
-    values = np.tile(np.arange(d), 2)
-    v2 = np.repeat([False, True], d)
-    rows = basis_rows(d, values, v2)
-    for u in (2.0**-53, 1 - 2.0**-53):
-        assert measure_rows(rows, v2, np.full(2 * d, u)).tolist() == values.tolist()
+    # both ends of (0, 1) reads v everywhere between. At u = 0.0 a V2 decoy's float law may stop short.
+    # Measured in blocks of at most 128 values, every |v> and QFT|v> in both bases
+    try:
+        for first in range(0, d, 128):
+            values = np.tile(np.arange(first, min(first + 128, d)), 2)
+            v2 = np.repeat([False, True], len(values) // 2)
+            for u in (2.0**-53, 1 - 2.0**-53):
+                assert measure_every_pair(d, values, v2, v2, np.full(len(values), u)).tolist() == values.tolist()
+    finally:
+        if d > 64:  # a d x d Fourier matrix is 64 MB at d = 2048: the cache holds it for no other test
+            _qft_matrix.cache_clear()
+            _iqft_matrix.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +272,11 @@ def test_word_uniforms_are_what_generator_random_makes_of_the_words(key):
 
 
 def test_encode_and_measure_on_forged_state_is_deterministic():
-    # the attack's fake state IQFT|2> with P2's digit 5 reads out 7, always
+    # P2's fake IQFT|2> with its digit 5 reads out 7, and P1's IQFT|-2> with its digit 0 reads 8, always
     rng = np.random.default_rng(0)
+    state = fabricate_rounds(ProtocolConfig(d=10, n=2, m=1), (2,))[0]
     for _ in range(20):
-        state = RoundState(((fake_particle(10, 2), (2,)),))
-        assert read_out([state], [[encode_matrix(10, 5)]], owner_uniforms([state], rng)) == [[7]]
+        assert read_out([state], encode_matrix(10, [[0, 5]]), owner_uniforms([state], rng)).tolist() == [[8, 7]]
 
 
 def test_round_factors_name_one_owner_per_qudit():
@@ -298,7 +317,7 @@ def test_encode_rejects_foreign_participant_and_bad_digit():
     with pytest.raises(ValueError, match="^participant 3 holds no qudit in the round$"):
         intercept_one(state, 3, BasisKind.V1, rng)
     with pytest.raises(ValueError, match="^shift amount 5 out of range for d=5$"):
-        read_out([state], [[encode_matrix(5, 5), encode_matrix(5, 0)]], owner_uniforms([state], rng))
+        read_out([state], encode_matrix(5, [[5, 0]]), owner_uniforms([state], rng))
 
 
 def test_encoded_results_sum_to_secret_total():
@@ -310,7 +329,7 @@ def test_encoded_results_sum_to_secret_total():
         for _ in range(10):
             digits = [int(x) for x in rng.integers(0, d, size=n)]
             rounds = prepare_rounds(cfg)
-            values = read_out(rounds, [[encode_matrix(d, s) for s in digits]], owner_uniforms(rounds, rng))[0]
+            values = read_out(rounds, encode_matrix(d, [digits]), owner_uniforms(rounds, rng))[0].tolist()
             assert len(values) == n and sum(values) % d == sum(digits) % d
 
 
@@ -324,11 +343,11 @@ def test_round_operations_leave_their_round_as_it_was(d, n, forged):
     state = fabricate_rounds(cfg, (d - 1,))[0] if forged else prepare_rounds(cfg)[0]
     factors = state.factors
     for seed in range(10):
-        for rotation in (None, [encode_matrix(d, i % d) for i in state.owners]):
+        for rotation in (None, encode_matrix(d, [i % d for i in state.owners])):
             first, again = np.random.default_rng(seed), np.random.default_rng(seed)
-            values = read_out([state], [rotation], owner_uniforms([state], first))[0]
-            assert len(values) == len(state.owners)
-            assert read_out([state], [rotation], owner_uniforms([state], again))[0] == values
+            values = read_out([state], rotation, owner_uniforms([state], first))
+            assert values.shape == (1, len(state.owners))
+            assert np.array_equal(read_out([state], rotation, owner_uniforms([state], again)), values)
             assert first.bit_generator.state == again.bit_generator.state
         for basis in (BasisKind.V1, BasisKind.V2):
             for i in state.owners:

@@ -23,6 +23,7 @@ from quditsum import (
     v2_pass,
 )
 from quditsum.harness import _within_band, modified_per_check_pass_probability
+from quditsum.qudit import _qft_matrix
 from quditsum.verification import check_rotations
 
 
@@ -189,6 +190,15 @@ def test_honest_check_v2_all_agree(d, n):
         assert len(set(outcome["announced"])) == 1
 
 
+def test_check_rotations_are_one_array_or_none():
+    # the QFT on each V1 check and the identity on each V2 one, broadcast over the owners; None with no V1 check
+    checks = [{"position": k, "chooser": 2, "basis": basis} for k, basis in enumerate(("V1", "V2", "V1"))]
+    rotations = check_rotations(5, checks)
+    assert rotations.shape == (3, 1, 5, 5)
+    assert np.array_equal(rotations[:, 0], [_qft_matrix(5), np.eye(5), _qft_matrix(5)])
+    assert check_rotations(5, checks[1:2]) is None and check_rotations(5, []) is None
+
+
 def test_execute_check_rejects_unknown_basis():
     check = {"position": 0, "chooser": 2, "basis": "V3"}
     with pytest.raises(ValueError, match="V3"):
@@ -269,7 +279,8 @@ def test_dealer_announcement_is_the_best_on_either_check(d, n):
         passing = {}
         for basis in ("V1", "V2"):
             check = {"position": 0, "chooser": 2, "basis": basis}
-            [rotation] = check_rotations(d, [check])
+            rotations = check_rotations(d, [check])
+            rotation = None if rotations is None else rotations[0, 0]
             dealer, *laws = [outcome_distribution(reg if rotation is None else
                                                   QuditRegister(d, 1, rotation @ reg.amplitudes), 0, BasisKind.V1)
                              for reg, _ in state.factors]
