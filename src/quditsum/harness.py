@@ -48,7 +48,7 @@ from .protocol import (
 )
 from .verification import check_rotations, execute_check, select_checks
 
-TOOL_VERSION = "0.3.0"
+TOOL_VERSION = "0.4.0"
 SCHEMA_VERSION = 1
 
 
@@ -208,8 +208,8 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, words, eve: boo
     trial aborts if any error rate exceeds the threshold. One read_out serves the eta checks of every
     trial left, judged in position order up to the first failure, which aborts the trial (the checks
     after it are read out too, harmlessly). One last read_out encodes the m unchecked rounds of every
-    trial left, in position order; participant i's result string is column i of their readouts. An
-    abort is a flag per trial: that trial reads no more of its words, and the others go on.
+    trial left, in position order; participant i's result string is column i of their QFT readouts
+    plus its secret, mod d. An abort is a flag per trial: that trial reads no more of its words.
 
     A record holds the secrets and every per_trial key of any scenario, as the report writes it.
     detected means the run aborted; the keys of the encoding step are None then, and a failed basis
@@ -257,7 +257,7 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, words, eve: boo
     live = [t for t, aborted in enumerate(detected) if not aborted]
     selected = select_checks(cfg, eta, words[live, layout["checks"]])
     readouts = read_out([rounds[t][c["position"]] for t, trial in zip(live, selected) for c in trial],
-                        check_rotations(cfg.d, [c for trial in selected for c in trial]),
+                        check_rotations([c for trial in selected for c in trial]),
                         word_uniforms(words[live, layout["check_u"]]).reshape(-1, cfg.n)).tolist()
     checks = [[] for _ in range(trials)]
     for k, (t, trial) in enumerate(zip(live, selected)):
@@ -271,11 +271,10 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, words, eve: boo
     live, digits = [t for t in live if not detected[t]], secrets.tolist()
     surviving = {t: [rounds[t][pos] for pos in sorted(set(range(total)) - {c["position"] for c in checks[t]})]
                  for t in live}
-    # round j of a trial: participant i applies encode_matrix of its digit j
-    readouts = read_out([state for t in live for state in surviving[t]],
-                        qudit.encode_matrix(cfg.d, secrets[live].swapaxes(1, 2).reshape(-1, cfg.n)),
+    # participant i's digit j of a trial: its QFT readout of round j plus its secret digit j, mod d
+    readouts = read_out([state for t in live for state in surviving[t]], True,
                         word_uniforms(words[live, layout["encode_u"]]).reshape(-1, cfg.n))
-    strings = readouts.reshape(len(live), cfg.m, cfg.n).swapaxes(1, 2)
+    strings = (readouts.reshape(len(live), cfg.m, cfg.n).swapaxes(1, 2) + secrets[live]) % cfg.d
     encoded = dict(zip(live, zip(strings[:, 1:].tolist(), compute_sum(strings, cfg.d),
                                  compute_sum(secrets[live], cfg.d))))
 

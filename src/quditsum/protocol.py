@@ -13,9 +13,11 @@ secrets while each single announcement stays uniformly distributed.
 
 Participants are numbered 1-based; P1..Pn hold the qudits of a genuine
 round's shared register in order. read_out reads many rounds in lockstep,
-each owner's qudit rotated first if asked (encode_matrix of its digit, to
-encode), and check_decoys many decoy sequences at once, each against the
-uniforms its caller drew. A decoy is its (value, basis) pair until then.
+each owner's qudit rotated by the QFT first where asked, and check_decoys
+many decoy sequences at once, each against the uniforms its caller drew. A
+decoy is its (value, basis) pair until then. The shift by a digit, right
+before a computational measurement, relabels the outcome: an encoding is
+read as the QFT readout plus the digit mod d.
 """
 
 from __future__ import annotations
@@ -126,27 +128,26 @@ class RoundState:
                         for (v, rest), row in zip(rests.items(), rows)}
 
 
-def read_out(rounds, mats, u: np.ndarray) -> np.ndarray:
+def read_out(rounds, qft, u: np.ndarray) -> np.ndarray:
     """Every owner's V1 readout of every round: the (R, n) values, row j those of rounds[j].
 
     Every round is held by P1..Pn and u holds the (R, n) uniforms, row j those of rounds[j]'s owners
-    in participant order. mats is None or broadcasts to (R, n, d, d): owner i of round j applies
-    mats[j, i - 1] to its qudit first. Factors of equal qudit count are stacked, up to
+    in participant order. qft is one bool or one per round: every owner of round j applies the QFT to
+    its qudit first where qft[j]. Factors of equal qudit count and rotation are stacked, up to
     qudit.STACK_CAP amplitudes, and read one qudit a step.
     """
     n = np.shape(u)[-1] if np.ndim(u) == 2 else -1
     if np.shape(u) != (len(rounds), n):
         raise ValueError(f"need a (rounds, n) array of uniforms for {len(rounds)} rounds, got shape {np.shape(u)}")
     d, held, groups = rounds[0].d if rounds else 2, tuple(range(1, n + 1)), {}
+    qft = np.broadcast_to(qft, len(rounds))
     for j, state in enumerate(rounds):
         if state.d != d or state.owners != held:
             raise ValueError(f"round {j} is not held by P1..P{n} at the first round's d={d}")
         for register, owners in state.factors:
-            groups.setdefault(register.k, []).append((register, j, owners))
-    if mats is not None and rounds:
-        mats = np.broadcast_to(mats, (len(rounds), n, d, d))
+            groups.setdefault((register.k, bool(qft[j])), []).append((register, j, owners))
     values = np.empty((len(rounds), n), dtype=np.int64)
-    for k, members in groups.items():
+    for (k, rotated), members in groups.items():
         size = max(1, qudit.STACK_CAP // d**k)
         # member g of a group is owner columns[g, q] of round rows[g] at its qudit q
         rows, columns = np.array([j for _, j, _ in members]), np.array([owners for _, _, owners in members]) - 1
@@ -159,8 +160,7 @@ def read_out(rounds, mats, u: np.ndarray) -> np.ndarray:
             # a read-only one, as prepare_rounds makes, gives its first step's law from its cached reduced state
             rho = register.first_qudit_state if shared and not register.amplitudes.flags.writeable else None
             for col in columns[first:first + size].T:
-                values[at, col], psi = measure_stack(psi.reshape(len(at), 1, d, -1), u[at, col],
-                                                     None if mats is None else mats[at, col], rho)
+                values[at, col], psi = measure_stack(psi.reshape(len(at), 1, d, -1), u[at, col], rotated, rho)
                 rho = None
     return values
 

@@ -14,13 +14,13 @@ every measurement checks the norm instead.
 Two measurement bases appear throughout: V1 is the computational basis
 {|0>, ..., |d-1>} and V2 is its Fourier image {QFT|0>, ..., QFT|d-1>}.
 Every measurement (V2 on the inverse-rotated target) is measure_stack,
-reading one qudit of each register of a stack against uniforms drawn up
-front, or one register against many. Reading qudit 0 of one register the
-whole stack shares, it takes the law from the register's cached reduced
-state (first_qudit_state) and never rotates the register. A decoy, kept
-as its (v, basis) pair, and a particle an eavesdropper puts in a round
-are |v> or QFT|v>: rows of basis_rows, built for a decoy only by
-measure_pairs, when it reads the decoy in the other basis.
+reading one qudit of each register of a stack, after the QFT on all or
+none, against uniforms drawn up front, or one register against many. On
+qudit 0 of one register the whole stack shares, it takes the law from the
+register's cached reduced state (first_qudit_state) and never rotates the
+register. A decoy, kept as its (v, basis) pair, and a particle an
+eavesdropper puts in a round are |v> or QFT|v>: rows of basis_rows, built
+for a decoy only by measure_pairs, when it reads the decoy in the other basis.
 """
 
 from __future__ import annotations
@@ -125,15 +125,6 @@ def _iqft_matrix(d: int) -> np.ndarray:
     return mat
 
 
-def encode_matrix(d: int, s) -> np.ndarray:
-    """The encoding unitary, the Fourier transform followed by the cyclic shift by s; one per entry of an array s."""
-    s = np.asarray(s)
-    if ((s < 0) | (s >= d)).any():
-        raise ValueError(f"shift amount {s[(s < 0) | (s >= d)][0]} out of range for d={d}")
-    # row l of S·QFT is row l - s of the QFT
-    return _qft_matrix(d)[(np.arange(d) - s[..., None]) % d]
-
-
 def _split(reg: QuditRegister, target: int) -> tuple[int, int]:
     """(a, b) such that the amplitudes view as (a, d, b) around the target qudit."""
     if not 0 <= target < reg.k:
@@ -209,31 +200,29 @@ def basis_rows(d: int, values, v2) -> np.ndarray:
     return np.where(np.asarray(v2)[..., None], _qft_matrix(d)[values], computational)
 
 
-def measure_stack(psi: np.ndarray, u: np.ndarray, mats: np.ndarray | None = None,
+def measure_stack(psi: np.ndarray, u: np.ndarray, qft: bool = False,
                   rho: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Measure axis 2 of the (G, a, d, b) stack psi in V1: one qudit per register, which leaves it.
 
-    psi's last axis is contiguous. Register g first gets the unitary mats[g]
-    on that qudit unless mats is None, then is measured against u[g].
-    Returns the G values and the (G, a, b) normalized rests. A (1, a, d, b)
-    psi is one register against all G uniforms, its distribution computed once.
-    rho, if given, is the d x d reduced state of axis 2 of the one register
-    every member of psi views (a == 1). Register g's law is then
-    diag(U rho U^dagger) for U = mats[g], and its rest row values[g] of U
-    times the register as (d, b): a d*b read, where rotating first costs d*d*b.
+    psi's last axis is contiguous. Every register first gets the QFT on that qudit if qft, then
+    register g is measured against u[g]. Returns the G values and the (G, a, b) normalized rests.
+    A (1, a, d, b) psi is one register against all G uniforms, its distribution computed once.
+    rho, if given, is the d x d reduced state of axis 2 of the one register every member of psi views
+    (a == 1). The law is then diag(U rho U^dagger), computed once, for U the QFT or the identity, and
+    rest g row values[g] of U times the register as (d, b): a d*b read, where rotating costs d*d*b.
     """
+    d, g = psi.shape[2], np.arange(len(psi))
     if rho is not None:
-        rows = np.broadcast_to(np.eye(len(rho)), (len(psi), *rho.shape)) if mats is None else mats
-        probs = ((rows @ rho) * rows.conj()).sum(axis=-1).real
+        law = ((_qft_matrix(d) @ rho) * _qft_matrix(d).conj()).sum(axis=-1).real if qft else rho.diagonal().real
+        probs = np.broadcast_to(law, (len(psi), d))
     else:
-        if mats is not None:
-            psi = np.matmul(mats[:, None], psi)
+        if qft:
+            psi = np.matmul(_qft_matrix(d), psi)
         # |x|^2 off the float64 (re, im) view
         f = psi.view(np.float64)
         probs = np.einsum("gadb,gadb->gd", f, f)
     values = _sample(probs, u)
-    g = np.arange(len(psi))
-    kept = psi[g, :, values] if rho is None else (rows[g, values] @ psi[0, 0])[:, None]
+    kept = (_qft_matrix(d)[values] @ psi[0, 0])[:, None] if rho is not None and qft else psi[g, :, values]
     # the kept slice's squared norm is its outcome's probability
     kept /= np.sqrt(probs[g, values])[:, None, None]
     return values, kept

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .protocol import ProtocolConfig
-from .qudit import encode_matrix
 
 
 def v1_pass(values, d: int) -> bool:
@@ -62,11 +61,9 @@ def _is_v1(check: dict) -> bool:
     return check["basis"] == "V1"
 
 
-def check_rotations(d: int, checks) -> np.ndarray | None:
-    """The checks' (C, 1, d, d) read_out rotations: the QFT on V1, none on V2, where the QFT and V2 cancel."""
-    v1 = np.array([_is_v1(check) for check in checks], dtype=bool)
-    # encoding the digit 0 is the QFT alone; the identity stands for none, and None if no check is V1
-    return np.where(v1[:, None, None, None], encode_matrix(d, 0), np.eye(d)) if v1.any() else None
+def check_rotations(checks) -> list[bool]:
+    """One read_out rotation per check: the QFT (True) on V1, none on V2, where the QFT and V2 cancel."""
+    return [_is_v1(check) for check in checks]
 
 
 def execute_check(check: dict, values, d: int) -> dict:

@@ -8,7 +8,7 @@ from quditsum import BasisKind, QuditRegister, apply_iqft, eve_intercept_resend,
 from quditsum.harness import trial_layout
 from quditsum.protocol import read_out
 from quditsum.qudit import (
-    _apply_single, _check_cap, _iqft_matrix, _qft_matrix, _split, basis_rows, encode_matrix, measure_stack,
+    _apply_single, _check_cap, _iqft_matrix, _qft_matrix, _split, basis_rows, measure_stack,
 )
 from quditsum.verification import check_rotations
 
@@ -40,6 +40,15 @@ def basis_state(d: int, digits) -> QuditRegister:
 def apply_qft(reg: QuditRegister, target: int) -> QuditRegister:
     """Fourier transform on one qudit: |r> -> sum_l exp(2*pi*i*l*r/d)|l>/sqrt(d)."""
     return _apply_single(reg, _qft_matrix(reg.d), target)
+
+
+def encode_matrix(d: int, s) -> np.ndarray:
+    """The encoding unitary, the Fourier transform followed by the cyclic shift by s; one per entry of an array s."""
+    s = np.asarray(s)
+    if ((s < 0) | (s >= d)).any():
+        raise ValueError(f"shift amount {s[(s < 0) | (s >= d)][0]} out of range for d={d}")
+    # row l of S·QFT is row l - s of the QFT
+    return _qft_matrix(d)[(np.arange(d) - s[..., None]) % d]
 
 
 def apply_encode(reg: QuditRegister, target: int, s: int) -> QuditRegister:
@@ -112,8 +121,13 @@ def owner_uniforms(rounds, rng: np.random.Generator) -> np.ndarray:
 
 def run_check(state, check: dict, rng: np.random.Generator) -> dict:
     """One check as run_protocol runs it: the round read out with the check's rotation, then the verdict."""
-    readout = read_out([state], check_rotations(state.d, [check]), owner_uniforms([state], rng))[0]
+    readout = read_out([state], check_rotations([check]), owner_uniforms([state], rng))[0]
     return execute_check(check, readout.tolist(), state.d)
+
+
+def encode_read_out(rounds, digits, u: np.ndarray) -> np.ndarray:
+    """run_protocol's encoding: each owner's QFT readout plus its digit, digits[j] the (n,) digits of rounds[j]."""
+    return (read_out(rounds, True, u) + np.asarray(digits)) % rounds[0].d
 
 
 def words_block(cfg, eta: int, rng: np.random.Generator, trials: int = 1) -> np.ndarray:

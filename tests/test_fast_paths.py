@@ -5,8 +5,8 @@ Eve to the check, measured with one uniform per decoy drawn in the
 order the per-particle loop would draw it. These tests reproduce those
 loops and require identical outcomes, expected values and final
 generator state, and posteriors equal up to global phase. The dense kernels (one matmul per unitary, the marginal
-and the slice-only collapse of a measurement, the fused encoding
-unitary, checks without the cancelling rotation pair) are pinned to the
+and the slice-only collapse of a measurement, the encoding read as the
+QFT readout plus the digit, checks without the cancelling rotation pair) are pinned to the
 axis-permuting references the same way. So are the rounds kept as
 products of factors, whose measurements drop the measured qudit, against
 the dense loop that keeps every qudit in one register; the registers a
@@ -29,8 +29,8 @@ from functools import cached_property, reduce
 import numpy as np
 import pytest
 from conftest import (
-    apply_encode, apply_qft, apply_shift, approx_equal, basis_state, decoy_words, eve_one_trial, intercept_one,
-    measure_every_pair, measure_one,
+    apply_encode, apply_qft, apply_shift, approx_equal, basis_state, decoy_words, encode_matrix, encode_read_out,
+    eve_one_trial, intercept_one, measure_every_pair, measure_one,
     outcome_distribution, owner_uniforms, random_register, random_secret, run_check, run_one,
 )
 from hypothesis import given, settings
@@ -61,7 +61,6 @@ from quditsum.qudit import (
     _qft_matrix,
     _sample,
     basis_rows,
-    encode_matrix,
     measure_pairs,
     measure_stack,
 )
@@ -443,6 +442,35 @@ def test_execute_check_matches_rotate_then_measure_reference(forged, basis):
         assert fast.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 10, 16])
+def test_encoding_is_the_qft_readout_plus_the_digit(d):
+    # the shift by s before a computational measurement relabels its outcomes:
+    # the law after E_s = S_s QFT is the QFT law rolled by s, and outcome x of
+    # E_s leaves the rest that outcome x - s of the QFT leaves. Dense, on
+    # random registers, and from the reduced state of a shared GHZ register
+    gen, qft = np.random.default_rng(d), _qft_matrix(d)
+    for k in (1, 2, 3):
+        reg = random_register(d, k, gen)
+        for target in range(k):
+            rotated = apply_qft(reg, target).amplitudes.reshape(d**target, d, -1)
+            law = outcome_distribution(apply_qft(reg, target), target, V1)
+            for s in range(d):
+                encoded = apply_encode(reg, target, s)
+                assert np.max(np.abs(outcome_distribution(encoded, target, V1) - np.roll(law, s))) <= 1e-14
+                rests = encoded.amplitudes.reshape(d**target, d, -1)
+                for x in range(d):
+                    assert np.max(np.abs(rests[:, x] - rotated[:, (x - s) % d])) <= 1e-14
+    for k in (2, 3):
+        register = omega_state(d, k)
+        rho, psi = register.first_qudit_state, register.amplitudes.reshape(d, -1)
+        law = np.diag(qft @ rho @ qft.conj().T).real
+        for s in range(d):
+            mat = encode_matrix(d, s)
+            assert np.max(np.abs(np.diag(mat @ rho @ mat.conj().T).real - np.roll(law, s))) <= 1e-14
+            for x in range(d):
+                assert np.max(np.abs(mat[x] @ psi - qft[(x - s) % d] @ psi)) <= 1e-14
+
+
 @pytest.mark.parametrize("d", [2, 3, 5, 10])
 def test_apply_encode_is_shift_after_qft(d):
     gen = np.random.default_rng(d)
@@ -542,20 +570,20 @@ def test_measure_v2_matches_rotate_measure_rotate_back(d, k, seed):
 
 
 def _encode_and_read_out(rounds, secrets, rng):
-    """Every owner's readout of every round, each digit encoded first, as run_protocol's encoding read-out."""
+    """Every owner's readout of every round, each digit encoded, as run_protocol's encoding read-out."""
     digits = [[secrets[i - 1][j] for i in state.owners] for j, state in enumerate(rounds)]
-    return read_out(rounds, encode_matrix(rounds[0].d, digits), owner_uniforms(rounds, rng)).tolist()
+    return encode_read_out(rounds, digits, owner_uniforms(rounds, rng)).tolist()
 
 
 def _reference_encode_rounds(rounds, secrets, rng):
-    """Encode and read out on the dense register, zero-filled posterior kept; one list per round."""
+    """QFT, measure, add the digit, on the dense register, zero-filled posterior kept; one list per round."""
     results = []
     for j, state in enumerate(rounds):
         reg = _dense(state)
         results.append([])
         for q, i in enumerate(state.owners):
-            value, reg = _kept_measure(apply_encode(reg, q, secrets[i - 1][j]), q, V1, rng)
-            results[j].append(value)
+            value, reg = _kept_measure(apply_qft(reg, q), q, V1, rng)
+            results[j].append((value + secrets[i - 1][j]) % state.d)
     return results
 
 
@@ -590,7 +618,7 @@ def test_shrinking_chains_match_full_register_reference(forged):
 
 
 def _reference_eve_then_encode(rounds, secrets, rng):
-    """Eve on every receiver's qudit, then every owner's readout, on dense kept-qudit registers.
+    """Eve on every receiver's qudit, then every owner's QFT readout plus its digit, on dense kept-qudit registers.
 
     Returns the registers as Eve leaves them and each owner's readouts, one list per round.
     """
@@ -601,8 +629,8 @@ def _reference_eve_then_encode(rounds, secrets, rng):
     for j, state in enumerate(rounds):
         results.append([])
         for q, i in enumerate(state.owners):
-            value, regs[j] = _kept_measure(apply_encode(regs[j], q, secrets[i - 1][j]), q, V1, rng)
-            results[j].append(value)
+            value, regs[j] = _kept_measure(apply_qft(regs[j], q), q, V1, rng)
+            results[j].append((value + secrets[i - 1][j]) % state.d)
     return after_eve, results
 
 
@@ -653,22 +681,15 @@ def test_intercept_replaces_each_qudit(forged):
 # rounds read out in lockstep
 
 
-def _stacked(rotations, d, n):
-    """read_out's (R, n, d, d) rotations of rounds each rotated by None, one matrix for all or one per owner."""
-    if all(rotation is None for rotation in rotations):
-        return None
-    return np.array([np.broadcast_to(np.eye(d) if rotation is None else rotation, (n, d, d)) for rotation in rotations])
-
-
-def _per_owner_read_out(state, rotation, rng):
-    """The chain read_out replaced: owner by owner, rotate its qudit, measure it, drop it from its factor."""
+def _per_owner_read_out(state, qft, rng):
+    """The chain read_out replaced: owner by owner, the QFT on its qudit if qft, measure it, drop it from its factor."""
     factors, values = list(state.factors), []
-    for idx, p in enumerate(state.owners):
+    for p in state.owners:
         f = next(f for f, (_, held) in enumerate(factors) if p in held)
         register, held = factors[f]
         q = held.index(p)
-        if rotation is not None:
-            register = _apply_single(register, rotation if np.ndim(rotation) == 2 else rotation[idx], q)
+        if qft:
+            register = apply_qft(register, q)
         value, rest = measure_one(register, q, V1, rng)
         factors[f:f + 1] = [(rest, held[:q] + held[q + 1:])] if len(held) > 1 else []
         values.append(value)
@@ -677,47 +698,45 @@ def _per_owner_read_out(state, rotation, rng):
 
 @settings(max_examples=150, deadline=None)
 @given(d=st.sampled_from([2, 3, 5, 10]), n=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**32 - 1),
-       kinds=st.lists(st.tuples(st.booleans(), st.booleans(), st.sampled_from(["none", "qft", "encode"])),
-                      max_size=6))
+       kinds=st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), max_size=6))
 def test_read_out_matches_per_owner_chain(d, n, seed, kinds):
     # genuine and forged rounds, some with a random subset of their qudits
-    # intercepted in random order, under mixed rotations, all in one call
+    # intercepted in random order, some rotated by the QFT, all in one call
     gen = np.random.default_rng(seed)
     cfg = ProtocolConfig(d=d, n=n, m=1, decoy_count=0)
     rounds, rotations = [], []
-    for forged, eve, rotation in kinds:
+    for forged, eve, qft in kinds:
         state = fabricate_rounds(cfg, (int(gen.integers(d)),))[0] if forged else prepare_rounds(cfg)[0]
         if eve:
             for i in gen.permutation(state.owners)[:int(gen.integers(1, len(state.owners) + 1))]:
                 state = intercept_one(state, int(i), _basis(int(gen.integers(2))), gen)[1]
         rounds.append(state)
-        rotations.append({"none": None, "qft": _qft_matrix(d),
-                          "encode": [encode_matrix(d, int(s)) for s in gen.integers(d, size=len(state.owners))]
-                          }[rotation])
+        rotations.append(qft)
     ref, fast = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
-    expected = [_per_owner_read_out(state, rotation, ref) for state, rotation in zip(rounds, rotations)]
-    values = read_out(rounds, _stacked(rotations, d, n), fast.random((len(rounds), n)))
+    expected = [_per_owner_read_out(state, qft, ref) for state, qft in zip(rounds, rotations)]
+    values = read_out(rounds, rotations, fast.random((len(rounds), n)))
     assert values.dtype == np.int64 and values.shape == (len(rounds), n) and values.tolist() == expected
     assert fast.bit_generator.state == ref.bit_generator.state
 
 
 def test_read_out_rejects_rounds_it_cannot_stack():
     five, three = prepare_rounds(ProtocolConfig(d=5, n=3, m=1))[0], prepare_rounds(ProtocolConfig(d=3, n=3, m=1))[0]
-    assert read_out([], None, np.empty((0, 3))).shape == (0, 3)
+    assert read_out([], True, np.empty((0, 3))).shape == (0, 3)
     # u must be (R, n): not flat, not one row per owner of another round count
     for shape in [(3,), (2, 3), (1, 3, 1)]:
         with pytest.raises(ValueError, match=rf"^need a \(rounds, n\) array of uniforms for 1 rounds, got shape "
                                              rf"{re.escape(str(shape))}$"):
-            read_out([five], None, np.zeros(shape))
+            read_out([five], False, np.zeros(shape))
     with pytest.raises(ValueError, match="^round 1 is not held by P1..P3 at the first round's d=5$"):
-        read_out([five, three], None, np.zeros((2, 3)))
+        read_out([five, three], False, np.zeros((2, 3)))
     # a round held by P2 and P3 alone, or by more participants than u has columns
     missing = RoundState(((fake_particle(5, 1), (2,)), (fake_particle(5, 3), (3,))))
     for rounds, n in [([five, missing], 3), ([missing], 2), ([five], 2)]:
         with pytest.raises(ValueError, match=f"^round {len(rounds) - 1} is not held by P1..P{n} at"):
-            read_out(rounds, None, np.zeros((len(rounds), n)))
+            read_out(rounds, False, np.zeros((len(rounds), n)))
+    # one rotation flag for all rounds or one per round
     with pytest.raises(ValueError):
-        read_out([five, five], np.zeros((3, 3, 5, 5)), np.zeros((2, 3)))
+        read_out([five, five], [True] * 3, np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("cap", [1, 6, 54])
@@ -728,13 +747,12 @@ def test_read_out_is_the_same_for_every_stack_cap(cap, monkeypatch):
     gen = np.random.default_rng(cap)
     rounds = prepare_rounds(cfg, count=3) + fabricate_rounds(cfg, (0, 2))
     rounds += [intercept_one(rounds[0], 2, V2, gen)[1], intercept_one(rounds[3], 3, V1, gen)[1]]
-    rotations = [None, _qft_matrix(3), [encode_matrix(3, 1)] * 3, None, [encode_matrix(3, 2)] * 3, None, None]
+    rotations = [False, True, True, False, True, False, False]
     ref = np.random.default_rng(7)
-    expected = [_per_owner_read_out(state, rotation, ref) for state, rotation in zip(rounds, rotations)]
-    mats = _stacked(rotations, 3, 3)
-    assert read_out(rounds, mats, owner_uniforms(rounds, np.random.default_rng(7))).tolist() == expected
+    expected = [_per_owner_read_out(state, qft, ref) for state, qft in zip(rounds, rotations)]
+    assert read_out(rounds, rotations, owner_uniforms(rounds, np.random.default_rng(7))).tolist() == expected
     monkeypatch.setattr(qudit, "STACK_CAP", cap)
-    assert read_out(rounds, mats, owner_uniforms(rounds, np.random.default_rng(7))).tolist() == expected
+    assert read_out(rounds, rotations, owner_uniforms(rounds, np.random.default_rng(7))).tolist() == expected
 
 
 def test_read_out_of_rounds_over_the_stack_cap_peaks_as_one_round():
@@ -742,12 +760,11 @@ def test_read_out_of_rounds_over_the_stack_cap_peaks_as_one_round():
     # of the shared register, so reading four costs no more memory than one
     rounds = prepare_rounds(ProtocolConfig(d=10, n=5, m=4, decoy_count=0))
     assert rounds[0].factors[0][0].amplitudes.size > qudit.STACK_CAP
-    rotation = encode_matrix(10, range(5))
 
     def peak(count):
         tracemalloc.start()
         try:
-            read_out(rounds[:count], rotation, np.random.default_rng(0).random((count, 5)))
+            read_out(rounds[:count], True, np.random.default_rng(0).random((count, 5)))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -763,12 +780,11 @@ def test_read_out_of_one_register_shared_by_a_stack_reads_it_as_a_view():
     shared = prepare_rounds(ProtocolConfig(d=5, n=3, m=1), count=120)
     register = shared[0].factors[0][0]
     copies = [RoundState(((QuditRegister(5, 3, register.amplitudes.copy()), (1, 2, 3)),)) for _ in shared]
-    rotations = encode_matrix(5, [1, 2, 3])
 
     def peak(rounds):
         tracemalloc.start()
         try:
-            values = read_out(rounds, rotations, np.random.default_rng(0).random((120, 3)))
+            values = read_out(rounds, True, np.random.default_rng(0).random((120, 3)))
             return values, tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -780,33 +796,24 @@ def test_read_out_of_one_register_shared_by_a_stack_reads_it_as_a_view():
 
 
 @settings(max_examples=150, deadline=None)
-@given(d=st.integers(2, 6), k=st.integers(1, 4), ghz=st.booleans(), seed=st.integers(0, 2**32 - 1),
-       kinds=st.lists(st.sampled_from(["identity", "iqft", "encode"]), min_size=1, max_size=4))
-def test_first_step_from_the_reduced_state_matches_rotate_then_marginal(d, k, ghz, seed, kinds):
-    # each rotation of one shared register read at u = 0.0 and at the
-    # midpoint of every outcome's CDF step: the law diag(U rho U^dagger), the
-    # value and the rest as the dense rotate-then-marginal path gives them
+@given(d=st.integers(2, 6), k=st.integers(1, 4), ghz=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_first_step_from_the_reduced_state_matches_rotate_then_marginal(d, k, ghz, seed):
+    # one shared register, rotated by the QFT or not, read at u = 0.0 and at
+    # the midpoint of every outcome's CDF step: the law diag(U rho U^dagger),
+    # the value and the rest as the dense rotate-then-marginal path gives them
     gen = np.random.default_rng(seed)
     register = omega_state(d, k) if ghz and k > 1 else random_register(d, k, gen)
     rho = register.first_qudit_state
-    unitaries = [{"identity": np.eye(d), "iqft": _iqft_matrix(d)}.get(kind, None) for kind in kinds]
-    unitaries = [encode_matrix(d, int(gen.integers(d))) if mat is None else mat for mat in unitaries]
-    members = []  # (rotation, identity?, uniform, value, rest) of each member of the stack
-    for kind, mat in zip(kinds, unitaries):
+    for qft, mat in ((False, np.eye(d)), (True, _qft_matrix(d))):
         rotated = _apply_single(register, mat, 0).amplitudes.reshape(d, -1)
         law = np.sum(np.abs(rotated) ** 2, axis=1)
         assert np.allclose(np.diag(mat @ rho @ mat.conj().T).real, law, rtol=0, atol=1e-12)
-        for v, uv in [(0, 0.0), *zip(range(d), np.cumsum(law) - law / 2)]:
-            members.append((mat, kind == "identity", uv, v, rotated[v] / np.sqrt(law[v])))
-    # a mixed stack with its rotations, and its identity members alone without any, as read_out hands them over
-    for stack, mats in [(members, np.array([m[0] for m in members])), ([m for m in members if m[1]], None)]:
-        if not stack:
-            continue
-        psi = np.broadcast_to(register.amplitudes, (len(stack), d**k)).reshape(len(stack), 1, d, -1)
-        values, kept = measure_stack(psi, np.array([m[2] for m in stack]), mats, rho)
-        assert values.tolist() == [m[3] for m in stack]
-        assert kept.shape == (len(stack), 1, d ** (k - 1))
-        assert np.allclose(kept[:, 0], [m[4] for m in stack], rtol=0, atol=1e-12)
+        u, expected = zip(*[(uv, v) for v, uv in [(0, 0.0), *zip(range(d), np.cumsum(law) - law / 2)]])
+        psi = np.broadcast_to(register.amplitudes, (len(u), d**k)).reshape(len(u), 1, d, -1)
+        values, kept = measure_stack(psi, np.array(u), qft, rho)
+        assert values.tolist() == list(expected)
+        assert kept.shape == (len(u), 1, d ** (k - 1))
+        assert np.allclose(kept[:, 0], rotated[values] / np.sqrt(law[values])[:, None], rtol=0, atol=1e-12)
 
 
 def _counting_first_qudit_state(monkeypatch) -> list:

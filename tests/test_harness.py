@@ -287,7 +287,7 @@ def test_eve_decoy_report_at_a_threshold_one_ulp_below_a_half(tmp_path, capsys):
     doc = json.loads(out.read_text())
     text = json.dumps(doc["per_trial"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "9942053eabf3c4e46ffc14a6db62d12e2a1b0bbbbe09af589576be30f7cccec6")
+        "222626ab7c6c6e6d824dd6d616c8f2966ae9da0d91f592a0de47c905f636ad7f")
     assert doc["aggregates"]["flagged"] == []
     assert doc["aggregates"]["detection_rate"]["oracle"] == pytest.approx(1 - 0.36**2, abs=1e-15)
     assert "outside 4 sigma" not in capsys.readouterr().out
@@ -557,8 +557,8 @@ def test_a_run_over_the_stack_cap_peaks_as_one_trial():
 
 
 def test_a_run_frees_what_it_built():
-    # 200 honest trials at d=128, n=2 encode up to 128 distinct digits, a 256 kB matrix each: once the
-    # run returns, only the two d x d Fourier matrices of the per-d cache may stay
+    # 200 honest trials at d=128, n=2, each a 256 kB register: once the run returns, only the two
+    # d x d Fourier matrices of the per-d cache may stay
     cfg = ScenarioConfig("honest", ProtocolConfig(d=128, n=2, m=4, decoy_count=16), trials=200, master_seed=1)
     tracemalloc.start()
     try:
@@ -567,6 +567,19 @@ def test_a_run_frees_what_it_built():
     finally:
         tracemalloc.stop()
     assert held < 2 * 2**20
+
+
+def test_an_encoding_builds_no_rotation_per_owner():
+    # an encoding is read as the QFT readout plus the digit, so 3 honest trials at d=512, n=2 build no
+    # d x d unitary per owner of each round (4 MB each, 56.7 MB at peak when they were built)
+    cfg = ScenarioConfig("honest", ProtocolConfig(d=512, n=2, m=4, decoy_count=4), eta=2, trials=3, master_seed=1)
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_reports_are_reproducible_bit_for_bit():
@@ -588,7 +601,7 @@ GOLDEN_DIGESTS = {
     "iqft-attack": "44fb1b2e7dffe63fc9012eb30960eac059e79fad8ceebbab31dc936d1414c081",
     "modified-honest": "5e26a7dc732d3fd443d3dd94af96f920c0f9a1c3a04acdee192378dec8621799",
     "modified-attack": "28431cb4a818f67997d71c73536ef5a107b85c8827dbf4ada3e62f7d7123d8f7",
-    "eve-decoy": "c79b35691a80a0dcc4afe2417c5c9284f248ed84ef677023d8ac6a8397726f61",
+    "eve-decoy": "1ec2d31fdb73972749090c17e0a86a04ceddd7dfb82de25328dfa812c5f38c59",
 }
 
 
@@ -660,16 +673,16 @@ REPORT_CONFIGS = {
     "no-decoys": (ProtocolConfig(d=3, n=3, m=1, decoy_count=0), 2, 30),
 }
 GOLDEN_REPORT_DIGESTS = {
-    ("small-mix-0.3", "honest"): "f6fb839db8b1cb39ce0b3e0cb82295efc8cd83a3270d91f5f76d1497fa877ecf",
-    ("small-mix-0.3", "iqft-attack"): "4adaff7d2df0bb39db2601b340477aef5d9b5ff218acdb2f69a0532083802d4e",
-    ("small-mix-0.3", "modified-honest"): "1ce9c5d4dd47edbe488086f3138a552a4bf64226b04de4ab6f7bef961581b0d4",
-    ("small-mix-0.3", "modified-attack"): "faef8c75042ae4f7abe09550aea5668c084aae57089eea13a4d533c556248cd3",
-    ("small-mix-0.3", "eve-decoy"): "dbdf486af4c1683fc193df3983597af2a481b230af2f4c62215ee92a9555ffdd",
-    ("no-decoys", "honest"): "f4865441d8cb6dc776239041266b8ef3ed91c8bda09a8fa4cc22e4507b7b0985",
-    ("no-decoys", "iqft-attack"): "5daae4a03e2345d5560a1a27165186f8749bd7339d3dc7fb919cfda557a99396",
-    ("no-decoys", "modified-honest"): "7d1125789a1ac9f2a32e61b1476d8afebd4c402f0ee93becbcaf91e754dbc081",
-    ("no-decoys", "modified-attack"): "2f8c58bea728ed24e087c7e45ea528f87e66a5e5c914d9622a897d6253209534",
-    ("no-decoys", "eve-decoy"): "0900db95e3669ecaa3fe19bcc4f459e505edeeb2dd5de3addd697fd3d44d2ce0",
+    ("small-mix-0.3", "honest"): "15a55aab9415ed14ef595d66ca00e838a4886c04ac562e4721d1f0ed108490e8",
+    ("small-mix-0.3", "iqft-attack"): "33a0d99adf6bd32d6940db222cd94ff21a18fcfb3640c8734f64852ce5949f94",
+    ("small-mix-0.3", "modified-honest"): "f669f915b9a925e5536f4d98322d91839c3d087ad5efa9e610ced209150bc250",
+    ("small-mix-0.3", "modified-attack"): "6a0abb864937a221b48e6ac4571080425ad2532636af4fcde08963562dbb3428",
+    ("small-mix-0.3", "eve-decoy"): "36af0ac1971aae80a3d70192ff5f9c291e9c9111969343c385674a8fc75aa72c",
+    ("no-decoys", "honest"): "2ce6c710503b61d0a29867b8e647be2c430c3f0bd879c47f703481524e1049fd",
+    ("no-decoys", "iqft-attack"): "683c0a0f9e85cdb7f629f24f6124448f12b3f806b6c5f0bcf82910b0d770d3fd",
+    ("no-decoys", "modified-honest"): "c6a16b31d4e5abe0e96c4fb4e69055d77cb5b104366986865039739cf5be2bec",
+    ("no-decoys", "modified-attack"): "acd72347fcdfa884e35371ec6708faee6293d6e618e8aa9f69bc2014f8397c80",
+    ("no-decoys", "eve-decoy"): "1331e408b94a53948049674d5b58dfab3a33b106d79d7fe31302ccd06077a6e0",
 }
 
 
@@ -706,39 +719,39 @@ WIDE_REGISTER_SCENARIOS = ("honest", "modified-honest", "eve-decoy")
 # SHA-256 over each run's report text, minus its duration_seconds line,
 # followed by its stdout with the elapsed time and the report path masked
 DETERMINISM_DIGESTS = {
-    ("small-mix", "honest"): "4b075474aea1a602ea2ccbdeec9495467c5c939cedb49364c5f62a15650a1740",
-    ("small-mix", "iqft-attack"): "a3c5d642f5b3d56dc12e88b45fa3687390e180d5d28cf2dcbc6ed25d6b049bfa",
-    ("small-mix", "modified-honest"): "b02c670f63e897e87cb6798a7e4b07f4648099c07c20d6f71ae600dcdb17dcdf",
-    ("small-mix", "modified-attack"): "f8acd7c76e22c59e0e1152296224b7495109313554ba6252a3cbe11751cef4ac",
-    ("small-mix", "eve-decoy"): "4814c1a2e36a613cd21736f25d572be9942f4c3a6e53b3c9c2f27638025efa17",
-    ("d7-n4", "honest"): "92c5f4a1f07b35ddbd5628a8e1c61d87f236c443f63e950c484351bc15e9c142",
-    ("d7-n4", "iqft-attack"): "b642b4bfb8257fb41b28d5e68179902c3d63963a7fd1805a9456ea1e17c18064",
-    ("d7-n4", "modified-honest"): "22fcbec12772bc423a3ea0a6ebf152b6b31843eaa5ea22fc8f352e9eecfe9f2f",
-    ("d7-n4", "modified-attack"): "78b3acd0d9953f30d85a5f46b641d662b4cbc9e59119c6013132c2554d35fef3",
-    ("d7-n4", "eve-decoy"): "7a55f7be61c2592a806344173e64aded7cc263d5bd3feb4ca48cff270e078d29",
-    ("d2-n2", "honest"): "ef3d5630940a1e8caebb85f5d4290ca858021dce49402cbc21b1a8ef56c44a77",
-    ("d2-n2", "iqft-attack"): "8fcbfd5f8fff120c4253511a50b98eb70191382bc12d5e4f8474c5eb4db4981d",
-    ("d2-n2", "modified-honest"): "295f9ce6710f6f7c37dc2a885c3ae0204834d15525362105fbb380ee7d83d504",
-    ("d2-n2", "modified-attack"): "b83e5bb0784a9900712681089beb1dd99b9653dabce43286c3172be739ef8cdb",
-    ("d2-n2", "eve-decoy"): "c3a14b9db3cb75de167306436df52170606c879ed50bff5cbec7c5f3bd0c6232",
-    ("d10-n5", "honest"): "3a7b22b85398b58734e4a052c954ba3a7eb0e84cbf5e8e5857df069274bd3fa8",
-    ("d10-n5", "iqft-attack"): "335deee068c961e325d395d650f4b02e6aff85157c920062695aad0b581a526b",
-    ("d10-n5", "modified-honest"): "7269fac5a0849ae61fb39aeeab288a7497fbed33401292b8a73a18528ccaa27f",
-    ("d10-n5", "modified-attack"): "edb5e7211c98519f183d383b910f632a7ebc60145719b6a066f769151be0c33f",
-    ("d10-n5", "eve-decoy"): "4f9a7859ddf03537e027fe9205d61a94917746c24a6e6d833e79b5fc2b594162",
-    ("no-decoys", "honest"): "aea3fc567b26a84f77079d3ae89801f351e2a59da8b668b468a2c15f0937bb07",
-    ("no-decoys", "iqft-attack"): "f206f766cc3f5bb47db86b939f8296f479c15a2b9cd090cdcd6d3b342aa5a8d9",
-    ("no-decoys", "modified-honest"): "34d036859b150525392399872a2c8879d82c2e33a0347b92567954552170a132",
-    ("no-decoys", "modified-attack"): "27c29a4bf21e315e4b46cc71e43dbb60a5b88c0032dff9f1d6c16c9f01dbdee6",
-    ("no-decoys", "eve-decoy"): "6ad1cef3f9243052179f873392eef2bc3a3930d72dd188e5b4b3976b89a00371",
-    ("fixed-secrets", "honest"): "2730bb9d9bcd7dfa66e8327ec4ecb537cfbb8c554d588d51f465ec06819c0e42",
-    ("fixed-secrets", "iqft-attack"): "8b9337bd7ec4b32a9cc31eabeb3a87d0ab940206365899c128e25314602ff696",
-    ("fixed-secrets", "modified-honest"): "b917d980261367367eb20f0a167a4824b0ee53cfc7fbb651cc4ed6f1bddaa810",
-    ("fixed-secrets", "modified-attack"): "9f9c7d28e41cc040960963f9bfebce0a81f95d2b01239bc55ea2e38da8c7545a",
-    ("fixed-secrets", "eve-decoy"): "60cd6c24f9bf5b193167eb014cbc85f58565503e761af917eb7d2e5020fb19d6",
-    ("wide-register", "honest"): "cd70eb49db4e0dcbd4783a2e50f706d1ba674b124e1ff9633ea01cf7be183fce",
-    ("wide-register", "modified-honest"): "05858a571e469ccb0c53b6c64e7495da3ec0790ec87b18c19e8b8c6d11d1b92c",
-    ("wide-register", "eve-decoy"): "b72a9dfe9f105fec35fc0392a3b26c241de57f5f7e8837d686f55fd260979981",
+    ("small-mix", "honest"): "aa28a14911adc48b413e03ef901d926ac3185e2281a4b079e82047aa2b991dfe",
+    ("small-mix", "iqft-attack"): "70e43c2bf26de5198b10299021e4ee44ccf469a9cf6fb189566bfd5d91444bd4",
+    ("small-mix", "modified-honest"): "d4a035b2a44a98fcef7eae5437a6499fb0baa8d4a7abc664c82fbc72575abf44",
+    ("small-mix", "modified-attack"): "b403ef64b20778cfad074769f4ebea939fb1c5de4fa9f7139233588783392c2f",
+    ("small-mix", "eve-decoy"): "d54b7f6440de3ee371cf67bdfe7a9b4b5cf1302c2013e315348b576e1b7bd77a",
+    ("d7-n4", "honest"): "a66253d01acbdd9ace9f848d144f2f3ed1d60945e4633132920f7eaa83c08557",
+    ("d7-n4", "iqft-attack"): "e0cc4958cfdba60cbde825572e07da03ce9c5546315a0cba0bd22971fa2f448c",
+    ("d7-n4", "modified-honest"): "5ce60fe0f6a1de05be6addf8104e32a3735ef40718fa7d3b8ec868c84017e432",
+    ("d7-n4", "modified-attack"): "4acb5c0c6478db8d9139f790a9d947ad29ccabca06494a8c6de63a583ffc9dc3",
+    ("d7-n4", "eve-decoy"): "26bcb232df39f0c808e555bae08b46ea0df2871b123e27a92acb0d392749874b",
+    ("d2-n2", "honest"): "153bc1bccca4632badce955bad6ab23ee7e69e358da94a7d36a4cfd50c70011f",
+    ("d2-n2", "iqft-attack"): "357d1cd2c730d35e924d76f0d66a00c5581673ab6e8d12f5c61a3648b2a91a6c",
+    ("d2-n2", "modified-honest"): "4845b1fbb8e13b6828bc74ab3938536784354ddd4fa912fd543b51567b5ab828",
+    ("d2-n2", "modified-attack"): "58d0d97d00a4d224eca4069676d86844f0793e95eac55a22e561f2ba46359379",
+    ("d2-n2", "eve-decoy"): "643209c43752e4c5dbab99304471a02b114c83f43d78f46329ae0e6eb5f0aea5",
+    ("d10-n5", "honest"): "f8b4a92bdb8730ae57f32c9faded4b603664b5efb2b8400726149dd52322edb9",
+    ("d10-n5", "iqft-attack"): "aed06f14ae5a09d1c4cb6244251f1837111c1b485924484e40cc9eb32db6696e",
+    ("d10-n5", "modified-honest"): "497747602264c35d301d58aacc66c1576ea1b0a80f490d58d13078370a9c4394",
+    ("d10-n5", "modified-attack"): "c44f717dc188982fe8c8667d489f6bb75f4b7e6e6e3ce4595ba712a36f3aa3bb",
+    ("d10-n5", "eve-decoy"): "03e4035987815b8e5ed70c910fcac195dcfbe5667139e0ed812f3acb90ce27e3",
+    ("no-decoys", "honest"): "cd7fa1cb544461e7aba3986857d1f378c61f74a5e2191ebe1330a16fca820611",
+    ("no-decoys", "iqft-attack"): "a05a1cfb4e8e06718dc5bb95abbc590962a8c377bdb8998a1f1d30736c31378c",
+    ("no-decoys", "modified-honest"): "efe144c5a90fd52175a8ebfbe63536767afd7714a94da06222c0a360b56c673d",
+    ("no-decoys", "modified-attack"): "013ce7dfc581dc385474dd6abae86bf34527c11ac378cc07039413215876abb0",
+    ("no-decoys", "eve-decoy"): "4b3e2ea9e11678b093ba3fb0dffab1e30c01ebbd81f385942152f0f4d9f8846d",
+    ("fixed-secrets", "honest"): "c05696d11980c7230382475812e316651ad2b7b98fd48c4b750e711845474c5a",
+    ("fixed-secrets", "iqft-attack"): "ed27a42b8d79b0f3721f99a81ec040d73102baee4be168bf4624ad06d212ad0c",
+    ("fixed-secrets", "modified-honest"): "47022a96dc1d8d299b27435870799af814c1dad001a73a16a5bf571cc9741ba5",
+    ("fixed-secrets", "modified-attack"): "6b4b4901917eb3f87e2d80213c24cf9916cd0d1b994e2f5de7c5f25e60dec2b4",
+    ("fixed-secrets", "eve-decoy"): "d1ec01e73c4fb5b4c482b8a0ca539667532451ab12d5c691a49b38f48b7a3264",
+    ("wide-register", "honest"): "6caa5c112d7288e03cbbeae479e00bb7bf13b470416753c5cb92f2d479842871",
+    ("wide-register", "modified-honest"): "4728d8d1576d31e0060f07ae775975c22bf173ba2051a52e2a9470799824437d",
+    ("wide-register", "eve-decoy"): "704e4129db8246b3ea6f9c72cee8ecc5987887620b585e43482232593a37d0f6",
 }
 
 

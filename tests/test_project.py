@@ -86,6 +86,12 @@ def test_pyproject_version_is_the_package_version():
     assert project["version"] == quditsum.__version__ == TOOL_VERSION
 
 
+def test_readme_version_history_names_the_tool_version():
+    # a release that moves the seeded stream says how in the README's list
+    history = (ROOT / "README.md").read_text().split("Version history of the seeded stream:\n", 1)[1].split("\n\n")[0]
+    assert any(line.startswith(f"- {TOOL_VERSION} ") for line in history.splitlines())
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names a module imports but never reads; `from __future__` is exempt."""
     tree = ast.parse(source)

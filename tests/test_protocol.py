@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 from conftest import (
-    apply_encode, apply_qft, apply_shift, approx_equal, decoy_words, intercept_one, measure_every_pair,
-    outcome_distribution, owner_uniforms, random_secret, run_one,
+    apply_encode, apply_qft, apply_shift, approx_equal, decoy_words, encode_read_out, intercept_one,
+    measure_every_pair, outcome_distribution, owner_uniforms, random_secret, run_one,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +27,7 @@ from quditsum import (
 )
 from quditsum import protocol
 from quditsum.protocol import RoundState, read_out
-from quditsum.qudit import _iqft_matrix, _qft_matrix, encode_matrix, measure_pairs
+from quditsum.qudit import _iqft_matrix, _qft_matrix, measure_pairs
 
 
 def _secrets(digit_rows):
@@ -276,7 +276,7 @@ def test_encode_and_measure_on_forged_state_is_deterministic():
     rng = np.random.default_rng(0)
     state = fabricate_rounds(ProtocolConfig(d=10, n=2, m=1), (2,))[0]
     for _ in range(20):
-        assert read_out([state], encode_matrix(10, [[0, 5]]), owner_uniforms([state], rng)).tolist() == [[8, 7]]
+        assert encode_read_out([state], [[0, 5]], owner_uniforms([state], rng)).tolist() == [[8, 7]]
 
 
 def test_round_factors_name_one_owner_per_qudit():
@@ -316,8 +316,9 @@ def test_encode_rejects_foreign_participant_and_bad_digit():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="^participant 3 holds no qudit in the round$"):
         intercept_one(state, 3, BasisKind.V1, rng)
-    with pytest.raises(ValueError, match="^shift amount 5 out of range for d=5$"):
-        read_out([state], encode_matrix(5, [[5, 0]]), owner_uniforms([state], rng))
+    # a digit out of range is rejected before anything is encoded
+    with pytest.raises(ValueError, match="secret strings of m=1 int digits mod d=5$"):
+        run_one(cfg, 0, ((5,), (0,)), [state], rng)
 
 
 def test_encoded_results_sum_to_secret_total():
@@ -329,7 +330,7 @@ def test_encoded_results_sum_to_secret_total():
         for _ in range(10):
             digits = [int(x) for x in rng.integers(0, d, size=n)]
             rounds = prepare_rounds(cfg)
-            values = read_out(rounds, encode_matrix(d, [digits]), owner_uniforms(rounds, rng))[0].tolist()
+            values = encode_read_out(rounds, [digits], owner_uniforms(rounds, rng))[0].tolist()
             assert len(values) == n and sum(values) % d == sum(digits) % d
 
 
@@ -343,11 +344,11 @@ def test_round_operations_leave_their_round_as_it_was(d, n, forged):
     state = fabricate_rounds(cfg, (d - 1,))[0] if forged else prepare_rounds(cfg)[0]
     factors = state.factors
     for seed in range(10):
-        for rotation in (None, encode_matrix(d, [i % d for i in state.owners])):
+        for qft in (False, True):
             first, again = np.random.default_rng(seed), np.random.default_rng(seed)
-            values = read_out([state], rotation, owner_uniforms([state], first))
+            values = read_out([state], qft, owner_uniforms([state], first))
             assert values.shape == (1, len(state.owners))
-            assert np.array_equal(read_out([state], rotation, owner_uniforms([state], again)), values)
+            assert np.array_equal(read_out([state], qft, owner_uniforms([state], again)), values)
             assert first.bit_generator.state == again.bit_generator.state
         for basis in (BasisKind.V1, BasisKind.V2):
             for i in state.owners:

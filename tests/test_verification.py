@@ -24,6 +24,8 @@ from quditsum import (
 )
 from quditsum.harness import _within_band, modified_per_check_pass_probability
 from quditsum.qudit import _qft_matrix
+from quditsum import protocol
+from quditsum.protocol import read_out
 from quditsum.verification import check_rotations
 
 
@@ -190,19 +192,44 @@ def test_honest_check_v2_all_agree(d, n):
         assert len(set(outcome["announced"])) == 1
 
 
-def test_check_rotations_are_one_array_or_none():
-    # the QFT on each V1 check and the identity on each V2 one, broadcast over the owners; None with no V1 check
+def test_check_rotations_are_one_bool_per_check():
+    # the QFT (True) on each V1 check, nothing on a V2 one; an unknown basis is rejected
     checks = [{"position": k, "chooser": 2, "basis": basis} for k, basis in enumerate(("V1", "V2", "V1"))]
-    rotations = check_rotations(5, checks)
-    assert rotations.shape == (3, 1, 5, 5)
-    assert np.array_equal(rotations[:, 0], [_qft_matrix(5), np.eye(5), _qft_matrix(5)])
-    assert check_rotations(5, checks[1:2]) is None and check_rotations(5, []) is None
+    assert check_rotations(checks) == [True, False, True]
+    assert check_rotations(checks[1:2]) == [False] and check_rotations([]) == []
+    with pytest.raises(ValueError, match="^unknown basis 'V3'; known: V1, V2$"):
+        check_rotations([*checks, {"position": 3, "chooser": 2, "basis": "V3"}])
+
+
+def test_check_read_out_rotates_only_its_v1_rounds(monkeypatch):
+    # V1 and V2 checks on one shared register in one read_out: every V1
+    # round is read only in measure_stack calls that apply the QFT, every V2
+    # round only in calls that apply nothing, so no V2 check is multiplied
+    # by the identity. Each round's uniforms name it in the calls
+    calls, real = [], protocol.measure_stack
+
+    def recording(psi, u, qft=False, rho=None):
+        calls.append((qft, u.copy()))
+        return real(psi, u, qft, rho)
+
+    monkeypatch.setattr(protocol, "measure_stack", recording)
+    cfg = ProtocolConfig(d=5, n=3, m=1)
+    bases = ["V1", "V2", "V2", "V1", "V2", "V1", "V1"]
+    rounds = prepare_rounds(cfg, count=len(bases))
+    u = (np.arange(len(bases))[:, None] + np.random.default_rng(3).random((len(bases), cfg.n))) / len(bases)
+    values = read_out(rounds, check_rotations([{"basis": basis} for basis in bases]), u)
+    read = {}
+    for qft, drawn in calls:
+        for j in (drawn * len(bases)).astype(int):
+            read.setdefault(int(j), set()).add(qft)
+    assert read == {j: {basis == "V1"} for j, basis in enumerate(bases)}
+    assert all(v1_pass(row, 5) if basis == "V1" else v2_pass(row) for row, basis in zip(values.tolist(), bases))
 
 
 def test_execute_check_rejects_unknown_basis():
     check = {"position": 0, "chooser": 2, "basis": "V3"}
     with pytest.raises(ValueError, match="V3"):
-        check_rotations(3, [check])
+        check_rotations([check])
     with pytest.raises(ValueError, match="V3"):
         execute_check(check, [0, 0, 0], 3)
 
@@ -279,8 +306,7 @@ def test_dealer_announcement_is_the_best_on_either_check(d, n):
         passing = {}
         for basis in ("V1", "V2"):
             check = {"position": 0, "chooser": 2, "basis": basis}
-            rotations = check_rotations(d, [check])
-            rotation = None if rotations is None else rotations[0, 0]
+            rotation = _qft_matrix(d) if check_rotations([check])[0] else None
             dealer, *laws = [outcome_distribution(reg if rotation is None else
                                                   QuditRegister(d, 1, rotation @ reg.amplitudes), 0, BasisKind.V1)
                              for reg, _ in state.factors]
