@@ -32,6 +32,6 @@ from .qudit import (
     measure,
     omega_state,
 )
-from .verification import execute_check, select_checks, v1_pass, v2_pass
+from .verification import execute_check, select_checks
 
 __version__ = TOOL_VERSION

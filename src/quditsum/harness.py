@@ -46,7 +46,7 @@ from .protocol import (
     word_digits,
     word_uniforms,
 )
-from .verification import check_rotations, execute_check, select_checks
+from .verification import execute_check, select_checks
 
 TOOL_VERSION = "0.4.0"
 SCHEMA_VERSION = 1
@@ -206,9 +206,10 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, words, eve: boo
     row t of the (T, K) uint64 block words. With eve=True an intercept-resend eavesdropper reads the
     whole chunk per receiver and resends pairs. One check_decoys call checks every trial's decoys; a
     trial aborts if any error rate exceeds the threshold. One read_out serves the eta checks of every
-    trial left, judged in position order up to the first failure, which aborts the trial (the checks
-    after it are read out too, harmlessly). One last read_out encodes the m unchecked rounds of every
-    trial left, in position order; participant i's result string is column i of their QFT readouts
+    trial left and one execute_check call judges them all; a trial runs its checks in position order up
+    to the first failure, which aborts it (the checks after it are read out and judged too, harmlessly,
+    and left out of its record). One last read_out encodes the m unchecked rounds of every trial left,
+    in position order; participant i's result string is column i of their QFT readouts
     plus its secret, mod d. An abort is a flag per trial: that trial reads no more of its words.
 
     A record holds the secrets and every per_trial key of any scenario, as the report writes it.
@@ -229,6 +230,7 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, words, eve: boo
             or secrets.dtype.kind not in "iu" or ((secrets < 0) | (secrets >= cfg.d)).any()):
         raise ValueError(f"need a ({trials}, {width}) block of uint64 words and each trial's n={cfg.n} secret "
                          f"strings of m={cfg.m} int digits mod d={cfg.d}")
+    secrets = secrets.astype(np.int64)  # uint64 digits plus the int64 readouts would make floats
     for trial_rounds in {id(trial_rounds): trial_rounds for trial_rounds in rounds}.values():
         if len(trial_rounds) != total:
             raise ValueError(f"got {len(trial_rounds)} rounds, need m+eta={total}")
@@ -252,48 +254,52 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, words, eve: boo
             received[0][k], received[1][k] = (a.reshape(trials, -1) for a in resent)
         rounds = [flat[t * total:(t + 1) * total] for t in range(trials)]
     mismatches = check_decoys(cfg.d, expected, received, word_uniforms(per_receiver("decoy_u"))).T.tolist()
-    detected = [any(_decoys_abort(c, cfg.decoy_count, cfg.error_threshold) for c in row) for row in mismatches]
+    detected = np.array([any(_decoys_abort(c, cfg.decoy_count, cfg.error_threshold) for c in row)
+                         for row in mismatches])
 
-    live = [t for t, aborted in enumerate(detected) if not aborted]
-    selected = select_checks(cfg, eta, words[live, layout["checks"]])
-    readouts = read_out([rounds[t][c["position"]] for t, trial in zip(live, selected) for c in trial],
-                        check_rotations([c for trial in selected for c in trial]),
-                        word_uniforms(words[live, layout["check_u"]]).reshape(-1, cfg.n)).tolist()
+    # every trial left reads out its eta checks and judges them at once; it runs them up to the first failure
+    live = np.flatnonzero(~detected)
+    positions, choosers, v2 = select_checks(cfg, eta, words[live, layout["checks"]])
+    selected = [rounds[t][pos] for t, row in zip(live, positions.tolist()) for pos in row]
+    readouts = read_out(selected, ~v2.ravel(), word_uniforms(words[live, layout["check_u"]]).reshape(-1, cfg.n))
+    readouts = readouts.reshape(len(live), eta, cfg.n)
+    passed = execute_check(v2, readouts, cfg.d)
+    survived, executed = passed.all(axis=1), np.minimum(passed.cumprod(axis=1).sum(axis=1) + 1, eta)
+    detected[live] = ~survived
     checks = [[] for _ in range(trials)]
-    for k, (t, trial) in enumerate(zip(live, selected)):
-        for check, readout in zip(trial, readouts[k * eta:(k + 1) * eta]):
-            checks[t].append(execute_check(check, readout, cfg.d))
-            if not checks[t][-1]["passed"]:
-                detected[t] = True
-                break
+    for t, k, *row in zip(live.tolist(), executed.tolist(), positions.tolist(), choosers.tolist(), v2.tolist(),
+                          readouts.tolist(), passed.tolist()):
+        checks[t] = [{"position": pos, "chooser": chooser, "basis": "V2" if bit else "V1", "announced": values,
+                      "passed": ok} for pos, chooser, bit, values, ok in itertools.islice(zip(*row), k)]
 
-    # each trial left encodes its unchecked rounds in position order; its strings are the columns of their readouts
-    live, digits = [t for t in live if not detected[t]], secrets.tolist()
-    surviving = {t: [rounds[t][pos] for pos in sorted(set(range(total)) - {c["position"] for c in checks[t]})]
-                 for t in live}
+    # a trial left has passed all eta checks and encodes its m unchecked rounds in position order; its strings are
+    # the columns of their readouts
+    live, checked = live[survived], np.zeros((len(live), total), dtype=bool)
+    np.put_along_axis(checked, positions, True, axis=1)
+    unchecked = np.argsort(checked[survived], axis=1, kind="stable")[:, :cfg.m].tolist()
     # participant i's digit j of a trial: its QFT readout of round j plus its secret digit j, mod d
-    readouts = read_out([state for t in live for state in surviving[t]], True,
+    readouts = read_out([rounds[t][pos] for t, row in zip(live, unchecked) for pos in row], True,
                         word_uniforms(words[live, layout["encode_u"]]).reshape(-1, cfg.n))
     strings = (readouts.reshape(len(live), cfg.m, cfg.n).swapaxes(1, 2) + secrets[live]) % cfg.d
-    encoded = dict(zip(live, zip(strings[:, 1:].tolist(), compute_sum(strings, cfg.d),
-                                 compute_sum(secrets[live], cfg.d))))
+    encoded = dict(zip(live.tolist(), zip(unchecked, strings[:, 1:].tolist(), compute_sum(strings, cfg.d),
+                                          compute_sum(secrets[live], cfg.d))))
 
-    records = []
-    for t in range(trials):
+    records, digits = [], secrets.tolist()
+    for t, aborted in enumerate(detected.tolist()):
         record = {
             "secrets": digits[t], "fake_r": [state.r for state in rounds[t]],
             "decoy_error_rates": [c / cfg.decoy_count if cfg.decoy_count else 0.0 for c in mismatches[t]],
             "decoy_mismatches": sum(mismatches[t]), "decoys_checked": len(mismatches[t]) * cfg.decoy_count,
             "checks": checks[t], "checks_passed": all(c["passed"] for c in checks[t]),
-            "checks_executed": len(checks[t]), "detected": detected[t],
+            "checks_executed": len(checks[t]), "detected": aborted,
             "announced": None, "recovered": None, "recovery_success": None,
             "sum": None, "announced_sum": None, "sum_correct": None,
         }
         records.append(record)
-        if detected[t]:
+        if aborted:
             continue
-        announced, digit_sum, true_sum = encoded[t]
-        r = [state.r for state in surviving[t]]
+        kept, announced, digit_sum, true_sum = encoded[t]
+        r = [record["fake_r"][pos] for pos in kept]
         if None not in r:
             # the forging dealer subtracts r from every announced digit
             recovered = [[recover_secret_digit(v, rj, cfg.d) for v, rj in zip(row, r)] for row in announced]

@@ -19,25 +19,14 @@ import numpy as np
 from .protocol import ProtocolConfig
 
 
-def v1_pass(values, d: int) -> bool:
-    """Computational-basis check: announced values must sum to 0 mod d."""
-    return sum(values) % d == 0
-
-
-def v2_pass(values) -> bool:
-    """Fourier-image check: all announced values must agree."""
-    values = list(values)
-    return all(v == values[0] for v in values)
-
-
-def select_checks(cfg: ProtocolConfig, eta: int, words: np.ndarray) -> list[list[dict]]:
+def select_checks(cfg: ProtocolConfig, eta: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Randomly assign eta check positions to the receiving participants, for each row of words.
 
     A row is a trial's m+eta position keys, then eta basis words. The eta smallest keys pick distinct
     uniform positions among the m+eta prepared states; in key order, which is random, they go to the
-    n-1 choosers in balanced shares, remainders to the lowest-indexed ones, and the k-th is a "V2"
-    check if the top bit of basis word k is set, else "V1". Returns each row's {"position",
-    "chooser", "basis"} records in execution (position) order.
+    n-1 choosers in balanced shares, remainders to the lowest-indexed ones, and the k-th is a V2 check
+    if the top bit of basis word k is set, else a V1 one. Returns the (T, eta) positions, choosers and
+    V2 flags, each row in execution (position) order.
     """
     if eta < 0:
         raise ValueError(f"eta must be >= 0, got {eta}")
@@ -49,28 +38,16 @@ def select_checks(cfg: ProtocolConfig, eta: int, words: np.ndarray) -> list[list
     choosers = np.repeat(np.arange(2, cfg.n + 1), [base + (c < rem) for c in range(cfg.n - 1)])
     # the k-th smallest key's check belongs to choosers[k] and reads basis word k; then sort by position
     order = np.argsort(positions, axis=1)
-    picked = [np.take_along_axis(a, order, axis=1).tolist()
-              for a in (positions, np.broadcast_to(choosers, positions.shape), words[:, total:] >> 63)]
-    return [[{"position": pos, "chooser": chooser, "basis": "V2" if bit else "V1"}
-             for pos, chooser, bit in zip(*row)] for row in zip(*picked)]
+    return tuple(np.take_along_axis(a, order, axis=1)
+                 for a in (positions, np.broadcast_to(choosers, positions.shape), words[:, total:] >> 63 == 1))
 
 
-def _is_v1(check: dict) -> bool:
-    if check["basis"] not in ("V1", "V2"):
-        raise ValueError(f"unknown basis {check['basis']!r}; known: V1, V2")
-    return check["basis"] == "V1"
+def execute_check(v2, values, d: int) -> np.ndarray:
+    """The verdicts of (..., n) readouts, each check's V2 flag in v2: V1 passes when they sum to 0 mod d, V2 when
+    they all equal P1's.
 
-
-def check_rotations(checks) -> list[bool]:
-    """One read_out rotation per check: the QFT (True) on V1, none on V2, where the QFT and V2 cancel."""
-    return [_is_v1(check) for check in checks]
-
-
-def execute_check(check: dict, values, d: int) -> dict:
-    """Return the check's record: the announced values and the verdict.
-
-    values are the readouts of P1..Pn of the checked round, in that
-    order: P1 announces first, before and so regardless of the others.
+    A readout holds the values of P1..Pn of the checked round, in that order: P1 announces first, before
+    and so regardless of the others.
     """
-    values = list(values)
-    return {**check, "announced": values, "passed": v1_pass(values, d) if _is_v1(check) else v2_pass(values)}
+    values = np.asarray(values)
+    return np.where(v2, (values == values[..., :1]).all(axis=-1), values.sum(axis=-1) % d == 0)

@@ -6,11 +6,10 @@ import numpy as np
 
 from quditsum import BasisKind, QuditRegister, apply_iqft, eve_intercept_resend, execute_check, measure, run_protocol
 from quditsum.harness import trial_layout
-from quditsum.protocol import read_out
+from quditsum.protocol import read_out, word_uniforms
 from quditsum.qudit import (
     _apply_single, _check_cap, _iqft_matrix, _qft_matrix, _split, basis_rows, measure_stack,
 )
-from quditsum.verification import check_rotations
 
 
 def random_register(d: int, k: int, rng: np.random.Generator) -> QuditRegister:
@@ -119,10 +118,65 @@ def owner_uniforms(rounds, rng: np.random.Generator) -> np.ndarray:
     return rng.random((len(rounds), len(rounds[0].owners)))
 
 
+def v1_pass(values, d: int) -> bool:
+    """Computational-basis check, one readout: the announced values must sum to 0 mod d."""
+    return sum(values) % d == 0
+
+
+def v2_pass(values) -> bool:
+    """Fourier-image check, one readout: all announced values must agree."""
+    values = list(values)
+    return all(v == values[0] for v in values)
+
+
 def run_check(state, check: dict, rng: np.random.Generator) -> dict:
-    """One check as run_protocol runs it: the round read out with the check's rotation, then the verdict."""
-    readout = read_out([state], check_rotations([check]), owner_uniforms([state], rng))[0]
-    return execute_check(check, readout.tolist(), state.d)
+    """One check as run_protocol runs it: the round read out with the check's rotation, then the verdict.
+
+    check holds the position, chooser and basis ("V1" or "V2") of a record's checks entry, which this returns.
+    """
+    v2 = check["basis"] == "V2"
+    readout = read_out([state], not v2, owner_uniforms([state], rng))[0]
+    return {**check, "announced": readout.tolist(), "passed": bool(execute_check(v2, readout, state.d))}
+
+
+def reference_select_checks(cfg, eta, row):
+    """The cursor/share loop over the positions of the eta smallest keys, in key order; a tie goes to the lower position.
+
+    row is a trial's m+eta position keys then eta basis words, as ints; returns its {"position", "chooser", "basis"}
+    checks in position order.
+    """
+    total = cfg.m + eta
+    positions = sorted(range(total), key=lambda j: (row[j], j))[:eta]
+    base, rem = divmod(eta, cfg.n - 1)
+    checks, cursor = [], 0
+    for idx, chooser in enumerate(range(2, cfg.n + 1)):
+        share = base + (1 if idx < rem else 0)
+        for k in range(cursor, cursor + share):
+            basis = "V2" if row[total + k] >> 63 else "V1"
+            checks.append({"position": positions[k], "chooser": chooser, "basis": basis})
+        cursor += share
+    checks.sort(key=lambda c: c["position"])
+    return checks
+
+
+def reference_checks(cfg, eta: int, rounds, words) -> tuple[list[dict], list[int]]:
+    """One trial's basis checks one at a time, as a per-check loop runs them, on a trial no decoy aborted.
+
+    Selects the checks from the trial's words, reads each checked round out on its own with its owners'
+    uniforms and judges it with v1_pass or v2_pass, in position order up to the first failure. Returns the
+    check records run and the unchecked positions, which a trial that passes them all encodes.
+    """
+    layout, _ = trial_layout(cfg, eta)
+    words = [int(w) for w in words]
+    u = word_uniforms(np.array(words[layout["check_u"]], dtype=np.uint64)).reshape(eta, cfg.n)
+    done = []
+    for k, check in enumerate(reference_select_checks(cfg, eta, words[layout["checks"]])):
+        values = read_out([rounds[check["position"]]], check["basis"] == "V1", u[k:k + 1])[0].tolist()
+        done.append({**check, "announced": values,
+                     "passed": v1_pass(values, cfg.d) if check["basis"] == "V1" else v2_pass(values)})
+        if not done[-1]["passed"]:
+            break
+    return done, sorted(set(range(cfg.m + eta)) - {c["position"] for c in done})
 
 
 def encode_read_out(rounds, digits, u: np.ndarray) -> np.ndarray:

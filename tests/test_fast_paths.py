@@ -31,7 +31,7 @@ import pytest
 from conftest import (
     apply_encode, apply_qft, apply_shift, approx_equal, basis_state, decoy_words, encode_matrix, encode_read_out,
     eve_one_trial, intercept_one, measure_every_pair, measure_one,
-    outcome_distribution, owner_uniforms, random_register, random_secret, run_check, run_one,
+    outcome_distribution, owner_uniforms, random_register, random_secret, run_check, run_one, v1_pass, v2_pass,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,7 +64,6 @@ from quditsum.qudit import (
     measure_pairs,
     measure_stack,
 )
-from quditsum.verification import v1_pass, v2_pass
 
 V1, V2 = BasisKind.V1, BasisKind.V2
 

@@ -397,6 +397,19 @@ def test_run_protocol_sums_a_mix_of_genuine_and_forged_rounds():
         assert record["recovered"] is None and record["recovery_success"] is None
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint64, np.int32])
+def test_run_protocol_reads_secrets_of_any_int_dtype_as_int64(dtype):
+    # a uint64 digit plus an int64 readout is a float; the engine casts the secrets it has checked
+    cfg = ProtocolConfig(d=5, n=3, m=1, decoy_count=2)
+    for eta, forged in ((0, False), (2, True)):
+        rng = np.random.default_rng(eta)
+        secrets = rng.integers(0, cfg.d, size=(3, cfg.n, cfg.m))
+        rounds = [fabricate_rounds(cfg, [1] * (cfg.m + eta)) if forged else prepare_rounds(cfg, count=cfg.m + eta)] * 3
+        words = words_block(cfg, eta, rng, trials=3)
+        assert (run_protocol(cfg, eta, secrets.astype(dtype), rounds, words)
+                == run_protocol(cfg, eta, secrets, rounds, words))
+
+
 # ---------------------------------------------------------------------------
 # trials in lockstep
 

@@ -12,12 +12,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import run_check
+from conftest import words_block
 
 import quditsum
 from quditsum.cli import build_parser
 from quditsum.harness import SCENARIOS, TOOL_VERSION
-from quditsum.verification import select_checks
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -60,15 +59,15 @@ def test_readme_useful_flags_are_the_run_options():
     assert documented == run_options - {"--help"}
 
 
-def test_readme_check_record_keys_are_the_execute_check_keys():
+def test_readme_check_record_keys_are_the_run_protocol_check_keys():
     readme = (ROOT / "README.md").read_text()
     bullets = readme.split("Each entry of a `checks` list", 1)[1].split("\n\n")[1]  # the list after the paragraph
     documented = re.findall(r"^- `([a-z_]+)`", bullets, flags=re.M)
     cfg = quditsum.ProtocolConfig(d=3, n=3, m=1)
-    rng = np.random.default_rng(0)
-    [[check]] = select_checks(cfg, 1, rng.integers(0, 2**64, size=(1, cfg.m + 2), dtype=np.uint64))
-    record = run_check(quditsum.prepare_rounds(cfg, count=2)[check["position"]], check, rng)
-    assert documented == list(record)
+    [record] = quditsum.run_protocol(cfg, 1, [[[0], [1], [2]]], [quditsum.prepare_rounds(cfg, count=2)],
+                                     words_block(cfg, 1, np.random.default_rng(0)))
+    [check] = record["checks"]
+    assert documented == list(check)
 
 
 def test_readme_python_api_example_runs(tmp_path, monkeypatch):

@@ -7,7 +7,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from conftest import apply_qft, assert_within_4sigma, outcome_distribution, random_secret, run_check, run_one
+from conftest import (
+    apply_qft, assert_within_4sigma, encode_read_out, outcome_distribution, random_secret, reference_checks,
+    reference_select_checks, run_check, run_one, v1_pass, v2_pass, words_block,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quditsum import (
     BasisKind,
@@ -18,15 +23,13 @@ from quditsum import (
     fabricate_rounds,
     fake_particle,
     prepare_rounds,
+    run_protocol,
     select_checks,
-    v1_pass,
-    v2_pass,
 )
-from quditsum.harness import _within_band, modified_per_check_pass_probability
+from quditsum.harness import _within_band, modified_per_check_pass_probability, trial_layout
 from quditsum.qudit import _qft_matrix
 from quditsum import protocol
-from quditsum.protocol import read_out
-from quditsum.verification import check_rotations
+from quditsum.protocol import read_out, word_uniforms
 
 
 def _secrets(rows):
@@ -48,16 +51,34 @@ def _hardened(cfg, eta, secrets, rng, forged=False):
 
 
 def test_v1_pass_examples():
-    assert v1_pass([1, 1, 3], 5)
-    assert v1_pass([0, 0, 0], 5)
-    assert not v1_pass([1, 1, 2], 5)
-    assert v1_pass([4, 4, 2], 10)
+    assert execute_check(False, [1, 1, 3], 5)
+    assert execute_check(False, [0, 0, 0], 5)
+    assert not execute_check(False, [1, 1, 2], 5)
+    assert execute_check(False, [4, 4, 2], 10)
 
 
 def test_v2_pass_examples():
-    assert v2_pass([3, 3, 3])
-    assert not v2_pass([3, 3, 2])
-    assert v2_pass([7])  # vacuously
+    assert execute_check(True, [3, 3, 3], 5)
+    assert not execute_check(True, [3, 3, 2], 5)
+    assert execute_check(True, [7], 10)  # vacuously
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_execute_check_is_the_scalar_predicates_on_every_readout(d, n):
+    # every readout tuple in both bases, one at a time and as one (T, eta, n) batch of random flags
+    readouts = np.array(list(itertools.product(range(d), repeat=n)))
+    for v2 in (False, True):
+        expected = [v2_pass(row) if v2 else v1_pass(row, d) for row in readouts.tolist()]
+        assert [bool(execute_check(v2, row, d)) for row in readouts] == expected
+        got = execute_check(np.full(len(readouts), v2), readouts, d)
+        assert got.dtype == bool and got.tolist() == expected
+    rng = np.random.default_rng(10 * d + n)
+    batch, v2 = rng.integers(0, d, size=(6, 4, n)), rng.integers(0, 2, size=(6, 4)).astype(bool)
+    got = execute_check(v2, batch, d)
+    assert got.shape == (6, 4)
+    assert got.tolist() == [[v2_pass(values) if bit else v1_pass(values, d) for bit, values in zip(*row)]
+                            for row in zip(v2.tolist(), batch.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +90,16 @@ def _check_words(cfg, eta, rng, trials=1):
     return rng.integers(0, 2**64, size=(trials, cfg.m + 2 * eta), dtype=np.uint64)
 
 
+def _records(selected):
+    """Each row's {"position", "chooser", "basis"} checks, from select_checks' (T, eta) arrays."""
+    return [[{"position": pos, "chooser": chooser, "basis": "V2" if bit else "V1"} for pos, chooser, bit in zip(*row)]
+            for row in zip(*(a.tolist() for a in selected))]
+
+
 def test_select_checks_empty():
     cfg = ProtocolConfig(d=5, n=3, m=2)
-    assert select_checks(cfg, 0, _check_words(cfg, 0, np.random.default_rng(0), trials=3)) == [[], [], []]
+    selected = select_checks(cfg, 0, _check_words(cfg, 0, np.random.default_rng(0), trials=3))
+    assert [a.shape for a in selected] == [(3, 0)] * 3
 
 
 def test_select_checks_returns_before_drawing_at_eta_zero():
@@ -79,55 +107,37 @@ def test_select_checks_returns_before_drawing_at_eta_zero():
     for total in range(1, 51):
         cfg = ProtocolConfig(d=5, n=3, m=total)
         for words in (np.zeros((2, total), dtype=np.uint64), np.full((2, total), 2**64 - 1, dtype=np.uint64)):
-            assert select_checks(cfg, 0, words) == [[], []]
+            assert _records(select_checks(cfg, 0, words)) == [[], []]
     with pytest.raises(ValueError, match="m\\+2\\*eta=5 words"):
         select_checks(ProtocolConfig(d=5, n=3, m=3), 1, np.zeros((1, 4), dtype=np.uint64))
 
 
 def test_select_checks_even_split():
     cfg = ProtocolConfig(d=5, n=3, m=2)
-    [checks] = select_checks(cfg, 6, _check_words(cfg, 6, np.random.default_rng(1)))
-    shares = Counter(a["chooser"] for a in checks)
-    assert shares == {2: 3, 3: 3}
+    _, [choosers], _ = select_checks(cfg, 6, _check_words(cfg, 6, np.random.default_rng(1)))
+    assert Counter(choosers.tolist()) == {2: 3, 3: 3}
 
 
 def test_select_checks_remainder_to_lowest_choosers():
     cfg = ProtocolConfig(d=5, n=4, m=2)
-    [checks] = select_checks(cfg, 7, _check_words(cfg, 7, np.random.default_rng(2)))
-    shares = Counter(a["chooser"] for a in checks)
-    assert shares == {2: 3, 3: 2, 4: 2}
+    _, [choosers], _ = select_checks(cfg, 7, _check_words(cfg, 7, np.random.default_rng(2)))
+    assert Counter(choosers.tolist()) == {2: 3, 3: 2, 4: 2}
 
 
 def test_select_checks_positions_distinct_and_in_range():
     cfg = ProtocolConfig(d=3, n=3, m=4)
-    for checks in select_checks(cfg, 5, _check_words(cfg, 5, np.random.default_rng(0), trials=10)):
-        positions = [a["position"] for a in checks]
-        assert positions == sorted(positions)
-        assert len(set(positions)) == 5
-        assert all(0 <= p < 4 + 5 for p in positions)
-        assert all(a["basis"] in ("V1", "V2") for a in checks)
+    positions, choosers, v2 = select_checks(cfg, 5, _check_words(cfg, 5, np.random.default_rng(0), trials=10))
+    assert positions.shape == choosers.shape == v2.shape == (10, 5) and v2.dtype == bool
+    for row in positions.tolist():
+        assert row == sorted(row)
+        assert len(set(row)) == 5
+        assert all(0 <= p < 4 + 5 for p in row)
 
 
 def test_select_checks_uses_both_bases():
     cfg = ProtocolConfig(d=3, n=2, m=1)
-    [checks] = select_checks(cfg, 40, _check_words(cfg, 40, np.random.default_rng(3)))
-    assert {a["basis"] for a in checks} == {"V1", "V2"}
-
-
-def _reference_select_checks(cfg, eta, row):
-    """The cursor/share loop over the positions of the eta smallest keys, in key order; a tie goes to the lower position."""
-    total = cfg.m + eta
-    positions = sorted(range(total), key=lambda j: (row[j], j))[:eta]
-    base, rem = divmod(eta, cfg.n - 1)
-    checks, cursor = [], 0
-    for idx, chooser in enumerate(range(2, cfg.n + 1)):
-        share = base + (1 if idx < rem else 0)
-        for k in range(cursor, cursor + share):
-            basis = "V2" if row[total + k] >> 63 else "V1"
-            checks.append({"position": positions[k], "chooser": chooser, "basis": basis})
-        cursor += share
-    checks.sort(key=lambda c: c["position"])
-    return checks
+    _, _, [v2] = select_checks(cfg, 40, _check_words(cfg, 40, np.random.default_rng(3)))
+    assert set(v2.tolist()) == {False, True}
 
 
 def test_select_checks_draws_as_the_cursor_loop():
@@ -137,11 +147,8 @@ def test_select_checks_draws_as_the_cursor_loop():
                 cfg = ProtocolConfig(d=2, n=n, m=1 + seed)
                 words = _check_words(cfg, eta, np.random.default_rng(seed), trials=3)
                 words[2, :cfg.m + eta] %= 3  # keys that tie
-                got = select_checks(cfg, eta, words)
-                assert got == [_reference_select_checks(cfg, eta, row) for row in words.tolist()]
-                for checks in got:
-                    assert all(list(c) == ["position", "chooser", "basis"] for c in checks)
-                    assert json.loads(json.dumps(checks)) == checks
+                got = _records(select_checks(cfg, eta, words))
+                assert got == [reference_select_checks(cfg, eta, row) for row in words.tolist()]
 
 
 def test_select_checks_draws_every_assignment_alike():
@@ -149,7 +156,7 @@ def test_select_checks_draws_every_assignment_alike():
     # equally likely, as a draw without replacement makes them; 48 cells, 4800 rows, exact binomial bands
     cfg, rows = ProtocolConfig(d=2, n=3, m=2), 4800
     cells = Counter()
-    for checks in select_checks(cfg, 2, _check_words(cfg, 2, np.random.default_rng(12), trials=rows)):
+    for checks in _records(select_checks(cfg, 2, _check_words(cfg, 2, np.random.default_rng(12), trials=rows))):
         cells[tuple(sorted((c["chooser"], c["position"], c["basis"]) for c in checks))] += 1
     assert len(cells) == 48
     assert all(_within_band(count, rows, 1 / 48) for count in cells.values())
@@ -192,15 +199,6 @@ def test_honest_check_v2_all_agree(d, n):
         assert len(set(outcome["announced"])) == 1
 
 
-def test_check_rotations_are_one_bool_per_check():
-    # the QFT (True) on each V1 check, nothing on a V2 one; an unknown basis is rejected
-    checks = [{"position": k, "chooser": 2, "basis": basis} for k, basis in enumerate(("V1", "V2", "V1"))]
-    assert check_rotations(checks) == [True, False, True]
-    assert check_rotations(checks[1:2]) == [False] and check_rotations([]) == []
-    with pytest.raises(ValueError, match="^unknown basis 'V3'; known: V1, V2$"):
-        check_rotations([*checks, {"position": 3, "chooser": 2, "basis": "V3"}])
-
-
 def test_check_read_out_rotates_only_its_v1_rounds(monkeypatch):
     # V1 and V2 checks on one shared register in one read_out: every V1
     # round is read only in measure_stack calls that apply the QFT, every V2
@@ -217,7 +215,7 @@ def test_check_read_out_rotates_only_its_v1_rounds(monkeypatch):
     bases = ["V1", "V2", "V2", "V1", "V2", "V1", "V1"]
     rounds = prepare_rounds(cfg, count=len(bases))
     u = (np.arange(len(bases))[:, None] + np.random.default_rng(3).random((len(bases), cfg.n))) / len(bases)
-    values = read_out(rounds, check_rotations([{"basis": basis} for basis in bases]), u)
+    values = read_out(rounds, [basis == "V1" for basis in bases], u)
     read = {}
     for qft, drawn in calls:
         for j in (drawn * len(bases)).astype(int):
@@ -226,28 +224,23 @@ def test_check_read_out_rotates_only_its_v1_rounds(monkeypatch):
     assert all(v1_pass(row, 5) if basis == "V1" else v2_pass(row) for row, basis in zip(values.tolist(), bases))
 
 
-def test_execute_check_rejects_unknown_basis():
-    check = {"position": 0, "chooser": 2, "basis": "V3"}
-    with pytest.raises(ValueError, match="V3"):
-        check_rotations([check])
-    with pytest.raises(ValueError, match="V3"):
-        execute_check(check, [0, 0, 0], 3)
-
-
 @pytest.mark.parametrize("forged", [False, True])
 @pytest.mark.parametrize("basis", ["V1", "V2"])
 def test_check_record_is_the_check_plus_its_transcript(forged, basis):
-    cfg = ProtocolConfig(d=5, n=3, m=1)
-    state = fabricate_rounds(cfg, (2,))[0] if forged else prepare_rounds(cfg)[0]
-    check = {"position": 0, "chooser": 3, "basis": basis}
-    record = run_check(state, check, np.random.default_rng(1))
-    assert list(record) == ["position", "chooser", "basis", "announced", "passed"]
-    assert {k: record[k] for k in check} == check
-    assert len(record["announced"]) == cfg.n
+    # one check of a run_protocol record, its basis word set to the basis
+    cfg, eta = ProtocolConfig(d=5, n=3, m=1), 1
+    rounds = fabricate_rounds(cfg, (2, 2)) if forged else prepare_rounds(cfg, count=2)
+    words = words_block(cfg, eta, np.random.default_rng(1))
+    words[0, trial_layout(cfg, eta)[0]["checks"].stop - 1] = 2**63 if basis == "V2" else 0
+    [record] = run_protocol(cfg, eta, [_secrets([[1], [2], [3]])], [rounds], words)
+    [check] = record["checks"]
+    assert list(check) == ["position", "chooser", "basis", "announced", "passed"]
+    assert check["basis"] == basis and check["chooser"] == 2 and check["position"] in (0, 1)
+    assert len(check["announced"]) == cfg.n
     # only JSON-native values: no tuple, no numpy scalar
     assert json.loads(json.dumps(record)) == record
-    assert type(record["passed"]) is bool
-    assert all(type(v) is int for v in record["announced"])
+    assert type(check["passed"]) is bool
+    assert all(type(v) is int for v in check["announced"])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +288,7 @@ def test_honest_result_on_forged_state_is_uniform_in_v2():
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_dealer_announcement_is_the_best_on_either_check(d, n):
     # exact pass law of each of the d announcements P1 can make on a forged
-    # round, from the amplitudes each owner reads under check_rotations:
+    # round, from the amplitudes each owner reads under the check's rotation:
     # nothing beats announcing the readout of his own factor, and its mean
     # over the two bases is the per-check oracle. His factor is independent
     # of the others, so any announcement is a mixture of fixed ones
@@ -305,8 +298,7 @@ def test_dealer_announcement_is_the_best_on_either_check(d, n):
         assert [owners for _, owners in state.factors] == [(i,) for i in range(1, n + 1)]
         passing = {}
         for basis in ("V1", "V2"):
-            check = {"position": 0, "chooser": 2, "basis": basis}
-            rotation = _qft_matrix(d) if check_rotations([check])[0] else None
+            rotation = _qft_matrix(d) if basis == "V1" else None
             dealer, *laws = [outcome_distribution(reg if rotation is None else
                                                   QuditRegister(d, 1, rotation @ reg.amplitudes), 0, BasisKind.V1)
                              for reg, _ in state.factors]
@@ -315,7 +307,7 @@ def test_dealer_announcement_is_the_best_on_either_check(d, n):
                 p = math.prod(law[v] for law, v in zip(laws, values))
                 best += [p * (v1_pass([a, *values], d) if basis == "V1" else v2_pass([a, *values]))
                          for a in range(d)]
-                own += sum(p * dealer[a] * execute_check(check, [a, *values], d)["passed"] for a in range(d))
+                own += sum(p * dealer[a] * execute_check(basis == "V2", [a, *values], d) for a in range(d))
             assert own == pytest.approx(best.max(), abs=1e-15)
             passing[basis] = own
         assert passing["V1"] == pytest.approx(1.0, abs=1e-14)
@@ -393,6 +385,48 @@ def test_modified_attack_undetected_recovers_secrets():
             undetected += 1
             assert result["recovered"][0] == list(secrets[1])  # P2's digits
     assert undetected > 0
+
+
+def _checks_against_the_per_check_loop(cfg, eta, kinds, seed):
+    """One chunk, a trial per kind of rounds, against the per-check loop: each trial's checks, verdict and encoding
+    of the rounds the loop leaves unchecked. Returns the chunk's records."""
+    total, gen = cfg.m + eta, np.random.default_rng(seed)
+    genuine = prepare_rounds(cfg, count=total)
+    rounds, secrets = [], gen.integers(cfg.d, size=(len(kinds), cfg.n, cfg.m))
+    for kind in kinds:
+        forged = fabricate_rounds(cfg, gen.integers(cfg.d, size=total).tolist())
+        pick = {"genuine": [False] * total, "forged": [True] * total, "mixed": gen.integers(2, size=total)}[kind]
+        rounds.append([f if p else g for f, g, p in zip(forged, genuine, pick)])
+    words = words_block(cfg, eta, gen, trials=len(kinds))
+    records = run_protocol(cfg, eta, secrets, rounds, words)
+    encode_u = trial_layout(cfg, eta)[0]["encode_u"]
+    for record, trial_rounds, digits, row in zip(records, rounds, secrets, words):
+        checks, unchecked = reference_checks(cfg, eta, trial_rounds, row)
+        passed = all(c["passed"] for c in checks)
+        expected = {"checks": checks, "checks_passed": passed, "checks_executed": len(checks),
+                    "detected": not passed, "announced": None}
+        if passed:
+            u = word_uniforms(row[encode_u]).reshape(cfg.m, cfg.n)
+            expected["announced"] = encode_read_out([trial_rounds[j] for j in unchecked], digits.T, u).T[1:].tolist()
+        assert {key: record[key] for key in expected} == expected
+    return records
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from([2, 3, 5]), n=st.integers(2, 4), m=st.integers(1, 2), eta=st.integers(0, 4),
+       kinds=st.lists(st.sampled_from(["genuine", "forged", "mixed"]), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_run_protocol_checks_are_the_per_check_loop(d, n, m, eta, kinds, seed):
+    _checks_against_the_per_check_loop(ProtocolConfig(d=d, n=n, m=m, decoy_count=2), eta, kinds, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_check_failures_at_every_check_are_the_per_check_loop(n):
+    # a forged round at d=2 fails a V2 check often: in one chunk the first failure lands at the first, each
+    # middle and the last of 4 checks, and other trials pass all 4
+    records = _checks_against_the_per_check_loop(ProtocolConfig(d=2, n=n, m=1, decoy_count=2), 4,
+                                                 ["forged"] * 48 + ["mixed"] * 16 + ["genuine"] * 4, n)
+    assert {r["checks_executed"] if r["detected"] else "passed" for r in records} == {1, 2, 3, 4, "passed"}
 
 
 def test_modified_plan_length_must_cover_checks():
