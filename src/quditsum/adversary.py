@@ -15,7 +15,8 @@ uniformly random basis. She learns announced-basis values at the price
 of disturbing half the decoys she guesses wrong, which is exactly what
 the decoy check is built to catch. Fake and resent particles are
 one-qudit factors of their rounds. Her draws never depend on what she
-reads, so she intercepts a whole chunk of trials per receiver at once.
+reads, so she is one step over a whole chunk of trials: each receiver's
+particles in turn, every decoy in one read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .protocol import ProtocolConfig, RoundState, require_int
-from .qudit import BasisKind, QuditRegister, _iqft_matrix, measure_pairs
+from .qudit import BasisKind, QuditRegister, _iqft_matrix, basis_rows, measure, measure_pairs
 
 
 def fake_particle(d: int, r: int) -> QuditRegister:
@@ -63,32 +64,51 @@ def fabricate_rounds(cfg: ProtocolConfig, r_choices) -> list[RoundState]:
     return [built[r] for r in r_choices]
 
 
-def eve_intercept_resend(rounds, receiver: int, decoys, bits: np.ndarray, u: np.ndarray, d: int):
-    """Measure every particle in transit to the receiver, over a chunk of T trials, in the drawn bases.
+def _intercept(state: RoundState, participant: int, v2: bool,
+               u: np.ndarray) -> tuple[np.ndarray, dict[int, RoundState]]:
+    """Measure one owner's qudit per uniform in u, in V2 if v2: the values, {v: round with |v> or QFT|v> in place}."""
+    for f, (register, owners) in enumerate(state.factors):
+        if participant in owners:
+            break
+    else:
+        raise ValueError(f"participant {participant} holds no qudit in the round")
+    q = owners.index(participant)
+    values, rests = measure(register, q, BasisKind.V2 if v2 else BasisKind.V1, u)
+    kept, head, tail = owners[:q] + owners[q + 1:], state.factors[:f], state.factors[f + 1:]
+    rows = basis_rows(state.d, list(rests), v2)
+    return values, {v: RoundState((*head, *(((rest, kept),) if kept else ()), *tail,
+                                   (QuditRegister._trusted(state.d, 1, row), (participant,))), state.r)
+                    for (v, rest), row in zip(rests.items(), rows)}
 
-    rounds holds the T trials' rounds flat, in trial order, and decoys the
-    (values, v2) pair of their T*D decoys, each of d levels. Row t of the
-    (T, R + D) arrays bits and u is trial t's basis bit (1 for V2) and
-    uniform for each of its R payload qudits, then each of its D decoys.
-    The receiver gets instead of each qudit the basis state Eve read, |v>
-    or QFT|v>, in a round as a one-qudit factor of its own. Positions
-    holding one round in one basis are measured together, and each value
-    gives one round. Returns the rounds and the resent decoys' (values, v2).
+
+def eve_intercept_resend(rounds, decoys, bits: np.ndarray, u: np.ndarray, d: int):
+    """Measure every particle in transit over a chunk of T trials, in the drawn bases: receivers 2..n in turn.
+
+    rounds holds each trial's list of R rounds and decoys the (values, v2) pair of the (n-1, T, D) decoys,
+    receiver by trial, each of d levels. Entry (i-2, t) of the (n-1, T, R + D) arrays bits and u is
+    receiver i's basis bit (1 for V2) and uniform for each of trial t's R payload qudits, then each of its
+    D decoys. Receiver i gets instead of each qudit the basis state Eve read, |v> or QFT|v>, in a round as
+    a one-qudit factor of its own, and receiver i+1 the rounds receiver i's left. Per receiver, positions
+    holding one round in one basis are measured together, and each value gives one round; every decoy is
+    read in one measure_pairs call. Returns the T lists of rounds and the resent decoys' (values, v2).
     """
-    values, v2 = decoys
-    trials, split = len(bits), len(rounds) // max(len(bits), 1)
-    shape = (trials, split + len(values) // max(trials, 1))
-    if {np.shape(bits), np.shape(u)} != {shape} or trials * shape[1] != len(rounds) + len(values):
-        raise ValueError(f"bits and u must share one shape (T, R + D) for {len(rounds)} rounds and {len(values)} "
-                         f"decoys over T trials: got {np.shape(bits)} and {np.shape(u)}")
-    payload_u, groups = u[:, :split].reshape(-1), {}
-    for j, (state, bit) in enumerate(zip(rounds, bits[:, :split].reshape(-1).tolist())):
-        groups.setdefault((id(state), bit), []).append(j)
-    resent = list(rounds)
-    for (_, bit), positions in groups.items():
-        read, after = rounds[positions[0]].intercept(receiver, BasisKind.V2 if bit else BasisKind.V1,
-                                                     payload_u[positions])
-        for j, value in zip(positions, read.tolist()):
-            resent[j] = after[value]
-    bases = bits[:, split:].reshape(-1) == 1
-    return resent, (measure_pairs(d, values, v2, bases, u[:, split:].reshape(-1)), bases)
+    values, v2 = (np.asarray(a) for a in decoys)
+    split = len(rounds[0]) if rounds else 0
+    shape = (*values.shape[:2], split + values.shape[-1]) if values.ndim == 3 else None
+    if (shape is None or np.shape(v2) != values.shape or shape[1] != len(rounds)
+            or {np.shape(bits), np.shape(u)} != {shape} or any(len(trial) != split for trial in rounds)):
+        raise ValueError(f"need T lists of R rounds, (n-1, T, D) decoys and bits and u of one shape (n-1, T, R + D): "
+                         f"got {len(rounds)} lists, {values.shape}, {np.shape(v2)}, {np.shape(bits)} and {np.shape(u)}")
+    flat = [state for trial in rounds for state in trial]
+    payload = zip(bits[..., :split].reshape(len(bits), -1).tolist(), u[..., :split].reshape(len(u), -1))
+    for i, (row_bits, row_u) in enumerate(payload, start=2):
+        groups = {}
+        for j, key in enumerate(zip(map(id, flat), row_bits)):
+            groups.setdefault(key, []).append(j)
+        for (_, bit), positions in groups.items():
+            read, after = _intercept(flat[positions[0]], i, bit, row_u[positions])
+            for j, value in zip(positions, read.tolist()):
+                flat[j] = after[value]
+    bases = bits[..., split:] == 1
+    return ([flat[t * split:(t + 1) * split] for t in range(len(rounds))],
+            (measure_pairs(d, values, v2, bases, u[..., split:]), bases))

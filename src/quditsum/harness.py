@@ -1,11 +1,11 @@
 """Protocol engine and seeded Monte Carlo runner for the five scenarios.
 
 run_protocol is the one protocol engine: it runs a chunk of trials in
-lockstep, one decoy check and two read-outs for the chunk, the checks'
-then the encoding's; a trial's result strings are the columns of its own
-m encoded readouts. A scenario picks its rounds (prepare_rounds or
-fabricate_rounds), eta (0 for the original protocol) and channel (clean,
-or intercept-resend on every particle).
+lockstep, one channel step, one decoy check and two read-outs for the
+chunk, the checks' then the encoding's; a trial's result strings are the
+columns of its own m encoded readouts. A scenario picks its rounds
+(prepare_rounds or fabricate_rounds), eta (0 for the original protocol)
+and channel: clean, or Eve's one eve_intercept_resend call per chunk.
 
 A scenario's JSON report is made from run_protocol's records alone: each
 gives one per_trial line and, through _COUNTS, its share of every rate.
@@ -203,8 +203,8 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, words, eve: boo
 
     Trial t hands out rounds[t], the m+eta states the dealer made, genuine or forged, each held by
     P1..Pn, encodes the (n, m) digits secrets[t] and reads every draw from its slice (trial_layout) of
-    row t of the (T, K) uint64 block words. With eve=True an intercept-resend eavesdropper reads the
-    whole chunk per receiver and resends pairs. One check_decoys call checks every trial's decoys; a
+    row t of the (T, K) uint64 block words. With eve=True the channel is an intercept-resend eavesdropper,
+    one eve_intercept_resend step over the chunk. One check_decoys call checks every trial's decoys; a
     trial aborts if any error rate exceeds the threshold. One read_out serves the eta checks of every
     trial left and one execute_check call judges them all; a trial runs its checks in position order up
     to the first failure, which aborts it (the checks after it are read out and judged too, harmlessly,
@@ -225,7 +225,7 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, words, eve: boo
     if not 0 < len(secrets) == len(rounds) == len(words):
         raise ValueError(f"need secrets, rounds and a stream for each of one or more trials: "
                          f"got {len(secrets)}, {len(rounds)} and {len(words)}")
-    trials, total, receivers = len(words), cfg.m + eta, range(2, cfg.n + 1)
+    trials, total, held = len(words), cfg.m + eta, tuple(range(1, cfg.n + 1))
     if (words.shape != (trials, width) or words.dtype != np.uint64 or secrets.shape != (trials, cfg.n, cfg.m)
             or secrets.dtype.kind not in "iu" or ((secrets < 0) | (secrets >= cfg.d)).any()):
         raise ValueError(f"need a ({trials}, {width}) block of uint64 words and each trial's n={cfg.n} secret "
@@ -235,7 +235,7 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, words, eve: boo
         if len(trial_rounds) != total:
             raise ValueError(f"got {len(trial_rounds)} rounds, need m+eta={total}")
         for j, state in enumerate(trial_rounds):
-            if state.d != cfg.d or state.owners != (1, *receivers):
+            if state.d != cfg.d or state.owners != held:
                 raise ValueError(f"round {j} does not fit d={cfg.d}, n={cfg.n}")
 
     def per_receiver(name):  # the named slice of every trial's words as (n-1, T, ...): receiver, trial, ...
@@ -245,14 +245,8 @@ def run_protocol(cfg: ProtocolConfig, eta: int, secrets, rounds, words, eve: boo
     # (n-1, T, D): receiver, trial, decoy
     expected = received = [np.array([list(pair[k].values()) for pair in dealt]).swapaxes(0, 1) for k in (0, 1)]
     if eve:
-        # each receiver's intercepts span the chunk; receiver i+1 gets the rounds receiver i's left
-        flat, received = [state for trial in rounds for state in trial], [a.copy() for a in expected]
-        for k, i in enumerate(receivers):
-            pair = [a[k].reshape(-1) for a in expected]
-            flat, resent = eve_intercept_resend(flat, i, pair, per_receiver("eve_bits")[k] >> 63,
-                                                word_uniforms(per_receiver("eve_u")[k]), cfg.d)
-            received[0][k], received[1][k] = (a.reshape(trials, -1) for a in resent)
-        rounds = [flat[t * total:(t + 1) * total] for t in range(trials)]
+        rounds, received = eve_intercept_resend(rounds, expected, per_receiver("eve_bits") >> 63,
+                                                word_uniforms(per_receiver("eve_u")), cfg.d)
     mismatches = check_decoys(cfg.d, expected, received, word_uniforms(per_receiver("decoy_u"))).T.tolist()
     detected = np.array([any(_decoys_abort(c, cfg.decoy_count, cfg.error_threshold) for c in row)
                          for row in mismatches])
@@ -417,19 +411,19 @@ def run_scenario(cfg: ScenarioConfig) -> dict:
 
     Each trial reads only its own words of the stream, so the per-trial records depend only on the
     configuration and the master seed, never on execution order, chunking or timing. The trials run
-    through run_protocol in chunks whose rounds hold at most qudit.STACK_CAP amplitudes:
-    max(1, STACK_CAP // (d**n (m+eta))) trials each, their words one derive_trial_stream block. A
-    genuine scenario prepares its m+eta rounds once, and every trial shares them; they go when the
-    run returns or raises, as nothing else holds them. A forging dealer's rounds are fabricated once
-    per chunk, from its trials' plans joined. Each trial's record gives its per_trial line and adds
-    its share of every rate to running counts through _COUNTS; each oracle runs once.
+    through run_protocol in chunks whose round amplitudes and words together number at most
+    qudit.STACK_CAP: max(1, STACK_CAP // (d**n (m+eta) + K)) trials each, their words one
+    derive_trial_stream block. A genuine scenario prepares its m+eta rounds once, and every trial
+    shares them; they go when the run returns or raises, as nothing else holds them. A forging
+    dealer's rounds are fabricated once per chunk, from its trials' plans joined. Each trial's record
+    gives its per_trial line and its share of every rate (_COUNTS); each oracle runs once.
     """
     t0 = time.perf_counter()
     p, sc = cfg.protocol, SCENARIOS[cfg.scenario]
     eta = cfg.eta if sc.hardened else 0
     total, (layout, width) = p.m + eta, trial_layout(p, eta)
     shared = None if sc.forged else prepare_rounds(p, count=total)
-    chunk = max(1, qudit.STACK_CAP // (p.d**p.n * total))
+    chunk = max(1, qudit.STACK_CAP // (p.d**p.n * total + width))
     per_trial, counts = [], {name: [0, 0] for name in sc.aggregates}
     for first in range(0, cfg.trials, chunk):
         words = derive_trial_stream(cfg.master_seed, first, min(chunk, cfg.trials - first), width)

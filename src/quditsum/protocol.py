@@ -28,16 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import qudit
-from .qudit import (
-    BasisKind,
-    QuditRegister,
-    _check_cap,
-    basis_rows,
-    measure,
-    measure_pairs,
-    measure_stack,
-    omega_state,
-)
+from .qudit import QuditRegister, _check_cap, measure_pairs, measure_stack, omega_state
 
 
 @dataclass(frozen=True)
@@ -110,22 +101,6 @@ class RoundState:
     def owners(self) -> tuple[int, ...]:
         """The participants holding a qudit of the round, in order."""
         return tuple(sorted(p for _, owners in self.factors for p in owners))
-
-    def intercept(self, participant: int, basis: BasisKind,
-                  u: np.ndarray) -> tuple[np.ndarray, dict[int, "RoundState"]]:
-        """Measure one owner's qudit per uniform in u: the values, {v: round with |v> or QFT|v> in its place}."""
-        for f, (register, owners) in enumerate(self.factors):
-            if participant in owners:
-                break
-        else:
-            raise ValueError(f"participant {participant} holds no qudit in the round")
-        q = owners.index(participant)
-        values, rests = measure(register, q, basis, u)
-        kept, head, tail = owners[:q] + owners[q + 1:], self.factors[:f], self.factors[f + 1:]
-        rows = basis_rows(self.d, list(rests), basis is BasisKind.V2)
-        return values, {v: RoundState((*head, *(((rest, kept),) if kept else ()), *tail,
-                                        (QuditRegister._trusted(self.d, 1, row), (participant,))), self.r)
-                        for (v, rest), row in zip(rests.items(), rows)}
 
 
 def read_out(rounds, qft, u: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from quditsum import BasisKind, QuditRegister, apply_iqft, eve_intercept_resend, execute_check, measure, run_protocol
+from quditsum.adversary import _intercept
 from quditsum.harness import trial_layout
 from quditsum.protocol import read_out, word_uniforms
 from quditsum.qudit import (
@@ -207,17 +208,20 @@ def measure_one(reg: QuditRegister, target: int, basis: BasisKind, rng: np.rando
 
 def intercept_one(state, participant: int, basis: BasisKind, rng: np.random.Generator):
     """One intercept against one uniform drawn from rng: (int value, the round as the participant gets it)."""
-    values, after = state.intercept(participant, basis, rng.random(1))
+    values, after = _intercept(state, participant, basis is BasisKind.V2, rng.random(1))
     return int(values[0]), after[int(values[0])]
 
 
-def eve_one_trial(rounds, receiver: int, decoys, rng: np.random.Generator, d: int):
-    """Eve on one trial's particles bound for the receiver, drawing as run_protocol does.
+def eve_one_trial(rounds, decoys, rng: np.random.Generator, d: int):
+    """Eve on one trial's particles, drawing as run_protocol does: a chunk of one trial.
 
-    decoys is the (values, v2) pair of the trial's decoys. Her basis bits
-    for the rounds then the decoys in one call, then her uniforms the same
-    way in a second: a chunk of one trial.
+    decoys is the (values, v2) pair of the trial's (n-1, D) decoys, a row per receiver 2..n. For each
+    receiver in turn, her basis bits for the rounds then the decoys in one call, then her uniforms the
+    same way in a second. Returns the resent rounds and the (n-1, D) resent (values, v2).
     """
-    count = len(rounds) + len(decoys[0])
-    bits, u = rng.integers(2, size=count), rng.random(count)
-    return eve_intercept_resend(rounds, receiver, decoys, bits[None], u[None], d)
+    values, v2 = (np.asarray(a) for a in decoys)
+    count = len(rounds) + values.shape[-1]
+    draws = [(rng.integers(2, size=count), rng.random(count)) for _ in values]
+    bits, u = (np.array(a)[:, None] for a in zip(*draws))  # (n-1, 1, R + D)
+    resent, received = eve_intercept_resend([rounds], (values[:, None], v2[:, None]), bits, u, d)
+    return resent[0], tuple(a[:, 0] for a in received)

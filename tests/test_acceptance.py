@@ -210,9 +210,9 @@ def test_c08_eve_disturbance_rate():
             for rep in range(100):
                 rng = np.random.default_rng((8, d, rep))
                 values, v2 = insert_decoys(cfg, decoy_words(cfg, rng))
-                pair = values[2], v2[2]
-                _, resent = eve_one_trial([], 2, pair, rng, d)
-                mismatches += check_decoys(d, pair, resent, rng.random(cfg.decoy_count))
+                pair = values[2][None], v2[2][None]
+                _, resent = eve_one_trial([], pair, rng, d)
+                mismatches += check_decoys(d, pair, resent, rng.random((1, cfg.decoy_count))).sum()
                 checked += cfg.decoy_count
             assert checked >= 10_000
             expected = 0.5 * (1.0 - 1.0 / d)

@@ -176,49 +176,61 @@ def test_eve_intercept_resend_returns_basis_states():
     rng = np.random.default_rng(8)
     cfg = ProtocolConfig(d=5, n=3, m=5)
     rounds = prepare_rounds(cfg) + fabricate_rounds(cfg, _uniform_r(5, 5, rng))
-    values = np.array([int(rng.integers(5)) for _ in range(20)])
-    resent, (read, bases) = eve_one_trial(rounds, 3, (values, np.zeros(20, dtype=bool)), rng, 5)
-    assert len(resent) == 10 and read.shape == bases.shape == (20,)
+    values = rng.integers(5, size=(2, 20))
+    resent, (read, bases) = eve_one_trial(rounds, (values, np.zeros((2, 20), dtype=bool)), rng, 5)
+    assert len(resent) == 10 and read.shape == bases.shape == (2, 20)
     particles = []
     for state, after in zip(rounds, resent):
-        # the receiver's qudit left its register; the resent particle is a factor of its own
+        # each receiver's qudit left its register; each resent particle is a factor of its own, in receiver order
         assert after.owners == state.owners and after.r == state.r
-        assert [owners for _, owners in after.factors].count((3,)) == 1
-        assert after.factors[-1][1] == (3,)
-        particles.append(after.factors[-1][0])
+        assert [owners for _, owners in after.factors][-2:] == [(2,), (3,)]
+        assert sum(reg.k for reg, _ in after.factors) == 3
+        particles += [after.factors[-2][0], after.factors[-1][0]]
     table = np.concatenate([np.eye(5, dtype=np.complex128), _qft_matrix(5)])
-    for row in [reg.amplitudes for reg in particles] + list(basis_rows(5, read, bases)):
+    for row in [reg.amplitudes for reg in particles] + list(basis_rows(5, read.ravel(), bases.ravel())):
         # each resent particle is exactly |v> or QFT|v> for some v
         assert any(np.array_equal(row, state) for state in table)
 
 
 @pytest.mark.parametrize("rounds,decoys,shapes", [
-    # five rounds and (1, 4) draws: the fifth round would pass un-intercepted
-    (5, 0, [(1, 4), (1, 4)]),
-    (5, 0, [(1, 5), (1, 6)]),
-    (5, 3, [(1, 8), (2, 4)]),
-    (4, 4, [(2, 3), (2, 3)]),
-    (5, 0, [(0, 5), (0, 5)]),
-    (0, 3, [(2, 1), (2, 1)]),
+    # one trial of five rounds and (2, 1, 4) draws: the fifth round would pass un-intercepted
+    (5, 0, [(2, 1, 4), (2, 1, 4)]),
+    (5, 0, [(2, 1, 5), (2, 1, 6)]),
+    (5, 3, [(2, 1, 8), (2, 2, 4)]),
+    (4, 4, [(2, 2, 4), (2, 2, 4)]),
+    (5, 0, [(2, 0, 5), (2, 0, 5)]),
+    (0, 3, [(2, 1, 1), (2, 1, 1)]),
+    # draws for one receiver, decoys for two
+    (5, 0, [(1, 1, 5), (1, 1, 5)]),
 ])
 def test_eve_intercept_resend_rejects_draws_that_do_not_fit(rounds, decoys, shapes):
     cfg = ProtocolConfig(d=5, n=3, m=rounds or 1)
-    pair = np.zeros(decoys, dtype=np.int64), np.zeros(decoys, dtype=bool)
+    pair = np.zeros((2, 1, decoys), dtype=np.int64), np.zeros((2, 1, decoys), dtype=bool)
     bits, u = (np.zeros(shape) for shape in shapes)
-    with pytest.raises(ValueError, match=r"shape \(T, R \+ D\)"):
-        eve_intercept_resend(prepare_rounds(cfg)[:rounds], 2, pair, bits.astype(np.int64), u, 5)
+    with pytest.raises(ValueError, match=r"shape \(n-1, T, R \+ D\)"):
+        eve_intercept_resend([prepare_rounds(cfg)[:rounds]], pair, bits.astype(np.int64), u, 5)
+
+
+def test_eve_intercept_resend_rejects_chunks_that_do_not_fit():
+    state = prepare_rounds(ProtocolConfig(d=5, n=3, m=1))[0]
+    bits, u = np.zeros((2, 2, 2), dtype=np.int64), np.zeros((2, 2, 2))
+    # decoys flat or one trial short; trials of unequal length
+    for rounds, shape in [([[state]] * 2, (4,)), ([[state]] * 2, (2, 1, 1)), ([[state] * 2, [state]], (2, 2, 0))]:
+        pair = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=bool)
+        with pytest.raises(ValueError, match=r"shape \(n-1, T, R \+ D\)"):
+            eve_intercept_resend(rounds, pair, bits, u, 5)
 
 
 def test_eve_intercept_resend_reads_decoy_pairs():
     rounds = prepare_rounds(ProtocolConfig(d=5, n=3, m=2))
-    bits, u = np.zeros((1, 5), dtype=np.int64), np.full((1, 5), 0.5)
-    resent, (read, bases) = eve_intercept_resend(rounds, 2, (np.arange(3), np.zeros(3, dtype=bool)), bits, u, 5)
+    values, bits, u = np.array([[[0, 1, 2]], [[3, 4, 0]]]), np.zeros((2, 1, 5), dtype=np.int64), np.full((2, 1, 5), 0.5)
+    resent, (read, bases) = eve_intercept_resend([rounds], (values, np.zeros((2, 1, 3), dtype=bool)), bits, u, 5)
     # a V1 read of |v> is v, whatever the uniform
-    assert len(resent) == 2 and read.tolist() == [0, 1, 2] and not bases.any()
+    assert [len(trial) for trial in resent] == [2] and read.tolist() == values.tolist() and not bases.any()
     # so is a V2 read of QFT|v>, with no rounds at all
-    pair = np.arange(3), np.ones(3, dtype=bool)
-    _, (read, bases) = eve_intercept_resend([], 2, pair, bits[:, :3] + 1, u[:, :3], 5)
-    assert read.tolist() == [0, 1, 2] and bases.all()
+    pair = values, np.ones((2, 1, 3), dtype=bool)
+    resent, (read, bases) = eve_intercept_resend([[]], pair, bits[..., :3] + 1, u[..., :3], 5)
+    assert resent == [[]] and read.tolist() == values.tolist() and bases.all()
 
 
 @pytest.mark.parametrize("d", [2, 10])
@@ -229,9 +241,9 @@ def test_eve_disturbance_matches_oracle(d):
     checked = 0
     for _ in range(60):
         values, v2 = insert_decoys(cfg, decoy_words(cfg, rng))
-        pair = values[2], v2[2]
-        _, resent = eve_one_trial([], 2, pair, rng, d)
-        mismatches += check_decoys(d, pair, resent, rng.random(cfg.decoy_count))
+        pair = values[2][None], v2[2][None]
+        _, resent = eve_one_trial([], pair, rng, d)
+        mismatches += check_decoys(d, pair, resent, rng.random((1, cfg.decoy_count))).sum()
         checked += cfg.decoy_count
     assert_within_4sigma(mismatches / checked, 0.5 * (1 - 1 / d), checked)
 

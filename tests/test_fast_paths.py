@@ -16,9 +16,9 @@ uniforms drawn up front, is pinned to the per-owner measurement chain it
 replaced, and measure, now the one-register case of that kernel, to the
 marginal-then-norm body it had before. Its first step on a register a
 whole stack shares, which reads the law off the register's reduced state
-instead of rotating it, is pinned to rotate-then-marginal. Eve, who intercepts a chunk of
-trials per receiver with one measurement per distinct round and basis,
-is pinned to the per-round intercept chain she ran before.
+instead of rotating it, is pinned to rotate-then-marginal. Eve, one call
+over a chunk of trials that measures once per receiver, distinct round
+and basis, is pinned to the per-round intercept chain she ran before.
 """
 
 import re
@@ -199,26 +199,24 @@ def test_decoys_match_scalar_loops(eve, d, n, count, seed):
     ref_regs, ref_recs = _reference_insert_decoys(cfg, words)
     values, v2 = insert_decoys(cfg, words)
     assert sorted(values) == sorted(v2) == sorted(ref_recs)
-    received = {}
     for i in values:
         assert values[i].shape == v2[i].shape == (count,)
         assert list(zip(values[i].tolist(), map(_basis, v2[i]))) == ref_recs[i]
         # the pair is the state the reference built
         assert np.array_equal(basis_rows(d, values[i], v2[i]),
                               np.array([r.amplitudes for r in ref_regs[i]]).reshape(count, d))
-        received[i] = values[i], v2[i]
     assert fast.bit_generator.state == ref.bit_generator.state
-    if eve:
-        for i in values:
-            ref_regs[i] = _reference_eve([(r, 0) for r in ref_regs[i]], ref)
-            resent, received[i] = eve_one_trial([], i, received[i], fast, d)
-            assert resent == [] and received[i][0].shape == received[i][1].shape == (count,)
-            assert all(approx_equal(QuditRegister(d, 1, a), b) for a, b in zip(basis_rows(d, *received[i]), ref_regs[i]))
-    # every receiver's sequence in one stacked call, as a run checks them
     receivers = sorted(values)
-    counts = check_decoys(d, (np.array([values[i] for i in receivers]), np.array([v2[i] for i in receivers])),
-                          [np.array(a) for a in zip(*(received[i] for i in receivers))],
-                          fast.random((n - 1, count))).tolist()
+    expected = received = np.array([values[i] for i in receivers]), np.array([v2[i] for i in receivers])
+    if eve:
+        for i in receivers:
+            ref_regs[i] = _reference_eve([(r, 0) for r in ref_regs[i]], ref)
+        resent, received = eve_one_trial([], expected, fast, d)
+        assert resent == [] and received[0].shape == received[1].shape == (n - 1, count)
+        for i, *pair in zip(receivers, *received):
+            assert all(approx_equal(QuditRegister(d, 1, a), b) for a, b in zip(basis_rows(d, *pair), ref_regs[i]))
+    # every receiver's sequence in one stacked call, as a run checks them
+    counts = check_decoys(d, expected, received, fast.random((n - 1, count))).tolist()
     assert counts == [_reference_check_decoys(ref_recs[i], ref_regs[i], ref) for i in receivers]
     assert fast.bit_generator.state == ref.bit_generator.state
     if eve and count >= 40:
@@ -229,22 +227,26 @@ def test_eve_on_payload_and_lone_decoys_matches_reference():
     gen = np.random.default_rng(5)
     cfg = ProtocolConfig(d=5, n=3, m=4)
     rounds = prepare_rounds(cfg, count=2) + fabricate_rounds(cfg, (3, 0))
-    for receiver in (2, 3):
-        for count in (0, 8):
-            # the decoys are random (value, basis) pairs, the reference their dense states
-            values, v2 = gen.integers(5, size=count), gen.integers(2, size=count) == 1
-            decoys = [apply_qft(basis_state(5, [v]), 0) if b else basis_state(5, [v]) for v, b in zip(values, v2)]
-            ref, fast = np.random.default_rng(9 + count), np.random.default_rng(9 + count)
-            particles = [(_dense(state), state.owners.index(receiver)) for state in rounds]
-            expected = _reference_eve(particles + [(reg, 0) for reg in decoys], ref)
-            resent, (read, bases) = eve_one_trial(rounds, receiver, (values, v2), fast, 5)
-            for state, after, posterior in zip(rounds, resent, expected):
-                assert after.owners == state.owners
-                assert (after.factors[-1][0].k, after.factors[-1][1]) == (1, (receiver,))
-                assert _same_state(_dense(after), posterior)
-            assert read.shape == bases.shape == (count,)
-            assert all(approx_equal(QuditRegister(5, 1, a), b) for a, b in zip(basis_rows(5, read, bases), expected[4:]))
-            assert fast.bit_generator.state == ref.bit_generator.state
+    for count in (0, 8):
+        # each receiver's decoys are random (value, basis) pairs, the reference their dense states
+        values, v2 = gen.integers(5, size=(2, count)), gen.integers(2, size=(2, count)) == 1
+        ref, fast = np.random.default_rng(9 + count), np.random.default_rng(9 + count)
+        posteriors, expected = [_dense(state) for state in rounds], []
+        for receiver, row, bits in zip((2, 3), values, v2):
+            decoys = [apply_qft(basis_state(5, [v]), 0) if b else basis_state(5, [v]) for v, b in zip(row, bits)]
+            particles = [(reg, state.owners.index(receiver)) for reg, state in zip(posteriors, rounds)]
+            posteriors = _reference_eve(particles + [(reg, 0) for reg in decoys], ref)
+            expected += posteriors[4:]
+            posteriors = posteriors[:4]
+        resent, (read, bases) = eve_one_trial(rounds, (values, v2), fast, 5)
+        for state, after, posterior in zip(rounds, resent, posteriors, strict=True):
+            assert after.owners == state.owners
+            assert [(reg.k, owners) for reg, owners in after.factors[-2:]] == [(1, (2,)), (1, (3,))]
+            assert _same_state(_dense(after), posterior)
+        assert read.shape == bases.shape == (2, count)
+        assert all(approx_equal(QuditRegister(5, 1, a), b)
+                   for a, b in zip(basis_rows(5, read.ravel(), bases.ravel()), expected, strict=True))
+        assert fast.bit_generator.state == ref.bit_generator.state
 
 
 def _per_round_eve(rounds, receiver, decoys, rng):
@@ -259,9 +261,9 @@ def _per_round_eve(rounds, receiver, decoys, rng):
 @given(d=st.sampled_from([2, 3, 5, 10]), n=st.sampled_from([2, 3, 4]), kind=st.sampled_from(["genuine", "forged", "mixed"]),
        trials=st.integers(1, 4), count=st.integers(1, 4), decoys=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
 def test_chunk_eve_matches_per_round_intercept_chain(d, n, kind, trials, count, decoys, seed):
-    # a chunk's trials draw as run_protocol does, then Eve intercepts the
-    # whole chunk per receiver; each trial's per-round chain must read the
-    # same values, resend the same decoy pairs and leave its stream alike
+    # a chunk's trials draw as run_protocol does, then one Eve call takes
+    # the whole chunk; each trial's per-round chain must read the same
+    # values, resend the same decoy pairs and leave its stream alike
     gen = np.random.default_rng(seed)
     cfg = ProtocolConfig(d=d, n=n, m=count, decoy_count=decoys)
     genuine = prepare_rounds(cfg)
@@ -278,17 +280,16 @@ def test_chunk_eve_matches_per_round_intercept_chain(d, n, kind, trials, count, 
     for t, ref in enumerate(refs):
         for i in range(2, n + 1):
             expected_rounds[t], expected_pairs[t][i] = _per_round_eve(expected_rounds[t], i, expected_pairs[t][i], ref)
-    draws = {i: [] for i in range(2, n + 1)}
-    for fast in fasts:
-        for i in draws:
-            draws[i].append((fast.integers(2, size=count + decoys), fast.random(count + decoys)))
-    flat = [state for trial in rounds for state in trial]
-    for i, drawn in draws.items():
-        bits, u = (np.array(column) for column in zip(*drawn))
-        flat, resent = eve_intercept_resend(flat, i, [np.concatenate(a) for a in zip(*(trial[i] for trial in pairs))],
-                                            bits, u, d)
-        for got, want in zip(resent, zip(*(trial[i] for trial in expected_pairs)), strict=True):
-            assert np.array_equal(got, np.concatenate(want))
+    receivers = range(2, n + 1)
+    draws = [[(fast.integers(2, size=count + decoys), fast.random(count + decoys)) for _ in receivers]
+             for fast in fasts]
+    # each (n-1, T, ...): receiver, trial, ...
+    bits, u = (np.array([[trial[i - 2][k] for trial in draws] for i in receivers]) for k in (0, 1))
+    chunk, resent = eve_intercept_resend(rounds, [np.array([[trial[i][k] for trial in pairs] for i in receivers])
+                                                  for k in (0, 1)], bits, u, d)
+    for k, got in enumerate(resent):
+        assert np.array_equal(got, np.array([[trial[i][k] for trial in expected_pairs] for i in receivers]))
+    flat = [state for trial in chunk for state in trial]
     expected = [state for trial in expected_rounds for state in trial]
     for got, want in zip(flat, expected, strict=True):
         assert [owners for _, owners in got.factors] == [owners for _, owners in want.factors]
@@ -646,8 +647,8 @@ def test_factor_rounds_under_eve_match_dense_reference(d, n, forged):
         secrets = [random_secret(d, 1, gen) for _ in range(n)]
         ref, fast = np.random.default_rng(seed), np.random.default_rng(seed)
         after_eve, expected = _reference_eve_then_encode(rounds, secrets, ref)
-        for i in range(2, n + 1):
-            rounds, _ = eve_one_trial(rounds, i, (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)), fast, d)
+        rounds, _ = eve_one_trial(rounds, (np.zeros((n - 1, 0), dtype=np.int64), np.zeros((n - 1, 0), dtype=bool)),
+                                  fast, d)
         for state, reg in zip(rounds, after_eve):
             assert _same_state(_dense(state), reg)
         assert _encode_and_read_out(rounds, secrets, fast) == expected

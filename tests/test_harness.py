@@ -1,6 +1,8 @@
 """Scenario runner, report schema, reproducibility, CLI contract."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -28,7 +30,7 @@ from quditsum import (
     wilson_interval,
     write_report,
 )
-from quditsum import cli, harness, protocol, qudit
+from quditsum import adversary, cli, harness, protocol, qudit
 from quditsum.cli import main
 from quditsum.harness import (
     _COUNTS,
@@ -529,25 +531,24 @@ def test_a_clean_run_builds_decoy_states_once_per_chunk(scenario, d, n, m, eta, 
 
 
 def test_eve_measures_each_distinct_round_once_per_basis(monkeypatch):
-    # a 20-trial small-mix eve-decoy run: receiver 2 meets the one shared
-    # round in two bases; receiver 3 at most the 2d rounds that left, in two
-    calls, receiver = Counter(), []
-    real_eve, real_measure = harness.eve_intercept_resend, protocol.measure
+    # a 20-trial small-mix eve-decoy run is one eve_intercept_resend call: receiver 2 meets the one
+    # shared 3-qudit round in two bases; receiver 3 at most the 2d 2-qudit rounds that left, in two
+    calls, real_eve, real_measure = Counter(), harness.eve_intercept_resend, adversary.measure
 
-    def eve(rounds, i, *args):
-        receiver.append(i)
-        return real_eve(rounds, i, *args)
+    def eve(*args):
+        calls["eve"] += 1
+        return real_eve(*args)
 
-    def counted(*args):
-        calls[receiver[-1]] += 1
-        return real_measure(*args)
+    def counted(register, *args):
+        calls[register.k] += 1
+        return real_measure(register, *args)
 
     monkeypatch.setattr(harness, "eve_intercept_resend", eve)
-    monkeypatch.setattr(protocol, "measure", counted)
+    monkeypatch.setattr(adversary, "measure", counted)
     run_scenario(ScenarioConfig("eve-decoy", ProtocolConfig(d=5, n=3, m=4, decoy_count=16), eta=6, trials=20,
                                 master_seed=1))
-    assert receiver == [2, 3]
-    assert 0 < calls[2] <= 2 and 0 < calls[3] <= 4 * 5
+    assert calls["eve"] == 1 and set(calls) == {"eve", 2, 3}
+    assert 0 < calls[3] <= 2 and 0 < calls[2] <= 4 * 5
 
 
 def test_a_run_over_the_stack_cap_peaks_as_one_trial():
@@ -567,6 +568,17 @@ def test_a_run_over_the_stack_cap_peaks_as_one_trial():
     peak(1)  # first-call allocations outside the run
     one = peak(1)
     assert peak(4) <= 1.1 * one
+
+
+def test_a_chunk_counts_its_words_against_the_stack_cap(monkeypatch):
+    # at d=2, n=2, m=1 with 10^4 decoys a round holds 4 amplitudes and a trial K = 50008 words; sized by
+    # amplitudes alone, a chunk held 16384 trials, one 6.55 GB block of words at --trials 16384
+    cfg = ProtocolConfig(d=2, n=2, m=1, decoy_count=10_000)
+    width, blocks, real = trial_layout(cfg, 0)[1], [], harness.derive_trial_stream
+    monkeypatch.setattr(harness, "derive_trial_stream", lambda *args: blocks.append(real(*args)) or blocks[-1])
+    run_scenario(ScenarioConfig("honest", cfg, trials=3))
+    assert width == 50008 and len(blocks) == 3
+    assert max(block.size for block in blocks) <= max(width, qudit.STACK_CAP)
 
 
 def test_a_run_frees_what_it_built():
@@ -874,6 +886,41 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
         assert main(["run", "--scenario", "honest", "--seed", seed, "--out", str(out)]) == 2
         assert f"master_seed must lie in [0, 2**64), got {seed}" in capsys.readouterr().err
     assert not out.exists()
+
+
+_RUN_OPTIONS = {  # small values of each numeric run option: (accepted, refused)
+    "--d": (st.integers(2, 6), st.integers(0, 1)),
+    "--n": (st.integers(2, 4), st.integers(0, 1)),
+    "--m": (st.integers(1, 3), st.just(0)),
+    "--eta": (st.integers(0, 3), st.just(-1)),
+    "--decoys": (st.integers(0, 4), st.just(-1)),
+    "--trials": (st.integers(1, 3), st.integers(-1, 0)),
+    "--threshold": (st.floats(0.0, 1.0), st.floats(-0.5, 1.5).filter(lambda t: not 0 <= t <= 1) | st.just(math.nan)),
+    "--seed": (st.sampled_from([0, 1, 2**64 - 1]), st.sampled_from([-1, 2**64])),
+}
+
+
+# derandomized: a flagged rate is a 4-sigma event, rare on a genuine run but not impossible, so the examples
+# are fixed to keep the test repeatable
+@pytest.mark.parametrize("refused", [None, *_RUN_OPTIONS])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(scenario=st.sampled_from(sorted(SCENARIOS)), data=st.data())
+def test_cli_runs_or_refuses_every_small_configuration(tmp_path_factory, refused, scenario, data):
+    # every option in range: exit 0 and a report that flags no rate; one out of range: exit 2 and an error
+    # line; never a traceback
+    out = tmp_path_factory.mktemp("cli") / "r.json"
+    values = {option: data.draw(refuse if option == refused else accept, label=option)
+              for option, (accept, refuse) in _RUN_OPTIONS.items()}
+    # --name=value: argparse would take "--threshold -1e-05" for two options
+    argv = ["run", f"--scenario={scenario}", *(f"{option}={value}" for option, value in values.items()),
+            f"--out={out}"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code == (0 if refused is None else 2) and out.exists() == (refused is None)
+    if refused is None:
+        assert json.loads(out.read_text())["aggregates"]["flagged"] == []
+    else:
+        assert err.getvalue().startswith("error: ")
 
 
 def test_cli_missing_output_directory_exits_3(tmp_path, capsys):

@@ -196,9 +196,10 @@ def test_check_decoys_counts_what_measuring_every_decoy_counts(d, sequences, cou
     values, v2 = rng.integers(d, size=(sequences, count)), rng.integers(2, size=(sequences, count)) == 1
     received = values, v2
     if eve:
-        bits, eve_u = rng.integers(2, size=(1, values.size)), rng.random((1, values.size))
-        _, (read, bases) = eve_intercept_resend([], 2, (values.reshape(-1), v2.reshape(-1)), bits, eve_u, d)
-        received = read.reshape(values.shape), bases.reshape(values.shape)
+        # each sequence a receiver's, in a chunk of one trial with no rounds
+        bits, eve_u = rng.integers(2, size=(sequences, 1, count)), rng.random((sequences, 1, count))
+        _, (read, bases) = eve_intercept_resend([[]], (values[:, None], v2[:, None]), bits, eve_u, d)
+        received = read[:, 0], bases[:, 0]
     u = rng.choice([0.0, 2.0**-53, 1 - 2.0**-53, *rng.random(3)], size=values.shape)
     assert check_decoys(d, (values, v2), received, u).tolist() == _full_check(d, (values, v2), received, u).tolist()
 
